@@ -1,6 +1,7 @@
 package squic
 
 import (
+	"cmp"
 	"context"
 	"crypto/ecdh"
 	"crypto/rand"
@@ -9,7 +10,6 @@ import (
 	"fmt"
 	"net"
 	"slices"
-	"sort"
 	"sync"
 	"time"
 
@@ -84,6 +84,7 @@ var (
 
 // sentPacket tracks an in-flight ack-eliciting packet.
 type sentPacket struct {
+	pn     uint64
 	frames []frame
 	size   int
 	sentAt time.Time
@@ -148,9 +149,17 @@ type Conn struct {
 	helloBuf []byte
 
 	// Send/reliability state.
-	nextPN       uint64
-	queued       []frame
-	sent         map[uint64]*sentPacket
+	nextPN uint64
+	queued []frame
+	// sent is the in-flight history in ascending packet-number order:
+	// sendPacketLocked appends and packet numbers only grow, so an ack is a
+	// merge walk over the prefix it can reach (see handleAckLocked). An ack
+	// packs the prefix's survivors against the untouched suffix and advances
+	// the slice head past the freed slots; the next reallocating append
+	// copies only live entries. An emptied history drops its array, so idle
+	// and closed connections hold none (teardown drops it too, releasing the
+	// stream data the frames alias).
+	sent         []sentPacket
 	inFlight     int
 	cwnd         int
 	largestAcked int64
@@ -180,10 +189,9 @@ type Conn struct {
 	// the remainder.
 	ptoDeadline time.Time
 	ptoBackoff  uint
-	// pnScratch/streamScratch are lock-guarded scratch buffers reused across
-	// ack scans and packetization rounds, keeping the steady-state receive
-	// path allocation-free on long-lived pooled connections.
-	pnScratch     []uint64
+	// streamScratch is a lock-guarded scratch buffer reused across
+	// packetization rounds, keeping the steady-state receive path
+	// allocation-free on long-lived pooled connections.
 	streamScratch []*Stream
 
 	// Receive state.
@@ -198,7 +206,6 @@ func newConn(pconn PacketConn, cfg *Config, isClient bool) *Conn {
 		pconn:        pconn,
 		isClient:     isClient,
 		streams:      make(map[uint64]*Stream),
-		sent:         make(map[uint64]*sentPacket),
 		cwnd:         cfg.InitialCwnd,
 		largestAcked: -1,
 	}
@@ -379,6 +386,9 @@ func (c *Conn) teardownIf(guard func() bool, code uint64, reason string, cause e
 	for _, s := range c.streams {
 		s.failLocked(cause)
 	}
+	// Closed conns can stay reachable (pools, steering state, callers);
+	// the retransmission state must not keep their stream data alive.
+	c.sent, c.queued, c.inFlight = nil, nil, 0
 	c.readable.Broadcast()
 	c.writable.Broadcast()
 	c.hsCond.Broadcast()
@@ -689,10 +699,13 @@ func (c *Conn) processOneRTT(hdr header, body []byte, dg *snet.Datagram) {
 		// steered reply path installed, the mirror keeps following the
 		// client (so reverting to mirroring is always possible) but no
 		// longer drives the send path.
-		if dg.ReplyPath != nil {
-			c.mirrorPath = dg.ReplyPath
+		// A path equal to the current mirror keeps the installed pointer,
+		// so its memoized fingerprint and wire template stay warm instead
+		// of being recomputed for a fresh copy on every packet.
+		if rp := dg.ReplyPath; rp != nil && !samePath(c.mirrorPath, rp) {
+			c.mirrorPath = rp
 			if !c.steered {
-				c.path = dg.ReplyPath
+				c.path = rp
 			}
 		}
 		c.remote = dg.Src
@@ -773,26 +786,37 @@ func (c *Conn) retireStreamLocked(s *Stream) {
 
 // --- reliability ---
 
+// handleAckLocked applies an ack frame to the in-flight history. The peer
+// acks its full receive history, so the ranges span the connection's
+// lifetime; only the history prefix up to the frame's highest packet number
+// can change, and a merge walk of that prefix against the (ascending,
+// disjoint) ranges costs O(newly acked + holes + ranges), independent of how
+// much is still in flight above it.
 func (c *Conn) handleAckLocked(f *ackFrame) {
-	now := c.clock.Now()
-	// The peer acks its full receive history, so the ranges span the
-	// connection's lifetime; scan the in-flight set (small) against them
-	// instead of iterating every covered packet number (unbounded on a
-	// long-lived pooled connection).
-	acked := c.pnScratch[:0]
-	for pn := range c.sent {
-		if f.covers(pn) {
-			acked = append(acked, pn)
-		}
+	if len(f.ranges) == 0 || len(c.sent) == 0 {
+		return
 	}
-	slices.Sort(acked)
-	newlyAcked := len(acked) > 0
-	for _, pn := range acked {
-		sp := c.sent[pn]
-		delete(c.sent, pn)
+	now := c.clock.Now()
+	top := f.ranges[len(f.ranges)-1].hi
+	if c.largestAcked > int64(top) {
+		top = uint64(c.largestAcked)
+	}
+	// Pass 1, ascending: ack covered entries, sliding the rest to the front.
+	h := c.sent
+	end, kept, ri := 0, 0, 0
+	for ; end < len(h) && h[end].pn <= top; end++ {
+		sp := &h[end]
+		for ri < len(f.ranges) && f.ranges[ri].hi < sp.pn {
+			ri++
+		}
+		if ri == len(f.ranges) || sp.pn < f.ranges[ri].lo {
+			h[kept] = *sp
+			kept++
+			continue
+		}
 		c.inFlight -= sp.size
-		if int64(pn) > c.largestAcked {
-			c.largestAcked = int64(pn)
+		if int64(sp.pn) > c.largestAcked {
+			c.largestAcked = int64(sp.pn)
 			c.sampleRTTLocked(now.Sub(sp.sentAt))
 		}
 		// Slow-start growth, capped.
@@ -800,31 +824,38 @@ func (c *Conn) handleAckLocked(f *ackFrame) {
 			c.cwnd += sp.size
 		}
 	}
-	if !newlyAcked {
-		c.pnScratch = acked
-		return
+	if kept == end {
+		return // nothing newly acked
 	}
 	c.ptoBackoff = 0
-	// Packet-threshold loss detection. The scratch is free again: the acked
-	// prefix has been fully consumed above.
-	lost := acked[:0]
-	for pn := range c.sent {
-		if c.largestAcked >= 0 && pn+3 <= uint64(c.largestAcked) {
-			lost = append(lost, pn)
+	// Pass 2, ascending: packet-threshold loss detection over the survivors.
+	// Nothing above the prefix can be lost: largestAcked <= top.
+	live := 0
+	for i := 0; i < kept; i++ {
+		sp := &h[i]
+		if sp.pn+3 > uint64(c.largestAcked) {
+			h[live] = *sp
+			live++
+			continue
 		}
-	}
-	slices.Sort(lost)
-	for _, pn := range lost {
-		sp := c.sent[pn]
-		delete(c.sent, pn)
 		c.inFlight -= sp.size
 		c.queued = append(c.queued, sp.frames...)
-		if pn >= c.recoveryEnd {
+		if sp.pn >= c.recoveryEnd {
 			c.cwnd = maxInt(c.cwnd/2, 2*c.cfg.MaxPacketSize)
 			c.recoveryEnd = c.nextPN
 		}
 	}
-	c.pnScratch = lost
+	if live == 0 && end == len(h) {
+		// Idle: drop the array, sized for the last burst, rather than keep it.
+		c.sent = nil
+	} else {
+		// Right-align the survivors against the untouched suffix and advance
+		// the head past the vacated slots, cleared so they pin no frames.
+		start := end - live
+		copy(h[start:end], h[:live])
+		clear(h[:start])
+		c.sent = h[start:]
+	}
 	c.armPTOLocked()
 	c.packetizeLocked()
 }
@@ -996,17 +1027,11 @@ func (c *Conn) onPTO() {
 	if c.ptoBackoff < maxPTOBackoff {
 		c.ptoBackoff++
 	}
-	var pns []uint64
-	for pn := range c.sent {
-		pns = append(pns, pn)
+	for i := range c.sent {
+		c.inFlight -= c.sent[i].size
+		c.queued = append(c.queued, c.sent[i].frames...)
 	}
-	sort.Slice(pns, func(i, j int) bool { return pns[i] < pns[j] })
-	for _, pn := range pns {
-		sp := c.sent[pn]
-		delete(c.sent, pn)
-		c.inFlight -= sp.size
-		c.queued = append(c.queued, sp.frames...)
-	}
+	c.sent = nil
 	c.packetizeLocked()
 }
 
@@ -1036,7 +1061,7 @@ func (c *Conn) sortedStreamsLocked() []*Stream {
 	for _, s := range c.streams {
 		out = append(out, s)
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].id < out[j].id })
+	slices.SortFunc(out, func(a, b *Stream) int { return cmp.Compare(a.id, b.id) })
 	c.streamScratch = out
 	return out
 }
@@ -1144,7 +1169,7 @@ func (c *Conn) sendPacketLocked(frames []frame, ackEliciting bool) {
 				break
 			}
 		}
-		c.sent[pn] = &sentPacket{frames: kept, size: len(buf), sentAt: c.clock.Now()}
+		c.sent = append(c.sent, sentPacket{pn: pn, frames: kept, size: len(buf), sentAt: c.clock.Now()})
 		c.inFlight += len(buf)
 		if c.ptoCancel == nil {
 			c.armPTOLocked()
@@ -1165,49 +1190,40 @@ type rangeSet struct {
 	rs []ackRange
 }
 
+// search returns the index of the first range with hi >= pn: the range
+// containing pn if any, else where a range starting at pn would be inserted.
+func (r *rangeSet) search(pn uint64) int {
+	i, _ := slices.BinarySearchFunc(r.rs, pn, func(x ackRange, pn uint64) int {
+		return cmp.Compare(x.hi, pn)
+	})
+	return i
+}
+
 func (r *rangeSet) contains(pn uint64) bool {
-	for _, x := range r.rs {
-		if pn >= x.lo && pn <= x.hi {
-			return true
-		}
-	}
-	return false
+	i := r.search(pn)
+	return i < len(r.rs) && r.rs[i].lo <= pn
 }
 
+// add inserts pn, extending or merging only the neighbouring ranges: the
+// set stays sorted and disjoint without a re-sort.
 func (r *rangeSet) add(pn uint64) {
-	for i := range r.rs {
-		x := &r.rs[i]
-		if pn >= x.lo && pn <= x.hi {
-			return
-		}
-		if pn+1 == x.lo {
-			x.lo = pn
-			r.coalesce()
-			return
-		}
-		if x.hi+1 == pn {
-			x.hi = pn
-			r.coalesce()
-			return
-		}
+	i := r.search(pn)
+	if i < len(r.rs) && r.rs[i].lo <= pn {
+		return // already present
 	}
-	r.rs = append(r.rs, ackRange{lo: pn, hi: pn})
-	sort.Slice(r.rs, func(i, j int) bool { return r.rs[i].lo < r.rs[j].lo })
-}
-
-func (r *rangeSet) coalesce() {
-	sort.Slice(r.rs, func(i, j int) bool { return r.rs[i].lo < r.rs[j].lo })
-	out := r.rs[:0]
-	for _, x := range r.rs {
-		if n := len(out); n > 0 && out[n-1].hi+1 >= x.lo {
-			if x.hi > out[n-1].hi {
-				out[n-1].hi = x.hi
-			}
-			continue
-		}
-		out = append(out, x)
+	joinsPrev := i > 0 && r.rs[i-1].hi+1 == pn
+	joinsNext := i < len(r.rs) && pn+1 == r.rs[i].lo
+	switch {
+	case joinsPrev && joinsNext:
+		r.rs[i-1].hi = r.rs[i].hi
+		r.rs = slices.Delete(r.rs, i, i+1)
+	case joinsPrev:
+		r.rs[i-1].hi = pn
+	case joinsNext:
+		r.rs[i].lo = pn
+	default:
+		r.rs = slices.Insert(r.rs, i, ackRange{lo: pn, hi: pn})
 	}
-	r.rs = out
 }
 
 // ranges returns the current ranges, capped to the most recent 32. The
@@ -1220,6 +1236,13 @@ func (r *rangeSet) ranges() []ackRange {
 		rs = rs[len(rs)-32:]
 	}
 	return rs
+}
+
+// samePath reports whether a and b describe the same forwarding path. Reply
+// paths are derived from a packet's hops alone, so Src, Dst and Hops decide
+// the rest (metadata included).
+func samePath(a, b *segment.Path) bool {
+	return a != nil && a.Src == b.Src && a.Dst == b.Dst && slices.Equal(a.Hops, b.Hops)
 }
 
 func maxInt(a, b int) int {

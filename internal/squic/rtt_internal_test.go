@@ -30,7 +30,7 @@ func (d *discardPconn) Close() error                      { return nil }
 // deadConn builds an established client connection over a dead transport:
 // everything sent vanishes, so every ack-eliciting packet rides the PTO
 // exponential forever.
-func deadConn(t *testing.T, clock netsim.Clock) (*Conn, *discardPconn) {
+func deadConn(t testing.TB, clock netsim.Clock) (*Conn, *discardPconn) {
 	t.Helper()
 	pconn := &discardPconn{clock: clock}
 	cfg := (&Config{Clock: clock}).withDefaults()

@@ -78,24 +78,6 @@ type ackFrame struct {
 
 func (f *ackFrame) retransmittable() bool { return false }
 
-// covers reports whether pn falls in one of the (ascending, disjoint)
-// ranges, by binary search.
-func (f *ackFrame) covers(pn uint64) bool {
-	lo, hi := 0, len(f.ranges)
-	for lo < hi {
-		mid := (lo + hi) / 2
-		switch r := f.ranges[mid]; {
-		case pn < r.lo:
-			hi = mid
-		case pn > r.hi:
-			lo = mid + 1
-		default:
-			return true
-		}
-	}
-	return false
-}
-
 func (f *ackFrame) append(buf []byte) []byte {
 	buf = append(buf, ftAck)
 	buf = binary.AppendUvarint(buf, uint64(len(f.ranges)))

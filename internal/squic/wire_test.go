@@ -3,6 +3,7 @@ package squic
 import (
 	"bytes"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -87,35 +88,72 @@ func TestRangeSet(t *testing.T) {
 	}
 }
 
+// naiveRanges computes the sorted disjoint ranges of a set of packet
+// numbers by scanning every candidate.
+func naiveRanges(set map[uint64]bool, limit uint64) []ackRange {
+	var out []ackRange
+	for pn := uint64(0); pn < limit; pn++ {
+		if !set[pn] {
+			continue
+		}
+		if n := len(out); n > 0 && out[n-1].hi+1 == pn {
+			out[n-1].hi = pn
+		} else {
+			out = append(out, ackRange{lo: pn, hi: pn})
+		}
+	}
+	return out
+}
+
+// TestRangeSetPropertyMatchesNaive checks the range set against a naive
+// reference after every add, for in-order, reordered and duplicate-heavy
+// packet-number streams: contains, the sorted disjoint ranges, and the
+// 32-range cap of ranges() (the most recent 32).
 func TestRangeSetPropertyMatchesNaive(t *testing.T) {
+	const limit = 600
 	rng := rand.New(rand.NewSource(11))
-	var rs rangeSet
-	naive := make(map[uint64]bool)
-	for i := 0; i < 2000; i++ {
-		pn := uint64(rng.Intn(200))
-		rs.add(pn)
-		naive[pn] = true
-	}
-	for pn := uint64(0); pn < 220; pn++ {
-		if rs.contains(pn) != naive[pn] {
-			t.Fatalf("contains(%d) = %v, naive %v", pn, rs.contains(pn), naive[pn])
+	inOrder := make([]uint64, 0, limit)
+	for pn := uint64(0); pn < limit; pn++ {
+		if rng.Intn(5) != 0 { // gaps, so several ranges exist
+			inOrder = append(inOrder, pn)
 		}
 	}
-	// Ranges must be sorted, disjoint, and cover exactly the naive set.
-	covered := 0
-	prevHi := uint64(0)
-	for i, r := range rs.rs {
-		if r.lo > r.hi {
-			t.Fatalf("inverted range %+v", r)
-		}
-		if i > 0 && r.lo <= prevHi+1 {
-			t.Fatalf("ranges not disjoint: %+v", rs.rs)
-		}
-		prevHi = r.hi
-		covered += int(r.hi - r.lo + 1)
+	reordered := slices.Clone(inOrder)
+	for i := range reordered { // local reordering within a window of 8
+		j := min(len(reordered)-1, i+rng.Intn(8))
+		reordered[i], reordered[j] = reordered[j], reordered[i]
 	}
-	if covered != len(naive) {
-		t.Fatalf("ranges cover %d, naive %d", covered, len(naive))
+	duplicates := make([]uint64, 2000)
+	for i := range duplicates {
+		duplicates[i] = uint64(rng.Intn(200))
+	}
+	for name, stream := range map[string][]uint64{
+		"in-order":   inOrder,
+		"reordered":  reordered,
+		"duplicates": duplicates,
+	} {
+		var rs rangeSet
+		naive := make(map[uint64]bool)
+		for i, pn := range stream {
+			rs.add(pn)
+			naive[pn] = true
+			want := naiveRanges(naive, limit)
+			if !slices.Equal(rs.rs, want) {
+				t.Fatalf("%s: after add #%d (%d): ranges %v, want %v", name, i, pn, rs.rs, want)
+			}
+			capped := want[max(0, len(want)-32):]
+			if got := rs.ranges(); !slices.Equal(got, capped) {
+				t.Fatalf("%s: ranges() = %v, want the last 32 %v", name, got, capped)
+			}
+			for q := uint64(0); q < limit+8; q++ {
+				if rs.contains(q) != naive[q] {
+					t.Fatalf("%s: after add #%d: contains(%d) = %v, naive %v", name, i, q, rs.contains(q), naive[q])
+				}
+			}
+		}
+		if len(rs.rs) <= 32 && name != "duplicates" {
+			t.Fatalf("%s: only %d ranges, the cap is not exercised", name, len(rs.rs))
+		}
 	}
 }
 
