@@ -81,7 +81,9 @@ func FuzzUnmarshal(f *testing.F) {
 // against the full decoder: whenever currHopSpan locates the current hop,
 // decoding that span must agree exactly with Unmarshal's view of the same
 // hop, and the final flag must match the hop position. This is the property
-// the MAC verdict cache and the in-place CurrHop patch rely on.
+// the MAC verdict cache and the in-place CurrHop patch rely on. Every input
+// is also fed (twice: MAC-cache miss, then hit) to a router's wire receiver,
+// which must report mayWake exactly when its delivery handler ran.
 func FuzzTransitHop(f *testing.F) {
 	pkt := fuzzSeedPacket()
 	for curr := uint8(0); curr < 3; curr++ {
@@ -93,7 +95,13 @@ func FuzzTransitHop(f *testing.F) {
 		f.Add(wire)
 	}
 	f.Add([]byte{version, 1, 2, 0})
+	f.Add(mustMarshal(f, wakeTransitPacket()))
+	f.Add(mustMarshal(f, wakeFinalPacket()))
 	f.Fuzz(func(t *testing.T, data []byte) {
+		w := newWakeRig(wakeNow, true)
+		w.deliver(t, data)
+		w.deliver(t, data)
+
 		raw, final, ok := currHopSpan(data)
 		if !ok {
 			return

@@ -90,7 +90,7 @@ func (r *Router) AttachInterface(id addr.IfID, link *netsim.Link, end int) {
 	r.mu.Lock()
 	r.ifaces[id] = linkEnd{link: link, end: end}
 	r.mu.Unlock()
-	link.Attach(end, func(buf []byte) { r.handleFromWire(id, buf) })
+	link.Attach(end, func(buf []byte) bool { return r.handleFromWire(id, buf) })
 }
 
 // SetDeliveryHandler registers the local host stack.
@@ -134,8 +134,15 @@ func (r *Router) Stats() RouterStats {
 // per forwarded packet. Final-hop delivery and anything currHopSpan cannot
 // cheaply locate fall back to the pooled Unmarshal path.
 //
+// It reports mayWake (see netsim.Link.Attach): true exactly when the packet
+// reached the delivery handler, whose host stack may wake goroutines. Transit
+// forwarding and every drop touch only counters, the MAC cache and link
+// scheduling, so they return false and let a virtual clock's auto-advancer
+// skip its quiescence window. Anything added to those paths that can wake a
+// goroutine must return true instead.
+//
 //lint:lease sink
-func (r *Router) handleFromWire(in addr.IfID, buf []byte) {
+func (r *Router) handleFromWire(in addr.IfID, buf []byte) (mayWake bool) {
 	raw, final, ok := currHopSpan(buf)
 	if ok && !final {
 		var egress addr.IfID
@@ -146,7 +153,7 @@ func (r *Router) handleFromWire(in addr.IfID, buf []byte) {
 			exp, valid := r.validateHop(&hop, in)
 			if !valid {
 				netsim.PutBuf(buf)
-				return
+				return false
 			}
 			r.macs.store(macKey(raw, in), raw, in, exp)
 			egress = hop.Egress
@@ -157,25 +164,25 @@ func (r *Router) handleFromWire(in addr.IfID, buf []byte) {
 		if !attached {
 			r.stats.noInterface.Add(1)
 			netsim.PutBuf(buf)
-			return
+			return false
 		}
 		buf[1]++ // CurrHop
 		if !le.link.SendOwned(le.end, buf) {
 			r.stats.sendRejected.Add(1)
-			return
+			return false
 		}
 		r.stats.forwarded.Add(1)
-		return
+		return false
 	}
 	pkt, err := unmarshalOwned(buf)
 	if err != nil {
 		r.stats.parseError.Add(1)
-		return
+		return false
 	}
 	if !ok {
 		raw = nil // malformed span: full validation only
 	}
-	r.processRaw(pkt, in, raw)
+	return r.processRaw(pkt, in, raw)
 }
 
 // localDelay models AS-internal forwarding time for AS-local (empty path)
@@ -324,17 +331,18 @@ func (r *Router) process(pkt *Packet, in addr.IfID) { r.processRaw(pkt, in, nil)
 // processRaw is process with the current hop's wire bytes (when the packet
 // came off the wire and currHopSpan located them) for cached validation. It
 // releases pkt on every path that does not hand it to the delivery handler —
-// a no-op for caller-constructed packets, the pool return for wire packets.
-func (r *Router) processRaw(pkt *Packet, in addr.IfID, raw []byte) {
+// a no-op for caller-constructed packets, the pool return for wire packets —
+// and reports whether the delivery handler ran.
+func (r *Router) processRaw(pkt *Packet, in addr.IfID, raw []byte) (delivered bool) {
 	if int(pkt.CurrHop) >= len(pkt.Hops) {
 		r.stats.parseError.Add(1)
 		pkt.Release()
-		return
+		return false
 	}
 	hop := &pkt.Hops[pkt.CurrHop]
 	if !r.verifyHop(hop, in, raw) {
 		pkt.Release()
-		return
+		return false
 	}
 
 	if int(pkt.CurrHop) == len(pkt.Hops)-1 {
@@ -342,10 +350,9 @@ func (r *Router) processRaw(pkt *Packet, in addr.IfID, raw []byte) {
 		if hop.Egress != 0 || pkt.Dst.IA != r.ia {
 			r.stats.wrongIA.Add(1)
 			pkt.Release()
-			return
+			return false
 		}
-		r.deliverLocal(pkt)
-		return
+		return r.deliverLocal(pkt)
 	}
 
 	r.mu.RLock()
@@ -354,33 +361,37 @@ func (r *Router) processRaw(pkt *Packet, in addr.IfID, raw []byte) {
 	if !attached {
 		r.stats.noInterface.Add(1)
 		pkt.Release()
-		return
+		return false
 	}
 	pkt.CurrHop++
 	buf, err := pkt.marshalPooled()
 	if err != nil {
 		r.stats.parseError.Add(1)
 		pkt.Release()
-		return
+		return false
 	}
 	sent := le.link.SendOwned(le.end, buf)
 	pkt.Release()
 	if !sent {
 		r.stats.sendRejected.Add(1)
-		return
+		return false
 	}
 	r.stats.forwarded.Add(1)
+	return false
 }
 
-func (r *Router) deliverLocal(pkt *Packet) {
+// deliverLocal hands pkt to the delivery handler and reports whether one was
+// registered to run.
+func (r *Router) deliverLocal(pkt *Packet) (delivered bool) {
 	r.mu.RLock()
 	h := r.deliver
 	r.mu.RUnlock()
 	if h == nil {
 		r.stats.noLocalHosts.Add(1)
 		pkt.Release()
-		return
+		return false
 	}
 	r.stats.delivered.Add(1)
 	h(pkt)
+	return true
 }

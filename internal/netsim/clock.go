@@ -41,9 +41,16 @@ type Clock interface {
 // AfterFunc must construct is pure garbage on that path; implementations can
 // also recycle their timer records since no reference escapes. Both clocks
 // in this package implement it; custom Clocks fall back to AfterFunc.
+//
+// recv reports mayWake: false promises that the call made no goroutine
+// runnable (it only counted, cached, or scheduled further deliveries), so a
+// SimClock's auto-advancer may move on to the next timer without waiting for
+// reactions. Return true whenever the call might have woken anyone — sent on
+// a channel, released a lock or condition a goroutine waits on, or ran code
+// that could. RealClock ignores the result.
 type DeliveryScheduler interface {
 	//lint:lease sink
-	ScheduleDelivery(d time.Duration, recv func([]byte), buf []byte)
+	ScheduleDelivery(d time.Duration, recv func([]byte) (mayWake bool), buf []byte)
 }
 
 // RealClock is the production Clock backed by package time.
@@ -70,7 +77,7 @@ func (RealClock) Since(t time.Time) time.Duration { return time.Since(t) } //lin
 // ScheduleDelivery implements DeliveryScheduler.
 //
 //lint:lease sink
-func (RealClock) ScheduleDelivery(d time.Duration, recv func([]byte), buf []byte) {
+func (RealClock) ScheduleDelivery(d time.Duration, recv func([]byte) bool, buf []byte) {
 	time.AfterFunc(d, func() { recv(buf) }) //lint:allow-wallclock RealClock is the wall-clock boundary
 }
 
@@ -82,7 +89,7 @@ type simTimer struct {
 	deadline time.Time
 	seq      uint64 // tie-break so equal deadlines fire in schedule order
 	fn       func()
-	recv     func([]byte)
+	recv     func([]byte) bool
 	buf      []byte
 	pooled   bool // no cancel handle exists; recycle after firing
 	index    int  // heap index, -1 once removed
@@ -131,6 +138,7 @@ type SimClock struct {
 	timers   timerHeap
 	seq      uint64
 	activity atomic.Uint64 // bumped on every schedule/fire, used by AutoAdvance
+	wakes    atomic.Uint64 // bumped by every fired timer that may have woken a goroutine
 }
 
 // NewSimClock returns a SimClock starting at the given epoch.
@@ -188,7 +196,7 @@ func (c *SimClock) AfterFunc(d time.Duration, f func()) func() bool {
 // path schedules deliveries with zero allocations in steady state.
 //
 //lint:lease sink
-func (c *SimClock) ScheduleDelivery(d time.Duration, recv func([]byte), buf []byte) {
+func (c *SimClock) ScheduleDelivery(d time.Duration, recv func([]byte) bool, buf []byte) {
 	t := simTimerPool.Get().(*simTimer)
 	t.fn = nil
 	t.recv = recv
@@ -240,6 +248,12 @@ func (c *SimClock) PendingTimers() int {
 // in order. Timer callbacks run synchronously in this goroutine so that a
 // chain of zero-delay work completes before time moves again; callbacks that
 // need to block must spawn their own goroutines.
+//
+// Every fired callback that may have woken a goroutine — any AfterFunc
+// callback, and any delivery whose receiver returned true — bumps c.wakes as
+// soon as it returns. A shared counter rather than a result keeps this exact
+// when several goroutines advance the same clock at once: the auto-advancer
+// sees wakes caused by anyone's advance, not only its own.
 func (c *SimClock) advanceTo(target time.Time) {
 	for {
 		c.mu.Lock()
@@ -261,10 +275,11 @@ func (c *SimClock) advanceTo(target time.Time) {
 			*t = simTimer{}
 			simTimerPool.Put(t)
 		}
-		if recv != nil {
-			recv(buf)
-		} else {
+		if recv == nil {
 			fn()
+			c.wakes.Add(1)
+		} else if recv(buf) {
+			c.wakes.Add(1)
 		}
 	}
 }
@@ -281,8 +296,24 @@ func (c *SimClock) advanceTo(target time.Time) {
 // callbacks (handler-based delivery), so an advance returns only after the
 // whole causal cascade of an instant has completed; the yield window only
 // covers application goroutines (HTTP handlers, stream readers) that react
-// to that cascade. The grace parameter bounds how long the advancer sleeps
-// when no timers are pending at all.
+// to that cascade. The advancer therefore waits out a window only after an
+// instant that may have woken one: any AfterFunc timer (Sleep, After,
+// protocol timeouts), or a delivery whose receiver reported mayWake (see
+// DeliveryScheduler). An instant whose deliveries all returned false — a
+// router forwarding a packet onto its next link — left the set of runnable
+// goroutines as the previous window found it, empty, so the advancer moves
+// straight on to the next timer.
+//
+// A window of yields shows that nothing is runnable only on one P, where
+// each yield round-robins the whole run queue. With more Ps a woken
+// goroutine may still be running on another P when the window closes, and
+// virtual time would jump ahead of it (a spurious timeout fires, a page
+// load takes seconds). So while any auto-advancer runs, the process runs on
+// one P: AutoAdvance sets GOMAXPROCS to 1, and the last stop restores the
+// previous value (an advancer that is never stopped keeps the process on one
+// P). Virtual results are then the same whatever GOMAXPROCS the process
+// started with. The grace parameter bounds how long the advancer sleeps when
+// no timers are pending at all.
 func (c *SimClock) AutoAdvance(grace time.Duration) (stop func()) {
 	if grace <= 0 {
 		grace = 200 * time.Microsecond
@@ -290,18 +321,11 @@ func (c *SimClock) AutoAdvance(grace time.Duration) (stop func()) {
 	// quietYields is the number of consecutive scheduler yields without
 	// timer activity required before advancing. Large enough for woken
 	// application goroutines to run; small enough to keep advances cheap.
-	// It scales with GOMAXPROCS: on few cores one Gosched round-robins the
-	// entire run queue (every runnable goroutine executes before the
-	// advancer runs again), while on many cores the advancer can spin
-	// through yields faster than woken goroutines get scheduled elsewhere,
-	// so it must wait out more of them. The packet plane fires thousands of
-	// delivery timers per transfer, each costing one quiescence window, so
-	// this constant is a first-order throughput term for every virtual-time
+	// Every advance followed by a window pays for all of it, so this
+	// constant is a first-order throughput term for every virtual-time
 	// benchmark.
-	quietYields := 16 * runtime.GOMAXPROCS(0)
-	if quietYields > 96 {
-		quietYields = 96
-	}
+	const quietYields = 16
+	pinOneP()
 	done := make(chan struct{})
 	go func() {
 		last := c.activity.Load()
@@ -326,10 +350,16 @@ func (c *SimClock) AutoAdvance(grace time.Duration) (stop func()) {
 				runtime.Gosched()
 				continue
 			}
+			wakes := c.wakes.Load()
 			if c.AdvanceToNext() {
 				last = c.activity.Load()
-				quiet = 0
 				idle = 0
+				if c.wakes.Load() != wakes {
+					quiet = 0
+				}
+				// Otherwise quiet stays at quietYields: nothing became
+				// runnable, so unless someone else acts the next
+				// iteration advances again without yielding.
 				continue
 			}
 			// Nothing pending: sleep politely, backing off while idle.
@@ -344,5 +374,39 @@ func (c *SimClock) AutoAdvance(grace time.Duration) (stop func()) {
 		}
 	}()
 	var once sync.Once
-	return func() { once.Do(func() { close(done) }) }
+	return func() {
+		once.Do(func() {
+			close(done)
+			unpinOneP()
+		})
+	}
+}
+
+// oneP holds the process on one P while any auto-advancer runs; see
+// AutoAdvance.
+var oneP struct {
+	mu      sync.Mutex
+	holders int // running auto-advancers
+	restore int // GOMAXPROCS to set when the last one stops; 0 to leave it
+}
+
+func pinOneP() {
+	oneP.mu.Lock()
+	defer oneP.mu.Unlock()
+	if oneP.holders == 0 {
+		if prev := runtime.GOMAXPROCS(1); prev > 1 {
+			oneP.restore = prev
+		}
+	}
+	oneP.holders++
+}
+
+func unpinOneP() {
+	oneP.mu.Lock()
+	defer oneP.mu.Unlock()
+	oneP.holders--
+	if oneP.holders == 0 && oneP.restore > 0 {
+		runtime.GOMAXPROCS(oneP.restore)
+		oneP.restore = 0
+	}
 }

@@ -1,6 +1,7 @@
 package netsim
 
 import (
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -171,5 +172,118 @@ func TestRealClockBasics(t *testing.T) {
 	//lint:allow-wallclock wall-time watchdog against test hangs
 	case <-time.After(time.Second):
 		t.Fatal("AfterFunc never fired")
+	}
+}
+
+// TestAutoAdvanceSkipsOnlyNonWakingInstants checks that skipping the
+// quiescence window after forwarding-only deliveries is exact. A request
+// and its reply each cross a chain of four links whose relays forward and
+// report mayWake=false; the chain's last receiver hands the packet to a
+// goroutine over a channel and reports true. The server goroutine also
+// sleeps on the clock before replying, so an AfterFunc wake is on the
+// critical path too. Meanwhile a packet bounces on a separate link every
+// 70µs through receivers that also report false, so the advancer always has
+// a non-waking timer it could jump to early. If it skipped the window after
+// a waking instant, virtual time would run ahead before the woken goroutine
+// records Now() and replies, and the timestamps would drift.
+func TestAutoAdvanceSkipsOnlyNonWakingInstants(t *testing.T) {
+	c := NewSimClock(epoch)
+	latencies := []time.Duration{time.Millisecond, 2 * time.Millisecond, 500 * time.Microsecond, 1500 * time.Microsecond}
+	var oneWay time.Duration
+	chain := make([]*Link, len(latencies))
+	for i, lat := range latencies {
+		chain[i] = NewLink(c, LinkProps{Latency: lat}, int64(i))
+		oneWay += lat
+	}
+	// Relays between chain[i] and chain[i+1] forward in both directions.
+	for i := 0; i+1 < len(chain); i++ {
+		left, right := chain[i], chain[i+1]
+		left.Attach(1, func(p []byte) bool { right.SendOwned(0, p); return false })
+		right.Attach(0, func(p []byte) bool { left.SendOwned(1, p); return false })
+	}
+	toServer := make(chan []byte, 1)
+	toClient := make(chan []byte, 1)
+	first, last := chain[0], chain[len(chain)-1]
+	last.Attach(1, func(p []byte) bool { toServer <- p; return true })
+	first.Attach(0, func(p []byte) bool { toClient <- p; return true })
+
+	var stopBounce atomic.Bool
+	bounce := NewLink(c, LinkProps{Latency: 70 * time.Microsecond}, 99)
+	for end := 0; end < 2; end++ {
+		end := end
+		bounce.Attach(1-end, func(p []byte) bool {
+			if stopBounce.Load() {
+				PutBuf(p)
+			} else {
+				bounce.SendOwned(1-end, p)
+			}
+			return false
+		})
+	}
+	bounce.Send(0, []byte{0})
+
+	stop := c.AutoAdvance(100 * time.Microsecond)
+	defer stop()
+	defer stopBounce.Store(true)
+
+	const (
+		rounds = 500
+		think  = 250 * time.Microsecond
+	)
+	period := 2*oneWay + think
+	serverAt := make([]time.Time, rounds)
+	go func() {
+		for k := 0; k < rounds; k++ {
+			p := <-toServer
+			serverAt[k] = c.Now()
+			c.Sleep(think)
+			last.SendOwned(1, p)
+		}
+	}()
+	first.Send(0, []byte("ping"))
+	for k := 0; k < rounds; k++ {
+		var p []byte
+		select {
+		case p = <-toClient:
+		//lint:allow-wallclock wall-time watchdog against test hangs
+		case <-time.After(10 * time.Second):
+			t.Fatalf("round %d never completed", k)
+		}
+		start := epoch.Add(time.Duration(k) * period)
+		if got, want := c.Now(), start.Add(period); !got.Equal(want) {
+			t.Fatalf("round %d: client woke at +%v, want +%v", k, got.Sub(epoch), want.Sub(epoch))
+		}
+		if got, want := serverAt[k], start.Add(oneWay); !got.Equal(want) {
+			t.Fatalf("round %d: server woke at +%v, want +%v", k, got.Sub(epoch), want.Sub(epoch))
+		}
+		if k+1 < rounds {
+			first.SendOwned(0, p)
+		} else {
+			PutBuf(p)
+		}
+	}
+}
+
+// TestAutoAdvanceRunsOnOneP checks that the process runs on one P while any
+// auto-advancer runs, and that the last stop restores the previous
+// GOMAXPROCS.
+func TestAutoAdvanceRunsOnOneP(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(3))
+	a, b := NewSimClock(epoch), NewSimClock(epoch)
+	stopA := a.AutoAdvance(0)
+	if got := runtime.GOMAXPROCS(0); got != 1 {
+		t.Fatalf("GOMAXPROCS with one advancer = %d, want 1", got)
+	}
+	stopB := b.AutoAdvance(0)
+	stopA()
+	stopA()
+	if got := runtime.GOMAXPROCS(0); got != 1 {
+		t.Fatalf("GOMAXPROCS with one advancer left = %d, want 1", got)
+	}
+	// The remaining advancer still moves its clock.
+	b.Sleep(time.Millisecond)
+	stopB()
+	if got := runtime.GOMAXPROCS(0); got != 3 {
+		t.Fatalf("GOMAXPROCS after the last stop = %d, want 3", got)
 	}
 }

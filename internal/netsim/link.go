@@ -42,7 +42,7 @@ type Link struct {
 
 	mu       sync.Mutex
 	rng      *rand.Rand
-	ends     [2]func([]byte)
+	ends     [2]func([]byte) bool
 	nextFree [2]time.Time // when the transmitter in each direction frees up
 	stats    [2]LinkStats
 }
@@ -78,7 +78,14 @@ func (l *Link) SetProps(props LinkProps) {
 
 // Attach registers the receiver for packets arriving at the given end (0 or
 // 1). Attach must be called for both ends before traffic flows toward them.
-func (l *Link) Attach(end int, recv func(pkt []byte)) {
+//
+// recv runs synchronously on the goroutine that fires the delivery and
+// reports mayWake: it must return true whenever handling the packet may have
+// made a goroutine runnable, and may return false only when it did nothing
+// of the kind (a router forwarding the packet onward, or dropping it). A
+// SimClock's auto-advancer skips its quiescence window after an instant in
+// which every delivery returned false; see DeliveryScheduler.
+func (l *Link) Attach(end int, recv func(pkt []byte) (mayWake bool)) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	l.ends[end] = recv

@@ -12,7 +12,7 @@ func TestLinkDeliversAfterLatency(t *testing.T) {
 	var mu sync.Mutex
 	var got []byte
 	var at time.Time
-	l.Attach(1, func(p []byte) { mu.Lock(); got = p; at = c.Now(); mu.Unlock() })
+	l.Attach(1, func(p []byte) bool { mu.Lock(); got = p; at = c.Now(); mu.Unlock(); return true })
 	if !l.Send(0, []byte("hello")) {
 		t.Fatal("send rejected")
 	}
@@ -37,7 +37,7 @@ func TestLinkCopiesPayload(t *testing.T) {
 	c := NewSimClock(epoch)
 	l := NewLink(c, LinkProps{Latency: time.Millisecond}, 1)
 	var got []byte
-	l.Attach(1, func(p []byte) { got = p })
+	l.Attach(1, func(p []byte) bool { got = p; return true })
 	buf := []byte("abc")
 	l.Send(0, buf)
 	buf[0] = 'X'
@@ -50,7 +50,7 @@ func TestLinkCopiesPayload(t *testing.T) {
 func TestLinkMTUDrop(t *testing.T) {
 	c := NewSimClock(epoch)
 	l := NewLink(c, LinkProps{MTU: 4}, 1)
-	l.Attach(1, func([]byte) {})
+	l.Attach(1, func([]byte) bool { return true })
 	if l.Send(0, []byte("12345")) {
 		t.Fatal("oversized packet accepted")
 	}
@@ -66,7 +66,7 @@ func TestLinkMTUDrop(t *testing.T) {
 func TestLinkLossRateApproximate(t *testing.T) {
 	c := NewSimClock(epoch)
 	l := NewLink(c, LinkProps{LossRate: 0.3}, 42)
-	l.Attach(1, func([]byte) {})
+	l.Attach(1, func([]byte) bool { return true })
 	const n = 10000
 	dropped := 0
 	for i := 0; i < n; i++ {
@@ -84,7 +84,7 @@ func TestLinkLossDeterministicPerSeed(t *testing.T) {
 	run := func() []bool {
 		c := NewSimClock(epoch)
 		l := NewLink(c, LinkProps{LossRate: 0.5}, 7)
-		l.Attach(1, func([]byte) {})
+		l.Attach(1, func([]byte) bool { return true })
 		out := make([]bool, 100)
 		for i := range out {
 			out[i] = l.Send(0, []byte{1})
@@ -105,7 +105,7 @@ func TestLinkBandwidthSerialization(t *testing.T) {
 	l := NewLink(c, LinkProps{Bandwidth: 8000}, 1)
 	var mu sync.Mutex
 	var arrivals []time.Time
-	l.Attach(1, func([]byte) { mu.Lock(); arrivals = append(arrivals, c.Now()); mu.Unlock() })
+	l.Attach(1, func([]byte) bool { mu.Lock(); arrivals = append(arrivals, c.Now()); mu.Unlock(); return true })
 	pkt := make([]byte, 1000)
 	l.Send(0, pkt)
 	l.Send(0, pkt) // queued behind the first
@@ -135,8 +135,8 @@ func TestLinkBidirectional(t *testing.T) {
 	c := NewSimClock(epoch)
 	l := NewLink(c, LinkProps{Latency: time.Millisecond}, 1)
 	var a, b string
-	l.Attach(0, func(p []byte) { a = string(p) })
-	l.Attach(1, func(p []byte) { b = string(p) })
+	l.Attach(0, func(p []byte) bool { a = string(p); return true })
+	l.Attach(1, func(p []byte) bool { b = string(p); return true })
 	l.Send(0, []byte("to-b"))
 	l.Send(1, []byte("to-a"))
 	c.Advance(time.Millisecond)

@@ -92,7 +92,7 @@ func TestSendOwnedDeliversSameBuffer(t *testing.T) {
 	c := NewSimClock(epoch)
 	l := NewLink(c, LinkProps{Latency: time.Millisecond}, 1)
 	var got []byte
-	l.Attach(1, func(p []byte) { got = p })
+	l.Attach(1, func(p []byte) bool { got = p; return true })
 	buf := GetBuf(5)
 	copy(buf, "hello")
 	if !l.SendOwned(0, buf) {
@@ -138,7 +138,7 @@ func TestSendOwnedReleasesDroppedPackets(t *testing.T) {
 		t.Fatal("dropped packets never returned to the buffer pool")
 	}
 	// MTU drops follow the same contract.
-	l.Attach(1, func([]byte) { t.Fatal("oversize packet delivered") })
+	l.Attach(1, func([]byte) bool { t.Fatal("oversize packet delivered"); return true })
 	l.SetProps(LinkProps{MTU: 100})
 	if l.SendOwned(0, GetBuf(200)) {
 		t.Fatal("send accepted past MTU")

@@ -115,9 +115,10 @@ func (n *StreamNetwork) Dial(ctx context.Context, fromHost, hostport string) (ne
 
 	// Connection establishment costs one RTT (SYN + SYN-ACK), like TCP.
 	ready := make(chan struct{})
-	n.clock.AfterFunc(2*route.Latency, func() { close(ready) })
+	stop := n.clock.AfterFunc(2*route.Latency, func() { close(ready) })
 	select {
 	case <-ctx.Done():
+		stop()
 		return nil, ctx.Err()
 	case <-ready:
 	}

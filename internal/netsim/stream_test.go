@@ -272,3 +272,26 @@ func TestStreamBandwidthShaping(t *testing.T) {
 		t.Fatalf("1000B at 10kB/s arrived after %v, want 101ms", got)
 	}
 }
+
+// TestStreamDialCancelStopsHandshakeTimer checks that a dial abandoned by
+// its context leaves no handshake timer behind on the clock.
+func TestStreamDialCancelStopsHandshakeTimer(t *testing.T) {
+	c := NewSimClock(epoch)
+	n := NewStreamNetwork(c)
+	n.SetRoute("a", "b", RouteProps{Latency: time.Hour})
+	l, err := n.Listen("b:1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
+	c.AfterFunc(time.Minute, func() {}) // unrelated timer the dial must not disturb
+	before := c.PendingTimers()
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	if _, err := n.Dial(ctx, "a", "b:1"); err != context.Canceled {
+		t.Fatalf("err = %v, want context.Canceled", err)
+	}
+	if got := c.PendingTimers(); got != before {
+		t.Fatalf("PendingTimers = %d after a cancelled dial, want %d", got, before)
+	}
+}
