@@ -1,6 +1,7 @@
 package dataplane
 
 import (
+	"bytes"
 	"encoding/binary"
 	"fmt"
 	"sync"
@@ -194,13 +195,16 @@ const localDelay = 20 * time.Microsecond
 // The packet's CurrHop must index this AS's hop (or the path be empty for
 // AS-local delivery). It returns an error for immediately-detectable
 // problems; forwarding failures beyond the first hop are silent, as in a
-// real network.
+// real network. It keeps neither pkt nor its payload after it returns.
 func (r *Router) InjectLocal(pkt *Packet) error {
 	if len(pkt.Hops) == 0 {
 		if pkt.Dst.IA != r.ia {
 			return fmt.Errorf("dataplane: empty path but destination %s is not local to %s", pkt.Dst.IA, r.ia)
 		}
-		r.clock.AfterFunc(localDelay, func() { r.deliverLocal(pkt) })
+		// Delivery runs after the call returns, so it gets a copy: the
+		// caller may reuse its packet and payload buffer at once.
+		cp := &Packet{Src: pkt.Src, Dst: pkt.Dst, CurrHop: pkt.CurrHop, Payload: bytes.Clone(pkt.Payload)}
+		r.clock.AfterFunc(localDelay, func() { r.deliverLocal(cp) })
 		return nil
 	}
 	if int(pkt.CurrHop) >= len(pkt.Hops) || pkt.Hops[pkt.CurrHop].IA != r.ia {

@@ -34,13 +34,45 @@ const stripeCap = 64
 type bufStripe struct {
 	mu   sync.Mutex
 	free [][]byte
-	_    [40]byte // keep neighboring stripes off one cache line
+	// Lease counters (see PoolStats), updated under mu, read atomically.
+	gets, misses, puts, dropsFull atomic.Uint64
+	_                             [64]byte // keep neighboring stripes off one cache line
 }
 
 var (
 	bufPool   [len(bufClasses)][bufStripes]bufStripe
 	stripeCtr atomic.Uint32
+	// dropsForeign counts PutBuf calls whose buffer has no class capacity.
+	dropsForeign atomic.Uint64
 )
+
+// PoolStats counts buffer pool traffic since the process started. Every
+// lease taken from a class is eventually put back unless it leaked, so with
+// no buffers in flight Gets == Puts; Misses are Gets that found their stripe
+// empty and allocated, and in a steady state they come from DropsFull, the
+// Puts dropped to the GC because their stripe was full.
+type PoolStats struct {
+	Gets         uint64 // GetBuf calls for a class size (larger ones are plain allocations)
+	Misses       uint64 // Gets that allocated a new buffer
+	Puts         uint64 // PutBuf calls with a class-capacity buffer
+	DropsFull    uint64 // Puts dropped because the stripe held stripeCap buffers
+	DropsForeign uint64 // PutBuf calls with a buffer of no class capacity
+}
+
+// ReadPoolStats sums the pool's counters over all classes and stripes.
+func ReadPoolStats() PoolStats {
+	st := PoolStats{DropsForeign: dropsForeign.Load()}
+	for ci := range bufPool {
+		for si := range bufPool[ci] {
+			s := &bufPool[ci][si]
+			st.Gets += s.gets.Load()
+			st.Misses += s.misses.Load()
+			st.Puts += s.puts.Load()
+			st.DropsFull += s.dropsFull.Load()
+		}
+	}
+	return st
+}
 
 // GetBuf leases a buffer of length n from the pool (capacity is the smallest
 // class that fits; requests beyond the largest class fall back to a plain
@@ -61,6 +93,7 @@ func GetBuf(n int) []byte {
 	}
 	s := &bufPool[ci][stripeCtr.Add(1)&(bufStripes-1)]
 	s.mu.Lock()
+	s.gets.Add(1)
 	if k := len(s.free); k > 0 {
 		b := s.free[k-1]
 		s.free[k-1] = nil
@@ -68,6 +101,7 @@ func GetBuf(n int) []byte {
 		s.mu.Unlock()
 		return b[:n]
 	}
+	s.misses.Add(1)
 	s.mu.Unlock()
 	return make([]byte, n, bufClasses[ci])
 }
@@ -87,13 +121,17 @@ func PutBuf(b []byte) {
 		}
 	}
 	if ci < 0 {
+		dropsForeign.Add(1)
 		//lint:allow-lease non-class buffers are dropped to the GC; that is their release
 		return
 	}
 	s := &bufPool[ci][stripeCtr.Add(1)&(bufStripes-1)]
 	s.mu.Lock()
+	s.puts.Add(1)
 	if len(s.free) < stripeCap {
 		s.free = append(s.free, b[:0])
+	} else {
+		s.dropsFull.Add(1)
 	}
 	s.mu.Unlock()
 }

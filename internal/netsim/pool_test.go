@@ -145,3 +145,44 @@ func TestSendOwnedReleasesDroppedPackets(t *testing.T) {
 	}
 	c.Advance(time.Second)
 }
+
+// TestPoolStatsCounts: each lease call lands in exactly one counter, and a
+// full stripe's drop is counted against the put that caused it.
+func TestPoolStatsCounts(t *testing.T) {
+	before := ReadPoolStats()
+	b := GetBuf(100)
+	PutBuf(b)
+	PutBuf(make([]byte, 10)) // no class capacity
+	//lint:allow-lease oversize buffers are plain allocations; the GC reclaims them
+	GetBuf(1 << 20) // beyond the largest class: not a pool get
+	d := ReadPoolStats()
+	if d.Gets-before.Gets != 1 || d.Puts-before.Puts != 1 || d.DropsForeign-before.DropsForeign != 1 {
+		t.Fatalf("after one get, one put and one foreign put: %+v, before %+v", d, before)
+	}
+
+	// Overfill every stripe of the 16 KiB class: the pool keeps
+	// bufStripes*stripeCap buffers and drops the rest.
+	const n = bufStripes*stripeCap + 3*bufStripes
+	bufs := make([][]byte, n)
+	for i := range bufs {
+		bufs[i] = GetBuf(10000)
+	}
+	before = ReadPoolStats()
+	for _, b := range bufs {
+		PutBuf(b)
+	}
+	d = ReadPoolStats()
+	if got := d.DropsFull - before.DropsFull; got < 3*bufStripes {
+		t.Fatalf("overfilled stripes dropped %d buffers, want at least %d", got, 3*bufStripes)
+	}
+	before = ReadPoolStats()
+	for i := 0; i < bufStripes*stripeCap; i++ {
+		bufs[i] = GetBuf(10000)
+	}
+	for _, b := range bufs[:bufStripes*stripeCap] {
+		PutBuf(b)
+	}
+	if d := ReadPoolStats(); d.Misses != before.Misses {
+		t.Fatalf("%d misses draining full stripes", d.Misses-before.Misses)
+	}
+}

@@ -11,6 +11,7 @@ import (
 	"errors"
 	"fmt"
 	"net/netip"
+	"slices"
 	"sync"
 	"time"
 
@@ -22,6 +23,10 @@ import (
 
 // Datagram is one received SCION/UDP datagram.
 type Datagram struct {
+	// Payload is the UDP payload. In handler mode (SetHandler) it aliases
+	// the pooled wire buffer and is valid only during the handler call;
+	// the handler may rewrite it in place (squic decrypts 1-RTT packets
+	// there). In queued mode (ReadFrom) it is the datagram's own copy.
 	Payload []byte
 	// Src is the remote endpoint.
 	Src addr.UDPAddr
@@ -138,9 +143,9 @@ func (s *Stack) deliver(pkt *dataplane.Packet) {
 		pkt.Release()
 		return
 	}
-	dg := &Datagram{Payload: pkt.Payload, Src: pkt.Src, ReplyPath: pkt.ReplyPath()}
 	c.mu.Lock()
 	h := c.handler
+	dg := &Datagram{Payload: pkt.Payload, Src: pkt.Src, ReplyPath: c.replyPathLocked(pkt)}
 	c.mu.Unlock()
 	if h != nil {
 		// Handler mode: synchronous dispatch in the delivery (timer)
@@ -148,7 +153,7 @@ func (s *Stack) deliver(pkt *dataplane.Packet) {
 		// complete before time advances. The payload may alias the
 		// router's leased wire buffer, released right after the handler
 		// returns — hence the SetHandler contract that handlers copy
-		// anything they keep.
+		// anything they keep (squic even decrypts it in place).
 		h(dg)
 		pkt.Release()
 		return
@@ -176,6 +181,41 @@ type Conn struct {
 	closed   bool
 	deadline chan struct{} // closed when the read deadline passes
 	cancelDl func() bool
+	// replyPaths memoises the reply paths of recently seen inbound paths,
+	// replaced round robin from replyNext: a socket hears from few paths at
+	// a time, so most datagrams reuse a path instead of reversing a fresh
+	// one, and the path's memoised fingerprint and header template stay
+	// warm. Paths are immutable, so datagrams share them.
+	replyPaths [replyPathSlots]replyPathEntry
+	replyNext  int
+}
+
+// replyPathSlots is how many inbound paths a socket remembers.
+const replyPathSlots = 8
+
+// replyPathEntry maps one inbound path (source and destination AS and the
+// traversed hops) to its reply path.
+type replyPathEntry struct {
+	src, dst addr.IA
+	hops     []segment.Hop
+	path     *segment.Path
+}
+
+// replyPathLocked returns the reply path of a delivered packet: the
+// memoised one if the socket has seen the packet's path, else a fresh
+// pkt.ReplyPath(), remembered in place of the oldest entry. The caller
+// holds c.mu.
+func (c *Conn) replyPathLocked(pkt *dataplane.Packet) *segment.Path {
+	for i := range c.replyPaths {
+		e := &c.replyPaths[i]
+		if e.path != nil && e.src == pkt.Src.IA && e.dst == pkt.Dst.IA && slices.Equal(e.hops, pkt.Hops) {
+			return e.path
+		}
+	}
+	rp := pkt.ReplyPath()
+	c.replyPaths[c.replyNext] = replyPathEntry{src: pkt.Src.IA, dst: pkt.Dst.IA, hops: slices.Clone(pkt.Hops), path: rp}
+	c.replyNext = (c.replyNext + 1) % replyPathSlots
+	return rp
 }
 
 // SetHandler switches the socket to synchronous dispatch: incoming datagrams
@@ -185,8 +225,10 @@ type Conn struct {
 // reverts to queued mode.
 //
 // The datagram's Payload is only valid for the duration of the call — it may
-// alias a pooled wire buffer that is recycled when h returns. Handlers that
-// keep payload bytes must copy them.
+// alias a pooled wire buffer that is recycled when h returns. Handlers may
+// modify it in place (squic decrypts it there); handlers that keep payload
+// bytes must copy them. The ReplyPath may be shared with other datagrams of
+// the socket and must not be modified.
 func (c *Conn) SetHandler(h func(*Datagram)) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -199,7 +241,8 @@ func (c *Conn) LocalAddr() addr.UDPAddr { return c.local }
 // WriteTo sends payload to dst over the given path. The path's source must
 // be the local AS; for AS-local destinations an empty path is allowed. The
 // datagram (header included) must fit the path MTU or the first link will
-// drop it; callers can budget with MaxPayload.
+// drop it; callers can budget with MaxPayload. WriteTo does not keep payload
+// after it returns, so callers may reuse the buffer at once.
 func (c *Conn) WriteTo(payload []byte, dst addr.UDPAddr, path *segment.Path) error {
 	c.mu.Lock()
 	if c.closed {

@@ -1,7 +1,10 @@
 package snet_test
 
 import (
+	"bytes"
+	"fmt"
 	"net/netip"
+	"slices"
 	"testing"
 	"time"
 
@@ -264,4 +267,100 @@ func TestMaxPayload(t *testing.T) {
 		t.Fatal("...but must be dropped by the first link") // nothing arrives
 	}
 	_ = segment.MACLen
+}
+
+// TestWriteToDoesNotRetainPayload: WriteTo is done with the caller's buffer
+// when it returns, also for an AS-local send, whose delivery happens later.
+// The sender scribbles over its buffer right after WriteTo; the receiver,
+// in queued and in handler mode, must still see the original bytes.
+func TestWriteToDoesNotRetainPayload(t *testing.T) {
+	for _, handler := range []bool{false, true} {
+		t.Run(fmt.Sprintf("handler=%v", handler), func(t *testing.T) {
+			w := newWorld(t)
+			a := w.host(t, topology.AS111, "10.0.0.1")
+			b := w.host(t, topology.AS111, "10.0.0.9")
+			bc, err := b.Listen(53)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer bc.Close()
+			got := make(chan []byte, 1)
+			if handler {
+				bc.SetHandler(func(dg *snet.Datagram) { got <- bytes.Clone(dg.Payload) })
+			}
+			ac, err := a.Listen(0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer ac.Close()
+			dst := addr.UDPAddr{Addr: addr.Addr{IA: topology.AS111, Host: netip.MustParseAddr("10.0.0.9")}, Port: 53}
+			buf := []byte("original bytes")
+			if err := ac.WriteTo(buf, dst, nil); err != nil {
+				t.Fatal(err)
+			}
+			copy(buf, "scribbled over")
+			var payload []byte
+			if handler {
+				payload = <-got
+			} else {
+				dg, err := bc.ReadFrom()
+				if err != nil {
+					t.Fatal(err)
+				}
+				payload = dg.Payload
+			}
+			if string(payload) != "original bytes" {
+				t.Fatalf("receiver saw %q", payload)
+			}
+		})
+	}
+}
+
+// TestReplyPathMemoised: datagrams arriving over one path share one reply
+// path, equal to the packet's freshly reversed path; another path gets its
+// own.
+func TestReplyPathMemoised(t *testing.T) {
+	w := newWorld(t)
+	client := w.host(t, topology.AS111, "10.0.0.1")
+	server := w.host(t, topology.AS211, "10.0.0.2")
+	sc, err := server.Listen(8000)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sc.Close()
+	cc, err := client.Listen(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cc.Close()
+	paths := w.comb.Paths(topology.AS111, topology.AS211, during)
+	if len(paths) < 2 {
+		t.Fatalf("%d paths, want 2", len(paths))
+	}
+	dst := addr.UDPAddr{Addr: addr.Addr{IA: topology.AS211, Host: netip.MustParseAddr("10.0.0.2")}, Port: 8000}
+	recv := func(p *segment.Path) *segment.Path {
+		t.Helper()
+		if err := cc.WriteTo([]byte("x"), dst, p); err != nil {
+			t.Fatal(err)
+		}
+		dg, err := sc.ReadFrom()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return dg.ReplyPath
+	}
+	r0 := recv(paths[0])
+	if want := paths[0].Reversed(); r0.Src != want.Src || r0.Dst != want.Dst || !slices.Equal(r0.Hops, want.Hops) {
+		t.Fatalf("reply path %v, want %v", r0, want)
+	}
+	if again := recv(paths[0]); again != r0 {
+		t.Fatal("second datagram over the same path got a new reply path")
+	}
+	r1 := recv(paths[1])
+	if r1 == r0 || r1.Fingerprint() == r0.Fingerprint() {
+		t.Fatal("a different path got the first path's reply path")
+	}
+	if again := recv(paths[0]); again != r0 {
+		t.Fatal("the first path's reply path was forgotten")
+	}
 }

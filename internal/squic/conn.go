@@ -20,7 +20,8 @@ import (
 )
 
 // PacketConn is the datagram substrate a Conn runs on. snet.Conn implements
-// it; tests may supply in-memory fakes.
+// it; tests may supply in-memory fakes. WriteTo must not keep payload after
+// it returns: a Conn seals every packet into one reused send buffer.
 type PacketConn interface {
 	WriteTo(payload []byte, dst addr.UDPAddr, path *segment.Path) error
 	ReadFrom() (*snet.Datagram, error)
@@ -189,10 +190,23 @@ type Conn struct {
 	// the remainder.
 	ptoDeadline time.Time
 	ptoBackoff  uint
+	// firePTO is c.onPTO, bound once: a method value passed to AfterFunc
+	// would allocate on every arm.
+	firePTO func()
 	// streamScratch is a lock-guarded scratch buffer reused across
 	// packetization rounds, keeping the steady-state receive path
 	// allocation-free on long-lived pooled connections.
 	streamScratch []*Stream
+	// Per-packet scratch, all guarded by mu: txFrames collects one packet's
+	// frames, ackOut is its ack frame (never retained: acks are not
+	// retransmittable), sendBuf holds the packet while it is encoded and
+	// sealed in place, nonce is refilled for every seal and open, and rx is
+	// the frame decode target of the receive path.
+	txFrames []frame
+	ackOut   ackFrame
+	sendBuf  []byte
+	nonce    nonceBuf
+	rx       frameScratch
 
 	// Receive state.
 	recvd      rangeSet
@@ -214,6 +228,7 @@ func newConn(pconn PacketConn, cfg *Config, isClient bool) *Conn {
 	} else {
 		c.nextStreamID = 1
 	}
+	c.firePTO = c.onPTO
 	c.readable = sync.NewCond(&c.mu)
 	c.writable = sync.NewCond(&c.mu)
 	c.hsCond = sync.NewCond(&c.mu)
@@ -387,8 +402,10 @@ func (c *Conn) teardownIf(guard func() bool, code uint64, reason string, cause e
 		s.failLocked(cause)
 	}
 	// Closed conns can stay reachable (pools, steering state, callers);
-	// the retransmission state must not keep their stream data alive.
+	// the retransmission state must not keep their stream data alive, nor
+	// the packet scratch its buffers.
 	c.sent, c.queued, c.inFlight = nil, nil, 0
+	c.txFrames, c.sendBuf, c.rx = nil, nil, frameScratch{}
 	c.readable.Broadcast()
 	c.writable.Broadcast()
 	c.hsCond.Broadcast()
@@ -448,7 +465,7 @@ func (c *Conn) handleDatagram(dg *snet.Datagram) {
 	case ptHello:
 		c.handleHello(body)
 	case ptOneRTT:
-		c.handleOneRTT(hdr, body, dg)
+		c.handleOneRTT(hdr, dg)
 	}
 }
 
@@ -661,14 +678,15 @@ func (c *Conn) armConfirmTimeout() {
 
 // --- packet receive path ---
 
-// handleOneRTT decrypts and processes an application packet, then flushes
-// any RTT samples the embedded acks produced to the observer.
-func (c *Conn) handleOneRTT(hdr header, body []byte, dg *snet.Datagram) {
-	c.processOneRTT(hdr, body, dg)
+// handleOneRTT decrypts and processes an application packet (dg.Payload,
+// header included, with hdr parsed from it), then flushes any RTT samples
+// the embedded acks produced to the observer.
+func (c *Conn) handleOneRTT(hdr header, dg *snet.Datagram) {
+	c.processOneRTT(hdr, dg)
 	c.flushRTTSamples()
 }
 
-func (c *Conn) processOneRTT(hdr header, body []byte, dg *snet.Datagram) {
+func (c *Conn) processOneRTT(hdr header, dg *snet.Datagram) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if c.keys == nil || c.closed {
@@ -678,12 +696,17 @@ func (c *Conn) processOneRTT(hdr header, body []byte, dg *snet.Datagram) {
 	if !c.isClient {
 		opener = c.keys.clientSeal
 	}
-	aad := header{ptype: ptOneRTT, connID: hdr.connID, pktNum: hdr.pktNum}.append(nil)
-	plain, err := opener.Open(nil, packetNonce(hdr.pktNum), body, aad)
+	// Open in place: the plaintext overwrites the ciphertext in the
+	// datagram's buffer (usually the leased wire buffer, recycled when the
+	// handler returns), and the received header bytes are the AAD. Frames
+	// decoded from it alias that buffer, so nothing below may keep them.
+	pkt := dg.Payload
+	body := pkt[headerLen:]
+	plain, err := opener.Open(body[:0], c.nonce.set(hdr.pktNum), body, pkt[:headerLen])
 	if err != nil {
 		return
 	}
-	frames, err := parseFrames(plain)
+	frames, err := parseFrames(plain, &c.rx)
 	if err != nil {
 		c.mu.Unlock()
 		c.teardown(4, "malformed frames", err, true)
@@ -1006,7 +1029,7 @@ func (c *Conn) armPTOLocked() {
 	// clock's timer heap.
 	c.ptoDeadline = c.clock.Now().Add(c.ptoLocked())
 	if c.ptoCancel == nil {
-		c.ptoCancel = c.clock.AfterFunc(c.ptoLocked(), c.onPTO)
+		c.ptoCancel = c.clock.AfterFunc(c.ptoLocked(), c.firePTO)
 	}
 }
 
@@ -1021,7 +1044,7 @@ func (c *Conn) onPTO() {
 	if remaining := c.ptoDeadline.Sub(c.clock.Now()); remaining > 0 {
 		// Acks moved the deadline since this timer was created: not a
 		// timeout, just the lazy re-arm catching up.
-		c.ptoCancel = c.clock.AfterFunc(remaining, c.onPTO)
+		c.ptoCancel = c.clock.AfterFunc(remaining, c.firePTO)
 		return
 	}
 	if c.ptoBackoff < maxPTOBackoff {
@@ -1050,11 +1073,14 @@ func (c *Conn) maxFramePayloadLocked() int {
 	if m := c.cfg.MaxPacketSize; budget > m {
 		budget = m
 	}
-	if budget < 256 {
-		budget = 256
+	if budget < minFramePayload {
+		budget = minFramePayload
 	}
 	return budget
 }
+
+// minFramePayload floors the per-packet frame budget.
+const minFramePayload = 256
 
 func (c *Conn) sortedStreamsLocked() []*Stream {
 	out := c.streamScratch[:0]
@@ -1074,18 +1100,19 @@ func (c *Conn) packetizeLocked() {
 	}
 	maxPayload := c.maxFramePayloadLocked()
 	for {
-		var frames []frame
+		frames := c.txFrames[:0]
 		size := 0
 		ackEliciting := false
 		if c.ackPending {
-			af := &ackFrame{ranges: c.recvd.ranges()}
+			af := &c.ackOut
+			af.ranges = c.recvd.ranges()
 			frames = append(frames, af)
-			size += frameSize(af)
+			size += af.size()
 			c.ackPending = false
 		}
 		for len(c.queued) > 0 {
 			f := c.queued[0]
-			fs := frameSize(f)
+			fs := f.size()
 			if size+fs > maxPayload {
 				if len(frames) > 0 {
 					break
@@ -1097,7 +1124,7 @@ func (c *Conn) packetizeLocked() {
 					if head, tail := splitStreamFrame(sf, maxPayload-size); head != nil {
 						c.queued[0] = tail
 						frames = append(frames, head)
-						size += frameSize(head)
+						size += head.size()
 						ackEliciting = true
 						break // the packet is full by construction
 					}
@@ -1121,7 +1148,7 @@ func (c *Conn) packetizeLocked() {
 						break
 					}
 					frames = append(frames, f)
-					size += frameSize(f)
+					size += f.size()
 					ackEliciting = true
 				}
 				// The FIN may have just been packetized, completing the
@@ -1133,42 +1160,37 @@ func (c *Conn) packetizeLocked() {
 			return
 		}
 		c.sendPacketLocked(frames, ackEliciting)
+		clear(frames) // the sent history holds its own copy
+		c.txFrames = frames[:0]
 	}
 }
 
-// sendPacketLocked seals and transmits one OneRTT packet.
+// sendPacketLocked seals and transmits one OneRTT packet. The header and
+// frames are encoded into the connection's send buffer and sealed in place
+// (the header is the AAD), so a packet allocates only its retransmission
+// record: the slice of its retransmittable frames.
 func (c *Conn) sendPacketLocked(frames []frame, ackEliciting bool) {
 	pn := c.nextPN
 	c.nextPN++
-	var payload []byte
-	for _, f := range frames {
-		payload = f.append(payload)
+	if c.sendBuf == nil {
+		c.sendBuf = make([]byte, 0, headerLen+maxInt(c.cfg.MaxPacketSize, minFramePayload)+aeadOverhead)
 	}
+	buf := header{ptype: ptOneRTT, connID: c.connID, pktNum: pn}.append(c.sendBuf[:0])
+	for _, f := range frames {
+		buf = f.append(buf)
+	}
+	// Room for the tag, so Seal writes in place rather than reallocating.
+	buf = slices.Grow(buf, aeadOverhead)
 	sealer := c.keys.clientSeal
 	if !c.isClient {
 		sealer = c.keys.serverSeal
 	}
-	hdr := header{ptype: ptOneRTT, connID: c.connID, pktNum: pn}
-	aad := hdr.append(nil)
-	sealed := sealer.Seal(nil, packetNonce(pn), payload, aad)
-	buf := append(aad, sealed...)
+	sealed := sealer.Seal(buf[headerLen:headerLen], c.nonce.set(pn), buf[headerLen:], buf[:headerLen])
+	buf = buf[:headerLen+len(sealed)]
+	c.sendBuf = buf
 	c.pconn.WriteTo(buf, c.remote, c.path)
 	if ackEliciting {
-		// The frames slice is built fresh per packet, so when everything in
-		// it is retransmittable (the common data-packet case) it can be
-		// retained as-is instead of filtered into a new slice.
-		kept := frames
-		for _, f := range frames {
-			if !f.retransmittable() {
-				kept = make([]frame, 0, len(frames)-1)
-				for _, g := range frames {
-					if g.retransmittable() {
-						kept = append(kept, g)
-					}
-				}
-				break
-			}
-		}
+		kept := slices.DeleteFunc(slices.Clone(frames), func(f frame) bool { return !f.retransmittable() })
 		c.sent = append(c.sent, sentPacket{pn: pn, frames: kept, size: len(buf), sentAt: c.clock.Now()})
 		c.inFlight += len(buf)
 		if c.ptoCancel == nil {

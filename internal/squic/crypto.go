@@ -73,11 +73,16 @@ func deriveKeys(shared, transcript []byte) (*sessionKeys, error) {
 	return &sessionKeys{clientSeal: cs, serverSeal: ss}, nil
 }
 
-// packetNonce builds the 12-byte AEAD nonce from a packet number.
-func packetNonce(pn uint64) []byte {
-	nonce := make([]byte, 12)
-	binary.BigEndian.PutUint64(nonce[4:], pn)
-	return nonce
+// nonceBuf is the 12-byte AEAD nonce of one packet: four zero bytes, then
+// the big-endian packet number.
+type nonceBuf [12]byte
+
+// set fills n for packet number pn and returns it as a slice. A connection
+// keeps one nonce and refills it under its lock for every seal and open, so
+// no nonce is allocated per packet.
+func (n *nonceBuf) set(pn uint64) []byte {
+	binary.BigEndian.PutUint64(n[4:], pn)
+	return n[:]
 }
 
 // Identity is a server's transport identity: a name (the "hostname") and an

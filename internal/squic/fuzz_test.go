@@ -43,12 +43,12 @@ func FuzzParsePacket(f *testing.F) {
 			}
 			_ = rest
 		}
-		frames, err := parseFrames(data)
+		frames, err := parseFrames(data, &frameScratch{})
 		if err != nil {
 			return
 		}
 		enc1 := appendFrames(frames)
-		frames2, err := parseFrames(enc1)
+		frames2, err := parseFrames(enc1, &frameScratch{})
 		if err != nil {
 			t.Fatalf("parseFrames rejected its own re-encoding: %v", err)
 		}

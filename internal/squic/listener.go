@@ -174,7 +174,7 @@ func (l *Listener) handleDatagram(dg *snet.Datagram) {
 		conn := l.conns[hdr.connID]
 		l.mu.Unlock()
 		if conn != nil {
-			conn.handleOneRTT(hdr, body, dg)
+			conn.handleOneRTT(hdr, dg)
 		}
 	}
 }

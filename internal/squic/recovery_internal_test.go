@@ -9,7 +9,6 @@ import (
 
 	"tango/internal/addr"
 	"tango/internal/segment"
-	"tango/internal/snet"
 )
 
 // stepClock is a manual clock whose timers never fire: the equivalence
@@ -378,10 +377,8 @@ func TestSentHistoryReleasedAtTeardown(t *testing.T) {
 	released("Close", c)
 
 	c = loaded()
-	hdr := header{ptype: ptOneRTT, connID: c.connID, pktNum: 0}
-	aad := hdr.append(nil)
-	body := c.keys.serverSeal.Seal(nil, packetNonce(0), (&closeFrame{code: 9, reason: "bye"}).append(nil), aad)
-	c.handleOneRTT(hdr, body, &snet.Datagram{})
+	hdr, dg := sealedPacket(c.keys.serverSeal, c.connID, 0, &closeFrame{code: 9, reason: "bye"})
+	c.handleOneRTT(hdr, dg)
 	released("peer close", c)
 }
 
@@ -409,11 +406,10 @@ func TestMirrorPathReuse(t *testing.T) {
 	}
 	var pn uint64
 	deliver := func(rp *segment.Path) {
-		hdr := header{ptype: ptOneRTT, connID: c.connID, pktNum: pn}
-		aad := hdr.append(nil)
-		body := c.keys.clientSeal.Seal(nil, packetNonce(pn), pingFrame{}.append(nil), aad)
+		hdr, dg := sealedPacket(c.keys.clientSeal, c.connID, pn, pingFrame{})
 		pn++
-		c.handleOneRTT(hdr, body, &snet.Datagram{ReplyPath: rp})
+		dg.ReplyPath = rp
+		c.handleOneRTT(hdr, dg)
 	}
 	expect := func(step string, path, mirror *segment.Path) {
 		t.Helper()

@@ -605,3 +605,55 @@ func TestDuplicatedPacketsIgnored(t *testing.T) {
 		t.Fatal("transfer never completed")
 	}
 }
+
+// TestTransferReturnsEveryLease: every pooled buffer a transfer leases —
+// on send, in transit, on delivery, on loss — goes back to the pool. Once
+// both ends have closed and the links have drained, the pool has seen as
+// many puts as gets.
+func TestTransferReturnsEveryLease(t *testing.T) {
+	before := netsim.ReadPoolStats()
+	w := newTestWorld(t, func(topo *topology.Topology) {
+		for _, as := range topo.ASes() {
+			for _, intf := range as.Interfaces {
+				intf.Props.Loss = 0.02
+			}
+		}
+	})
+	client, server, _ := dialPair(t, w, topology.AS111, topology.AS211)
+	done := make(chan []byte, 1)
+	go func() {
+		s, err := server.AcceptStream()
+		if err != nil {
+			return
+		}
+		data, _ := io.ReadAll(s)
+		done <- data
+	}()
+	s, err := client.OpenStream()
+	if err != nil {
+		t.Fatal(err)
+	}
+	payload := bytes.Repeat([]byte("lease"), 60_000)
+	if _, err := s.Write(payload); err != nil {
+		t.Fatal(err)
+	}
+	s.CloseWrite()
+	select {
+	case data := <-done:
+		if !bytes.Equal(data, payload) {
+			t.Fatalf("got %d bytes, want %d", len(data), len(payload))
+		}
+	//lint:allow-wallclock wall-time watchdog against test hangs
+	case <-time.After(240 * time.Second):
+		t.Fatal("transfer never completed")
+	}
+	client.Close()
+	server.Close()
+	w.clock.Sleep(5 * time.Second) // the CLOSEs and any stragglers arrive or drop
+	after := netsim.ReadPoolStats()
+	gets, puts := after.Gets-before.Gets, after.Puts-before.Puts
+	if gets == 0 || gets != puts {
+		t.Fatalf("pool gets %d, puts %d: leases leaked or double-returned", gets, puts)
+	}
+	t.Logf("gets %d, misses %d, puts %d, dropped full %d", gets, after.Misses-before.Misses, puts, after.DropsFull-before.DropsFull)
+}

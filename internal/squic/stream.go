@@ -1,10 +1,12 @@
 package squic
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"io"
 	"net"
+	"slices"
 	"time"
 )
 
@@ -17,8 +19,11 @@ type Stream struct {
 
 	// All mutable state is guarded by c.mu.
 
-	// Send side.
-	pending    []byte // accepted by Write, not yet packetized
+	// Send side. pending holds the bytes accepted by Write and not yet
+	// packetized, as a list of blocks (see appendPendingLocked); pendLen is
+	// the sum of their lengths.
+	pending    [][]byte
+	pendLen    int
 	sendOffset uint64 // next offset to packetize
 	sendFin    bool   // fin requested
 	finSent    bool
@@ -26,11 +31,13 @@ type Stream struct {
 	writeErr   error
 	wDeadline  deadline
 
-	// Receive side.
-	recvBuf   []byte            // contiguous readable bytes
+	// Receive side. recvBuf[recvOff:] are the contiguous readable bytes;
+	// a drained recvBuf is reset to its start, so its array is reused.
+	recvBuf   []byte
+	recvOff   int
 	recvNext  uint64            // offset after recvBuf's last byte
 	consumed  uint64            // offset consumed by Read
-	chunks    map[uint64][]byte // out-of-order segments
+	chunks    map[uint64][]byte // out-of-order segments (copies)
 	finalSize int64             // -1 until fin received
 	recvLimit uint64            // advertised MAX_STREAM_DATA
 	readErr   error
@@ -60,7 +67,6 @@ func newStream(c *Conn, id uint64) *Stream {
 		id:        id,
 		maxSend:   c.cfg.StreamWindow,
 		recvLimit: c.cfg.StreamWindow,
-		chunks:    make(map[uint64][]byte),
 		finalSize: -1,
 	}
 }
@@ -73,9 +79,15 @@ func (s *Stream) Read(p []byte) (int, error) {
 	s.c.mu.Lock()
 	defer s.c.mu.Unlock()
 	for {
-		if len(s.recvBuf) > 0 {
-			n := copy(p, s.recvBuf)
-			s.recvBuf = s.recvBuf[n:]
+		if s.recvOff < len(s.recvBuf) {
+			n := copy(p, s.recvBuf[s.recvOff:])
+			s.recvOff += n
+			if s.recvOff == len(s.recvBuf) {
+				s.recvBuf, s.recvOff = s.recvBuf[:0], 0
+				if s.finalSize >= 0 && s.recvNext >= uint64(s.finalSize) {
+					s.recvBuf = nil // everything is read: nothing will refill it
+				}
+			}
 			s.consumed += uint64(n)
 			s.maybeExtendWindowLocked()
 			return n, nil
@@ -123,18 +135,80 @@ func (s *Stream) Write(p []byte) (int, error) {
 		if s.wDeadline.expired {
 			return total, errDeadline
 		}
-		room := s.c.cfg.WriteBuffer - len(s.pending)
+		room := s.c.cfg.WriteBuffer - s.pendLen
 		if room <= 0 {
 			s.c.writable.Wait()
 			continue
 		}
 		n := min(room, len(p))
-		s.pending = append(s.pending, p[:n]...)
+		s.appendPendingLocked(p[:n])
 		p = p[n:]
 		total += n
 		s.c.scheduleSendLocked()
 	}
 	return total, nil
+}
+
+// maxSendBlock caps the size of a send-buffer block.
+const maxSendBlock = 64 << 10
+
+// appendPendingLocked copies p into the send buffer: into the newest block
+// while it has room, then into new blocks. The bytes are never copied
+// again: a block is only ever appended to past its length, so the frames
+// that alias its earlier bytes (nextFrameLocked) see them unchanged until
+// they are acked, and a block is left to the garbage collector once it is
+// drained and its last frame acked. A new block holds at least the rest of
+// the write and, while older blocks are still pending, twice the newest
+// one, up to maxSendBlock: a write into an empty buffer (the common case
+// when the congestion window has room) costs exactly its own bytes, and a
+// transfer that backs up grows few, large blocks.
+func (s *Stream) appendPendingLocked(p []byte) {
+	s.pendLen += len(p)
+	for len(p) > 0 {
+		k := len(s.pending)
+		if k == 0 || len(s.pending[k-1]) == cap(s.pending[k-1]) {
+			size := len(p)
+			if k > 0 {
+				size = max(size, 2*cap(s.pending[k-1]))
+			}
+			s.pending = append(s.pending, make([]byte, 0, min(size, maxSendBlock)))
+			k++
+		}
+		b := s.pending[k-1]
+		n := min(cap(b)-len(b), len(p))
+		s.pending[k-1] = append(b, p[:n]...)
+		p = p[n:]
+	}
+}
+
+// takePendingLocked removes the first n pending bytes and returns them. A
+// run inside one block is returned as an alias of it, capacity clipped so
+// nothing can append into the block through it; a run that straddles blocks
+// is copied into one slice.
+func (s *Stream) takePendingLocked(n int) []byte {
+	s.pendLen -= n
+	if b := s.pending[0]; len(b) >= n {
+		s.pending[0] = b[n:]
+		s.dropDrainedBlockLocked()
+		return b[:n:n]
+	}
+	out := make([]byte, 0, n)
+	for len(out) < n {
+		b := s.pending[0]
+		k := min(len(b), n-len(out))
+		out = append(out, b[:k]...)
+		s.pending[0] = b[k:]
+		s.dropDrainedBlockLocked()
+	}
+	return out
+}
+
+// dropDrainedBlockLocked drops the first block once it is drained, spare
+// capacity or not: an idle stream holds no send buffer.
+func (s *Stream) dropDrainedBlockLocked() {
+	if len(s.pending[0]) == 0 {
+		s.pending = slices.Delete(s.pending, 0, 1)
+	}
 }
 
 // CloseWrite half-closes the stream: a FIN is sent after buffered data.
@@ -240,26 +314,44 @@ func (s *Stream) handleFrameLocked(f *streamFrame) error {
 			data = data[s.recvNext-off:]
 			off = s.recvNext
 		}
-		if ex, dup := s.chunks[off]; !dup || len(data) > len(ex) {
-			s.chunks[off] = data
+		if off == s.recvNext {
+			s.deliverLocked(data)
+		} else if ex, dup := s.chunks[off]; !dup || len(data) > len(ex) {
+			// data aliases the packet buffer, recycled once the packet's
+			// handler returns: an out-of-order chunk keeps a copy.
+			if s.chunks == nil {
+				s.chunks = make(map[uint64][]byte)
+			}
+			s.chunks[off] = bytes.Clone(data)
 		}
 	}
-	// Pull contiguous chunks into recvBuf.
-	for {
+	// Pull the chunks that became contiguous into recvBuf.
+	for len(s.chunks) > 0 {
 		data, ok := s.chunks[s.recvNext]
 		if !ok {
 			break
 		}
 		delete(s.chunks, s.recvNext)
-		if s.readErr == nil {
-			s.recvBuf = append(s.recvBuf, data...)
-		} else {
-			s.consumed += uint64(len(data)) // discard but account
-		}
-		s.recvNext += uint64(len(data))
+		s.deliverLocked(data)
 	}
 	s.c.readable.Broadcast()
 	return nil
+}
+
+// deliverLocked appends the in-order bytes at recvNext to recvBuf, the only
+// copy an in-order byte gets on the receive path. Unread bytes move to the
+// front of the array before it would grow.
+func (s *Stream) deliverLocked(data []byte) {
+	if s.readErr == nil {
+		if s.recvOff > 0 && len(s.recvBuf)+len(data) > cap(s.recvBuf) {
+			n := copy(s.recvBuf, s.recvBuf[s.recvOff:])
+			s.recvBuf, s.recvOff = s.recvBuf[:n], 0
+		}
+		s.recvBuf = append(s.recvBuf, data...)
+	} else {
+		s.consumed += uint64(len(data)) // discard but account
+	}
+	s.recvNext += uint64(len(data))
 }
 
 // sendableLocked reports whether the stream has data or a FIN to packetize.
@@ -267,7 +359,7 @@ func (s *Stream) sendableLocked() bool {
 	if s.writeErr != nil {
 		return false
 	}
-	if len(s.pending) > 0 && s.sendOffset < s.maxSend {
+	if s.pendLen > 0 && s.sendOffset < s.maxSend {
 		return true
 	}
 	return s.sendFin && !s.finSent
@@ -275,7 +367,7 @@ func (s *Stream) sendableLocked() bool {
 
 // nextFrameLocked pops the next stream frame, at most maxData payload bytes.
 func (s *Stream) nextFrameLocked(maxData int) *streamFrame {
-	avail := len(s.pending)
+	avail := s.pendLen
 	if fcRoom := int(s.maxSend - s.sendOffset); avail > fcRoom {
 		avail = fcRoom
 	}
@@ -285,18 +377,16 @@ func (s *Stream) nextFrameLocked(maxData int) *streamFrame {
 	}
 	f := &streamFrame{id: s.id, offset: s.sendOffset}
 	if n > 0 {
-		// The frame aliases the pending buffer instead of copying: pending
-		// only ever slides forward (s.pending = s.pending[n:]) and Write
-		// appends strictly past the sliced-off region, so the frame's bytes
-		// are immutable until the packet is acked and the frame dropped —
-		// including across retransmissions, which reuse the same frame.
-		f.data = s.pending[:n:n]
-		s.pending = s.pending[n:]
+		// The frame aliases the send buffer's block instead of copying (see
+		// appendPendingLocked): its bytes stay immutable until the packet is
+		// acked and the frame dropped, including across retransmissions,
+		// which reuse the same frame.
+		f.data = s.takePendingLocked(n)
 		s.sendOffset += uint64(n)
 		s.c.writable.Broadcast()
 	}
 	// Attach the FIN once all buffered data is out.
-	if s.sendFin && !s.finSent && len(s.pending) == 0 {
+	if s.sendFin && !s.finSent && s.pendLen == 0 {
 		f.fin = true
 		s.finSent = true
 	}
@@ -311,7 +401,7 @@ func (s *Stream) nextFrameLocked(maxData int) *streamFrame {
 // every byte pulled into the reassembly buffer. A done stream needs no
 // demux entry — pending Reads drain recvBuf directly.
 func (s *Stream) doneLocked() bool {
-	return s.finSent && len(s.pending) == 0 &&
+	return s.finSent && s.pendLen == 0 &&
 		s.finalSize >= 0 && s.recvNext >= uint64(s.finalSize)
 }
 

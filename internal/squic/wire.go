@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"math/bits"
 )
 
 // Packet types.
@@ -64,6 +65,9 @@ func parseHeader(buf []byte) (header, []byte, error) {
 // frame is the interface of all OneRTT frames.
 type frame interface {
 	append(buf []byte) []byte
+	// size is the encoded length, len(f.append(nil)), computed without
+	// encoding.
+	size() int
 	// retransmittable reports whether loss of this frame requires resending.
 	retransmittable() bool
 }
@@ -77,6 +81,14 @@ type ackFrame struct {
 }
 
 func (f *ackFrame) retransmittable() bool { return false }
+
+func (f *ackFrame) size() int {
+	n := 1 + uvarintLen(uint64(len(f.ranges)))
+	for _, r := range f.ranges {
+		n += uvarintLen(r.lo) + uvarintLen(r.hi-r.lo)
+	}
+	return n
+}
 
 func (f *ackFrame) append(buf []byte) []byte {
 	buf = append(buf, ftAck)
@@ -97,6 +109,11 @@ type streamFrame struct {
 }
 
 func (f *streamFrame) retransmittable() bool { return true }
+
+func (f *streamFrame) size() int {
+	n := len(f.data)
+	return 2 + uvarintLen(f.id) + uvarintLen(f.offset) + uvarintLen(uint64(n)) + n
+}
 
 func (f *streamFrame) append(buf []byte) []byte {
 	buf = append(buf, ftStream)
@@ -120,7 +137,7 @@ func (f *streamFrame) append(buf []byte) []byte {
 // into the same black hole. nil,nil means no split is possible (budget too
 // small for even one data byte) or needed (f already fits).
 func splitStreamFrame(f *streamFrame, budget int) (head, tail *streamFrame) {
-	overhead := frameSize(f) - len(f.data)
+	overhead := f.size() - len(f.data)
 	// Leave headroom for the tail's offset varint growing and the head's
 	// length varint; the head is guaranteed to encode within budget.
 	n := budget - overhead - 4
@@ -140,6 +157,8 @@ type maxStreamDataFrame struct {
 
 func (f *maxStreamDataFrame) retransmittable() bool { return true }
 
+func (f *maxStreamDataFrame) size() int { return 1 + uvarintLen(f.id) + uvarintLen(f.max) }
+
 func (f *maxStreamDataFrame) append(buf []byte) []byte {
 	buf = append(buf, ftMaxStreamData)
 	buf = binary.AppendUvarint(buf, f.id)
@@ -155,6 +174,10 @@ type closeFrame struct {
 
 func (f *closeFrame) retransmittable() bool { return false }
 
+func (f *closeFrame) size() int {
+	return 1 + uvarintLen(f.code) + uvarintLen(uint64(len(f.reason))) + len(f.reason)
+}
+
 func (f *closeFrame) append(buf []byte) []byte {
 	buf = append(buf, ftClose)
 	buf = binary.AppendUvarint(buf, f.code)
@@ -167,17 +190,36 @@ func (f *closeFrame) append(buf []byte) []byte {
 type pingFrame struct{}
 
 func (pingFrame) retransmittable() bool    { return true }
+func (pingFrame) size() int                { return 1 }
 func (pingFrame) append(buf []byte) []byte { return append(buf, ftPing) }
 
 // handshakeDoneFrame confirms the handshake to the client.
 type handshakeDoneFrame struct{}
 
 func (handshakeDoneFrame) retransmittable() bool    { return true }
+func (handshakeDoneFrame) size() int                { return 1 }
 func (handshakeDoneFrame) append(buf []byte) []byte { return append(buf, ftHandshakeDone) }
 
-// parseFrames decodes the frame sequence of a decrypted OneRTT payload.
-func parseFrames(buf []byte) ([]frame, error) {
-	var out []frame
+// frameScratch is the reusable decode target of parseFrames: the frame list
+// and the stream and ack frames it points into. A connection keeps one and
+// reuses it for every packet under its lock, so decoding a packet allocates
+// nothing once the scratch has grown to the packet's shape.
+type frameScratch struct {
+	frames  []frame
+	streams []streamFrame
+	acks    []ackFrame
+}
+
+// parseFrames decodes the frame sequence of a decrypted OneRTT payload into
+// sc. The returned frames point into sc and are valid until the next
+// parseFrames with the same scratch. Stream frame data aliases buf, which on
+// the receive path is the leased wire buffer decrypted in place: it is valid
+// only until the packet's handler returns, so the stream copies the bytes it
+// keeps (recvBuf, out-of-order chunks) and no frame may outlive the call.
+func parseFrames(buf []byte, sc *frameScratch) ([]frame, error) {
+	out := sc.frames[:0]
+	sc.streams = sc.streams[:0]
+	sc.acks = sc.acks[:0]
 	for len(buf) > 0 {
 		ft := buf[0]
 		buf = buf[1:]
@@ -197,7 +239,7 @@ func parseFrames(buf []byte) ([]frame, error) {
 			if n > 1024 {
 				return nil, fmt.Errorf("squic: ack with %d ranges", n)
 			}
-			f := &ackFrame{}
+			f := sc.nextAck()
 			for i := uint64(0); i < n; i++ {
 				lo, rest, err := readUvarint(buf)
 				if err != nil {
@@ -232,13 +274,9 @@ func parseFrames(buf []byte) ([]frame, error) {
 			if uint64(len(rest3)) < length {
 				return nil, errTruncatedPacket
 			}
-			// Alias the packet buffer rather than copy: every caller hands
-			// parseFrames a freshly decrypted plaintext it never reuses, so
-			// the frame (and the reassembly queue holding it) can own the
-			// bytes in place.
-			data := rest3[:length:length]
+			sc.streams = append(sc.streams, streamFrame{id: id, offset: offset, fin: fin, data: rest3[:length:length]})
 			buf = rest3[length:]
-			out = append(out, &streamFrame{id: id, offset: offset, fin: fin, data: data})
+			out = append(out, &sc.streams[len(sc.streams)-1])
 		case ftMaxStreamData:
 			id, rest, err := readUvarint(buf)
 			if err != nil {
@@ -268,7 +306,21 @@ func parseFrames(buf []byte) ([]frame, error) {
 			return nil, fmt.Errorf("%w 0x%02x", errUnknownFrame, ft)
 		}
 	}
+	sc.frames = out
 	return out, nil
+}
+
+// nextAck returns the scratch's next ack frame, its ranges emptied but their
+// backing array kept.
+func (sc *frameScratch) nextAck() *ackFrame {
+	if len(sc.acks) < cap(sc.acks) {
+		sc.acks = sc.acks[:len(sc.acks)+1]
+	} else {
+		sc.acks = append(sc.acks, ackFrame{})
+	}
+	f := &sc.acks[len(sc.acks)-1]
+	f.ranges = f.ranges[:0]
+	return f
 }
 
 func readUvarint(buf []byte) (uint64, []byte, error) {
@@ -279,8 +331,9 @@ func readUvarint(buf []byte) (uint64, []byte, error) {
 	return v, buf[n:], nil
 }
 
-// frameSize returns the encoded size of a frame.
-func frameSize(f frame) int { return len(f.append(nil)) }
+// uvarintLen is the length of binary.AppendUvarint's encoding of x: one
+// byte per started 7 bits, at least one.
+func uvarintLen(x uint64) int { return (bits.Len64(x|1) + 6) / 7 }
 
 // initialPayload encodes the Initial packet body.
 func initialPayload(clientPub []byte, serverName string) []byte {

@@ -22,7 +22,7 @@ func TestFrameRoundTrip(t *testing.T) {
 	for _, f := range in {
 		buf = f.append(buf)
 	}
-	out, err := parseFrames(buf)
+	out, err := parseFrames(buf, &frameScratch{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -46,7 +46,7 @@ func TestFrameRoundTrip(t *testing.T) {
 
 func TestParseFramesJunkNeverPanics(t *testing.T) {
 	f := func(junk []byte) bool {
-		_, _ = parseFrames(junk)
+		_, _ = parseFrames(junk, &frameScratch{})
 		return true
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 2000}); err != nil {
@@ -201,11 +201,12 @@ func TestDeriveKeysDirectionality(t *testing.T) {
 		t.Fatal(err)
 	}
 	msg := []byte("secret")
-	sealed := keys.clientSeal.Seal(nil, packetNonce(1), msg, nil)
-	if _, err := keys.serverSeal.Open(nil, packetNonce(1), sealed, nil); err == nil {
+	var nonce nonceBuf
+	sealed := keys.clientSeal.Seal(nil, nonce.set(1), msg, nil)
+	if _, err := keys.serverSeal.Open(nil, nonce.set(1), sealed, nil); err == nil {
 		t.Fatal("server key opened client-sealed packet")
 	}
-	plain, err := keys.clientSeal.Open(nil, packetNonce(1), sealed, nil)
+	plain, err := keys.clientSeal.Open(nil, nonce.set(1), sealed, nil)
 	if err != nil || !bytes.Equal(plain, msg) {
 		t.Fatal("client seal round trip failed")
 	}
