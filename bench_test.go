@@ -592,7 +592,7 @@ func BenchmarkProberRound(b *testing.B) {
 	clock, client, remote, paths := asymmetricDialWorld(b)
 	ls := pan.NewLatencySelector()
 	monitor := client.NewMonitor(pan.MonitorOptions{BaseInterval: time.Second})
-	monitor.Subscribe(ls.Report)
+	monitor.SubscribeBatch(ls)
 	monitor.Track(remote, "bench.race")
 	var virtual time.Duration
 	b.ResetTimer()
@@ -618,8 +618,8 @@ func BenchmarkMonitorRound(b *testing.B) {
 
 	monitor := client.NewMonitor(pan.MonitorOptions{BaseInterval: time.Second})
 	ls1, ls2 := pan.NewLatencySelector(), pan.NewLatencySelector()
-	monitor.Subscribe(ls1.Report)
-	monitor.Subscribe(ls2.Report)
+	monitor.SubscribeBatch(ls1)
+	monitor.SubscribeBatch(ls2)
 	monitor.Track(remote1, "bench.mon")
 	monitor.Track(remote2, "bench.mon")
 
@@ -644,7 +644,7 @@ func BenchmarkDialAdaptive(b *testing.B) {
 	clock, client, remote, _ := asymmetricDialWorld(b)
 	ls := pan.NewLatencySelector()
 	monitor := client.NewMonitor(pan.MonitorOptions{BaseInterval: time.Second})
-	monitor.Subscribe(ls.Report)
+	monitor.SubscribeBatch(ls)
 	monitor.Track(remote, "bench.race")
 	monitor.RunRound() // warm telemetry: fresh estimates, clear leader
 	monitor.Start()    // background schedule keeps it fresh across iterations
@@ -686,11 +686,11 @@ func BenchmarkMonitorPassive(b *testing.B) {
 	_ = clock
 	ls := pan.NewLatencySelector()
 	monitor := client.NewMonitor(pan.MonitorOptions{BaseInterval: time.Second})
-	monitor.Subscribe(ls.Report)
+	monitor.SubscribeBatch(ls)
 	monitor.Track(remote, "bench.race")
 	base := 2 * paths[0].Meta.Latency
 	// Warm once off the timer so the measured iterations are steady-state
-	// ingest (series maps built, ring drained once), not first-sample setup.
+	// ingest (series maps built, report buffer pooled), not first-sample setup.
 	monitor.Observe(paths[0], base)
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -708,8 +708,8 @@ func BenchmarkMonitorPassive(b *testing.B) {
 // BenchmarkMonitorScale is the million-origin telemetry-plane benchmark:
 // ~100k tracked origins spread over 1024 destination ASes (3 paths each,
 // via 64 shared transit ASes), with passive samples ingested from parallel
-// goroutines on the real clock while the probe wheel runs — the proxy-scale
-// shape the sharded monitor exists for. ns/op is the per-sample cost on the
+// goroutines on the real clock while the probe wheel runs — a proxy-scale
+// monitor behind one lock. ns/op is the per-sample cost on the
 // squic ack hot path (target ≤1µs); allocs/op is gated in CI (steady-state
 // ingest must not allocate). Setup (the 100k Tracks) happens off the timer.
 func BenchmarkMonitorScale(b *testing.B) {
@@ -765,7 +765,7 @@ func BenchmarkMonitorScale(b *testing.B) {
 		i := int(seed.Add(1)) * 7919
 		for pb.Next() {
 			// Vary path and sample so the EWMA/deviation and link
-			// attribution do real work across shards.
+			// attribution do real work across destinations.
 			m.Observe(all[i%len(all)], time.Duration(16+i%8)*time.Millisecond)
 			i++
 		}
@@ -776,118 +776,88 @@ func BenchmarkMonitorScale(b *testing.B) {
 }
 
 // BenchmarkMonitorIngestContended is the worst case for passive ingest:
-// every producer hammers paths to ONE destination AS, so every sample lands
-// on the SAME shard. Each worker submits ack-flush-shaped bursts through
-// ObserveBatch — the squic OnRTTSampleBatch delivery. The "ring"
-// sub-benchmark is the lock-free ingest plane (bounded MPSC ring +
-// flat-combining drain, one shard lock per batch, one batched call per
-// sink); "direct" is the pre-ring baseline (one shard lock, one clock read,
-// and a per-sample sink fan-out per sample), kept behind
-// MonitorOptions.DirectIngest exactly for this A/B. Each op is one burst of
-// 64 samples from every worker; ns/op therefore covers workers×64 samples
-// (reported as samples/op). CI gates ring at 0 allocs/op and at ≤0.5× the
-// direct baseline's ns/op.
+// every producer hammers paths to ONE destination AS at once, so all of
+// them contend for the monitor lock. Each worker submits ack-flush-shaped
+// bursts through ObserveBatch — the squic OnRTTSampleBatch delivery —
+// with a selector subscribed as a BatchSink, exactly as the dialer wires
+// selectors: one lock acquisition and one batched sink call per burst.
+// Each op is one burst of 64 samples from every worker; ns/op therefore
+// covers workers×64 samples (reported as samples/op). CI gates it at 0
+// allocs/op and at an absolute ns/op ceiling.
 func BenchmarkMonitorIngestContended(b *testing.B) {
-	run := func(b *testing.B, direct bool) {
-		const burst = 64
-		workers := runtime.GOMAXPROCS(0)
-		if workers < 4 {
-			// Contention needs goroutines, not cores: on a single-core
-			// runner GOMAXPROCS is 1 and the scheduler still interleaves
-			// producers mid-burst.
-			workers = 4
-		}
-		src, dst := topology.AS111, topology.AS211
-		byIA := make(map[addr.IA][]*segment.Path)
-		paths := make([]*segment.Path, workers)
-		for i := range paths {
-			paths[i] = &segment.Path{
-				Src: src, Dst: dst,
-				Hops: []segment.Hop{
-					{IA: src, Egress: addr.IfID(40 + i)},
-					{IA: dst, Ingress: addr.IfID(80 + i)},
-				},
-				Meta: segment.Metadata{Latency: time.Duration(8+i) * time.Millisecond},
-			}
-		}
-		byIA[dst] = paths
-		m := pan.NewMonitor(netsim.RealClock{}, func(ia addr.IA) []*segment.Path { return byIA[ia] }, pan.MonitorOptions{
-			Probe: func(addr.UDPAddr, string, *segment.Path, time.Duration) (time.Duration, error) {
-				return time.Millisecond, nil
-			},
-			DirectIngest: direct,
-		})
-		// Each mode gets its era's sink wiring: the baseline subscribes
-		// per-sample (the only pre-ring option); the ring side subscribes the
-		// selector as a BatchSink, exactly as the dialer now wires selectors
-		// — the batched fan-out is part of what this A/B measures.
-		ls := pan.NewLatencySelector()
-		if direct {
-			m.Subscribe(ls.Report)
-		} else {
-			m.SubscribeBatch(ls)
-		}
-		m.Track(addr.UDPAddr{Addr: addr.Addr{IA: dst, Host: netip.MustParseAddr("10.0.0.2")}, Port: 443}, "contended.bench")
-
-		start := make([]chan struct{}, workers)
-		stop := make(chan struct{})
-		var done sync.WaitGroup
-		for w := 0; w < workers; w++ {
-			start[w] = make(chan struct{}, 1)
-			go func(w int) {
-				p := paths[w]
-				rtts := make([]time.Duration, burst)
-				for i := range rtts {
-					rtts[i] = time.Duration(16+i%8) * time.Millisecond
-				}
-				for {
-					select {
-					case <-stop:
-						return
-					case <-start[w]:
-					}
-					m.ObserveBatch(p, rtts)
-					done.Done()
-				}
-			}(w)
-		}
-		defer close(stop)
-		fire := func() {
-			done.Add(workers)
-			for w := range start {
-				start[w] <- struct{}{}
-			}
-			done.Wait()
-		}
-		fire() // warm: series maps built, scratch buffers sized
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			fire()
-		}
-		b.StopTimer()
-		b.ReportMetric(float64(workers*burst), "samples/op")
-		st := m.IngestStats()
-		total := uint64((b.N + 1) * workers * burst)
-		if direct {
-			if st.Applied != total {
-				b.Fatalf("direct mode applied %d of %d samples", st.Applied, total)
-			}
-			return
-		}
-		if st.Enqueued != total {
-			b.Fatalf("enqueued %d of %d samples", st.Enqueued, total)
-		}
-		if got := st.Applied + st.Coalesced + st.Dropped + st.Untracked; got != st.Enqueued {
-			b.Fatalf("accounting leak: %d of %d samples unaccounted (%+v)", st.Enqueued-got, st.Enqueued, st)
-		}
-		if st.Untracked != 0 {
-			b.Fatalf("%d samples drained as untracked on a tracked destination", st.Untracked)
-		}
-		b.ReportMetric(float64(st.Applied)/float64(st.Batches), "samples/batch")
+	const burst = 64
+	workers := runtime.GOMAXPROCS(0)
+	if workers < 4 {
+		// Contention needs goroutines, not cores: on a single-core runner
+		// GOMAXPROCS is 1 and the scheduler still interleaves producers
+		// mid-burst.
+		workers = 4
 	}
-	b.Run("ring", func(b *testing.B) { run(b, false) })
-	b.Run("direct", func(b *testing.B) { run(b, true) })
+	src, dst := topology.AS111, topology.AS211
+	byIA := make(map[addr.IA][]*segment.Path)
+	paths := make([]*segment.Path, workers)
+	for i := range paths {
+		paths[i] = &segment.Path{
+			Src: src, Dst: dst,
+			Hops: []segment.Hop{
+				{IA: src, Egress: addr.IfID(40 + i)},
+				{IA: dst, Ingress: addr.IfID(80 + i)},
+			},
+			Meta: segment.Metadata{Latency: time.Duration(8+i) * time.Millisecond},
+		}
+	}
+	byIA[dst] = paths
+	m := pan.NewMonitor(netsim.RealClock{}, func(ia addr.IA) []*segment.Path { return byIA[ia] }, pan.MonitorOptions{
+		Probe: func(addr.UDPAddr, string, *segment.Path, time.Duration) (time.Duration, error) {
+			return time.Millisecond, nil
+		},
+	})
+	m.SubscribeBatch(pan.NewLatencySelector())
+	m.Track(addr.UDPAddr{Addr: addr.Addr{IA: dst, Host: netip.MustParseAddr("10.0.0.2")}, Port: 443}, "contended.bench")
+
+	start := make([]chan struct{}, workers)
+	stop := make(chan struct{})
+	var done sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		start[w] = make(chan struct{}, 1)
+		go func(w int) {
+			p := paths[w]
+			rtts := make([]time.Duration, burst)
+			for i := range rtts {
+				rtts[i] = time.Duration(16+i%8) * time.Millisecond
+			}
+			for {
+				select {
+				case <-stop:
+					return
+				case <-start[w]:
+				}
+				m.ObserveBatch(p, rtts)
+				done.Done()
+			}
+		}(w)
+	}
+	defer close(stop)
+	fire := func() {
+		done.Add(workers)
+		for w := range start {
+			start[w] <- struct{}{}
+		}
+		done.Wait()
+	}
+	fire() // warm: series maps built, report buffers pooled
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		fire()
+	}
+	b.StopTimer()
+	b.ReportMetric(float64(workers*burst), "samples/op")
+	st := m.IngestStats()
+	if total := uint64((b.N + 1) * workers * burst); st.Enqueued != total || st.Applied != total {
+		b.Fatalf("enqueued %d and applied %d of %d samples (%+v)", st.Enqueued, st.Applied, total, st)
+	}
+	b.ReportMetric(float64(st.Applied)/float64(st.Batches), "samples/batch")
 }
 
 // BenchmarkDialWarmPassive is the passive counterpart of
@@ -907,7 +877,7 @@ func BenchmarkDialWarmPassive(b *testing.B) {
 			return 0, context.DeadlineExceeded
 		},
 	})
-	monitor.Subscribe(ls.Report)
+	monitor.SubscribeBatch(ls)
 	monitor.Track(remote, "bench.race")
 	warm := func() {
 		for _, p := range paths {

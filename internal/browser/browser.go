@@ -277,6 +277,16 @@ func New(cfg Config) *Browser {
 	return b
 }
 
+// Close closes the idle keep-alive connections of both transports, direct
+// and proxied. A browser that is dropped without Close leaves them (and
+// their reader and writer goroutines) open until the peer closes them.
+func (b *Browser) Close() {
+	b.direct.CloseIdleConnections()
+	if b.proxied != nil {
+		b.proxied.CloseIdleConnections()
+	}
+}
+
 // SetExtensionEnabled toggles the extension (the Figure 3 "BGP/IP-Only"
 // experiment runs "with the extension disabled, i.e., requests are not
 // intercepted by the extension and do not traverse the HTTP proxy").

@@ -47,9 +47,6 @@ func addAZone(w *World, name, ip string) {
 const testRuns = 5
 
 func TestFig3ShapeMatchesPaper(t *testing.T) {
-	if raceEnabled {
-		t.Skip("virtual-time shapes are distorted under the race detector")
-	}
 	fig, err := RunFig3(testRuns)
 	if err != nil {
 		t.Fatal(err)
@@ -80,9 +77,6 @@ func TestFig3ShapeMatchesPaper(t *testing.T) {
 }
 
 func TestFig5ShapeMatchesPaper(t *testing.T) {
-	if raceEnabled {
-		t.Skip("virtual-time shapes are distorted under the race detector")
-	}
 	fig, err := RunFig5(testRuns)
 	if err != nil {
 		t.Fatal(err)
@@ -112,9 +106,6 @@ func TestFig5ShapeMatchesPaper(t *testing.T) {
 }
 
 func TestFig6ShapeMatchesPaper(t *testing.T) {
-	if raceEnabled {
-		t.Skip("virtual-time shapes are distorted under the race detector")
-	}
 	fig, err := RunFig6(testRuns)
 	if err != nil {
 		t.Fatal(err)
@@ -234,9 +225,6 @@ func TestProxyStatsFeedback(t *testing.T) {
 }
 
 func TestFig3AblationOverheadDisappears(t *testing.T) {
-	if raceEnabled {
-		t.Skip("virtual-time shapes are distorted under the race detector")
-	}
 	fig, err := RunFig3Ablation(testRuns)
 	if err != nil {
 		t.Fatal(err)

@@ -240,7 +240,7 @@ func TestRacingAndProbingE2E(t *testing.T) {
 		MaxInterval:  4 * time.Second,
 		Timeout:      time.Second,
 	})
-	monitor.Subscribe(ls.Report)
+	monitor.SubscribeBatch(ls)
 	monitor.Track(remote, "race.e2e")
 	monitor.Start()
 	w.Clock.Sleep(5 * time.Second)

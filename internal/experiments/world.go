@@ -196,6 +196,21 @@ type Client struct {
 	Proxy     *proxy.Proxy
 	Store     *sciondetect.StrictStore
 	Detector  *sciondetect.Detector
+
+	proxyServer *webserver.IPServer // the proxy's loopback listener
+}
+
+// Close releases everything the client holds in its world: the browser's
+// idle connections, the proxy's loopback listener, and then the proxy
+// itself, which closes its pooled connections and its dialer and stops
+// the monitor it owns (a monitor passed in through ClientConfig.Monitor is
+// shared, and stays running). A world that serves many short-lived users
+// must close each one, or every user leaves goroutines and connections
+// behind.
+func (c *Client) Close() {
+	c.Browser.Close()
+	c.proxyServer.Close()
+	c.Proxy.Close()
 }
 
 // clientPorts allocates distinct loopback ports per client.
@@ -235,7 +250,8 @@ func (w *World) NewClient(cfg ClientConfig) (*Client, error) {
 	clientPorts.next++
 	proxyAddr := fmt.Sprintf("%s:%d", cfg.LegacyName, 3128+clientPorts.next)
 	clientPorts.Unlock()
-	if _, err := webserver.ServeIP(w.Legacy, proxyAddr, p); err != nil {
+	srv, err := webserver.ServeIP(w.Legacy, proxyAddr, p)
+	if err != nil {
 		return nil, err
 	}
 
@@ -250,5 +266,5 @@ func (w *World) NewClient(cfg ClientConfig) (*Client, error) {
 		ProxyAddr:  proxyAddr,
 		Intercept:  interceptDelay.Wait,
 	})
-	return &Client{Browser: br, Extension: ext, Proxy: p, Store: store, Detector: detector}, nil
+	return &Client{Browser: br, Extension: ext, Proxy: p, Store: store, Detector: detector, proxyServer: srv}, nil
 }

@@ -41,18 +41,18 @@ func TestLinkStatsCached(t *testing.T) {
 	if len(first) == 0 {
 		t.Fatal("no link stats after ingest")
 	}
-	m.linkMu.Lock()
+	m.mu.Lock()
 	if m.linkCache == nil {
-		m.linkMu.Unlock()
+		m.mu.Unlock()
 		t.Fatal("LinkStats did not populate the cache")
 	}
 	cacheHead := &m.linkCache[0]
-	m.linkMu.Unlock()
+	m.mu.Unlock()
 
 	second := m.LinkStats()
-	m.linkMu.Lock()
+	m.mu.Lock()
 	rebuilt := &m.linkCache[0] != cacheHead
-	m.linkMu.Unlock()
+	m.mu.Unlock()
 	if rebuilt {
 		t.Fatal("LinkStats rebuilt the cache with no ingest in between")
 	}
@@ -65,31 +65,37 @@ func TestLinkStatsCached(t *testing.T) {
 		t.Fatal("LinkStats handed out the cache's own backing array")
 	}
 
-	// Ingest invalidates (via the dirty flag — the hot path never touches
-	// linkMu); the next call recomputes with the new sample.
+	// Ingest invalidates (via the dirty flag); the next call recomputes
+	// with the new sample.
 	m.Observe(path, 300*time.Millisecond)
-	if !m.linkDirty.Load() {
+	m.mu.Lock()
+	dirty := m.linkDirty
+	m.mu.Unlock()
+	if !dirty {
 		t.Fatal("sample ingest did not mark the cache dirty")
 	}
 	third := m.LinkStats()
 	if third[0].Congestion <= first[0].Congestion {
 		t.Fatalf("recomputed congestion %v not above initial %v", third[0].Congestion, first[0].Congestion)
 	}
-	if m.linkDirty.Load() {
+	m.mu.Lock()
+	dirty = m.linkDirty
+	m.mu.Unlock()
+	if dirty {
 		t.Fatal("rebuild did not clear the dirty flag")
 	}
 
 	// Pure aging also refreshes: past MaxInterval the cache expires, and
 	// past the stale-series horizon the link drops out entirely — without a
 	// single ingest to invalidate.
-	m.linkMu.Lock()
+	m.mu.Lock()
 	cachedAt := m.linkCacheAt
-	m.linkMu.Unlock()
+	m.mu.Unlock()
 	clock.Advance(m.opts.MaxInterval + time.Second)
 	m.LinkStats()
-	m.linkMu.Lock()
+	m.mu.Lock()
 	refreshed := m.linkCacheAt.After(cachedAt)
-	m.linkMu.Unlock()
+	m.mu.Unlock()
 	if !refreshed {
 		t.Fatal("cache did not expire after MaxInterval")
 	}

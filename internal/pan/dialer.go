@@ -241,7 +241,7 @@ func (d *Dialer) observePassive(path *segment.Path, rtt time.Duration) {
 }
 
 // observePassiveBatch is observePassive for a connection's coalesced ack
-// RTT batch: the monitor ingests the whole burst in one ring drain.
+// RTT batch: the monitor ingests the whole burst under one lock.
 func (d *Dialer) observePassiveBatch(path *segment.Path, rtts []time.Duration) {
 	d.mu.Lock()
 	m, on := d.opts.Monitor, d.opts.Passive

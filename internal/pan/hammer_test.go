@@ -2,6 +2,7 @@ package pan_test
 
 import (
 	"fmt"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -12,11 +13,12 @@ import (
 	"tango/internal/segment"
 )
 
-// TestMonitorSuiteAcrossShardCounts re-runs the behavioral monitor suite at
-// shard counts 1 and 8: every scheduling, refcounting, and telemetry
-// property must be shard-transparent — one shard reproduces the
-// pre-sharding lock shape, eight spreads the same destinations across
-// locks (and across wheel-fire orderings).
+// TestMonitorSuiteAcrossShardCounts re-runs the behavioral monitor suite in
+// the two process shapes under which the monitor once split its
+// destinations into one lock shard and into eight: GOMAXPROCS 1 and 8 (the
+// old default shard count was GOMAXPROCS rounded up to a power of two). The
+// monitor now has one lock whatever the process shape; every scheduling,
+// refcounting and telemetry property must hold in both.
 func TestMonitorSuiteAcrossShardCounts(t *testing.T) {
 	suite := []struct {
 		name string
@@ -36,11 +38,9 @@ func TestMonitorSuiteAcrossShardCounts(t *testing.T) {
 		{"ObserveUntrackedPathDropped", TestMonitorObserveUntrackedPathDropped},
 		{"StopRestartMidProbe", TestMonitorStopRestartMidProbe},
 	}
-	for _, shards := range []int{1, 8} {
-		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
-			old := testShards
-			testShards = shards
-			defer func() { testShards = old }()
+	for _, procs := range []int{1, 8} {
+		t.Run(fmt.Sprintf("shards=%d", procs), func(t *testing.T) {
+			defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
 			for _, tc := range suite {
 				t.Run(tc.name, tc.fn)
 			}
@@ -49,8 +49,8 @@ func TestMonitorSuiteAcrossShardCounts(t *testing.T) {
 }
 
 // TestMonitorShardHammer runs every mutating and reading entry point of the
-// monitor concurrently across destinations in different shards — the -race
-// workout for the shard/wheel/linkMu lock structure. Assertions are
+// monitor concurrently across eight destinations — the -race workout for
+// the monitor/wheel lock structure. Assertions are
 // deliberately thin (the race detector is the judge); what must hold at the
 // end is the refcount invariant: all trackers gone → no targets, nothing on
 // the schedule.
@@ -72,7 +72,6 @@ func TestMonitorShardHammer(t *testing.T) {
 	}
 	m := pan.NewMonitor(netsim.RealClock{}, func(ia addr.IA) []*segment.Path { return byDst[ia] }, pan.MonitorOptions{
 		BaseInterval: 50 * time.Millisecond,
-		Shards:       8,
 		Probe: func(addr.UDPAddr, string, *segment.Path, time.Duration) (time.Duration, error) {
 			return time.Millisecond, nil
 		},

@@ -101,7 +101,7 @@ func (s *HotspotSelector) Report(path *segment.Path, outcome Outcome) {
 }
 
 // ReportBatch implements BatchSink: one health lock and one EWMA lock for
-// the whole drained batch, mirroring LatencySelector.ReportBatch.
+// the whole batch, mirroring LatencySelector.ReportBatch.
 func (s *HotspotSelector) ReportBatch(reports []SampleReport) {
 	s.reportBatch(reports)
 	s.mu.Lock()

@@ -13,7 +13,7 @@ import (
 )
 
 // ringPath builds a distinct in-memory path to dst (distinct hop sequence →
-// distinct fingerprint) for the whitebox ring/ingest tests.
+// distinct fingerprint) for the whitebox ingest tests.
 func ringPath(dst addr.IA, i int) *segment.Path {
 	return &segment.Path{
 		Src: addr.IA{ISD: 1, AS: 0xff00_0000_0111},
@@ -32,99 +32,24 @@ func ringRemote(dst addr.IA, host int) addr.UDPAddr {
 	return addr.UDPAddr{Addr: addr.Addr{IA: dst, Host: netip.MustParseAddr(fmt.Sprintf("10.9.0.%d", host+1))}, Port: 443}
 }
 
-// TestSampleRingWraparound: FIFO order and exact accounting survive several
-// full revolutions of a small ring.
-func TestSampleRingWraparound(t *testing.T) {
-	r := newSampleRing(4)
-	dst := ringDst(0)
-	p := ringPath(dst, 0)
-	seq := time.Duration(0)
-	for cycle := 0; cycle < 5; cycle++ {
-		for i := 0; i < 3; i++ { // 3 of 4 slots per cycle: head/tail drift
-			seq++
-			r.push(p, seq)
-		}
-		for i := 0; i < 3; i++ {
-			rec, ok := r.pop()
-			if !ok {
-				t.Fatalf("cycle %d pop %d: ring unexpectedly empty", cycle, i)
-			}
-			want := seq - time.Duration(2-i)
-			if rec.rtt != want || rec.path != p {
-				t.Fatalf("cycle %d pop %d: got rtt=%v, want %v (FIFO across wraparound)", cycle, i, rec.rtt, want)
-			}
-		}
-		if !r.empty() {
-			t.Fatalf("cycle %d: ring not empty after draining", cycle)
-		}
-	}
-	if _, ok := r.pop(); ok {
-		t.Fatal("pop on empty ring reported a sample")
-	}
-	if got := r.enqueued.Load(); got != 15 {
-		t.Fatalf("enqueued = %d, want 15", got)
-	}
-	if r.coalesced.Load() != 0 || r.dropped.Load() != 0 {
-		t.Fatalf("coalesced/dropped = %d/%d on a never-full ring", r.coalesced.Load(), r.dropped.Load())
-	}
-}
-
-// TestSampleRingCoalesceAndDrop: overflow evicts the OLDEST sample, counted
-// as coalesced when the incoming sample is for the same path (newer
-// supersedes older) and dropped when data was genuinely lost.
-func TestSampleRingCoalesceAndDrop(t *testing.T) {
-	dst := ringDst(1)
-	pa, pb := ringPath(dst, 0), ringPath(dst, 1)
-
-	r := newSampleRing(4)
-	for i := 1; i <= 4; i++ {
-		r.push(pa, time.Duration(i)*time.Millisecond)
-	}
-	r.push(pa, 5*time.Millisecond) // full; oldest is also pa → coalesce
-	if got := r.coalesced.Load(); got != 1 {
-		t.Fatalf("coalesced = %d, want 1", got)
-	}
-	if got := r.dropped.Load(); got != 0 {
-		t.Fatalf("dropped = %d, want 0", got)
-	}
-	r.push(pb, 6*time.Millisecond) // full; oldest is pa, incoming pb → drop
-	if got := r.dropped.Load(); got != 1 {
-		t.Fatalf("dropped = %d, want 1", got)
-	}
-	// Survivors are the newest capacity-many samples, still FIFO.
-	want := []time.Duration{3 * time.Millisecond, 4 * time.Millisecond, 5 * time.Millisecond, 6 * time.Millisecond}
-	for i, w := range want {
-		rec, ok := r.pop()
-		if !ok || rec.rtt != w {
-			t.Fatalf("pop %d = (%v, %v), want %v", i, rec.rtt, ok, w)
-		}
-	}
-	if !r.empty() {
-		t.Fatal("ring not empty after draining survivors")
-	}
-}
-
-// TestMonitorDrainDropsUntracked: a sample buffered while its destination
-// was tracked but drained after the last Untrack must NOT apply — tracking
-// is the contract — and is counted in IngestStats.Untracked.
+// TestMonitorDrainDropsUntracked: a sample for a path whose destination was
+// tracked but that arrives after the last Untrack must NOT apply —
+// tracking is the contract — and is counted in IngestStats.Untracked.
 func TestMonitorDrainDropsUntracked(t *testing.T) {
 	clock := netsim.NewSimClock(time.Date(2022, 10, 10, 0, 0, 0, 0, time.UTC))
 	dst := ringDst(2)
 	p := ringPath(dst, 0)
 	m := NewMonitor(clock, func(addr.IA) []*segment.Path { return []*segment.Path{p} }, MonitorOptions{
-		Probe:  func(addr.UDPAddr, string, *segment.Path, time.Duration) (time.Duration, error) { return 0, nil },
-		Shards: 8,
+		Probe: func(addr.UDPAddr, string, *segment.Path, time.Duration) (time.Duration, error) { return 0, nil },
 	})
 	remote := ringRemote(dst, 0)
 	m.Track(remote, "untracked.test")
-
-	// Buffer directly (bypassing Observe's inline drain), then untrack
-	// before anything drains.
-	sh := m.shardFor(dst)
-	sh.ring.push(p, 20*time.Millisecond)
 	m.Untrack(remote, "untracked.test")
+	// The entry outlives the last Untrack (telemetry is kept), but the
+	// sample must not land on it.
+	m.Observe(p, 20*time.Millisecond)
 
-	st := m.IngestStats() // flushes the rings
+	st := m.IngestStats()
 	if st.Applied != 0 {
 		t.Fatalf("applied = %d, want 0 — sample landed after Untrack", st.Applied)
 	}
@@ -137,7 +62,7 @@ func TestMonitorDrainDropsUntracked(t *testing.T) {
 }
 
 // TestMonitorDrainVsStopStart: Observe racing Stop/Start cycles neither
-// loses accounting nor deadlocks; Stop itself flushes buffered samples.
+// loses accounting nor deadlocks.
 func TestMonitorDrainVsStopStart(t *testing.T) {
 	dst := ringDst(3)
 	paths := []*segment.Path{ringPath(dst, 0), ringPath(dst, 1)}
@@ -145,7 +70,6 @@ func TestMonitorDrainVsStopStart(t *testing.T) {
 		Probe: func(addr.UDPAddr, string, *segment.Path, time.Duration) (time.Duration, error) {
 			return time.Millisecond, nil
 		},
-		Shards: 8,
 	})
 	remote := ringRemote(dst, 1)
 	m.Track(remote, "stopstart.test")
@@ -184,9 +108,7 @@ func TestMonitorDrainVsStopStart(t *testing.T) {
 	if st.Enqueued != producers*perProducer {
 		t.Fatalf("enqueued = %d, want %d", st.Enqueued, producers*perProducer)
 	}
-	if got := st.Applied + st.Coalesced + st.Dropped + st.Untracked; got != st.Enqueued {
-		t.Fatalf("accounting leak: applied+coalesced+dropped+untracked = %d, enqueued = %d (%+v)", got, st.Enqueued, st)
-	}
+	checkIngestIdentity(t, st)
 	if st.Applied == 0 {
 		t.Fatal("no sample applied across the whole run")
 	}
@@ -204,11 +126,24 @@ func wgWaitProducersThenStop(wg *sync.WaitGroup, stop chan struct{}) {
 	<-done
 }
 
-// TestMonitorIngestHammer: concurrent Observe / Track / Untrack /
-// ImportLinks / reads across 8 shards under the race detector. Afterwards
-// the ring accounting must balance exactly, refcounts must be back to
-// zero, and nothing may have applied to fully-untracked destinations after
-// their last Untrack.
+// checkIngestIdentity asserts the synchronous-ingest accounting: every
+// sample handed to the monitor was applied or discarded as untracked, and
+// none was coalesced or dropped.
+func checkIngestIdentity(t *testing.T, st IngestStats) {
+	t.Helper()
+	if got := st.Applied + st.Untracked; got != st.Enqueued {
+		t.Fatalf("accounting leak: applied+untracked = %d, enqueued = %d (%+v)", got, st.Enqueued, st)
+	}
+	if st.Coalesced != 0 || st.Dropped != 0 {
+		t.Fatalf("coalesced/dropped = %d/%d, want 0/0 (%+v)", st.Coalesced, st.Dropped, st)
+	}
+}
+
+// TestMonitorIngestHammer: concurrent Observe / ObserveBatch / Track /
+// Untrack / ImportLinks / reads across 8 destinations under the race
+// detector. Afterwards the ingest accounting must balance exactly,
+// refcounts must be back to zero, and nothing may have applied to
+// fully-untracked destinations after their last Untrack.
 func TestMonitorIngestHammer(t *testing.T) {
 	const nDst = 8
 	dsts := make([]addr.IA, nDst)
@@ -221,8 +156,6 @@ func TestMonitorIngestHammer(t *testing.T) {
 		Probe: func(addr.UDPAddr, string, *segment.Path, time.Duration) (time.Duration, error) {
 			return time.Millisecond, nil
 		},
-		Shards:     8,
-		IngestRing: 16, // small rings so overflow paths are exercised
 	})
 
 	snap := LinkSnapshot{Version: LinkSnapshotVersion}
@@ -236,8 +169,7 @@ func TestMonitorIngestHammer(t *testing.T) {
 	var wg sync.WaitGroup
 	const producers = 4
 	const perProducer = 500
-	// Every 4th iteration submits a 2-sample burst via ObserveBatch, which
-	// exercises the flat-combining fast path alongside the ring route.
+	// Every 4th iteration submits a 2-sample burst via ObserveBatch.
 	const perIterBatch = 4
 	samplesPerProducer := 0
 	for i := 0; i < perProducer; i++ {
@@ -286,7 +218,7 @@ func TestMonitorIngestHammer(t *testing.T) {
 		}
 	}()
 	wg.Add(1)
-	go func() { // concurrent readers (each flushes the rings)
+	go func() { // concurrent readers
 		defer wg.Done()
 		for round := 0; round < 50; round++ {
 			m.LinkStats()
@@ -302,9 +234,7 @@ func TestMonitorIngestHammer(t *testing.T) {
 	if want := uint64(producers * samplesPerProducer); st.Enqueued != want {
 		t.Fatalf("enqueued = %d, want %d", st.Enqueued, want)
 	}
-	if got := st.Applied + st.Coalesced + st.Dropped + st.Untracked; got != st.Enqueued {
-		t.Fatalf("accounting leak: applied+coalesced+dropped+untracked = %d, enqueued = %d (%+v)", got, st.Enqueued, st)
-	}
+	checkIngestIdentity(t, st)
 
 	// Refcounts hold: every Track was matched by an Untrack.
 	if n := m.TargetCount(); n != 0 {
@@ -327,4 +257,44 @@ func TestMonitorIngestHammer(t *testing.T) {
 	if after.Untracked != before.Untracked+nDst {
 		t.Fatalf("untracked grew %d → %d, want +%d", before.Untracked, after.Untracked, nDst)
 	}
+}
+
+// TestObserveBatchReentrantSink: a sink whose ReportBatch feeds another
+// batch back into the monitor gets its own report buffer — the outer batch
+// it is iterating is not overwritten by the nested one, and both batches
+// are accounted.
+func TestObserveBatchReentrantSink(t *testing.T) {
+	clock := netsim.NewSimClock(time.Date(2022, 10, 10, 0, 0, 0, 0, time.UTC))
+	dst := ringDst(4)
+	pa, pb := ringPath(dst, 0), ringPath(dst, 1)
+	m := NewMonitor(clock, func(addr.IA) []*segment.Path { return []*segment.Path{pa, pb} }, MonitorOptions{
+		Probe: func(addr.UDPAddr, string, *segment.Path, time.Duration) (time.Duration, error) { return 0, nil },
+	})
+	m.Track(ringRemote(dst, 0), "reentrant.test")
+	var got []time.Duration
+	nested := false
+	m.SubscribeBatch(BatchSinkFunc(func(reports []SampleReport) {
+		if reports[0].Path != pa {
+			return
+		}
+		if !nested {
+			nested = true
+			m.ObserveBatch(pb, []time.Duration{70 * time.Millisecond, 80 * time.Millisecond, 90 * time.Millisecond})
+		}
+		for _, r := range reports {
+			if r.Path != pa {
+				t.Fatalf("outer batch now carries a report for %s", r.Path.Fingerprint())
+			}
+			got = append(got, r.Outcome.Latency)
+		}
+	}))
+	m.ObserveBatch(pa, []time.Duration{10 * time.Millisecond, 20 * time.Millisecond})
+	if len(got) != 2 || got[0] != 10*time.Millisecond || got[1] != 20*time.Millisecond {
+		t.Fatalf("outer batch after re-entry = %v, want [10ms 20ms]", got)
+	}
+	st := m.IngestStats()
+	if st.Applied != 5 || st.Batches != 2 {
+		t.Fatalf("applied %d samples in %d batches, want 5 in 2 (%+v)", st.Applied, st.Batches, st)
+	}
+	checkIngestIdentity(t, st)
 }

@@ -2,7 +2,6 @@ package pan
 
 import (
 	"hash/fnv"
-	"runtime"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -56,21 +55,6 @@ type MonitorOptions struct {
 	// minimal squic handshake against the tracked server (one round trip
 	// on the wire); tests inject deterministic fakes.
 	Probe ProbeFunc
-	// Shards overrides how many destination shards the monitor's state is
-	// split into (rounded up to a power of two; default: GOMAXPROCS rounded
-	// up, capped at 64). Shard choice never changes behavior — only lock
-	// contention — and exists as a knob so tests can pin the shard count on
-	// both sides of the hash (1 and many).
-	Shards int
-	// IngestRing overrides the per-shard passive-sample ring capacity
-	// (rounded up to a power of two; default 256). Smaller rings coalesce
-	// or drop sooner under bursts; they never block a producer.
-	IngestRing int
-	// DirectIngest disables the per-shard ingest rings: Observe takes the
-	// shard lock and applies the sample synchronously, the pre-ring
-	// behavior. The contended-ingest benchmark uses this as its baseline;
-	// it is not meant for production configurations.
-	DirectIngest bool
 }
 
 // PathTelemetry is one tracked path's live probe-derived state, the raw
@@ -184,7 +168,7 @@ type SampleSplit struct {
 }
 
 // monEntry is the per-path telemetry and schedule state. In-flight probe
-// tracking lives in monShard.inflight, NOT here: entries can be pruned and
+// tracking lives in Monitor.inflight, NOT here: entries can be pruned and
 // re-created (by fingerprint) while a probe is still in flight, and a flag
 // on the entry object would then latch or clear the wrong incarnation.
 type monEntry struct {
@@ -195,8 +179,8 @@ type monEntry struct {
 	// the per-sample ingest path.
 	links []linkKey
 	// seriesRefs memoizes the entry's per-link excess series pointers
-	// (sh.links[lk][fp] for each lk in links), valid while seriesGen
-	// matches the shard's generation counter — the double map lookup per
+	// (m.links[lk][fp] for each lk in links), valid while seriesGen
+	// matches the monitor's generation counter — the double map lookup per
 	// link per sample was the next cost on the ingest path once batching
 	// amortized the lock.
 	seriesRefs []*excessSeries
@@ -233,58 +217,6 @@ type monEntry struct {
 	sched *wheelNode
 }
 
-// monShard is one destination shard: a slice of the monitor keyed by the
-// fnv hash of the destination IA. The IA — not the full target key — is the
-// shard hash because it is the one component every tracker of a path
-// shares: a path's entry and ALL targets it serves (they are, by
-// construction, destinations in the path's Dst AS) land in the same shard,
-// so every invariant the un-sharded monitor maintained under one lock still
-// holds under exactly one shard lock, and Observe on the squic ack hot path
-// touches a single shard.
-type monShard struct {
-	mu      sync.Mutex //lint:lockorder panshard before panwheel
-	targets map[string]*monTarget
-	entries map[string]*monEntry // path fingerprint → state
-	// byTarget indexes each target's entries so Track/Untrack and path-set
-	// reconciliation cost O(paths of that target), not O(all entries).
-	byTarget map[string]map[string]*monEntry
-	// inflight marks fingerprints with a probe currently on the wire, at
-	// most one per path. Shard-level (not per-entry) so a probe draining
-	// across entry pruning/re-creation — or across a Stop→Start cycle —
-	// always clears exactly its own mark and can never leave a re-created
-	// entry latched out of the schedule.
-	inflight map[string]bool
-	// links holds the shard's share of the link excess series: the series
-	// fed by THIS shard's entries. A link crossed by paths of several
-	// destination ASes has series in several shards; the cross-shard
-	// aggregation in linkCacheLocked merges them (min-of-mins is exact).
-	// Keeping the series with the shard keeps sample ingest single-lock.
-	links map[linkKey]map[string]*excessSeries
-	// gen invalidates the entries' memoized seriesRefs. Bumped (under mu)
-	// by everything that deletes an excessSeries — pruning and the
-	// aggregation rebuild's stale-series sweep.
-	gen uint64
-	// applied/untracked/batches are the shard's drain-side ingest stats,
-	// maintained under mu (the ring's own counters are atomics).
-	applied   uint64
-	untracked uint64
-	batches   uint64
-
-	// ring buffers passive samples OUTSIDE the shard lock: Observe pushes
-	// lock-free, drainShard applies a whole batch under ONE mu
-	// acquisition. nil when MonitorOptions.DirectIngest is set.
-	ring *sampleRing
-	// draining is the flat-combining token: whoever CASes it false→true
-	// drains the ring for everybody (producers that lose the CAS leave
-	// their sample for the winner). Strictly outside mu — the holder
-	// acquires mu, never the reverse.
-	draining atomic.Bool
-	// drainScratch/reportScratch are reused batch buffers, owned by the
-	// draining-token holder (NOT guarded by mu).
-	drainScratch  []sampleRec
-	reportScratch []SampleReport
-}
-
 // Monitor is the shared telemetry plane below the selectors: ONE monitor per
 // host schedules probes for every destination any of its dialers tracks,
 // measures per-path RTT, and decomposes the measurements into link-level
@@ -300,12 +232,10 @@ type monShard struct {
 // monitor), not on per-path timers, so scheduling stays O(1) per reschedule
 // at 100k+ tracked paths.
 //
-// State is sharded by destination AS: tracking, telemetry, in-flight marks,
-// and link-series ingest for a destination all live under its shard's lock,
-// so passive samples for different destinations ingest concurrently.
-// Cross-shard views (LinkStats, PathPenalty, the budget floor) aggregate —
-// the link snapshot under its own read-mostly lock with a dirty flag, the
-// schedulable-path count as an atomic counter.
+// All state — tracking, telemetry, the schedule, in-flight marks, the link
+// series and their cached aggregate, imported priors, and the ingest
+// counters — lives under ONE mutex. Passive samples take it once per
+// batch, and every sink fan-out runs after it is released.
 //
 // Destinations are tracked with reference counts: several Dialers share one
 // Monitor, and a destination stops being probed only when the LAST tracker
@@ -329,48 +259,63 @@ type Monitor struct {
 	paths func(addr.IA) []*segment.Path
 	opts  MonitorOptions
 
-	shards []*monShard // power-of-two length; indexed by fnv(dst IA)
-	wheel  *probeWheel
+	wheel *probeWheel
 
-	// active counts entries on the probe schedule across all shards, kept
-	// as an atomic so the budget floor costs one load — no lock — wherever
-	// an effective interval is computed.
-	active atomic.Int64
-	// started gates the schedule. Atomic (not under any one shard's lock)
-	// because fire, probe drain, and Start/Stop consult it from different
-	// shards.
-	started atomic.Bool
-
-	// linkMu guards the cross-shard AGGREGATED link view — the memoized
-	// LinkStats snapshot, its by-key map (PathPenalty's lookup table), and
-	// the imported priors. Lock order: linkMu → shard.mu (the aggregation
-	// rebuild walks the shards); shard code never takes linkMu — the hot
-	// ingest path invalidates the aggregate with the linkDirty atomic
-	// instead, so one link lock can never serialize per-sample ingest.
-	linkMu sync.Mutex //lint:lockorder panlink before panshard
+	mu      sync.Mutex //lint:lockorder panmon before panwheel
+	targets map[string]*monTarget
+	entries map[string]*monEntry // path fingerprint → state
+	// byTarget indexes each target's entries so Track/Untrack and path-set
+	// reconciliation cost O(paths of that target), not O(all entries).
+	byTarget map[string]map[string]*monEntry
+	// inflight marks fingerprints with a probe currently on the wire, at
+	// most one per path. Monitor-level (not per-entry) so a probe draining
+	// across entry pruning/re-creation — or across a Stop→Start cycle —
+	// always clears exactly its own mark and can never leave a re-created
+	// entry latched out of the schedule.
+	inflight map[string]bool
+	// links holds the link excess series: per inter-AS link, one series
+	// per tracked path crossing it.
+	links map[linkKey]map[string]*excessSeries
+	// gen invalidates the entries' memoized seriesRefs. Bumped by
+	// everything that deletes an excessSeries — pruning and the link-cache
+	// rebuild's stale-series sweep.
+	gen uint64
+	// active counts entries on the probe schedule: the budget floor's
+	// numerator.
+	active int
+	// started gates the schedule.
+	started bool
 	// priors are link congestion estimates imported from peers' snapshots
 	// (ImportLinks). They decay with age and only ever fill gaps: a link
 	// with live local series ignores its prior entirely.
 	priors map[linkKey]*linkPrior
-	// linkCache memoizes the sorted cross-shard LinkStats snapshot and its
-	// by-key view. Invalidated by the linkDirty flag (set on sample ingest
-	// and pruning) and expired after MaxInterval so age-based series expiry
-	// still lands without an ingest. LinkStats is called per gossip round
-	// and per stats scrape — re-aggregating and re-sorting the full link
-	// set on each call was measurable waste.
+	// linkCache memoizes the sorted LinkStats snapshot and its by-key view
+	// (PathPenalty's lookup table). Invalidated by linkDirty (set on sample
+	// ingest and pruning) and expired after MaxInterval so age-based series
+	// expiry still lands without an ingest. LinkStats is called per gossip
+	// round and per stats scrape — re-aggregating and re-sorting the full
+	// link set on each call was measurable waste.
 	linkCache    []LinkStat
 	linkCacheMap map[linkKey]LinkStat
 	linkCacheAt  time.Time
-	linkDirty    atomic.Bool
+	linkDirty    bool
+	// ingest is the passive-sample accounting IngestStats reports.
+	ingest IngestStats
+
+	// reportBufs holds spare report slices for ObserveBatch's fan-out. A
+	// batch reaches the sinks after mu is released, so concurrent
+	// producers — and a sink that re-enters ObserveBatch — each take a
+	// buffer of their own; a miss allocates, a full list drops the buffer.
+	reportBufs chan *[]SampleReport
 
 	// sinkMu guards sink registration; the fan-out list itself is published
-	// as an atomic snapshot so per-sample fan-out is a single load.
+	// as an atomic snapshot so per-batch fan-out is a single load.
 	// Rebuilds always allocate a FRESH slice, so callers may iterate a
 	// loaded snapshot outside every lock.
 	sinkMu   sync.Mutex //lint:lockorder pansink
-	sinks    map[int]monSink
+	sinks    map[int]BatchSink
 	nextSink int
-	sinkList atomic.Pointer[[]monSink]
+	sinkList atomic.Pointer[[]BatchSink]
 }
 
 // SampleReport is one applied sample in a batched sink fan-out.
@@ -379,11 +324,10 @@ type SampleReport struct {
 	Outcome Outcome
 }
 
-// BatchSink receives one call per drained ingest batch instead of one per
-// sample. Selectors that implement it amortize their own locks across the
-// batch; per-sample sinks registered with Subscribe are adapted
-// transparently. The reports slice is reused between batches — a sink
-// must not retain it past the call.
+// BatchSink receives one call per ingested batch instead of one per
+// sample. Selectors implement it to amortize their own locks across the
+// batch. The reports slice is reused between batches — a sink must not
+// retain it past the call.
 type BatchSink interface {
 	ReportBatch(reports []SampleReport)
 }
@@ -393,38 +337,6 @@ type BatchSinkFunc func(reports []SampleReport)
 
 // ReportBatch implements BatchSink.
 func (f BatchSinkFunc) ReportBatch(reports []SampleReport) { f(reports) }
-
-// funcSink adapts a per-sample sink to BatchSink for the batched drain
-// fan-out.
-type funcSink func(*segment.Path, Outcome)
-
-func (f funcSink) ReportBatch(reports []SampleReport) {
-	for _, r := range reports {
-		f(r.Path, r.Outcome)
-	}
-}
-
-// monSink is one subscribed sink in both shapes: batch is always set and
-// carries batched fan-out; fn is set only for per-sample subscribers, so
-// the single-sample paths (probes, direct ingest) can call them without
-// building a one-element batch.
-type monSink struct {
-	fn    func(*segment.Path, Outcome)
-	batch BatchSink
-}
-
-// defaultShardCount is the GOMAXPROCS-derived power-of-two shard count.
-func defaultShardCount() int {
-	n := runtime.GOMAXPROCS(0)
-	if n > 64 {
-		n = 64
-	}
-	pow := 1
-	for pow < n {
-		pow <<= 1
-	}
-	return pow
-}
 
 // NewMonitor builds a monitor from its parts: a clock, a path source (what
 // Host.Paths provides), and options. Most callers want Host.NewMonitor,
@@ -451,36 +363,20 @@ func NewMonitor(clock netsim.Clock, paths func(addr.IA) []*segment.Path, opts Mo
 	if opts.ProbeBudget == 0 {
 		opts.ProbeBudget = DefaultProbeBudget
 	}
-	if opts.Shards <= 0 {
-		opts.Shards = defaultShardCount()
-	}
-	shardCount := 1
-	for shardCount < opts.Shards {
-		shardCount <<= 1
-	}
-	opts.Shards = shardCount
-	if opts.IngestRing <= 0 {
-		opts.IngestRing = defaultIngestRing
-	}
 	m := &Monitor{
-		clock:  clock,
-		paths:  paths,
-		opts:   opts,
-		shards: make([]*monShard, shardCount),
-		priors: make(map[linkKey]*linkPrior),
-		sinks:  make(map[int]monSink),
-	}
-	for i := range m.shards {
-		m.shards[i] = &monShard{
-			targets:  make(map[string]*monTarget),
-			entries:  make(map[string]*monEntry),
-			byTarget: make(map[string]map[string]*monEntry),
-			inflight: make(map[string]bool),
-			links:    make(map[linkKey]map[string]*excessSeries),
-		}
-		if !opts.DirectIngest {
-			m.shards[i].ring = newSampleRing(opts.IngestRing)
-		}
+		clock:    clock,
+		paths:    paths,
+		opts:     opts,
+		targets:  make(map[string]*monTarget),
+		entries:  make(map[string]*monEntry),
+		byTarget: make(map[string]map[string]*monEntry),
+		inflight: make(map[string]bool),
+		links:    make(map[linkKey]map[string]*excessSeries),
+		priors:   make(map[linkKey]*linkPrior),
+		sinks:    make(map[int]BatchSink),
+		// Spares for 16 concurrent fan-outs; a batch beyond that allocates
+		// its own buffer.
+		reportBufs: make(chan *[]SampleReport, 16),
 	}
 	// Wheel granularity: fine enough relative to MinInterval (1/16th) that
 	// slot quantization never visibly coarsens the phase jitter, coarse
@@ -490,9 +386,6 @@ func NewMonitor(clock netsim.Clock, paths func(addr.IA) []*segment.Path, opts Mo
 		slotW = time.Millisecond
 	}
 	m.wheel = newProbeWheel(clock, slotW, m.wheelFire)
-	// Every wheel tick also drains the ingest rings, so buffered samples
-	// land even when no producer or reader comes by to drain them.
-	m.wheel.onTick = m.drainAll
 	return m
 }
 
@@ -539,26 +432,6 @@ func targetKey(remote addr.UDPAddr, serverName string) string {
 	return remote.String() + "|" + serverName
 }
 
-// shardFor maps a destination IA to its shard: inline FNV-1a over the
-// packed ISD-AS, masked to the power-of-two shard count.
-func (m *Monitor) shardFor(ia addr.IA) *monShard {
-	if len(m.shards) == 1 {
-		return m.shards[0]
-	}
-	const (
-		offset64 = 14695981039346656037
-		prime64  = 1099511628211
-	)
-	v := uint64(ia.ISD)<<48 | uint64(ia.AS)&0xFFFFFFFFFFFF
-	h := uint64(offset64)
-	for i := 0; i < 8; i++ {
-		h ^= v & 0xff
-		h *= prime64
-		v >>= 8
-	}
-	return m.shards[h&uint64(len(m.shards)-1)]
-}
-
 // Track adds a destination to the probe set, reference-counted: a
 // destination tracked by several dialers is probed once, and keeps being
 // probed until every tracker has untracked it.
@@ -577,19 +450,18 @@ func (m *Monitor) TrackPassive(remote addr.UDPAddr, serverName string) {
 }
 
 func (m *Monitor) track(remote addr.UDPAddr, serverName string, active bool) {
-	sh := m.shardFor(remote.IA)
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
+	m.mu.Lock()
+	defer m.mu.Unlock()
 	key := targetKey(remote, serverName)
-	tgt := sh.targets[key]
+	tgt := m.targets[key]
 	if tgt == nil {
 		tgt = &monTarget{remote: remote, serverName: serverName}
-		sh.targets[key] = tgt
+		m.targets[key] = tgt
 	}
 	// Per-entry schedulability BEFORE the ref change, so a passive→active
 	// upgrade can see which entries just became schedulable.
-	wasSched := make(map[string]bool, len(sh.byTarget[key]))
-	for fp, e := range sh.byTarget[key] {
+	wasSched := make(map[string]bool, len(m.byTarget[key]))
+	for fp, e := range m.byTarget[key] {
 		wasSched[fp] = entrySchedulable(e)
 	}
 	tgt.refs++
@@ -597,16 +469,16 @@ func (m *Monitor) track(remote addr.UDPAddr, serverName string, active bool) {
 		tgt.activeRefs++
 	}
 	if tgt.refs == 1 {
-		m.pruneShardLocked(sh)
-		m.syncTargetLocked(sh, key, tgt)
+		m.pruneLocked()
+		m.syncTargetLocked(key, tgt)
 		return
 	}
 	if active && tgt.activeRefs == 1 {
 		// Upgraded from passive-only: existing entries join the schedule.
-		for fp, e := range sh.byTarget[key] {
+		for fp, e := range m.byTarget[key] {
 			if !wasSched[fp] && entrySchedulable(e) {
-				m.active.Add(1)
-				m.scheduleLocked(sh, fp, e, true)
+				m.active++
+				m.scheduleLocked(fp, e, true)
 			}
 		}
 	}
@@ -625,19 +497,18 @@ func (m *Monitor) UntrackPassive(remote addr.UDPAddr, serverName string) {
 }
 
 func (m *Monitor) untrack(remote addr.UDPAddr, serverName string, active bool) {
-	sh := m.shardFor(remote.IA)
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
+	m.mu.Lock()
+	defer m.mu.Unlock()
 	key := targetKey(remote, serverName)
-	tgt := sh.targets[key]
+	tgt := m.targets[key]
 	if tgt == nil {
 		return
 	}
 	// Per-entry schedulability BEFORE the ref change: the active count was
 	// tallied under the old refs, so transitions must be judged against
 	// them.
-	wasSched := make(map[string]bool, len(sh.byTarget[key]))
-	for fp, e := range sh.byTarget[key] {
+	wasSched := make(map[string]bool, len(m.byTarget[key]))
+	for fp, e := range m.byTarget[key] {
 		wasSched[fp] = entrySchedulable(e)
 	}
 	tgt.refs--
@@ -645,22 +516,22 @@ func (m *Monitor) untrack(remote addr.UDPAddr, serverName string, active bool) {
 		tgt.activeRefs--
 	}
 	if tgt.refs <= 0 {
-		delete(sh.targets, key)
-		for fp, e := range sh.byTarget[key] {
+		delete(m.targets, key)
+		for fp, e := range m.byTarget[key] {
 			delete(e.targets, key)
 			if wasSched[fp] && !entrySchedulable(e) {
-				m.active.Add(-1)
+				m.active--
 				m.retireEntryLocked(e)
 			}
 		}
-		delete(sh.byTarget, key)
+		delete(m.byTarget, key)
 		return
 	}
 	// Refs remain; an active→passive-only downgrade still takes entries
 	// with no other active target off the schedule (telemetry kept).
-	for fp, e := range sh.byTarget[key] {
+	for fp, e := range m.byTarget[key] {
 		if wasSched[fp] && !entrySchedulable(e) {
-			m.active.Add(-1)
+			m.active--
 			m.retireEntryLocked(e)
 		}
 	}
@@ -680,7 +551,7 @@ func entrySchedulable(e *monEntry) bool {
 // retireEntryLocked takes a path off the probe schedule while KEEPING its
 // telemetry: tracking is scheduling, telemetry is knowledge — a destination
 // evicted from a pool and re-dialed moments later must not restart from
-// zero. Long-stale retired entries are pruned by pruneShardLocked.
+// zero. Long-stale retired entries are pruned by pruneLocked.
 func (m *Monitor) retireEntryLocked(e *monEntry) {
 	if e.sched != nil {
 		m.wheel.cancel(e.sched)
@@ -688,75 +559,65 @@ func (m *Monitor) retireEntryLocked(e *monEntry) {
 	}
 }
 
-// pruneShardLocked drops the shard's retired entries — and link excess
-// series — whose telemetry has gone stale beyond recall, bounding memory on
-// long-lived monitors even when nothing ever queries LinkStats. Runs on
-// each new destination Track in the shard, so churn itself drives the
-// cleanup. (Imported priors are pruned by the aggregation rebuild, which
-// owns them.)
-func (m *Monitor) pruneShardLocked(sh *monShard) {
+// pruneLocked drops retired entries — and link excess series — whose
+// telemetry has gone stale beyond recall, bounding memory on long-lived
+// monitors even when nothing ever queries LinkStats. Runs on each new
+// destination Track, so churn itself drives the cleanup. (Imported priors
+// are pruned by the link-cache rebuild.)
+func (m *Monitor) pruneLocked() {
 	horizon := time.Duration(staleSeriesAfter) * m.opts.MaxInterval
 	now := m.clock.Now()
-	for fp, e := range sh.entries {
+	for fp, e := range m.entries {
 		if len(e.targets) == 0 && (e.lastSample.IsZero() || now.Sub(e.lastSample) > horizon) {
-			delete(sh.entries, fp)
+			delete(m.entries, fp)
 		}
 	}
-	for lk, series := range sh.links {
+	for lk, series := range m.links {
 		for fp, s := range series {
 			if now.Sub(s.last) > horizon {
 				delete(series, fp)
 			}
 		}
 		if len(series) == 0 {
-			delete(sh.links, lk)
+			delete(m.links, lk)
 		}
 	}
-	sh.gen++ // series may have been deleted; memoized seriesRefs are stale
-	m.markLinkDirty()
+	m.gen++ // series may have been deleted; memoized seriesRefs are stale
+	m.linkDirty = true
 }
 
-// markLinkDirty invalidates the aggregated link snapshot. Load-before-store
-// keeps the hot path from write-bouncing a cache line every sample: the
-// flag is usually already set.
-func (m *Monitor) markLinkDirty() {
-	if !m.linkDirty.Load() {
-		m.linkDirty.Store(true)
-	}
-}
-
-// syncTargetLocked reconciles the shard's entry set with the target's
+// syncTargetLocked reconciles the entry set with the target's
 // current paths: unseen paths get entries (and, when started, a
 // phase-jittered first deadline), and entries this target referenced whose
 // path the control plane no longer offers drop the reference — so path
 // expiry and turnover retire defunct schedules instead of probing ghosts
 // forever.
-func (m *Monitor) syncTargetLocked(sh *monShard, key string, tgt *monTarget) {
-	idx := sh.byTarget[key]
+func (m *Monitor) syncTargetLocked(key string, tgt *monTarget) {
+	idx := m.byTarget[key]
 	if idx == nil {
 		idx = make(map[string]*monEntry)
-		sh.byTarget[key] = idx
+		m.byTarget[key] = idx
 	}
 	current := make(map[string]bool)
 	for _, p := range m.paths(tgt.remote.IA) {
 		fp := p.Fingerprint()
 		current[fp] = true
-		e := sh.entries[fp]
+		e := m.entries[fp]
 		if e == nil {
 			e = &monEntry{
 				path:     p,
 				targets:  make(map[string]*monTarget),
 				interval: m.opts.BaseInterval,
 			}
-			sh.entries[fp] = e
+			m.entries[fp] = e
 		}
 		wasSched := entrySchedulable(e)
 		e.path = p
 		e.targets[key] = tgt
 		idx[fp] = e
 		if !wasSched && entrySchedulable(e) {
-			m.active.Add(1)
-			m.scheduleLocked(sh, fp, e, true)
+			m.active++
+			m.scheduleLocked(fp, e, true)
 		}
 	}
 	for fp, e := range idx {
@@ -765,7 +626,7 @@ func (m *Monitor) syncTargetLocked(sh *monShard, key string, tgt *monTarget) {
 			wasSched := entrySchedulable(e)
 			delete(e.targets, key)
 			if wasSched && !entrySchedulable(e) {
-				m.active.Add(-1)
+				m.active--
 				m.retireEntryLocked(e)
 			}
 		}
@@ -774,43 +635,31 @@ func (m *Monitor) syncTargetLocked(sh *monShard, key string, tgt *monTarget) {
 
 // TargetCount returns the number of distinct tracked destinations.
 func (m *Monitor) TargetCount() int {
-	n := 0
-	for _, sh := range m.shards {
-		sh.mu.Lock()
-		n += len(sh.targets)
-		sh.mu.Unlock()
-	}
-	return n
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	return len(m.targets)
 }
 
 // TrackedPaths returns the number of paths currently on the probe schedule
 // (retired entries kept only for their telemetry don't count).
 func (m *Monitor) TrackedPaths() int {
-	return int(m.active.Load())
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	return m.active
 }
 
-// Subscribe registers a probe-outcome sink — Outcome{Latency, Probe: true}
-// on success, Failure (with Probe set) on timeout — and returns its
-// unsubscribe function. A Dialer subscribes its active selector, so one
-// monitor feeds every dialer sharing it.
-func (m *Monitor) Subscribe(sink func(*segment.Path, Outcome)) (unsubscribe func()) {
-	return m.subscribe(monSink{fn: sink, batch: funcSink(sink)})
-}
-
-// SubscribeBatch registers a batched sink: ONE ReportBatch call per
-// drained ingest batch (and per probe outcome, as a one-element batch)
-// instead of one callback per sample. Selectors that hold a lock per
-// report want this — the batch amortizes it.
+// SubscribeBatch registers an outcome sink and returns its unsubscribe
+// function. The sink gets ONE ReportBatch call per ingested passive batch
+// and per probe outcome (a one-element batch: Outcome{Latency, Probe:
+// true} on success, Failure with Probe set on timeout). A Dialer
+// subscribes its active selector, so one monitor feeds every dialer
+// sharing it, and each selector takes its own lock once per batch.
 func (m *Monitor) SubscribeBatch(sink BatchSink) (unsubscribe func()) {
-	return m.subscribe(monSink{batch: sink})
-}
-
-func (m *Monitor) subscribe(s monSink) (unsubscribe func()) {
 	m.sinkMu.Lock()
 	defer m.sinkMu.Unlock()
 	id := m.nextSink
 	m.nextSink++
-	m.sinks[id] = s
+	m.sinks[id] = sink
 	m.rebuildSinksLocked()
 	return func() {
 		m.sinkMu.Lock()
@@ -821,7 +670,7 @@ func (m *Monitor) subscribe(s monSink) (unsubscribe func()) {
 }
 
 // rebuildSinksLocked publishes a fresh id-ordered fan-out snapshot.
-// Subscribe/unsubscribe are rare; per-sample fan-out just loads the
+// Subscribe/unsubscribe are rare; per-batch fan-out just loads the
 // pointer.
 func (m *Monitor) rebuildSinksLocked() {
 	ids := make([]int, 0, len(m.sinks))
@@ -829,7 +678,7 @@ func (m *Monitor) rebuildSinksLocked() {
 		ids = append(ids, id)
 	}
 	sort.Ints(ids)
-	sinks := make([]monSink, 0, len(ids))
+	sinks := make([]BatchSink, 0, len(ids))
 	for _, id := range ids {
 		sinks = append(sinks, m.sinks[id])
 	}
@@ -838,23 +687,18 @@ func (m *Monitor) rebuildSinksLocked() {
 
 // sinksSnapshot returns the current fan-out list; safe to iterate outside
 // any lock (snapshots are immutable once published).
-func (m *Monitor) sinksSnapshot() []monSink {
+func (m *Monitor) sinksSnapshot() []BatchSink {
 	if p := m.sinkList.Load(); p != nil {
 		return *p
 	}
 	return nil
 }
 
-// fanOut delivers one sample to every sink: per-sample subscribers get
-// their function called directly (no batch slice built), batch-only
-// subscribers get a one-element batch.
-func (m *Monitor) fanOut(path *segment.Path, outcome Outcome) {
-	for _, s := range m.sinksSnapshot() {
-		if s.fn != nil {
-			s.fn(path, outcome)
-			continue
-		}
-		s.batch.ReportBatch([]SampleReport{{Path: path, Outcome: outcome}})
+// fanOut hands one batch to every sink. Callers hold no monitor lock, so
+// a sink may call back into the monitor.
+func fanOut(sinks []BatchSink, reports []SampleReport) {
+	for _, s := range sinks {
+		s.ReportBatch(reports)
 	}
 }
 
@@ -862,15 +706,14 @@ func (m *Monitor) fanOut(path *segment.Path, outcome Outcome) {
 // first deadline within one interval. Idempotent while running; callable
 // again after Stop.
 func (m *Monitor) Start() {
-	if m.started.Swap(true) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	if m.started {
 		return
 	}
-	for _, sh := range m.shards {
-		sh.mu.Lock()
-		for fp, e := range sh.entries {
-			m.scheduleLocked(sh, fp, e, true)
-		}
-		sh.mu.Unlock()
+	m.started = true
+	for fp, e := range m.entries {
+		m.scheduleLocked(fp, e, true)
 	}
 }
 
@@ -880,17 +723,14 @@ func (m *Monitor) Start() {
 // check, so a deadline can neither fire after Stop nor strand its entry
 // out of a later Start's schedule.
 func (m *Monitor) Stop() {
-	m.started.Store(false)
-	m.drainAll() // land buffered samples; telemetry survives a Stop
-	for _, sh := range m.shards {
-		sh.mu.Lock()
-		for _, e := range sh.entries {
-			if e.sched != nil {
-				m.wheel.cancel(e.sched)
-				e.sched = nil
-			}
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	m.started = false
+	for _, e := range m.entries {
+		if e.sched != nil {
+			m.wheel.cancel(e.sched)
+			e.sched = nil
 		}
-		sh.mu.Unlock()
 	}
 	m.wheel.disarm()
 }
@@ -909,10 +749,10 @@ func jitterHash(fp string, seq uint64) uint64 {
 }
 
 // budgetFloor is the minimum per-path interval that keeps the global probe
-// rate within ProbeBudget given the current tracked-path count. One atomic
-// load — the sharded replacement for the old locked floor computation.
+// rate within ProbeBudget given the current tracked-path count. Caller
+// holds mu.
 func (m *Monitor) budgetFloor() time.Duration {
-	n := m.active.Load()
+	n := m.active
 	if m.opts.ProbeBudget <= 0 || n == 0 {
 		return 0
 	}
@@ -933,9 +773,9 @@ func (m *Monitor) effectiveInterval(e *monEntry) time.Duration {
 // deadline spreads paths uniformly across one interval (phase =
 // hash(fingerprint)); later deadlines are the churn-adapted interval ±15%
 // deterministic jitter, so phases never re-synchronize into bursts. Caller
-// holds the entry's shard lock.
-func (m *Monitor) scheduleLocked(sh *monShard, fp string, e *monEntry, first bool) {
-	if !m.started.Load() || e.sched != nil || !entrySchedulable(e) {
+// holds mu.
+func (m *Monitor) scheduleLocked(fp string, e *monEntry, first bool) {
+	if !m.started || e.sched != nil || !entrySchedulable(e) {
 		return
 	}
 	iv := m.effectiveInterval(e)
@@ -948,7 +788,7 @@ func (m *Monitor) scheduleLocked(sh *monShard, fp string, e *monEntry, first boo
 		d = iv*85/100 + time.Duration(jitterHash(fp, e.seq))*(iv*30/100)/1000
 	}
 	e.seq++
-	n := &wheelNode{shard: sh, fp: fp}
+	n := &wheelNode{fp: fp}
 	e.sched = n
 	m.wheel.schedule(n, d)
 }
@@ -959,22 +799,21 @@ func (m *Monitor) scheduleLocked(sh *monShard, fp string, e *monEntry, first boo
 // rescheduled, retired, pruned, or cycled through Stop→Start since this
 // node was armed.
 func (m *Monitor) wheelFire(n *wheelNode) {
-	sh := n.shard
-	sh.mu.Lock()
-	e := sh.entries[n.fp]
+	m.mu.Lock()
+	e := m.entries[n.fp]
 	if e == nil || e.sched != n {
-		sh.mu.Unlock()
+		m.mu.Unlock()
 		return
 	}
 	e.sched = nil
-	if !m.started.Load() {
-		sh.mu.Unlock()
+	if !m.started {
+		m.mu.Unlock()
 		return
 	}
-	if sh.inflight[n.fp] {
+	if m.inflight[n.fp] {
 		// A manual round still has this path in flight; retry next interval.
-		m.scheduleLocked(sh, n.fp, e, false)
-		sh.mu.Unlock()
+		m.scheduleLocked(n.fp, e, false)
+		m.mu.Unlock()
 		return
 	}
 	if !e.lastPassive.IsZero() && m.clock.Since(e.lastPassive) < m.effectiveInterval(e) {
@@ -984,27 +823,27 @@ func (m *Monitor) wheelFire(n *wheelNode) {
 		// than re-arming the deadline from Observe on every ack sample)
 		// keeps the passive hot path free of scheduler churn; once traffic
 		// stops, the very next deadline probes again.
-		m.scheduleLocked(sh, n.fp, e, false)
-		sh.mu.Unlock()
+		m.scheduleLocked(n.fp, e, false)
+		m.mu.Unlock()
 		return
 	}
-	sh.inflight[n.fp] = true
-	sh.mu.Unlock()
-	go m.probeEntry(sh, n.fp, true)
+	m.inflight[n.fp] = true
+	m.mu.Unlock()
+	go m.probeEntry(n.fp, true)
 }
 
 // probeEntry measures one path, ingests the outcome, reschedules, and fans
 // the outcome out to the sinks. scheduled distinguishes background probes
 // (which respect Stop and re-arm) from manual RunRound probes.
-func (m *Monitor) probeEntry(sh *monShard, fp string, scheduled bool) {
-	sh.mu.Lock()
-	e := sh.entries[fp]
+func (m *Monitor) probeEntry(fp string, scheduled bool) {
+	m.mu.Lock()
+	e := m.entries[fp]
 	if e == nil {
 		// Pruned between fire and here; the mark MUST clear anyway — an
 		// fp can be re-created by a later Track, and a leaked mark would
 		// silence its schedule forever.
-		delete(sh.inflight, fp)
-		sh.mu.Unlock()
+		delete(m.inflight, fp)
+		m.mu.Unlock()
 		return
 	}
 	var tgt *monTarget
@@ -1020,45 +859,46 @@ func (m *Monitor) probeEntry(sh *monShard, fp string, scheduled bool) {
 	}
 	path := e.path
 	timeout := m.opts.Timeout
-	sh.mu.Unlock()
 	if tgt == nil {
-		sh.mu.Lock()
-		delete(sh.inflight, fp)
-		sh.mu.Unlock()
+		delete(m.inflight, fp)
+		m.mu.Unlock()
 		return
 	}
+	m.mu.Unlock()
 
 	rtt, err := m.opts.Probe(tgt.remote, tgt.serverName, path, timeout)
 
-	sh.mu.Lock()
-	delete(sh.inflight, fp)
-	e = sh.entries[fp]
+	m.mu.Lock()
+	delete(m.inflight, fp)
+	e = m.entries[fp]
 	if e == nil {
-		sh.mu.Unlock()
+		m.mu.Unlock()
 		return
 	}
-	outcome := m.ingestLocked(sh, e, rtt, err, false, m.clock.Now())
+	outcome := m.ingestLocked(e, rtt, err, false, m.clock.Now())
 	if !outcome.Failed {
-		m.markLinkDirty()
+		m.linkDirty = true
 	}
-	alive := !scheduled || m.started.Load()
+	alive := !scheduled || m.started
 	// Re-arm whenever the monitor is running and the entry has no pending
 	// deadline — regardless of who launched this probe. A probe that was in
 	// flight across a Stop→Start cycle (Start already armed a fresh
 	// deadline) no-ops here; one that drained after the restart consumed
 	// its deadline re-arms itself, so the path can never fall silently out
 	// of the schedule.
-	if m.started.Load() && entrySchedulable(e) {
-		m.scheduleLocked(sh, fp, e, false)
+	if m.started && entrySchedulable(e) {
+		m.scheduleLocked(fp, e, false)
 	}
-	sh.mu.Unlock()
+	m.mu.Unlock()
 
 	if !alive {
 		return
 	}
-	m.fanOut(path, outcome)
+	if sinks := m.sinksSnapshot(); len(sinks) > 0 {
+		fanOut(sinks, []SampleReport{{Path: path, Outcome: outcome}})
+	}
 	if scheduled {
-		m.resyncEntryTargets(sh, fp)
+		m.resyncEntryTargets(fp)
 	}
 }
 
@@ -1069,10 +909,10 @@ func (m *Monitor) probeEntry(sh *monShard, fp string, scheduled bool) {
 // Scoping the resync to the probed entry's own targets keeps the per-probe
 // cost proportional to that destination, not to every origin the host
 // serves.
-func (m *Monitor) resyncEntryTargets(sh *monShard, fp string) {
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	e := sh.entries[fp]
+func (m *Monitor) resyncEntryTargets(fp string) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	e := m.entries[fp]
 	if e == nil {
 		return
 	}
@@ -1081,8 +921,8 @@ func (m *Monitor) resyncEntryTargets(sh *monShard, fp string) {
 		keys = append(keys, key)
 	}
 	for _, key := range keys {
-		if tgt := sh.targets[key]; tgt != nil {
-			m.syncTargetLocked(sh, key, tgt)
+		if tgt := m.targets[key]; tgt != nil {
+			m.syncTargetLocked(key, tgt)
 		}
 	}
 }
@@ -1092,10 +932,9 @@ func (m *Monitor) resyncEntryTargets(sh *monShard, fp string) {
 // observed churn, and attributes success excess to the traversed links.
 // Probes and passive samples share this pipeline end to end; only the
 // outcome marking (and the cumulative sample-origin counters) records the
-// origin. Caller holds the entry's shard lock, supplies now (so a batched
-// drain reads the clock once), and is responsible for markLinkDirty after
-// its batch (once, not per sample). Returns the outcome to fan out.
-func (m *Monitor) ingestLocked(sh *monShard, e *monEntry, rtt time.Duration, err error, passive bool, now time.Time) Outcome {
+// origin. Caller holds mu, supplies now (so a batch reads the clock once),
+// and sets linkDirty after its batch. Returns the outcome to fan out.
+func (m *Monitor) ingestLocked(e *monEntry, rtt time.Duration, err error, passive bool, now time.Time) Outcome {
 	e.lastSample = now
 	if passive {
 		e.passiveTotal++
@@ -1162,14 +1001,13 @@ func (m *Monitor) ingestLocked(sh *monShard, e *monEntry, rtt time.Duration, err
 	}
 
 	// Link attribution: the path's excess RTT over its metadata baseline is
-	// recorded against every link it crosses (in this shard's series
-	// store); LinkStats' min-across-paths later exonerates links that any
-	// clean path also crosses.
+	// recorded against every link it crosses; LinkStats' min-across-paths
+	// later exonerates links that any clean path also crosses.
 	excess := rtt - 2*e.path.Meta.Latency
 	if excess < 0 {
 		excess = 0
 	}
-	for _, s := range m.linkSeriesLocked(sh, e) {
+	for _, s := range m.linkSeriesLocked(e) {
 		s.ingest(excess, now)
 	}
 	if passive {
@@ -1179,11 +1017,11 @@ func (m *Monitor) ingestLocked(sh *monShard, e *monEntry, rtt time.Duration, err
 }
 
 // linkSeriesLocked returns the entry's per-link excess series, memoized on
-// the entry and revalidated against the shard's deletion generation — the
-// per-sample double map lookup (sh.links[lk][fp] per link) reduced to a
-// slice walk. Caller holds the shard lock.
-func (m *Monitor) linkSeriesLocked(sh *monShard, e *monEntry) []*excessSeries {
-	if e.seriesRefs != nil && e.seriesGen == sh.gen {
+// the entry and revalidated against the deletion generation — the
+// per-sample double map lookup (m.links[lk][fp] per link) reduced to a
+// slice walk. Caller holds mu.
+func (m *Monitor) linkSeriesLocked(e *monEntry) []*excessSeries {
+	if e.seriesRefs != nil && e.seriesGen == m.gen {
 		return e.seriesRefs
 	}
 	if e.links == nil {
@@ -1192,10 +1030,10 @@ func (m *Monitor) linkSeriesLocked(sh *monShard, e *monEntry) []*excessSeries {
 	fp := e.path.Fingerprint()
 	refs := e.seriesRefs[:0]
 	for _, lk := range e.links {
-		series := sh.links[lk]
+		series := m.links[lk]
 		if series == nil {
 			series = make(map[string]*excessSeries)
-			sh.links[lk] = series
+			m.links[lk] = series
 		}
 		s := series[fp]
 		if s == nil {
@@ -1207,7 +1045,7 @@ func (m *Monitor) linkSeriesLocked(sh *monShard, e *monEntry) []*excessSeries {
 	if refs == nil {
 		refs = []*excessSeries{} // 0-link path: keep the memo marker non-nil
 	}
-	e.seriesRefs, e.seriesGen = refs, sh.gen
+	e.seriesRefs, e.seriesGen = refs, m.gen
 	return refs
 }
 
@@ -1217,19 +1055,8 @@ func (m *Monitor) linkSeriesLocked(sh *monShard, e *monEntry) []*excessSeries {
 // pipeline (EWMA and deviation, churn-adaptive interval, link attribution,
 // sink fan-out) but is marked Outcome{Probe: false, Passive: true} so
 // use-driven selectors don't mistake ack cadence for request cadence.
-//
-// This is the squic ack hot path, and it is LOCK-FREE: the sample is
-// pushed into the destination shard's bounded ingest ring (a few CASes,
-// no heap allocation, overflow coalesces/drops rather than ever blocking
-// an ack) and applied by the next drain — which the pushing goroutine
-// itself usually performs immediately via the flat-combining token, so
-// with no contention Observe keeps its synchronous semantics. Under
-// contention, producers that lose the token leave their samples for the
-// holder: ONE goroutine takes the shard lock once per batch, applies
-// every sample (amortizing the lock, the clock read, the entry lookup,
-// and the link dirty mark across the batch), and fans out one batched
-// call per sink. Rings that nobody drains inline are swept by every
-// wheel tick and flushed by every telemetry read.
+// Observe is ObserveBatch with one sample: this is the squic ack hot path,
+// and it takes the monitor lock once and allocates nothing.
 //
 // The budget saver: the sample stamps the path's lastPassive time, and the
 // scheduled fire SKIPS the active probe (rescheduling only) while that
@@ -1239,66 +1066,21 @@ func (m *Monitor) linkSeriesLocked(sh *monShard, e *monEntry) []*excessSeries {
 // on the destinations with no traffic to learn from, and — because the
 // suppression decision lives at the (rare) fire, not here — the per-ack
 // hot path never touches the scheduler. Samples for untracked paths are
-// dropped at drain time: tracking is the scheduling contract, and passive
-// data must not keep telemetry alive for paths nothing dials anymore.
+// dropped: tracking is the scheduling contract, and passive data must not
+// keep telemetry alive for paths nothing dials anymore.
 func (m *Monitor) Observe(path *segment.Path, rtt time.Duration) {
-	if path == nil || rtt <= 0 {
-		return
-	}
-	sh := m.shardFor(path.Dst)
-	if sh.ring == nil {
-		m.observeDirect(sh, path, rtt)
-		return
-	}
-	sh.ring.push(path, rtt)
-	m.drainShard(sh)
+	m.ObserveBatch(path, []time.Duration{rtt})
 }
 
 // ObserveBatch ingests several passive samples observed on the same path —
-// a squic connection's coalesced ack RTTs between flushes — pushing them
-// all before one drain, so the whole burst lands in a single locked batch.
+// a squic connection's coalesced ack RTTs between flushes. The batch takes
+// mu once: one clock read, one entry lookup, one link-cache invalidation.
+// After unlocking, every sink gets one ReportBatch call for the whole
+// batch. Non-positive samples are ignored.
 func (m *Monitor) ObserveBatch(path *segment.Path, rtts []time.Duration) {
-	if path == nil || len(rtts) == 0 {
+	if path == nil {
 		return
 	}
-	sh := m.shardFor(path.Dst)
-	if sh.ring == nil {
-		for _, rtt := range rtts {
-			if rtt > 0 {
-				m.observeDirect(sh, path, rtt)
-			}
-		}
-		return
-	}
-	// Flat-combining fast path: winning the drain token means no drain is
-	// in flight, so the burst can apply directly under one shard lock and
-	// skip the per-sample ring push/pop traffic entirely. The backlog (from
-	// producers that lost the token earlier) drains first to keep rough
-	// arrival order.
-	if sh.draining.CompareAndSwap(false, true) {
-		m.drainShardBatch(sh)
-		m.ingestBatchFast(sh, path, rtts)
-		sh.draining.Store(false)
-		m.drainShard(sh) // pick up pushes that raced our token hold
-		return
-	}
-	pushed := false
-	for _, rtt := range rtts {
-		if rtt > 0 {
-			sh.ring.push(path, rtt)
-			pushed = true
-		}
-	}
-	if pushed {
-		m.drainShard(sh)
-	}
-}
-
-// ingestBatchFast applies a single-path burst under one shard-lock
-// acquisition without routing it through the ring — the ObserveBatch fast
-// path when the caller already holds the draining token. The samples still
-// count as Enqueued so the ingest accounting identity holds.
-func (m *Monitor) ingestBatchFast(sh *monShard, path *segment.Path, rtts []time.Duration) {
 	n := uint64(0)
 	for _, rtt := range rtts {
 		if rtt > 0 {
@@ -1308,205 +1090,79 @@ func (m *Monitor) ingestBatchFast(sh *monShard, path *segment.Path, rtts []time.
 	if n == 0 {
 		return
 	}
-	sh.ring.enqueued.Add(n)
 	sinks := m.sinksSnapshot()
-	reports := sh.reportScratch[:0]
 	now := m.clock.Now()
-	sh.mu.Lock()
-	sh.batches++
-	e := sh.entries[path.Fingerprint()]
+	m.mu.Lock()
+	m.ingest.Enqueued += n
+	m.ingest.Batches++
+	e := m.entries[path.Fingerprint()]
 	if e == nil || len(e.targets) == 0 {
-		sh.untracked += n
-		sh.mu.Unlock()
+		m.ingest.Untracked += n
+		m.mu.Unlock()
 		return
+	}
+	var buf *[]SampleReport
+	var reports []SampleReport
+	if len(sinks) > 0 {
+		select {
+		case buf = <-m.reportBufs:
+		default:
+			buf = new([]SampleReport)
+		}
+		reports = (*buf)[:0]
 	}
 	for _, rtt := range rtts {
 		if rtt <= 0 {
 			continue
 		}
-		outcome := m.ingestLocked(sh, e, rtt, nil, true, now)
-		if len(sinks) > 0 {
+		outcome := m.ingestLocked(e, rtt, nil, true, now)
+		if buf != nil {
 			reports = append(reports, SampleReport{Path: path, Outcome: outcome})
 		}
 	}
-	sh.applied += n
-	m.markLinkDirty()
-	sh.mu.Unlock()
-	if len(reports) > 0 {
-		for _, s := range sinks {
-			s.batch.ReportBatch(reports)
-		}
-	}
-	for i := range reports {
-		reports[i] = SampleReport{}
-	}
-	sh.reportScratch = reports[:0]
-}
-
-// observeDirect is the pre-ring Observe body: one shard lock per sample,
-// per-sample sink fan-out. Kept as the DirectIngest baseline the
-// contended-ingest benchmark measures the rings against.
-func (m *Monitor) observeDirect(sh *monShard, path *segment.Path, rtt time.Duration) {
-	fp := path.Fingerprint()
-	sh.mu.Lock()
-	e := sh.entries[fp]
-	if e == nil || len(e.targets) == 0 {
-		sh.untracked++
-		sh.mu.Unlock()
+	m.ingest.Applied += n
+	m.linkDirty = true
+	m.mu.Unlock()
+	if buf == nil {
 		return
 	}
-	outcome := m.ingestLocked(sh, e, rtt, nil, true, m.clock.Now())
-	sh.applied++
-	m.markLinkDirty()
-	sh.mu.Unlock()
-	m.fanOut(path, outcome)
-}
-
-// maxDrainRounds bounds how many drain batches one caller runs back to
-// back when producers keep the ring non-empty — past this, leave the rest
-// for the producers themselves (each Observe attempts a drain) or the
-// next wheel tick.
-const maxDrainRounds = 8
-
-// drainShard flushes the shard's ingest ring via the flat-combining
-// token. Losing the token CAS means some other goroutine is draining;
-// its post-release re-check is guaranteed (sequentially consistent
-// atomics: our push precedes our failed CAS, which precedes its release)
-// to see our sample, so leaving is safe. Cheap when the ring is empty —
-// two atomic loads.
-func (m *Monitor) drainShard(sh *monShard) {
-	if sh.ring == nil {
-		return
-	}
-	for round := 0; round < maxDrainRounds; round++ {
-		if sh.ring.empty() {
-			return
-		}
-		if !sh.draining.CompareAndSwap(false, true) {
-			return
-		}
-		m.drainShardBatch(sh)
-		sh.draining.Store(false)
-		// Re-check: a producer may have pushed while we held the token and
-		// left on its failed CAS, counting on us (or the next wheel tick)
-		// to pick the sample up.
+	fanOut(sinks, reports)
+	clear(reports) // a spare buffer must not keep retired paths reachable
+	*buf = reports[:0]
+	select {
+	case m.reportBufs <- buf:
+	default:
 	}
 }
 
-// drainAll flushes every shard's ring — the wheel-tick sweep and the
-// read-path flush for cross-shard readers.
-func (m *Monitor) drainAll() {
-	for _, sh := range m.shards {
-		m.drainShard(sh)
-	}
-}
-
-// drainShardBatch applies everything currently in the shard's ring under
-// ONE shard-lock acquisition, then fans the applied samples out as one
-// batched call per sink. Caller holds the draining token; the scratch
-// buffers belong to the token holder.
-func (m *Monitor) drainShardBatch(sh *monShard) {
-	batch := sh.drainScratch[:0]
-	limit := len(sh.ring.slots)
-	for len(batch) < limit {
-		rec, ok := sh.ring.pop()
-		if !ok {
-			break
-		}
-		batch = append(batch, rec)
-	}
-	sh.drainScratch = batch
-	if len(batch) == 0 {
-		return
-	}
-	sinks := m.sinksSnapshot()
-	reports := sh.reportScratch[:0]
-	now := m.clock.Now()
-	var lastPath *segment.Path
-	var lastEntry *monEntry
-	applied := 0
-	sh.mu.Lock()
-	sh.batches++
-	for i := range batch {
-		rec := &batch[i]
-		// Consecutive samples for one path are the common shape (a
-		// drained ack burst); resolve the entry once per run.
-		e := lastEntry
-		if rec.path != lastPath {
-			e = sh.entries[rec.path.Fingerprint()]
-			lastPath, lastEntry = rec.path, e
-		}
-		if e == nil || len(e.targets) == 0 {
-			// Untracked (or untracked since it was enqueued): the sample
-			// must not apply — tracking is the contract.
-			sh.untracked++
-			continue
-		}
-		outcome := m.ingestLocked(sh, e, rec.rtt, nil, true, now)
-		applied++
-		if len(sinks) > 0 {
-			reports = append(reports, SampleReport{Path: rec.path, Outcome: outcome})
-		}
-	}
-	sh.applied += uint64(applied)
-	if applied > 0 {
-		m.markLinkDirty()
-	}
-	sh.mu.Unlock()
-	if len(reports) > 0 {
-		for _, s := range sinks {
-			s.batch.ReportBatch(reports)
-		}
-	}
-	// Scratch reuse: clear the path pointers so retired paths aren't kept
-	// reachable until the next burst overwrites them.
-	for i := range batch {
-		batch[i].path = nil
-	}
-	for i := range reports {
-		reports[i] = SampleReport{}
-	}
-	sh.reportScratch = reports[:0]
-}
-
-// IngestStats is the monitor-wide accounting of the passive-sample ingest
-// rings (all-time counts, summed over shards).
+// IngestStats is the monitor-wide accounting of passive-sample ingest
+// (all-time counts). Every sample is applied or discarded synchronously by
+// the call that delivers it, so Enqueued == Applied + Untracked always
+// holds and Coalesced and Dropped are always 0; the two fields stay so
+// that consumers of the accounting keep their shape.
 type IngestStats struct {
-	// Enqueued counts samples pushed into the rings.
+	// Enqueued counts samples handed to Observe/ObserveBatch (positive
+	// RTTs only).
 	Enqueued uint64 `json:"enqueued"`
-	// Applied counts samples folded into telemetry (ring and direct).
+	// Applied counts samples folded into telemetry.
 	Applied uint64 `json:"applied"`
-	// Coalesced counts overflow evictions superseded by a newer sample
-	// for the same path; Dropped counts evictions that lost data.
+	// Coalesced and Dropped count samples superseded or lost before they
+	// were applied; synchronous ingest loses none.
 	Coalesced uint64 `json:"coalesced"`
 	Dropped   uint64 `json:"dropped"`
-	// Untracked counts samples discarded at drain time because their path
-	// had no tracked target (anymore).
+	// Untracked counts samples discarded because their path had no
+	// tracked target (anymore).
 	Untracked uint64 `json:"untracked"`
-	// Batches counts locked drain batches — Applied/Batches is the
+	// Batches counts locked ingest batches — Applied/Batches is the
 	// amortization factor.
 	Batches uint64 `json:"batches"`
 }
 
-// IngestStats reports the ingest-ring accounting, flushing pending
-// samples first so Enqueued == Applied+Coalesced+Dropped+Untracked when
-// no producer is concurrently mid-push.
+// IngestStats reports the passive-sample ingest accounting.
 func (m *Monitor) IngestStats() IngestStats {
-	m.drainAll()
-	var st IngestStats
-	for _, sh := range m.shards {
-		if sh.ring != nil {
-			st.Enqueued += sh.ring.enqueued.Load()
-			st.Coalesced += sh.ring.coalesced.Load()
-			st.Dropped += sh.ring.dropped.Load()
-		}
-		sh.mu.Lock()
-		st.Applied += sh.applied
-		st.Untracked += sh.untracked
-		st.Batches += sh.batches
-		sh.mu.Unlock()
-	}
-	return st
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	return m.ingest
 }
 
 // TargetSamples reports a tracked destination's telemetry sample split —
@@ -1516,16 +1172,14 @@ func (m *Monitor) IngestStats() IngestStats {
 // consume its freshness): the split sums the cumulative per-entry counters
 // over the destination's current paths.
 func (m *Monitor) TargetSamples(remote addr.UDPAddr, serverName string) (SampleSplit, bool) {
-	sh := m.shardFor(remote.IA)
-	m.drainShard(sh) // flush buffered samples so the split is current
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
+	m.mu.Lock()
+	defer m.mu.Unlock()
 	key := targetKey(remote, serverName)
-	if sh.targets[key] == nil {
+	if m.targets[key] == nil {
 		return SampleSplit{}, false
 	}
 	var split SampleSplit
-	for _, e := range sh.byTarget[key] {
+	for _, e := range m.byTarget[key] {
 		split.Passive += e.passiveTotal
 		split.Probes += e.probeTotal
 	}
@@ -1537,43 +1191,31 @@ func (m *Monitor) TargetSamples(remote addr.UDPAddr, serverName string) (SampleS
 // tools, and benchmarks drive directly. Outcomes are ingested and fanned
 // out exactly as scheduled probes are.
 func (m *Monitor) RunRound() {
-	type probeRef struct {
-		sh *monShard
-		fp string
+	var fps []string
+	m.mu.Lock()
+	for key, tgt := range m.targets {
+		m.syncTargetLocked(key, tgt)
 	}
-	var refs []probeRef
-	m.drainAll()
-	for _, sh := range m.shards {
-		sh.mu.Lock()
-		for key, tgt := range sh.targets {
-			m.syncTargetLocked(sh, key, tgt)
+	for fp, e := range m.entries {
+		if m.inflight[fp] || !entrySchedulable(e) {
+			continue // mid-flight, retired, or passive-only; don't probe
 		}
-		for fp, e := range sh.entries {
-			if sh.inflight[fp] || !entrySchedulable(e) {
-				continue // mid-flight, retired, or passive-only; don't probe
-			}
-			sh.inflight[fp] = true
-			refs = append(refs, probeRef{sh, fp})
-		}
-		sh.mu.Unlock()
+		m.inflight[fp] = true
+		fps = append(fps, fp)
 	}
-	sort.Slice(refs, func(i, j int) bool { return refs[i].fp < refs[j].fp })
-	for _, r := range refs {
-		m.probeEntry(r.sh, r.fp, false)
+	m.mu.Unlock()
+	sort.Strings(fps)
+	for _, fp := range fps {
+		m.probeEntry(fp, false)
 	}
 }
 
 // Telemetry returns the live telemetry of one tracked path.
 func (m *Monitor) Telemetry(fp string) (PathTelemetry, bool) {
-	m.drainAll() // flush buffered samples so the read is current
-	for _, sh := range m.shards {
-		sh.mu.Lock()
-		if e := sh.entries[fp]; e != nil {
-			t := m.telemetryLocked(fp, e)
-			sh.mu.Unlock()
-			return t, true
-		}
-		sh.mu.Unlock()
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	if e := m.entries[fp]; e != nil {
+		return m.telemetryLocked(fp, e), true
 	}
 	return PathTelemetry{}, false
 }
@@ -1605,13 +1247,12 @@ func (m *Monitor) telemetryLocked(fp string, e *monEntry) PathTelemetry {
 // without a new sample before LinkStats ignores it.
 const staleSeriesAfter = 10
 
-// shardLinkStat computes one link's congestion estimate from ONE shard's
-// series: the minimum EWMA excess among the live series of paths crossing
-// it (with that series' deviation). Boolean-tomography logic: if ANY path
-// crossing the link is clean, the link is exonerated and the congestion
-// lives elsewhere. Stale series are pruned in place (caller holds the
-// shard lock).
-func shardLinkStat(lk linkKey, series map[string]*excessSeries, now time.Time, horizon time.Duration) (LinkStat, bool) {
+// linkStat computes one link's congestion estimate: the minimum EWMA
+// excess among the live series of paths crossing it (with that series'
+// deviation). Boolean-tomography logic: if ANY path crossing the link is
+// clean, the link is exonerated and the congestion lives elsewhere. Stale
+// series are pruned in place (caller holds mu).
+func linkStat(lk linkKey, series map[string]*excessSeries, now time.Time, horizon time.Duration) (LinkStat, bool) {
 	st := LinkStat{A: lk.a, B: lk.b}
 	found := false
 	var newest time.Time
@@ -1635,54 +1276,33 @@ func shardLinkStat(lk linkKey, series map[string]*excessSeries, now time.Time, h
 	return st, found
 }
 
-// linkCacheLocked returns the memoized CROSS-SHARD link snapshot (sorted
-// slice + by-key map), rebuilding it only when dirty (a sample was ingested
-// or pruning ran since) or older than MaxInterval (so series expiring
-// purely by age still drop out). The rebuild walks every shard — lock
-// order linkMu → shard.mu — merging per-shard minima; min-of-mins over a
-// disjoint partition of the series is exactly the global minimum, so
-// sharding never changes a LinkStat. The returned slice is the cache
-// itself: callers must copy before handing it out. Caller holds linkMu.
+// linkCacheLocked returns the memoized link snapshot (sorted slice + by-key
+// map), rebuilding it only when dirty (a sample was ingested or pruning ran
+// since) or older than MaxInterval (so series expiring purely by age still
+// drop out). The returned slice is the cache itself: callers must copy
+// before handing it out. Caller holds mu.
 func (m *Monitor) linkCacheLocked() ([]LinkStat, map[linkKey]LinkStat) {
 	now := m.clock.Now()
-	if !m.linkDirty.Load() && m.linkCache != nil && now.Sub(m.linkCacheAt) <= m.opts.MaxInterval {
+	if !m.linkDirty && m.linkCache != nil && now.Sub(m.linkCacheAt) <= m.opts.MaxInterval {
 		return m.linkCache, m.linkCacheMap
 	}
-	// Clear BEFORE aggregating: a sample ingested mid-rebuild re-dirties
-	// the flag and the next query rebuilds again — conservative, never
-	// stale.
-	m.linkDirty.Store(false)
+	m.linkDirty = false
 	horizon := time.Duration(staleSeriesAfter) * m.opts.MaxInterval
+	// linkStat prunes stale series in place; invalidate the entries'
+	// memoized series pointers wholesale (queries are rare, rebuilding a
+	// memo is one map walk per entry).
+	m.gen++
 	byKey := make(map[linkKey]LinkStat)
-	for _, sh := range m.shards {
-		sh.mu.Lock()
-		// shardLinkStat prunes stale series in place; invalidate the
-		// entries' memoized series pointers wholesale (queries are rare,
-		// rebuilding a memo is one map walk per entry).
-		sh.gen++
-		for lk, series := range sh.links {
-			st, ok := shardLinkStat(lk, series, now, horizon)
-			if len(series) == 0 {
-				delete(sh.links, lk)
-			}
-			if !ok {
-				continue
-			}
-			if prev, merged := byKey[lk]; merged {
-				st.Sharers += prev.Sharers
-				if prev.Age < st.Age {
-					st.Age = prev.Age // freshest underlying sample wins
-				}
-				if prev.Congestion < st.Congestion || (prev.Congestion == st.Congestion && prev.Dev < st.Dev) {
-					st.Congestion, st.Dev = prev.Congestion, prev.Dev
-				}
-			}
+	for lk, series := range m.links {
+		st, ok := linkStat(lk, series, now, horizon)
+		if len(series) == 0 {
+			delete(m.links, lk)
+		}
+		if ok {
 			byKey[lk] = st
 		}
-		sh.mu.Unlock()
 	}
-	// Aged-out priors ride along with the rebuild — this is the one place
-	// that owns the prior store under linkMu.
+	// Aged-out priors ride along with the rebuild.
 	for lk, pr := range m.priors {
 		if pr.age(now) > horizon {
 			delete(m.priors, lk)
@@ -1709,9 +1329,8 @@ func (m *Monitor) linkCacheLocked() ([]LinkStat, map[linkKey]LinkStat) {
 // is cached between sample ingests — this is called per gossip round and per
 // stats scrape.
 func (m *Monitor) LinkStats() []LinkStat {
-	m.drainAll() // before linkMu: rings sit outside every lock
-	m.linkMu.Lock()
-	defer m.linkMu.Unlock()
+	m.mu.Lock()
+	defer m.mu.Unlock()
 	stats, _ := m.linkCacheLocked()
 	return append([]LinkStat(nil), stats...)
 }
@@ -1727,11 +1346,15 @@ func (m *Monitor) LinkStats() []LinkStat {
 // the warm-start half of link-state sharing. A link with ANY live series
 // ignores its prior — local measurement always overrides imports.
 func (m *Monitor) PathPenalty(p *segment.Path) time.Duration {
-	m.drainAll() // before linkMu: rings sit outside every lock
-	m.linkMu.Lock()
-	defer m.linkMu.Unlock()
+	m.mu.Lock()
+	defer m.mu.Unlock()
 	_, byKey := m.linkCacheLocked()
-	now := m.clock.Now()
+	return m.penaltyLocked(p, byKey, m.clock.Now())
+}
+
+// penaltyLocked is PathPenalty against an already fetched link snapshot.
+// Caller holds mu.
+func (m *Monitor) penaltyLocked(p *segment.Path, byKey map[linkKey]LinkStat, now time.Time) time.Duration {
 	horizon := time.Duration(staleSeriesAfter) * m.opts.MaxInterval
 	var sum time.Duration
 	for _, lk := range pathLinks(p) {
@@ -1759,13 +1382,11 @@ type PathStat struct {
 }
 
 // PathStats evaluates every path's telemetry and hotspot penalty in a
-// batch — the batched form of Telemetry+PathPenalty for ranking passes
-// that run on hot paths (reverse-path steering evaluates per sample batch
-// on the packet delivery path; 2·N lock round-trips per evaluation would
-// contend with probe ingest across every served connection). Under
-// sharding the batch takes one shard lock per RUN of same-destination
-// paths (a steering batch is all one destination: one acquisition) plus
-// one linkMu acquisition for the penalties.
+// batch under one lock acquisition — the batched form of
+// Telemetry+PathPenalty for ranking passes that run on hot paths
+// (reverse-path steering evaluates per sample batch on the packet delivery
+// path; 2·N lock round-trips per evaluation would contend with probe
+// ingest across every served connection).
 func (m *Monitor) PathStats(paths []*segment.Path) []PathStat {
 	return m.PathStatsAppend(nil, paths)
 }
@@ -1774,7 +1395,6 @@ func (m *Monitor) PathStats(paths []*segment.Path) []PathStat {
 // steering pass reuses across evaluations, keeping the per-sample ranking
 // path allocation-free).
 func (m *Monitor) PathStatsAppend(dst []PathStat, paths []*segment.Path) []PathStat {
-	m.drainAll() // flush buffered samples so the ranking is current
 	start := len(dst)
 	if need := start + len(paths); cap(dst) >= need {
 		dst = dst[:need]
@@ -1784,42 +1404,21 @@ func (m *Monitor) PathStatsAppend(dst []PathStat, paths []*segment.Path) []PathS
 		dst = grown
 	}
 	out := dst[start:]
-	var cur *monShard
+	m.mu.Lock()
+	defer m.mu.Unlock()
 	for i, p := range paths {
 		fp := p.Fingerprint()
-		sh := m.shardFor(p.Dst)
-		if sh != cur {
-			if cur != nil {
-				cur.mu.Unlock()
-			}
-			sh.mu.Lock()
-			cur = sh
-		}
 		st := PathStat{Telemetry: PathTelemetry{Fingerprint: fp}}
-		if e := sh.entries[fp]; e != nil {
+		if e := m.entries[fp]; e != nil {
 			st.Telemetry = m.telemetryLocked(fp, e)
 			st.Known = true
 		}
 		out[i] = st
 	}
-	if cur != nil {
-		cur.mu.Unlock()
-	}
-	m.linkMu.Lock()
-	defer m.linkMu.Unlock()
 	_, byKey := m.linkCacheLocked()
 	now := m.clock.Now()
-	horizon := time.Duration(staleSeriesAfter) * m.opts.MaxInterval
 	for i, p := range paths {
-		for _, lk := range pathLinks(p) {
-			if ls, ok := byKey[lk]; ok {
-				out[i].Penalty += ls.Congestion + 2*ls.Dev
-				continue
-			}
-			if pr := m.priors[lk]; pr != nil {
-				out[i].Penalty += pr.penalty(now, horizon)
-			}
-		}
+		out[i].Penalty = m.penaltyLocked(p, byKey, now)
 	}
 	return dst
 }
@@ -1907,27 +1506,16 @@ func (m *Monitor) RaceWidth(cands []Candidate, max int) (int, string) {
 	if len(cands) < n {
 		n = len(cands)
 	}
-	m.drainAll() // flush buffered samples so the width advice is current
 	tels := make([]PathTelemetry, 0, n)
-	var cur *monShard
+	m.mu.Lock()
 	for _, c := range cands[:n] {
 		fp := c.Path.Fingerprint()
-		sh := m.shardFor(c.Path.Dst)
-		if sh != cur {
-			if cur != nil {
-				cur.mu.Unlock()
-			}
-			sh.mu.Lock()
-			cur = sh
-		}
-		if e := sh.entries[fp]; e != nil {
+		if e := m.entries[fp]; e != nil {
 			tels = append(tels, m.telemetryLocked(fp, e))
 		} else {
 			tels = append(tels, PathTelemetry{Fingerprint: fp})
 		}
 	}
-	if cur != nil {
-		cur.mu.Unlock()
-	}
+	m.mu.Unlock()
 	return AdviseRaceWidth(tels, max)
 }

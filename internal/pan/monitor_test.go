@@ -110,14 +110,17 @@ type reportLog struct {
 	byF map[string][]pan.Outcome
 }
 
-func (r *reportLog) report(path *segment.Path, o pan.Outcome) {
+// ReportBatch implements pan.BatchSink.
+func (r *reportLog) ReportBatch(reports []pan.SampleReport) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if r.byF == nil {
 		r.byF = make(map[string][]pan.Outcome)
 	}
-	fp := path.Fingerprint()
-	r.byF[fp] = append(r.byF[fp], o)
+	for _, rep := range reports {
+		fp := rep.Path.Fingerprint()
+		r.byF[fp] = append(r.byF[fp], rep.Outcome)
+	}
 }
 
 func (r *reportLog) outcomes(fp string) []pan.Outcome {
@@ -127,19 +130,6 @@ func (r *reportLog) outcomes(fp string) []pan.Outcome {
 }
 
 var probeErr = errors.New("probe timeout")
-
-// testShards, when nonzero, pins MonitorOptions.Shards for every monitor
-// the suite constructs — the hook TestMonitorSuiteAcrossShardCounts uses to
-// re-run the behavioral tests on both sides of the shard hash (1 shard =
-// the pre-sharding lock shape, 8 = destinations spread across locks).
-var testShards int
-
-func newTestMonitor(clock netsim.Clock, paths func(addr.IA) []*segment.Path, opts pan.MonitorOptions) *pan.Monitor {
-	if opts.Shards == 0 {
-		opts.Shards = testShards
-	}
-	return pan.NewMonitor(clock, paths, opts)
-}
 
 func probeTarget(i int) addr.UDPAddr {
 	return addr.UDPAddr{Addr: addr.Addr{IA: topology.AS211, Host: netip.MustParseAddr(fmt.Sprintf("10.0.0.%d", i+2))}, Port: 443}
@@ -153,8 +143,8 @@ func monitorFixture(t *testing.T, paths []*segment.Path, script *probeScript, op
 	script.clock = clock
 	log := &reportLog{}
 	opts.Probe = script.fn
-	m := newTestMonitor(clock, func(addr.IA) []*segment.Path { return paths }, opts)
-	m.Subscribe(log.report)
+	m := pan.NewMonitor(clock, func(addr.IA) []*segment.Path { return paths }, opts)
+	m.SubscribeBatch(log)
 	m.Track(probeTarget(0), "probe.server")
 	return m, clock, log
 }
@@ -227,7 +217,7 @@ func TestMonitorJitteredScheduling(t *testing.T) {
 	}
 	clock := netsim.NewSimClock(time.Date(2022, 10, 10, 0, 0, 0, 0, time.UTC))
 	script.clock = clock
-	m := newTestMonitor(clock, func(ia addr.IA) []*segment.Path { return all }, pan.MonitorOptions{
+	m := pan.NewMonitor(clock, func(ia addr.IA) []*segment.Path { return all }, pan.MonitorOptions{
 		BaseInterval: 4 * time.Second,
 		ProbeBudget:  -1, // uncapped: this test isolates phase jitter
 		Probe:        script.fn,
@@ -460,12 +450,12 @@ func TestMonitorFeedsSubscribedSelectors(t *testing.T) {
 		fp1:                    {{rtt: 5 * time.Millisecond}},
 	}}
 	clock := netsim.NewSimClock(time.Date(2022, 10, 10, 0, 0, 0, 0, time.UTC))
-	m := newTestMonitor(clock, func(addr.IA) []*segment.Path { return paths }, pan.MonitorOptions{
+	m := pan.NewMonitor(clock, func(addr.IA) []*segment.Path { return paths }, pan.MonitorOptions{
 		BaseInterval: time.Second, Probe: script.fn,
 	})
 	ls1, ls2 := pan.NewLatencySelector(), pan.NewLatencySelector()
-	m.Subscribe(ls1.Report)
-	unsub := m.Subscribe(ls2.Report)
+	m.SubscribeBatch(ls1)
+	unsub := m.SubscribeBatch(ls2)
 	m.Track(probeTarget(0), "probe.server")
 
 	if before := ls1.Rank(topology.AS211, paths); before[0].Path != paths[0] {
@@ -650,13 +640,13 @@ func TestHotspotSelectorRanksAroundSharedHotLink(t *testing.T) {
 		clean.Fingerprint(): {{rtt: 160 * time.Millisecond}},
 	}}
 	clock := netsim.NewSimClock(time.Date(2022, 10, 10, 0, 0, 0, 0, time.UTC))
-	m := newTestMonitor(clock, func(addr.IA) []*segment.Path { return paths }, pan.MonitorOptions{
+	m := pan.NewMonitor(clock, func(addr.IA) []*segment.Path { return paths }, pan.MonitorOptions{
 		BaseInterval: time.Second, Probe: script.fn,
 	})
 	hs := pan.NewHotspotSelector(m)
 	ls := pan.NewLatencySelector()
-	m.Subscribe(hs.Report)
-	m.Subscribe(ls.Report)
+	m.SubscribeBatch(hs)
+	m.SubscribeBatch(ls)
 	m.Track(probeTarget(0), "probe.server")
 
 	for i := 0; i < 6; i++ {
@@ -689,7 +679,7 @@ func TestMonitorDropsVanishedPaths(t *testing.T) {
 	current := []*segment.Path{keep, gone}
 	clock := netsim.NewSimClock(time.Date(2022, 10, 10, 0, 0, 0, 0, time.UTC))
 	script.clock = clock
-	m := newTestMonitor(clock, func(addr.IA) []*segment.Path {
+	m := pan.NewMonitor(clock, func(addr.IA) []*segment.Path {
 		mu.Lock()
 		defer mu.Unlock()
 		return current
@@ -737,15 +727,15 @@ func TestMonitorObserveMatchesProbePipeline(t *testing.T) {
 	script := &probeScript{script: map[string][]probeOutcome{probed.Fingerprint(): {
 		{rtt: samples[0]}, {rtt: samples[1]}, {rtt: samples[2]},
 	}}}
-	mProbe := newTestMonitor(clock, func(addr.IA) []*segment.Path { return []*segment.Path{probed} }, pan.MonitorOptions{
+	mProbe := pan.NewMonitor(clock, func(addr.IA) []*segment.Path { return []*segment.Path{probed} }, pan.MonitorOptions{
 		BaseInterval: time.Second, Probe: script.fn,
 	})
 	mProbe.Track(probeTarget(0), "probe.server")
-	mPassive := newTestMonitor(clock, func(addr.IA) []*segment.Path { return []*segment.Path{observed} }, pan.MonitorOptions{
+	mPassive := pan.NewMonitor(clock, func(addr.IA) []*segment.Path { return []*segment.Path{observed} }, pan.MonitorOptions{
 		BaseInterval: time.Second, Probe: script.fn,
 	})
 	log := &reportLog{}
-	mPassive.Subscribe(log.report)
+	mPassive.SubscribeBatch(log)
 	mPassive.Track(probeTarget(0), "probe.server")
 
 	for _, rtt := range samples {
@@ -895,7 +885,7 @@ func TestMonitorStopRestartMidProbe(t *testing.T) {
 		}
 		return 30 * time.Millisecond, nil
 	}
-	m := newTestMonitor(clock, func(addr.IA) []*segment.Path { return []*segment.Path{p} }, pan.MonitorOptions{
+	m := pan.NewMonitor(clock, func(addr.IA) []*segment.Path { return []*segment.Path{p} }, pan.MonitorOptions{
 		BaseInterval: time.Second, Probe: probe,
 	})
 	m.Track(probeTarget(0), "probe.server")

@@ -137,7 +137,7 @@ func (h *health) report(path *segment.Path, outcome Outcome) {
 	}
 }
 
-// reportBatch ingests the liveness half of a drained sample batch under
+// reportBatch ingests the liveness half of a sample batch under
 // ONE lock acquisition.
 func (h *health) reportBatch(reports []SampleReport) {
 	h.mu.Lock()
@@ -327,9 +327,9 @@ func (s *LatencySelector) Report(path *segment.Path, outcome Outcome) {
 	}
 }
 
-// ReportBatch implements BatchSink: a drained ingest batch updates the
-// EWMAs under ONE selector lock (and one health lock) instead of a lock
-// round-trip per sample — the batched half of the monitor's ring drain.
+// ReportBatch implements BatchSink: an ingested batch updates the EWMAs
+// under ONE selector lock (and one health lock) instead of a lock
+// round-trip per sample — the sink half of the monitor's batched ingest.
 func (s *LatencySelector) ReportBatch(reports []SampleReport) {
 	s.reportBatch(reports)
 	s.mu.Lock()

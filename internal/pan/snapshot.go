@@ -84,10 +84,9 @@ func (pr *linkPrior) penalty(now time.Time, horizon time.Duration) time.Duration
 // local sample (or an unresolved local failure). Imported priors are
 // excluded — see LinkSnapshot. Output ordering is deterministic.
 func (m *Monitor) ExportLinks() LinkSnapshot {
-	m.drainAll() // before linkMu: rings sit outside every lock
 	now := m.clock.Now()
 	snap := LinkSnapshot{Version: LinkSnapshotVersion}
-	m.linkMu.Lock()
+	m.mu.Lock()
 	stats, _ := m.linkCacheLocked()
 	cacheLag := now.Sub(m.linkCacheAt)
 	for _, st := range stats {
@@ -99,29 +98,25 @@ func (m *Monitor) ExportLinks() LinkSnapshot {
 			Age:        st.Age + cacheLag,
 		})
 	}
-	m.linkMu.Unlock()
-	for _, sh := range m.shards {
-		sh.mu.Lock()
-		for fp, e := range sh.entries {
-			if e.prior || (e.samples == 0 && !e.down) {
-				continue
-			}
-			var age time.Duration
-			if !e.lastSample.IsZero() {
-				age = now.Sub(e.lastSample)
-			}
-			snap.Paths = append(snap.Paths, PathExport{
-				Dst:         e.path.Dst,
-				Fingerprint: fp,
-				RTT:         e.rtt,
-				Dev:         e.dev,
-				Samples:     e.samples,
-				Age:         age,
-				Down:        e.down,
-			})
+	for fp, e := range m.entries {
+		if e.prior || (e.samples == 0 && !e.down) {
+			continue
 		}
-		sh.mu.Unlock()
+		var age time.Duration
+		if !e.lastSample.IsZero() {
+			age = now.Sub(e.lastSample)
+		}
+		snap.Paths = append(snap.Paths, PathExport{
+			Dst:         e.path.Dst,
+			Fingerprint: fp,
+			RTT:         e.rtt,
+			Dev:         e.dev,
+			Samples:     e.samples,
+			Age:         age,
+			Down:        e.down,
+		})
 	}
+	m.mu.Unlock()
 	sort.Slice(snap.Paths, func(i, j int) bool {
 		if snap.Paths[i].Dst != snap.Paths[j].Dst {
 			a, b := snap.Paths[i].Dst, snap.Paths[j].Dst
@@ -202,7 +197,7 @@ func (m *Monitor) ImportLinks(snap LinkSnapshot, weight float64) (int, error) {
 	now := m.clock.Now()
 	horizon := time.Duration(staleSeriesAfter) * m.opts.MaxInterval
 	applied := 0
-	m.linkMu.Lock()
+	m.mu.Lock()
 	for _, l := range snap.Links {
 		effAge := scale(l.Age)
 		if effAge >= horizon {
@@ -220,10 +215,10 @@ func (m *Monitor) ImportLinks(snap LinkSnapshot, weight float64) (int, error) {
 		}
 		applied++
 	}
-	m.linkMu.Unlock()
+	m.mu.Unlock()
 	// Resolve imported paths against this host's own control plane, one
-	// lookup per destination — outside every lock; the per-path apply then
-	// takes exactly the destination's shard lock, like any other ingest.
+	// lookup per destination — outside the monitor lock; the per-path apply
+	// then takes it, like any other ingest.
 	byDst := make(map[addr.IA]map[string]*segment.Path)
 	for _, p := range snap.Paths {
 		effAge := scale(p.Age)
@@ -245,21 +240,20 @@ func (m *Monitor) ImportLinks(snap LinkSnapshot, weight float64) (int, error) {
 		if path == nil {
 			continue // not a path this host can use
 		}
-		sh := m.shardFor(p.Dst)
-		sh.mu.Lock()
-		e := sh.entries[p.Fingerprint]
+		m.mu.Lock()
+		e := m.entries[p.Fingerprint]
 		if e == nil {
 			e = &monEntry{
 				path:     path,
 				targets:  make(map[string]*monTarget),
 				interval: m.opts.BaseInterval,
 			}
-			sh.entries[p.Fingerprint] = e
+			m.entries[p.Fingerprint] = e
 		} else if e.samples > 0 && !e.prior {
-			sh.mu.Unlock()
+			m.mu.Unlock()
 			continue // live local telemetry always overrides imports
 		} else if e.prior && !e.lastSample.IsZero() && now.Sub(e.lastSample) <= effAge {
-			sh.mu.Unlock()
+			m.mu.Unlock()
 			continue // the prior already held is effectively younger
 		}
 		e.rtt, e.dev = p.RTT, p.Dev
@@ -267,7 +261,7 @@ func (m *Monitor) ImportLinks(snap LinkSnapshot, weight float64) (int, error) {
 		e.down = p.Down
 		e.prior = true
 		e.lastSample = now.Add(-effAge)
-		sh.mu.Unlock()
+		m.mu.Unlock()
 		applied++
 	}
 	return applied, nil

@@ -16,19 +16,18 @@ import (
 const wheelSlots = 512
 
 // wheelNode is one pending probe deadline: the entry it belongs to is found
-// via (shard, fp) at fire time, never via a captured pointer, so a node that
+// via fp at fire time, never via a captured pointer, so a node that
 // outlives its entry (pruned while the slot was pending, Stop→Start cycles)
 // can only ever no-op. Nodes are allocated fresh per schedule — the node's
 // identity is compared against the entry's current sched field, exactly the
 // stale-timer guard the per-entry AfterFunc closures used to provide.
 type wheelNode struct {
-	shard *monShard
-	fp    string
-	abs   int64 // absolute slot number of the deadline
-	at    time.Time
-	slot  int // ring index while attached, -1 when detached
-	prev  *wheelNode
-	next  *wheelNode
+	fp   string
+	abs  int64 // absolute slot number of the deadline
+	at   time.Time
+	slot int // ring index while attached, -1 when detached
+	prev *wheelNode
+	next *wheelNode
 }
 
 // probeWheel replaces the per-entry clock.AfterFunc timers with one shared
@@ -41,20 +40,15 @@ type wheelNode struct {
 //
 // The wheel tick runs inside a clock timer callback and must not block: it
 // detaches the due nodes under the wheel lock, releases it, and only then
-// invokes the fire callback per node (which takes shard locks and hands
-// probes to goroutines). Lock order is therefore shard → wheel — schedule
-// and cancel are called with a shard lock held — and the wheel never calls
-// back into a shard while holding its own lock.
+// invokes the fire callback per node (which takes the monitor lock and
+// hands probes to goroutines). Lock order is therefore monitor → wheel —
+// schedule and cancel are called with the monitor lock held — and the
+// wheel never calls back into the monitor while holding its own lock.
 type probeWheel struct {
 	clock netsim.Clock
 	slotW time.Duration
 	epoch time.Time
 	fire  func(*wheelNode)
-	// onTick, when set, runs once per tick after the due nodes have fired,
-	// outside the wheel lock — the monitor hangs its ingest-ring sweep
-	// here so buffered samples land even when no producer drains inline.
-	// Set once before the wheel's first arm, never mutated after.
-	onTick func()
 
 	mu      sync.Mutex             //lint:lockorder panwheel
 	slots   [wheelSlots]*wheelNode // per-slot doubly-linked list heads
@@ -215,8 +209,5 @@ func (w *probeWheel) tick(gen uint64) {
 	w.mu.Unlock()
 	for _, n := range due {
 		w.fire(n)
-	}
-	if w.onTick != nil {
-		w.onTick()
 	}
 }

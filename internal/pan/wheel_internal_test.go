@@ -82,7 +82,7 @@ func TestProbeWheelCancelAndIdentity(t *testing.T) {
 	}
 }
 
-// wheelTestMonitor is a one-shard monitor over a single fake path with a
+// wheelTestMonitor is a monitor over a single fake path with a
 // counting probe, for whitebox schedule-teardown tests.
 func wheelTestMonitor(t *testing.T) (*Monitor, *netsim.SimClock, *segment.Path, func() int) {
 	t.Helper()
@@ -98,7 +98,6 @@ func wheelTestMonitor(t *testing.T) (*Monitor, *netsim.SimClock, *segment.Path, 
 	probes := 0
 	m := NewMonitor(clock, func(addr.IA) []*segment.Path { return []*segment.Path{path} }, MonitorOptions{
 		BaseInterval: time.Second,
-		Shards:       1,
 		Probe: func(addr.UDPAddr, string, *segment.Path, time.Duration) (time.Duration, error) {
 			mu.Lock()
 			probes++
@@ -133,33 +132,32 @@ func TestMonitorPruneWhileSlotPending(t *testing.T) {
 	m.Start()
 	defer m.Stop()
 
-	sh := m.shards[0]
-	sh.mu.Lock()
-	e := sh.entries[fp]
+	m.mu.Lock()
+	e := m.entries[fp]
 	if e == nil || e.sched == nil {
-		sh.mu.Unlock()
+		m.mu.Unlock()
 		t.Fatal("tracked entry not scheduled after Start")
 	}
 	stale := e.sched
 	// Model any teardown path that drops the entry while its slot is
 	// pending (the hazard class — NOT the regular retire, which cancels).
-	delete(sh.entries, fp)
-	sh.mu.Unlock()
+	delete(m.entries, fp)
+	m.mu.Unlock()
 
 	// Re-create the entry before the stale node's deadline: a fresh Track
 	// resyncs the path set and arms a fresh node for the same fingerprint.
 	m.Track(addr.UDPAddr{Addr: addr.Addr{IA: path.Dst, Host: netip.MustParseAddr("10.0.0.3")}, Port: 443}, "wheel.server")
-	sh.mu.Lock()
-	e2 := sh.entries[fp]
+	m.mu.Lock()
+	e2 := m.entries[fp]
 	if e2 == nil || e2.sched == nil {
-		sh.mu.Unlock()
+		m.mu.Unlock()
 		t.Fatal("re-created entry not scheduled")
 	}
 	if e2.sched == stale {
-		sh.mu.Unlock()
+		m.mu.Unlock()
 		t.Fatal("re-created entry reuses the stale node")
 	}
-	sh.mu.Unlock()
+	m.mu.Unlock()
 
 	// Run past both deadlines: the stale node must no-op (its identity
 	// no longer matches), the fresh node must probe — exactly once per
@@ -168,10 +166,10 @@ func TestMonitorPruneWhileSlotPending(t *testing.T) {
 	if got := probes(); got != 1 {
 		t.Fatalf("probes after one interval = %d, want exactly 1 (stale node must not fire)", got)
 	}
-	sh.mu.Lock()
-	inflight := sh.inflight[fp]
-	rearmed := sh.entries[fp].sched != nil
-	sh.mu.Unlock()
+	m.mu.Lock()
+	inflight := m.inflight[fp]
+	rearmed := m.entries[fp].sched != nil
+	m.mu.Unlock()
 	if inflight {
 		t.Fatal("in-flight mark leaked after probe drained")
 	}
@@ -203,10 +201,9 @@ func TestMonitorStopDisarmsWheel(t *testing.T) {
 
 	m.Start()
 	defer m.Stop()
-	sh := m.shards[0]
-	sh.mu.Lock()
-	scheduled := sh.entries[fp].sched != nil
-	sh.mu.Unlock()
+	m.mu.Lock()
+	scheduled := m.entries[fp].sched != nil
+	m.mu.Unlock()
 	if !scheduled {
 		t.Fatal("restart did not reschedule the tracked entry")
 	}

@@ -440,9 +440,9 @@ func (p *Proxy) LinkStats() []LinkStat {
 	return m.LinkStats()
 }
 
-// IngestStats exports the monitor's passive-sample ingest-ring accounting
-// (ok=false without an attached monitor) — how the lock-free ingest plane
-// is absorbing the proxy's sample load.
+// IngestStats exports the monitor's passive-sample ingest accounting
+// (ok=false without an attached monitor) — how the monitor is absorbing
+// the proxy's sample load.
 func (p *Proxy) IngestStats() (IngestStats, bool) {
 	p.mu.Lock()
 	m := p.monitor

@@ -68,9 +68,9 @@ type LinkStat = pan.LinkStat
 // the stats API.
 type SampleSplit = pan.SampleSplit
 
-// IngestStats is the monitor's passive-sample ingest-ring accounting
-// (enqueue/apply/coalesce/drop/batch counters), as exported through the
-// stats API.
+// IngestStats is the monitor's passive-sample ingest accounting
+// (enqueue/apply/untracked/batch counters), as exported through the stats
+// API.
 type IngestStats = pan.IngestStats
 
 // Stats aggregates proxied-request outcomes. It is safe for concurrent use.
@@ -195,9 +195,9 @@ type Snapshot struct {
 	// without probing): how much of each origin's telemetry came for free
 	// from its own traffic versus from the active probe budget.
 	Samples map[string]SampleSplit `json:"samples,omitempty"`
-	// Ingest is the monitor's passive-sample ring accounting (nil without
-	// a monitor): how samples flowed through the lock-free ingest plane —
-	// applied vs coalesced vs dropped, and the batch amortization factor.
+	// Ingest is the monitor's passive-sample accounting (nil without a
+	// monitor): applied vs untracked samples, and the batch amortization
+	// factor.
 	Ingest *IngestStats `json:"ingest,omitempty"`
 	// Striped counts requests whose bodies were fetched as concurrent byte
 	// ranges over link-disjoint paths.

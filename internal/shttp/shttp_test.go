@@ -243,9 +243,6 @@ func TestParseStrictSCION(t *testing.T) {
 }
 
 func TestHTTPRequestLatencyIsPathRTT(t *testing.T) {
-	if raceEnabled {
-		t.Skip("virtual-time assertions are distorted under the race detector")
-	}
 	w := newWorld(t)
 	tr := startServer(t, w, http.HandlerFunc(func(rw http.ResponseWriter, r *http.Request) {
 		io.WriteString(rw, "timed")

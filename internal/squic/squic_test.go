@@ -154,9 +154,6 @@ func TestHandshakeAndEcho(t *testing.T) {
 }
 
 func TestHandshakeTakesOneRTT(t *testing.T) {
-	if raceEnabled {
-		t.Skip("virtual-time assertions are distorted under the race detector")
-	}
 	w := newTestWorld(t, nil)
 	paths := w.comb.Paths(topology.AS111, topology.AS211, during)
 	rtt := 2 * paths[0].Meta.Latency
@@ -486,9 +483,6 @@ func TestStreamFinDeliversEOFOnly(t *testing.T) {
 }
 
 func TestRTTMatchesPathLatency(t *testing.T) {
-	if raceEnabled {
-		t.Skip("virtual-time assertions are distorted under the race detector")
-	}
 	w := newTestWorld(t, nil)
 	client, server, path := dialPair(t, w, topology.AS111, topology.AS211)
 	go func() {
