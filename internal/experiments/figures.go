@@ -194,7 +194,7 @@ func RunFig3(runs int) (*Figure, error) {
 				return nil, fmt.Errorf("fig3 %s run %d: %w", m.label, run, err)
 			}
 			samples = append(samples, pl.PLT)
-			c.Proxy.Close()
+			c.Close()
 		}
 		fig.Series = append(fig.Series, Series{Label: m.label, Samples: samples})
 	}
@@ -302,7 +302,7 @@ func runPLTComparison(w *World, runs int, pages map[string]string) ([]Series, er
 					return nil, fmt.Errorf("%s (%s) run %d: %w", label, mode.name, run, err)
 				}
 				samples = append(samples, pl.PLT)
-				c.Proxy.Close()
+				c.Close()
 			}
 			out = append(out, Series{Label: label + " " + mode.name, Samples: samples})
 		}

@@ -40,8 +40,12 @@ type bufStripe struct {
 }
 
 var (
-	bufPool   [len(bufClasses)][bufStripes]bufStripe
-	stripeCtr atomic.Uint32
+	bufPool [len(bufClasses)][bufStripes]bufStripe
+	// getCtr and putCtr pick stripes round-robin, one counter per side: on
+	// one shared counter, interleaved gets and puts land on different
+	// stripes, so some stripes fill and drop their puts while others run
+	// empty and miss.
+	getCtr, putCtr atomic.Uint32
 	// dropsForeign counts PutBuf calls whose buffer has no class capacity.
 	dropsForeign atomic.Uint64
 )
@@ -91,7 +95,7 @@ func GetBuf(n int) []byte {
 	if ci < 0 {
 		return make([]byte, n)
 	}
-	s := &bufPool[ci][stripeCtr.Add(1)&(bufStripes-1)]
+	s := &bufPool[ci][getCtr.Add(1)&(bufStripes-1)]
 	s.mu.Lock()
 	s.gets.Add(1)
 	if k := len(s.free); k > 0 {
@@ -125,7 +129,7 @@ func PutBuf(b []byte) {
 		//lint:allow-lease non-class buffers are dropped to the GC; that is their release
 		return
 	}
-	s := &bufPool[ci][stripeCtr.Add(1)&(bufStripes-1)]
+	s := &bufPool[ci][putCtr.Add(1)&(bufStripes-1)]
 	s.mu.Lock()
 	s.puts.Add(1)
 	if len(s.free) < stripeCap {

@@ -191,9 +191,15 @@ type delayBuffer struct {
 	clock Clock
 	route RouteProps
 
-	mu       sync.Mutex
-	cond     *sync.Cond
-	buf      []byte
+	mu   sync.Mutex
+	cond *sync.Cond
+	// chunks queues the delivered writes, oldest first, each a copy the
+	// buffer owns until a read has consumed all of it: chunks[head][off:]
+	// is the next unread byte. Once drained, the queue restarts at the
+	// array's front.
+	chunks   [][]byte
+	head     int
+	off      int
 	eofAt    bool // EOF delivered (all data before it already arrived)
 	closed   bool // writer closed; EOF scheduled
 	expired  bool // read deadline exceeded; readers fail until cleared
@@ -230,11 +236,28 @@ func (d *delayBuffer) write(p []byte) (int, error) {
 	copy(buf, p)
 	d.clock.AfterFunc(delay, func() {
 		d.mu.Lock()
-		d.buf = append(d.buf, buf...)
+		d.deliver(buf)
 		d.cond.Broadcast()
 		d.mu.Unlock()
 	})
 	return len(p), nil
+}
+
+// deliver queues one arrived write; an empty one queues nothing, so a read
+// never returns (0, nil). Called with mu held.
+func (d *delayBuffer) deliver(b []byte) {
+	if len(b) == 0 {
+		return
+	}
+	if d.head > 0 && len(d.chunks) == cap(d.chunks) {
+		// Slide the unread chunks to the front rather than grow the array
+		// under a reader that never quite drains it.
+		n := copy(d.chunks, d.chunks[d.head:])
+		clear(d.chunks[n:])
+		d.chunks = d.chunks[:n]
+		d.head = 0
+	}
+	d.chunks = append(d.chunks, b)
 }
 
 // closeWrite schedules EOF after all in-flight data.
@@ -263,7 +286,7 @@ func (d *delayBuffer) closeWrite() {
 func (d *delayBuffer) read(p []byte) (int, error) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	for len(d.buf) == 0 {
+	for d.head == len(d.chunks) {
 		if d.eofAt {
 			return 0, io.EOF
 		}
@@ -272,8 +295,22 @@ func (d *delayBuffer) read(p []byte) (int, error) {
 		}
 		d.cond.Wait()
 	}
-	n := copy(p, d.buf)
-	d.buf = d.buf[n:]
+	n := 0
+	for n < len(p) && d.head < len(d.chunks) {
+		c := d.chunks[d.head]
+		k := copy(p[n:], c[d.off:])
+		n += k
+		d.off += k
+		if d.off == len(c) {
+			d.chunks[d.head] = nil
+			d.head++
+			d.off = 0
+		}
+	}
+	if d.head == len(d.chunks) {
+		d.chunks = d.chunks[:0]
+		d.head = 0
+	}
 	return n, nil
 }
 

@@ -3,6 +3,7 @@ package netsim
 import (
 	"bytes"
 	"context"
+	"fmt"
 	"io"
 	"net"
 	"testing"
@@ -293,5 +294,168 @@ func TestStreamDialCancelStopsHandshakeTimer(t *testing.T) {
 	}
 	if got := c.PendingTimers(); got != before {
 		t.Fatalf("PendingTimers = %d after a cancelled dial, want %d", got, before)
+	}
+}
+
+// manualPair connects two stream endpoints over a 1 ms route on a clock the
+// test advances itself, so a write is readable exactly after Advance(1 ms).
+func manualPair() (*SimClock, *streamConn, *streamConn) {
+	c := NewSimClock(epoch)
+	a, b := newStreamPair(c, RouteProps{Latency: time.Millisecond},
+		simAddr{"sim+tcp", "a:0"}, simAddr{"sim+tcp", "b:1"})
+	return c, a, b
+}
+
+// patterned returns n bytes starting at byte value from.
+func patterned(from, n int) []byte {
+	b := make([]byte, n)
+	for i := range b {
+		b[i] = byte(from + i)
+	}
+	return b
+}
+
+// TestStreamReadsAcrossChunks: delivered writes are read back in order, and
+// every Read returns as many delivered bytes as fit, crossing write
+// boundaries, for reads smaller than, equal to and larger than a write. The
+// empty write in the middle never surfaces.
+func TestStreamReadsAcrossChunks(t *testing.T) {
+	sizes := []int{7, 0, 7, 3, 7}
+	for _, rsize := range []int{3, 7, 64} {
+		t.Run(fmt.Sprintf("read%d", rsize), func(t *testing.T) {
+			c, a, b := manualPair()
+			var want []byte
+			for _, n := range sizes {
+				w := patterned(len(want), n)
+				if _, err := a.Write(w); err != nil {
+					t.Fatal(err)
+				}
+				want = append(want, w...)
+			}
+			c.Advance(time.Millisecond)
+			var got []byte
+			p := make([]byte, rsize)
+			for len(got) < len(want) {
+				n, err := b.Read(p)
+				if err != nil {
+					t.Fatalf("Read after %d bytes: %v", len(got), err)
+				}
+				if wantN := min(rsize, len(want)-len(got)); n != wantN {
+					t.Fatalf("Read after %d bytes returned %d, want %d", len(got), n, wantN)
+				}
+				got = append(got, p[:n]...)
+			}
+			if !bytes.Equal(got, want) {
+				t.Fatalf("read %v, want %v", got, want)
+			}
+		})
+	}
+}
+
+// TestStreamQueueUndrained: a reader that falls behind and never drains
+// the queue still reads every byte in order, and the queue's array stays
+// sized to the chunks still unread, not to every write ever delivered.
+func TestStreamQueueUndrained(t *testing.T) {
+	const writes, wsize, rsize = 200, 10, 7
+	c, a, b := manualPair()
+	var got []byte
+	p := make([]byte, rsize)
+	for i := range writes {
+		a.Write(patterned(i*wsize, wsize))
+		c.Advance(time.Millisecond)
+		n, err := b.Read(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got = append(got, p[:n]...)
+	}
+	if pending := len(b.rd.chunks) - b.rd.head; cap(b.rd.chunks) > 2*pending+1 {
+		t.Fatalf("queue array holds %d slots for %d unread chunks", cap(b.rd.chunks), pending)
+	}
+	a.Close()
+	c.Advance(time.Millisecond)
+	rest, err := io.ReadAll(b)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got = append(got, rest...); !bytes.Equal(got, patterned(0, writes*wsize)) {
+		t.Fatal("bytes out of order")
+	}
+}
+
+// TestStreamZeroLengthWriteIsNotARead: an empty write delivers nothing, so
+// the reader's next result is the EOF behind it, not (0, nil).
+func TestStreamZeroLengthWriteIsNotARead(t *testing.T) {
+	c, a, b := manualPair()
+	if n, err := a.Write(nil); n != 0 || err != nil {
+		t.Fatalf("Write(nil) = %d, %v", n, err)
+	}
+	c.Advance(time.Millisecond)
+	a.Close()
+	c.Advance(time.Millisecond)
+	if n, err := b.Read(make([]byte, 8)); n != 0 || err != io.EOF {
+		t.Fatalf("Read = %d, %v; want 0, EOF", n, err)
+	}
+}
+
+// TestStreamEOFAfterEveryChunk: EOF surfaces only once every delivered
+// chunk has been read, whether the writer closed its conn or only its write
+// side.
+func TestStreamEOFAfterEveryChunk(t *testing.T) {
+	for _, tc := range []struct {
+		name  string
+		close func(a *streamConn)
+	}{
+		{"Close", func(a *streamConn) { a.Close() }},
+		{"closeWrite", func(a *streamConn) { a.wr.closeWrite() }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			c, a, b := manualPair()
+			var want []byte
+			for _, n := range []int{5, 9, 2} {
+				w := patterned(len(want), n)
+				a.Write(w)
+				want = append(want, w...)
+			}
+			tc.close(a)
+			c.Advance(time.Millisecond)
+			got, err := io.ReadAll(b)
+			if err != nil || !bytes.Equal(got, want) {
+				t.Fatalf("ReadAll = %v, %v; want %v", got, err, want)
+			}
+		})
+	}
+	// The reader's own Close marks EOF at once; chunks already delivered
+	// are still drained first.
+	c, a, b := manualPair()
+	a.Write(patterned(0, 4))
+	a.Write(patterned(4, 4))
+	c.Advance(time.Millisecond)
+	b.Close()
+	got, err := io.ReadAll(readerFunc(b.rd.read))
+	if err != nil || !bytes.Equal(got, patterned(0, 8)) {
+		t.Fatalf("drain after local Close = %v, %v", got, err)
+	}
+}
+
+type readerFunc func([]byte) (int, error)
+
+func (f readerFunc) Read(p []byte) (int, error) { return f(p) }
+
+// TestStreamReadDeliveredAllocs: reading data that has already arrived
+// allocates nothing, across chunk boundaries and queue resets.
+func TestStreamReadDeliveredAllocs(t *testing.T) {
+	c, a, b := manualPair()
+	for i := range 64 {
+		a.Write(patterned(i, 100))
+	}
+	c.Advance(time.Millisecond)
+	p := make([]byte, 50)
+	if n := testing.AllocsPerRun(100, func() {
+		if _, err := b.Read(p); err != nil {
+			t.Fatal(err)
+		}
+	}); n != 0 {
+		t.Fatalf("Read of delivered data: %v allocs/op, want 0", n)
 	}
 }

@@ -667,10 +667,13 @@ func bufferReplayBody(r *http.Request) (body []byte, canReplay bool, err error) 
 	if r.ContentLength <= 0 || r.ContentLength > maxReplayBody || len(r.TransferEncoding) > 0 {
 		return nil, false, nil
 	}
-	buf, err := io.ReadAll(r.Body)
+	buf, err := readUpTo(r.Body, r.ContentLength)
 	r.Body.Close()
 	if err != nil {
 		return nil, false, err
+	}
+	if int64(len(buf)) != r.ContentLength {
+		return nil, false, fmt.Errorf("proxy: request body is not the declared %d bytes", r.ContentLength)
 	}
 	r.Body = io.NopCloser(bytes.NewReader(buf))
 	return buf, true, nil
@@ -733,7 +736,19 @@ func copyResponse(w http.ResponseWriter, resp *http.Response) int64 {
 		}
 	}
 	w.WriteHeader(resp.StatusCode)
-	n, _ := io.Copy(w, resp.Body)
+	n, _ := shttp.Relay(w, resp.Body)
 	resp.Body.Close()
 	return n
+}
+
+// readUpTo reads at most n+1 bytes of r into one buffer of that size: the
+// extra byte makes an overlong body show as a length mismatch. An EOF before
+// that is a short body, not an error; callers compare the length with n.
+func readUpTo(r io.Reader, n int64) ([]byte, error) {
+	buf := make([]byte, n+1)
+	k, err := io.ReadFull(r, buf)
+	if err == io.EOF || err == io.ErrUnexpectedEOF {
+		err = nil
+	}
+	return buf[:k], err
 }

@@ -3,7 +3,6 @@ package proxy
 import (
 	"context"
 	"fmt"
-	"io"
 	"net/http"
 	"time"
 
@@ -81,9 +80,9 @@ func stripeFetch(tmpl *http.Request) stripe.FetchFunc {
 		if resp.StatusCode != http.StatusPartialContent {
 			return nil, fmt.Errorf("proxy: stripe segment got status %d", resp.StatusCode)
 		}
-		// Read at most one extra byte: an overlong body is a protocol error
-		// the scheduler detects via the length mismatch.
-		return io.ReadAll(io.LimitReader(resp.Body, int64(seg.Length)+1))
+		// A short or overlong body is a protocol error the scheduler detects
+		// via the length mismatch.
+		return readUpTo(resp.Body, int64(seg.Length))
 	}
 }
 
@@ -144,11 +143,11 @@ func (p *Proxy) serveStriped(w http.ResponseWriter, outReq *http.Request, remote
 	}
 
 	first, last, total, crErr := parseContentRange(resp.Header.Get("Content-Range"))
-	if crErr != nil || first != 0 {
+	if crErr != nil || first != 0 || last >= opts.MinStripeBytes {
 		resp.Body.Close()
-		return false // unusable 206; re-request un-striped
+		return false // unusable 206 (or more than asked for); re-request un-striped
 	}
-	prefix, err := io.ReadAll(io.LimitReader(resp.Body, last-first+2))
+	prefix, err := readUpTo(resp.Body, last+1)
 	resp.Body.Close()
 	if err != nil || int64(len(prefix)) != last-first+1 {
 		return false
@@ -232,7 +231,7 @@ func (p *Proxy) fetchRangeTail(outReq *http.Request, off, total int64) ([]byte, 
 	if resp.StatusCode != http.StatusPartialContent {
 		return nil, fmt.Errorf("proxy: range tail got status %d", resp.StatusCode)
 	}
-	data, err := io.ReadAll(io.LimitReader(resp.Body, total-off+1))
+	data, err := readUpTo(resp.Body, total-off)
 	if err != nil {
 		return nil, err
 	}

@@ -333,28 +333,27 @@ func TestFrameSizeMatchesEncoding(t *testing.T) {
 	}
 }
 
-// BenchmarkOneRTTPacket writes one full-size packet's worth of stream data
-// on a client connection and carries the packet to a server connection and
-// the server's ack back, over in-memory pconns: seal, open, reassembly into
-// the stream, and the ack round. The server reads the bytes each iteration,
-// so its receive buffer is reused. CI gates allocs/op: the send-buffer
-// block the write is copied into, and the sender's retransmission record
-// (stream frame, frame slice, and the history array, which every round
-// trip empties).
-func BenchmarkOneRTTPacket(b *testing.B) {
+// oneRTTChunk is one packet's frame budget less stream overhead.
+const oneRTTChunk = 1200 - 32
+
+// oneRTTRound returns BenchmarkOneRTTPacket's op, warmed: one full-size
+// packet's worth of stream data written on a client connection, the packet
+// carried to a server connection and the server's ack back, over in-memory
+// pconns: seal, open, reassembly into the stream, and the ack round. The
+// server reads the bytes each round, so its receive buffer is reused.
+func oneRTTRound(tb testing.TB) func() {
 	clock := &stepClock{now: time.Date(2022, 10, 10, 0, 0, 0, 0, time.UTC)}
-	client, server, toServer, toClient := connPair(b, clock)
+	client, server, toServer, toClient := connPair(tb, clock)
 	s, err := client.OpenStream()
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
-	const chunk = 1200 - 32 // one packet's frame budget less stream overhead
-	data := make([]byte, chunk)
-	sink := make([]byte, chunk)
+	data := make([]byte, oneRTTChunk)
+	sink := make([]byte, oneRTTChunk)
 	var rs *Stream
 	round := func() {
 		if _, err := s.Write(data); err != nil {
-			b.Fatal(err)
+			tb.Fatal(err)
 		}
 		for _, p := range toServer.take() {
 			hdr, _, _ := parseHeader(p)
@@ -364,10 +363,10 @@ func BenchmarkOneRTTPacket(b *testing.B) {
 		if rs == nil {
 			rs = server.acceptQ[0]
 		}
-		for got := 0; got < chunk; {
+		for got := 0; got < oneRTTChunk; {
 			n, err := rs.Read(sink)
 			if err != nil {
-				b.Fatal(err)
+				tb.Fatal(err)
 			}
 			got += n
 		}
@@ -380,10 +379,29 @@ func BenchmarkOneRTTPacket(b *testing.B) {
 	for range 64 { // warm the scratch buffers and the stream's blocks
 		round()
 	}
-	b.SetBytes(chunk)
+	return round
+}
+
+// BenchmarkOneRTTPacket times oneRTTRound's op. CI gates allocs/op, and
+// TestOneRTTPacketAllocs holds the same budget: the send-buffer block the
+// write is copied into, and the sender's retransmission record (stream
+// frame, frame slice, and the history array, which every round trip
+// empties).
+func BenchmarkOneRTTPacket(b *testing.B) {
+	round := oneRTTRound(b)
+	b.SetBytes(oneRTTChunk)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for range b.N {
 		round()
+	}
+}
+
+// TestOneRTTPacketAllocs: BenchmarkOneRTTPacket's op stays within the 4
+// allocs CI's bench gate holds.
+func TestOneRTTPacketAllocs(t *testing.T) {
+	round := oneRTTRound(t)
+	if n := testing.AllocsPerRun(100, round); n > 4 {
+		t.Errorf("one 1-RTT packet round: %v allocs/op, want <= 4", n)
 	}
 }

@@ -450,31 +450,52 @@ func TestMirrorPathReuse(t *testing.T) {
 	expect("pin reverted", b2, b2)
 }
 
-// BenchmarkAckProcessing times one ack that newly acknowledges ackBatch
-// packets at the head of the in-flight history, with few and with many
+// ackBatch is the number of packets one BenchmarkAckProcessing ack newly
+// acknowledges.
+const ackBatch = 4
+
+// ackProcessing builds a connection with inflight packets in flight and
+// room for 4096 more, and returns it with BenchmarkAckProcessing's op: one
+// ack that newly acknowledges ackBatch packets at the head of the in-flight
+// history, then ackBatch fresh packets pushed so the in-flight count stays
+// put.
+func ackProcessing(tb testing.TB, inflight int) (*Conn, func()) {
+	clock := &stepClock{now: time.Date(2022, 10, 10, 0, 0, 0, 0, time.UTC)}
+	c, _ := deadConn(tb, clock)
+	frames := []frame{pingFrame{}}
+	c.sent = make([]sentPacket, 0, inflight+4096)
+	push := func() {
+		c.sent = append(c.sent, sentPacket{pn: c.nextPN, frames: frames, size: 1200, sentAt: clock.now})
+		c.inFlight += 1200
+		c.nextPN++
+	}
+	for range inflight {
+		push()
+	}
+	ack := &ackFrame{ranges: []ackRange{{lo: 0}}}
+	return c, func() {
+		clock.now = clock.now.Add(time.Millisecond)
+		ack.ranges[0].hi = c.sent[ackBatch-1].pn
+		c.mu.Lock()
+		c.handleAckLocked(ack)
+		for range ackBatch {
+			push()
+		}
+		c.mu.Unlock()
+	}
+}
+
+// BenchmarkAckProcessing times ackProcessing's op with few and with many
 // packets in flight: the ordered history makes the cost independent of the
 // in-flight count (CI holds inflight4096 within 2x of inflight64 at 0
-// allocs/op). Each iteration replenishes the history so the in-flight count
-// stays put; reallocating the history's backing array happens off the
-// timer, because one 4096-entry copy inside a 100-iteration sample would
-// swamp the ratio the gate compares.
+// allocs/op; TestAckProcessingAllocs holds the 0). Reallocating the
+// history's backing array happens off the timer, because one 4096-entry
+// copy inside a 100-iteration sample would swamp the ratio the gate
+// compares.
 func BenchmarkAckProcessing(b *testing.B) {
-	const ackBatch = 4
 	for _, inflight := range []int{64, 4096} {
 		b.Run(fmt.Sprintf("inflight%d", inflight), func(b *testing.B) {
-			clock := &stepClock{now: time.Date(2022, 10, 10, 0, 0, 0, 0, time.UTC)}
-			c, _ := deadConn(b, clock)
-			frames := []frame{pingFrame{}}
-			c.sent = make([]sentPacket, 0, inflight+4096)
-			push := func() {
-				c.sent = append(c.sent, sentPacket{pn: c.nextPN, frames: frames, size: 1200, sentAt: clock.now})
-				c.inFlight += 1200
-				c.nextPN++
-			}
-			for range inflight {
-				push()
-			}
-			ack := &ackFrame{ranges: []ackRange{{lo: 0}}}
+			c, op := ackProcessing(b, inflight)
 			b.ReportAllocs()
 			b.ResetTimer()
 			for range b.N {
@@ -483,19 +504,22 @@ func BenchmarkAckProcessing(b *testing.B) {
 					c.sent = append(make([]sentPacket, 0, inflight+4096), c.sent...)
 					b.StartTimer()
 				}
-				clock.now = clock.now.Add(time.Millisecond)
-				ack.ranges[0].hi = c.sent[ackBatch-1].pn
-				c.mu.Lock()
-				c.handleAckLocked(ack)
-				for range ackBatch {
-					push()
-				}
-				c.mu.Unlock()
+				op()
 			}
 			b.StopTimer()
 			if len(c.sent) != inflight {
 				b.Fatalf("in flight = %d, want %d", len(c.sent), inflight)
 			}
 		})
+	}
+}
+
+// TestAckProcessingAllocs: BenchmarkAckProcessing/inflight4096's op
+// allocates nothing, the budget CI's bench gate holds. 101 ops stay within
+// the history's spare room, so none reallocates it.
+func TestAckProcessingAllocs(t *testing.T) {
+	_, op := ackProcessing(t, 4096)
+	if n := testing.AllocsPerRun(100, op); n != 0 {
+		t.Errorf("ack processing at 4096 in flight: %v allocs/op, want 0", n)
 	}
 }

@@ -226,6 +226,7 @@ func NewReverseProxy(legacy *netsim.StreamNetwork, fromHost, originHostPort stri
 		},
 		DisableCompression: true,
 	}
+	rp.BufferPool = shttp.RelayBufferPool{}
 	// Preserve the original Host header so origins with virtual hosting
 	// (and our page URLs) keep working.
 	director := rp.Director

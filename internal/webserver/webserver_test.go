@@ -4,6 +4,7 @@ import (
 	"context"
 	"io"
 	"net/http"
+	"net/http/httputil"
 	"net/netip"
 	"net/url"
 	"strings"
@@ -229,6 +230,16 @@ func TestReverseProxyPreservesHost(t *testing.T) {
 	}
 	if !strings.Contains(string(resp), "host=www.site.example") {
 		t.Fatalf("reverse proxy lost Host header: %q", resp)
+	}
+}
+
+// TestReverseProxyUsesRelayPool: the reverse proxy copies bodies through
+// the shared relay buffers instead of allocating a buffer per response.
+func TestReverseProxyUsesRelayPool(t *testing.T) {
+	legacy := netsim.NewStreamNetwork(netsim.NewSimClock(t0))
+	rp, ok := webserver.NewReverseProxy(legacy, "rp", "10.1.1.1:80").(*httputil.ReverseProxy)
+	if !ok || rp.BufferPool != (shttp.RelayBufferPool{}) {
+		t.Fatalf("reverse proxy %T does not copy through shttp.RelayBufferPool", rp)
 	}
 }
 
