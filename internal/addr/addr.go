@@ -84,11 +84,18 @@ func ParseAS(s string) (AS, error) {
 
 // String implements fmt.Stringer using decimal for BGP-range values and
 // colon-separated hex otherwise.
-func (a AS) String() string {
+func (a AS) String() string { return string(a.AppendTo(make([]byte, 0, 16))) }
+
+// AppendTo appends the String form of a to b.
+func (a AS) AppendTo(b []byte) []byte {
 	if a <= asDecimalMax {
-		return strconv.FormatUint(uint64(a), 10)
+		return strconv.AppendUint(b, uint64(a), 10)
 	}
-	return fmt.Sprintf("%x:%x:%x", uint16(a>>32), uint16(a>>16), uint16(a))
+	b = strconv.AppendUint(b, uint64(uint16(a>>32)), 16)
+	b = append(b, ':')
+	b = strconv.AppendUint(b, uint64(uint16(a>>16)), 16)
+	b = append(b, ':')
+	return strconv.AppendUint(b, uint64(uint16(a)), 16)
 }
 
 // IA is a combined ISD-AS identifier, the unit of SCION inter-domain
@@ -120,7 +127,15 @@ func ParseIA(s string) (IA, error) {
 }
 
 // String implements fmt.Stringer.
-func (ia IA) String() string { return ia.ISD.String() + "-" + ia.AS.String() }
+func (ia IA) String() string { return string(ia.AppendTo(make([]byte, 0, 24))) }
+
+// AppendTo appends the String form of ia to b, so hot paths can format an
+// IA into a buffer of their own without a string per call.
+func (ia IA) AppendTo(b []byte) []byte {
+	b = strconv.AppendUint(b, uint64(ia.ISD), 10)
+	b = append(b, '-')
+	return ia.AS.AppendTo(b)
+}
 
 // IsZero reports whether both components are zero (the fully-wildcard IA).
 func (ia IA) IsZero() bool { return ia.ISD == 0 && ia.AS == 0 }

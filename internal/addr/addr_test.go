@@ -68,6 +68,29 @@ func TestParseIA(t *testing.T) {
 	}
 }
 
+// TestIAAppendTo: AppendTo appends exactly the String form, in both AS
+// notations and at the range edges.
+func TestIAAppendTo(t *testing.T) {
+	for _, c := range []struct {
+		ia   IA
+		want string
+	}{
+		{IA{1, 0xff00_0000_0110}, "1-ff00:0:110"},
+		{IA{2, 42}, "2-42"},
+		{IA{0, 0}, "0-0"},
+		{IA{0, asDecimalMax}, "0-4294967295"},
+		{IA{17, asDecimalMax + 1}, "17-1:0:0"},
+		{IA{65535, MaxAS}, "65535-ffff:ffff:ffff"},
+	} {
+		if got := string(c.ia.AppendTo([]byte("x"))); got != "x"+c.want {
+			t.Errorf("AppendTo(%+v) = %q, want %q", c.ia, got, "x"+c.want)
+		}
+		if got := c.ia.String(); got != c.want {
+			t.Errorf("String(%+v) = %q, want %q", c.ia, got, c.want)
+		}
+	}
+}
+
 func TestIAStringRoundTrip(t *testing.T) {
 	f := func(isd uint16, as uint64) bool {
 		ia := IA{ISD: ISD(isd), AS: AS(as & uint64(MaxAS))}

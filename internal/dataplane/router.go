@@ -224,10 +224,13 @@ func (r *Router) InjectLocal(pkt *Packet) error {
 // instead of re-encoding every hop and auth field per packet, and hop-0
 // validation is memoized through the MAC verdict cache keyed by the
 // template's bytes. Falls back to InjectLocal whenever the template does not
-// apply.
+// apply. It keeps no pointer to pkt, so callers may build it on their stack:
+// the fallback hands InjectLocal a copy, which may reach the delivery
+// handler.
 func (r *Router) InjectTemplated(pkt *Packet, tmpl *PathTemplate) error {
 	if tmpl == nil || pkt.CurrHop != 0 || len(pkt.Hops) != tmpl.numHops || len(pkt.Hops) < 2 {
-		return r.InjectLocal(pkt)
+		cp := *pkt
+		return r.InjectLocal(&cp)
 	}
 	hop := &pkt.Hops[0]
 	if hop.IA != r.ia {

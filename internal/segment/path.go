@@ -3,6 +3,7 @@ package segment
 import (
 	"crypto/sha256"
 	"encoding/binary"
+	"encoding/hex"
 	"fmt"
 	"strings"
 	"sync/atomic"
@@ -108,16 +109,20 @@ func (p *Path) Fingerprint() string {
 	if s := p.fp.Load(); s != nil {
 		return *s
 	}
-	h := sha256.New()
-	var buf [2]byte
+	// The hashed bytes are each hop's IA in text form and its two interface
+	// IDs, formatted into one buffer (on the stack for paths of up to about
+	// ten hops) and hashed at once.
+	var stack [256]byte
+	b := stack[:0]
 	for _, hop := range p.Hops {
-		h.Write([]byte(hop.IA.String()))
-		binary.BigEndian.PutUint16(buf[:], uint16(hop.Ingress))
-		h.Write(buf[:])
-		binary.BigEndian.PutUint16(buf[:], uint16(hop.Egress))
-		h.Write(buf[:])
+		b = hop.IA.AppendTo(b)
+		b = binary.BigEndian.AppendUint16(b, uint16(hop.Ingress))
+		b = binary.BigEndian.AppendUint16(b, uint16(hop.Egress))
 	}
-	s := fmt.Sprintf("%x", h.Sum(nil)[:8])
+	sum := sha256.Sum256(b)
+	var hx [16]byte
+	hex.Encode(hx[:], sum[:8])
+	s := string(hx[:])
 	p.fp.Store(&s)
 	return s
 }

@@ -83,6 +83,33 @@ func TestPathFingerprint(t *testing.T) {
 	}
 }
 
+// TestPathFingerprintGolden pins the fingerprints of fixed paths: they are
+// map keys across the monitor, selectors and pools, so a change in how they
+// are computed must not change their values.
+func TestPathFingerprintGolden(t *testing.T) {
+	ia := addr.MustIA
+	for _, c := range []struct {
+		hops []Hop
+		want string
+	}{
+		{nil, "e3b0c44298fc1c14"},
+		{[]Hop{{IA: ia(1, 0xff00_0000_0111), Egress: 2}, {IA: ia(1, 0xff00_0000_0110), Ingress: 5}}, "67f93d222616f244"},
+		{[]Hop{
+			{IA: ia(1, 0xff00_0000_0111), Egress: 1},
+			{IA: ia(1, 0xff00_0000_0110), Ingress: 3, Egress: 7},
+			{IA: ia(2, 0xff00_0000_0210), Ingress: 1, Egress: 4},
+			{IA: ia(2, 0xff00_0000_0211), Ingress: 2},
+		}, "3b1ecaae09fc45d3"},
+		{[]Hop{{IA: ia(64, 559), Egress: 65535}, {IA: ia(65535, 4294967295), Ingress: 1, Egress: 2}, {IA: ia(0, 0), Ingress: 300}}, "5f00c104ed26220f"},
+		{[]Hop{{IA: ia(17, 4294967296), Egress: 12}, {IA: ia(17, 0xffff_ffff_ffff), Ingress: 9}}, "e95fc2df8cdfdf0e"},
+	} {
+		p := &Path{Hops: c.hops}
+		if got := p.Fingerprint(); got != c.want {
+			t.Errorf("Fingerprint(%v) = %q, want %q", c.hops, got, c.want)
+		}
+	}
+}
+
 func TestPathString(t *testing.T) {
 	p := samplePath()
 	want := "1-ff00:0:111 2>1 1-ff00:0:110 4>3 1-ff00:0:112"

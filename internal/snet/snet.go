@@ -21,12 +21,15 @@ import (
 	"tango/internal/segment"
 )
 
-// Datagram is one received SCION/UDP datagram.
+// Datagram is one received SCION/UDP datagram. Handler mode (SetHandler)
+// passes it by value, built on the delivery's stack, so a delivered datagram
+// costs no heap object; queued mode (ReadFrom) hands out a heap copy of its
+// own.
 type Datagram struct {
-	// Payload is the UDP payload. In handler mode (SetHandler) it aliases
-	// the pooled wire buffer and is valid only during the handler call;
-	// the handler may rewrite it in place (squic decrypts 1-RTT packets
-	// there). In queued mode (ReadFrom) it is the datagram's own copy.
+	// Payload is the UDP payload. In handler mode it aliases the pooled wire
+	// buffer and is valid only during the handler call; the handler may
+	// rewrite it in place (squic decrypts 1-RTT packets there). In queued
+	// mode it is the datagram's own copy.
 	Payload []byte
 	// Src is the remote endpoint.
 	Src addr.UDPAddr
@@ -145,7 +148,7 @@ func (s *Stack) deliver(pkt *dataplane.Packet) {
 	}
 	c.mu.Lock()
 	h := c.handler
-	dg := &Datagram{Payload: pkt.Payload, Src: pkt.Src, ReplyPath: c.replyPathLocked(pkt)}
+	dg := Datagram{Payload: pkt.Payload, Src: pkt.Src, ReplyPath: c.replyPathLocked(pkt)}
 	c.mu.Unlock()
 	if h != nil {
 		// Handler mode: synchronous dispatch in the delivery (timer)
@@ -158,12 +161,12 @@ func (s *Stack) deliver(pkt *dataplane.Packet) {
 		pkt.Release()
 		return
 	}
-	// Queued mode: the datagram outlives this delivery context, so the
-	// payload must not alias the wire buffer.
-	dg.Payload = append([]byte(nil), pkt.Payload...)
+	// Queued mode: the datagram outlives this delivery context, so it moves
+	// to the heap and its payload must not alias the wire buffer.
+	q := &Datagram{Payload: append([]byte(nil), pkt.Payload...), Src: dg.Src, ReplyPath: dg.ReplyPath}
 	pkt.Release()
 	select {
-	case c.inbox <- dg:
+	case c.inbox <- q:
 	default:
 		// Inbox full: drop, like a real UDP socket buffer.
 	}
@@ -176,7 +179,7 @@ type Conn struct {
 	inbox chan *Datagram
 
 	mu       sync.Mutex
-	handler  func(*Datagram)
+	handler  func(Datagram)
 	done     chan struct{}
 	closed   bool
 	deadline chan struct{} // closed when the read deadline passes
@@ -224,12 +227,14 @@ func (c *Conn) replyPathLocked(pkt *dataplane.Packet) *segment.Path {
 // this mode; it makes virtual-time experiments deterministic. Passing nil
 // reverts to queued mode.
 //
-// The datagram's Payload is only valid for the duration of the call — it may
-// alias a pooled wire buffer that is recycled when h returns. Handlers may
-// modify it in place (squic decrypts it there); handlers that keep payload
-// bytes must copy them. The ReplyPath may be shared with other datagrams of
-// the socket and must not be modified.
-func (c *Conn) SetHandler(h func(*Datagram)) {
+// The datagram is passed by value, so delivering it allocates nothing; h may
+// take its address but must not keep the pointer past the call. Its Payload
+// is only valid for the duration of the call — it may alias a pooled wire
+// buffer that is recycled when h returns. Handlers may modify it in place
+// (squic decrypts it there); handlers that keep payload bytes must copy
+// them. The ReplyPath may be shared with other datagrams of the socket and
+// must not be modified.
+func (c *Conn) SetHandler(h func(Datagram)) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.handler = h
@@ -256,18 +261,16 @@ func (c *Conn) WriteTo(payload []byte, dst addr.UDPAddr, path *segment.Path) err
 	if len(path.Hops) > 0 && path.Hops[0].IA != c.local.IA {
 		return fmt.Errorf("snet: path starts at %s, local AS is %s", path.Hops[0].IA, c.local.IA)
 	}
-	pkt := &dataplane.Packet{
-		Src:     c.local,
-		Dst:     dst,
-		Hops:    path.Hops,
-		Payload: payload,
-	}
 	if len(path.Hops) > 1 {
 		if tmpl, err := dataplane.TemplateFor(path); err == nil {
-			return c.stack.router.InjectTemplated(pkt, tmpl)
+			// The packet stays on this stack: InjectTemplated keeps no
+			// pointer to it (it copies the packet before falling back to
+			// InjectLocal), so a templated send allocates nothing.
+			pkt := dataplane.Packet{Src: c.local, Dst: dst, Hops: path.Hops, Payload: payload}
+			return c.stack.router.InjectTemplated(&pkt, tmpl)
 		}
 	}
-	return c.stack.router.InjectLocal(pkt)
+	return c.stack.router.InjectLocal(&dataplane.Packet{Src: c.local, Dst: dst, Hops: path.Hops, Payload: payload})
 }
 
 // conservativeMTU is assumed for paths without MTU metadata — reply paths
@@ -297,12 +300,9 @@ func MaxPayload(path *segment.Path) int {
 // socket closes.
 func (c *Conn) ReadFrom() (*Datagram, error) {
 	c.mu.Lock()
-	deadline := c.deadline
+	deadline := c.deadline // nil without a deadline: never ready
 	done := c.done
 	c.mu.Unlock()
-	if deadline == nil {
-		deadline = make(chan struct{}) // never fires
-	}
 	select {
 	case dg := <-c.inbox:
 		return dg, nil

@@ -286,7 +286,7 @@ func TestWriteToDoesNotRetainPayload(t *testing.T) {
 			defer bc.Close()
 			got := make(chan []byte, 1)
 			if handler {
-				bc.SetHandler(func(dg *snet.Datagram) { got <- bytes.Clone(dg.Payload) })
+				bc.SetHandler(func(dg snet.Datagram) { got <- bytes.Clone(dg.Payload) })
 			}
 			ac, err := a.Listen(0)
 			if err != nil {
@@ -362,5 +362,143 @@ func TestReplyPathMemoised(t *testing.T) {
 	}
 	if again := recv(paths[0]); again != r0 {
 		t.Fatal("the first path's reply path was forgotten")
+	}
+}
+
+// pairWorld is a two-AS world — the core ASes of ISDs 1 and 2 on a single
+// core link — stepped by hand: no auto-advancer runs, so a test can count
+// every allocation a datagram costs, timers and links included.
+type pairWorld struct {
+	clock        *netsim.SimClock
+	path         *segment.Path // src to dst, two hops
+	src, dst     *snet.Stack
+	srcIA, dstIA addr.IA
+	dstHost      netip.Addr
+}
+
+func newPairWorld(t *testing.T) *pairWorld {
+	t.Helper()
+	src, dst := addr.MustIA(1, 0xff00_0000_0110), addr.MustIA(2, 0xff00_0000_0210)
+	topo := topology.New()
+	topo.AddAS(src, true)
+	topo.AddAS(dst, true)
+	topo.Connect(src, dst, topology.Core, topology.LinkProps{Latency: time.Millisecond})
+	infra, err := beacon.NewInfra(topo, t0, t1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	reg := pathdb.NewRegistry(infra.Store)
+	if err := beacon.NewService(topo, infra, reg, 12*time.Hour).Run(t0); err != nil {
+		t.Fatal(err)
+	}
+	paths := pathdb.NewCombiner(reg).Paths(src, dst, during)
+	if len(paths) == 0 || len(paths[0].Hops) != 2 {
+		t.Fatalf("want a two-hop path from %s to %s, have %v", src, dst, paths)
+	}
+	clock := netsim.NewSimClock(during)
+	dw, err := dataplane.NewWorld(topo, infra.ForwardingKeys, clock, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	w := &pairWorld{clock: clock, path: paths[0], srcIA: src, dstIA: dst, dstHost: netip.MustParseAddr("10.0.0.2")}
+	w.src = snet.NewDispatcher(dw.Router(src), clock).Host(netip.MustParseAddr("10.0.0.1"), dw.Router(src))
+	w.dst = snet.NewDispatcher(dw.Router(dst), clock).Host(w.dstHost, dw.Router(dst))
+	return w
+}
+
+// run delivers everything in flight.
+func (w *pairWorld) run() {
+	for w.clock.AdvanceToNext() {
+	}
+}
+
+// TestTemplatedDatagramAllocs: once warm, a datagram sent with WriteTo over
+// a two-hop templated path and delivered to a socket in handler mode
+// allocates nothing — the packet stays on WriteTo's stack, the wire buffer
+// comes from the pool, and the datagram reaches the handler by value.
+func TestTemplatedDatagramAllocs(t *testing.T) {
+	w := newPairWorld(t)
+	sc, err := w.dst.Listen(8000)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sc.Close()
+	got := 0
+	sc.SetHandler(func(dg snet.Datagram) {
+		if len(dg.Payload) == 900 && dg.Src.IA == w.srcIA {
+			got++
+		}
+	})
+	cc, err := w.src.Listen(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cc.Close()
+	dst := addr.UDPAddr{Addr: addr.Addr{IA: w.dstIA, Host: w.dstHost}, Port: 8000}
+	payload := make([]byte, 900)
+	send := func() {
+		if err := cc.WriteTo(payload, dst, w.path); err != nil {
+			t.Fatal(err)
+		}
+		w.run()
+	}
+	for range 8 { // warm the template, MAC caches, pools and reply path
+		send()
+	}
+	if n := testing.AllocsPerRun(100, send); n != 0 {
+		t.Errorf("templated send and handler delivery: %v allocs/datagram, want 0", n)
+	}
+	if got != 8+101 {
+		t.Fatalf("handler saw %d datagrams, want %d", got, 8+101)
+	}
+}
+
+// TestReadFromAcrossDeadline: in queued mode a read deadline fails ReadFrom
+// once it passes, clearing it lets ReadFrom return queued datagrams again,
+// and a ReadFrom without a deadline allocates nothing of its own.
+func TestReadFromAcrossDeadline(t *testing.T) {
+	w := newPairWorld(t)
+	sc, err := w.dst.Listen(8000)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sc.Close()
+	cc, err := w.src.Listen(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cc.Close()
+	dst := addr.UDPAddr{Addr: addr.Addr{IA: w.dstIA, Host: w.dstHost}, Port: 8000}
+
+	sc.SetReadDeadline(w.clock.Now().Add(time.Millisecond))
+	w.run() // the deadline fires with nothing queued
+	if _, err := sc.ReadFrom(); err != snet.ErrDeadlineExceeded {
+		t.Fatalf("read past the deadline: err = %v", err)
+	}
+	sc.SetReadDeadline(time.Time{})
+	const n = 102
+	for i := range n {
+		if err := cc.WriteTo([]byte{byte(i)}, dst, w.path); err != nil {
+			t.Fatal(err)
+		}
+	}
+	w.run()
+	next := 0
+	read := func() {
+		dg, err := sc.ReadFrom()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(dg.Payload) != 1 || int(dg.Payload[0]) != next {
+			t.Fatalf("read %v, want datagram %d", dg.Payload, next)
+		}
+		next++
+	}
+	read()
+	if allocs := testing.AllocsPerRun(100, read); allocs != 0 {
+		t.Errorf("ReadFrom without a deadline: %v allocs, want 0", allocs)
+	}
+	if next != n {
+		t.Fatalf("read %d datagrams, want %d", next, n)
 	}
 }

@@ -83,12 +83,22 @@ var (
 	ErrHandshakeTimeout = errors.New("squic: handshake timeout")
 )
 
-// sentPacket tracks an in-flight ack-eliciting packet.
+// sentPacket tracks an in-flight ack-eliciting packet. Its retransmittable
+// frames are frame and then more: the first is held inline, so the record of
+// the common packet (one stream frame, or one control frame) allocates
+// nothing, and only a packet with several retransmittable frames has more.
 type sentPacket struct {
 	pn     uint64
-	frames []frame
+	frame  frame
+	more   []frame
 	size   int
 	sentAt time.Time
+}
+
+// requeue appends the packet's retransmittable frames to q, in the order
+// they were sent.
+func (sp *sentPacket) requeue(q []frame) []frame {
+	return append(append(q, sp.frame), sp.more...)
 }
 
 // Conn is one squic connection.
@@ -149,9 +159,16 @@ type Conn struct {
 	// Server handshake state.
 	helloBuf []byte
 
-	// Send/reliability state.
-	nextPN uint64
-	queued []frame
+	// Send/reliability state. A stream frame is owned by exactly one of
+	// queued, txFrames or one sentPacket of sent, and only an ack frees it:
+	// the acked packet's stream frames move, zeroed, to freeFrames, which
+	// nextFrameLocked takes from before it allocates. Lost and PTO'd frames
+	// are requeued, never freed (a frame split to fit a smaller path is
+	// left to the collector). The free list is dropped with the history
+	// array (see dropIdleFreeLocked) and at teardown.
+	nextPN     uint64
+	queued     []frame
+	freeFrames []*streamFrame
 	// sent is the in-flight history in ascending packet-number order:
 	// sendPacketLocked appends and packet numbers only grow, so an ack is a
 	// merge walk over the prefix it can reach (see handleAckLocked). An ack
@@ -404,7 +421,7 @@ func (c *Conn) teardownIf(guard func() bool, code uint64, reason string, cause e
 	// Closed conns can stay reachable (pools, steering state, callers);
 	// the retransmission state must not keep their stream data alive, nor
 	// the packet scratch its buffers.
-	c.sent, c.queued, c.inFlight = nil, nil, 0
+	c.sent, c.queued, c.freeFrames, c.inFlight = nil, nil, nil, 0
 	c.txFrames, c.sendBuf, c.rx = nil, nil, frameScratch{}
 	c.readable.Broadcast()
 	c.writable.Broadcast()
@@ -429,7 +446,7 @@ func (c *Conn) teardownIf(guard func() bool, code uint64, reason string, cause e
 // available, squic processes packets inside the delivery context, which
 // keeps virtual-time experiments exact.
 type handlerConn interface {
-	SetHandler(func(*snet.Datagram))
+	SetHandler(func(snet.Datagram))
 }
 
 // startReceiving wires packet delivery: synchronous handler mode when the
@@ -450,13 +467,15 @@ func (c *Conn) readLoop() {
 			c.teardown(1, "transport closed", fmt.Errorf("%w: %v", ErrConnClosed, err), false)
 			return
 		}
-		c.handleDatagram(dg)
+		c.handleDatagram(*dg)
 	}
 }
 
 // handleDatagram processes one received datagram (client path; the server
-// listener routes to conn.handleOneRTT/handleInitial directly).
-func (c *Conn) handleDatagram(dg *snet.Datagram) {
+// listener routes to conn.handleOneRTT/handleInitial directly). The datagram
+// arrives by value (see snet.Conn.SetHandler); what it is handed to keeps
+// fields, never the pointer, so it stays on the delivery's stack.
+func (c *Conn) handleDatagram(dg snet.Datagram) {
 	hdr, body, err := parseHeader(dg.Payload)
 	if err != nil || hdr.connID != c.connID {
 		return
@@ -465,7 +484,7 @@ func (c *Conn) handleDatagram(dg *snet.Datagram) {
 	case ptHello:
 		c.handleHello(body)
 	case ptOneRTT:
-		c.handleOneRTT(hdr, dg)
+		c.handleOneRTT(hdr, &dg)
 	}
 }
 
@@ -846,6 +865,7 @@ func (c *Conn) handleAckLocked(f *ackFrame) {
 		if c.cwnd < 4<<20 {
 			c.cwnd += sp.size
 		}
+		c.freeAckedLocked(sp)
 	}
 	if kept == end {
 		return // nothing newly acked
@@ -862,7 +882,7 @@ func (c *Conn) handleAckLocked(f *ackFrame) {
 			continue
 		}
 		c.inFlight -= sp.size
-		c.queued = append(c.queued, sp.frames...)
+		c.queued = sp.requeue(c.queued)
 		if sp.pn >= c.recoveryEnd {
 			c.cwnd = maxInt(c.cwnd/2, 2*c.cfg.MaxPacketSize)
 			c.recoveryEnd = c.nextPN
@@ -871,6 +891,7 @@ func (c *Conn) handleAckLocked(f *ackFrame) {
 	if live == 0 && end == len(h) {
 		// Idle: drop the array, sized for the last burst, rather than keep it.
 		c.sent = nil
+		c.dropIdleFreeLocked()
 	} else {
 		// Right-align the survivors against the untouched suffix and advance
 		// the head past the vacated slots, cleared so they pin no frames.
@@ -1052,9 +1073,10 @@ func (c *Conn) onPTO() {
 	}
 	for i := range c.sent {
 		c.inFlight -= c.sent[i].size
-		c.queued = append(c.queued, c.sent[i].frames...)
+		c.queued = c.sent[i].requeue(c.queued)
 	}
 	c.sent = nil
+	c.dropIdleFreeLocked()
 	c.packetizeLocked()
 }
 
@@ -1167,8 +1189,9 @@ func (c *Conn) packetizeLocked() {
 
 // sendPacketLocked seals and transmits one OneRTT packet. The header and
 // frames are encoded into the connection's send buffer and sealed in place
-// (the header is the AAD), so a packet allocates only its retransmission
-// record: the slice of its retransmittable frames.
+// (the header is the AAD), and the retransmission record holds the first
+// retransmittable frame inline, so a packet allocates nothing unless it
+// carries several retransmittable frames.
 func (c *Conn) sendPacketLocked(frames []frame, ackEliciting bool) {
 	pn := c.nextPN
 	c.nextPN++
@@ -1190,12 +1213,65 @@ func (c *Conn) sendPacketLocked(frames []frame, ackEliciting bool) {
 	c.sendBuf = buf
 	c.pconn.WriteTo(buf, c.remote, c.path)
 	if ackEliciting {
-		kept := slices.DeleteFunc(slices.Clone(frames), func(f frame) bool { return !f.retransmittable() })
-		c.sent = append(c.sent, sentPacket{pn: pn, frames: kept, size: len(buf), sentAt: c.clock.Now()})
+		sp := sentPacket{pn: pn, size: len(buf), sentAt: c.clock.Now()}
+		for _, f := range frames {
+			switch {
+			case !f.retransmittable():
+			case sp.frame == nil:
+				sp.frame = f
+			default:
+				sp.more = append(sp.more, f)
+			}
+		}
+		c.sent = append(c.sent, sp)
 		c.inFlight += len(buf)
 		if c.ptoCancel == nil {
 			c.armPTOLocked()
 		}
+	}
+}
+
+// freeAckedLocked moves the stream frames of an acked packet to the free
+// list, zeroed so they pin no stream data. The packet's history slot is
+// about to be overwritten or cleared, which ends its ownership of them.
+func (c *Conn) freeAckedLocked(sp *sentPacket) {
+	c.freeFrameLocked(sp.frame)
+	for _, f := range sp.more {
+		c.freeFrameLocked(f)
+	}
+}
+
+func (c *Conn) freeFrameLocked(f frame) {
+	if sf, ok := f.(*streamFrame); ok {
+		*sf = streamFrame{}
+		c.freeFrames = append(c.freeFrames, sf)
+	}
+}
+
+// newStreamFrameLocked returns a zeroed stream frame, from the free list
+// when it has one.
+func (c *Conn) newStreamFrameLocked() *streamFrame {
+	if n := len(c.freeFrames); n > 0 {
+		f := c.freeFrames[n-1]
+		c.freeFrames[n-1] = nil
+		c.freeFrames = c.freeFrames[:n-1]
+		return f
+	}
+	return new(streamFrame)
+}
+
+// idleFreeFrames bounds the free list an emptied history keeps: enough
+// for a connection that sends a few packets per round trip (a request, an
+// ack-clocked trickle) to reuse its frames, while the list a bulk burst
+// left behind, one frame per packet of the burst, is dropped with the
+// history array.
+const idleFreeFrames = 8
+
+// dropIdleFreeLocked runs when the history empties: it drops a free list
+// that has grown beyond idleFreeFrames.
+func (c *Conn) dropIdleFreeLocked() {
+	if cap(c.freeFrames) > idleFreeFrames {
+		c.freeFrames = nil
 	}
 }
 

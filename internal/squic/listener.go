@@ -129,12 +129,14 @@ func (l *Listener) readLoop() {
 		if err != nil {
 			return
 		}
-		l.handleDatagram(dg)
+		l.handleDatagram(*dg)
 	}
 }
 
-// handleDatagram demultiplexes one datagram by connection ID.
-func (l *Listener) handleDatagram(dg *snet.Datagram) {
+// handleDatagram demultiplexes one datagram by connection ID. Like
+// Conn.handleDatagram it takes the datagram by value and lends its address
+// only to calls that keep fields, never the pointer.
+func (l *Listener) handleDatagram(dg snet.Datagram) {
 	hdr, body, err := parseHeader(dg.Payload)
 	if err != nil {
 		return
@@ -148,7 +150,7 @@ func (l *Listener) handleDatagram(dg *snet.Datagram) {
 		if closed {
 			return
 		}
-		conn, isNew := serverHandleInitial(l.pconn, l.cfg, hdr, body, dg, existing)
+		conn, isNew := serverHandleInitial(l.pconn, l.cfg, hdr, body, &dg, existing)
 		if !isNew || conn == nil {
 			return
 		}
@@ -174,7 +176,7 @@ func (l *Listener) handleDatagram(dg *snet.Datagram) {
 		conn := l.conns[hdr.connID]
 		l.mu.Unlock()
 		if conn != nil {
-			conn.handleOneRTT(hdr, dg)
+			conn.handleOneRTT(hdr, &dg)
 		}
 	}
 }

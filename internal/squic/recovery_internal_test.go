@@ -85,7 +85,7 @@ func (r *refRecovery) ack(f *ackFrame) (acked, lost []uint64) {
 		sp := r.sent[pn]
 		delete(r.sent, pn)
 		c.inFlight -= sp.size
-		c.queued = append(c.queued, sp.frames...)
+		c.queued = append(append(c.queued, sp.frame), sp.more...)
 		if pn >= c.recoveryEnd {
 			c.cwnd = maxInt(c.cwnd/2, 2*c.cfg.MaxPacketSize)
 			c.recoveryEnd = c.nextPN
@@ -111,7 +111,7 @@ func (r *refRecovery) pto() {
 		sp := r.sent[pn]
 		delete(r.sent, pn)
 		c.inFlight -= sp.size
-		c.queued = append(c.queued, sp.frames...)
+		c.queued = append(append(c.queued, sp.frame), sp.more...)
 	}
 }
 
@@ -128,6 +128,46 @@ func checkHistory(t *testing.T, c *Conn) {
 	}
 	if sum != c.inFlight {
 		t.Fatalf("inFlight = %d, history sizes sum to %d", c.inFlight, sum)
+	}
+}
+
+// checkFrameOwnership asserts the stream-frame ownership invariant: every
+// frame on the free list is zeroed and is neither queued nor held by a
+// packet in flight, and no frame is queued or in flight twice.
+func checkFrameOwnership(t *testing.T, c *Conn) {
+	t.Helper()
+	free := make(map[*streamFrame]bool, len(c.freeFrames))
+	for _, f := range c.freeFrames {
+		if free[f] {
+			t.Fatalf("stream frame %p is on the free list twice", f)
+		}
+		if f.id != 0 || f.offset != 0 || f.fin || f.data != nil {
+			t.Fatalf("free stream frame %p not zeroed: %+v", f, *f)
+		}
+		free[f] = true
+	}
+	owned := make(map[*streamFrame]string)
+	own := func(f frame, where string) {
+		sf, ok := f.(*streamFrame)
+		if !ok {
+			return
+		}
+		if free[sf] {
+			t.Fatalf("stream frame %p is on the free list and %s", sf, where)
+		}
+		if prev, dup := owned[sf]; dup {
+			t.Fatalf("stream frame %p is %s and %s", sf, prev, where)
+		}
+		owned[sf] = where
+	}
+	for _, f := range c.queued {
+		own(f, "queued")
+	}
+	for _, sp := range c.sent {
+		own(sp.frame, fmt.Sprintf("in flight in pn %d", sp.pn))
+		for _, f := range sp.more {
+			own(f, fmt.Sprintf("in flight in pn %d", sp.pn))
+		}
 	}
 }
 
@@ -149,6 +189,8 @@ type recoveryHarness struct {
 	rcv  rangeSet
 	acks []*ackFrame
 	off  uint64
+	// reused counts stream frames sends took from the free list.
+	reused int
 }
 
 func newRecoveryHarness(t *testing.T, seed int64) *recoveryHarness {
@@ -180,6 +222,7 @@ func (h *recoveryHarness) flushLocked() {
 		}
 	}
 	h.ref.c.nextPN = c.nextPN
+	checkFrameOwnership(h.t, c)
 }
 
 func (h *recoveryHarness) send() {
@@ -188,9 +231,13 @@ func (h *recoveryHarness) send() {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	for n := 1 + h.rng.Intn(6); n > 0; n-- {
-		data := make([]byte, 1+h.rng.Intn(400))
-		c.queueFrameLocked(&streamFrame{id: 0, offset: h.off, data: data})
-		h.off += uint64(len(data))
+		if len(c.freeFrames) > 0 {
+			h.reused++
+		}
+		f := c.newStreamFrameLocked()
+		f.offset, f.data = h.off, make([]byte, 1+h.rng.Intn(400))
+		c.queueFrameLocked(f)
+		h.off += uint64(len(f.data))
 	}
 	h.flushLocked()
 }
@@ -252,7 +299,7 @@ func (h *recoveryHarness) apply(f *ackFrame) {
 		for pn, sp := range before {
 			switch {
 			case slices.ContainsFunc(c.sent, func(x sentPacket) bool { return x.pn == pn }):
-			case requeued[sp.frames[0]]:
+			case requeued[sp.frame]:
 				gotLost = append(gotLost, pn)
 			default:
 				gotAcked = append(gotAcked, pn)
@@ -277,6 +324,7 @@ func (h *recoveryHarness) apply(f *ackFrame) {
 	if !slices.Equal(c.queued, ref.queued) {
 		t.Fatalf("requeued %d frames, oracle %d, or in a different order", len(c.queued), len(ref.queued))
 	}
+	checkFrameOwnership(t, c)
 	ref.queued = nil
 	h.compareLocked()
 	h.flushLocked()
@@ -318,7 +366,9 @@ func (h *recoveryHarness) compareLocked() {
 // map-keyed oracle through seeded schedules — gaps, reordering, drops,
 // duplicate and stale acks, acks of unsent packet numbers, PTO fires — and
 // requires identical acked and lost sets, requeue order, cwnd, recovery
-// epoch, inFlight, PTO backoff and RTT samples after every event.
+// epoch, inFlight, PTO backoff and RTT samples after every event. Sends take
+// their stream frames from the free list acks fill, and after every event
+// no frame may be both free and queued or in flight (checkFrameOwnership).
 func TestSentHistoryMatchesMapOracle(t *testing.T) {
 	for seed := int64(1); seed <= 40; seed++ {
 		h := newRecoveryHarness(t, seed)
@@ -337,8 +387,8 @@ func TestSentHistoryMatchesMapOracle(t *testing.T) {
 			}
 			h.clock.now = h.clock.now.Add(time.Duration(h.rng.Intn(5)) * time.Millisecond)
 		}
-		if h.c.rttSamples == 0 || h.c.recoveryEnd == 0 {
-			t.Fatalf("seed %d never exercised RTT sampling or loss recovery", seed)
+		if h.c.rttSamples == 0 || h.c.recoveryEnd == 0 || h.reused == 0 {
+			t.Fatalf("seed %d never exercised RTT sampling, loss recovery or frame reuse", seed)
 		}
 	}
 }
@@ -358,6 +408,7 @@ func TestSentHistoryReleasedAtTeardown(t *testing.T) {
 		if len(c.sent) == 0 {
 			t.Fatal("nothing in flight before teardown")
 		}
+		c.freeFrames = append(c.freeFrames, new(streamFrame))
 		checkHistory(t, c)
 		c.mu.Unlock()
 		return c
@@ -366,9 +417,9 @@ func TestSentHistoryReleasedAtTeardown(t *testing.T) {
 		t.Helper()
 		c.mu.Lock()
 		defer c.mu.Unlock()
-		if !c.closed || c.sent != nil || c.queued != nil || c.inFlight != 0 {
-			t.Fatalf("%s: closed=%v history=%d queued=%d inFlight=%d, want released",
-				how, c.closed, len(c.sent), len(c.queued), c.inFlight)
+		if !c.closed || c.sent != nil || c.queued != nil || c.freeFrames != nil || c.inFlight != 0 {
+			t.Fatalf("%s: closed=%v history=%d queued=%d free=%d inFlight=%d, want released",
+				how, c.closed, len(c.sent), len(c.queued), len(c.freeFrames), c.inFlight)
 		}
 	}
 
@@ -462,10 +513,9 @@ const ackBatch = 4
 func ackProcessing(tb testing.TB, inflight int) (*Conn, func()) {
 	clock := &stepClock{now: time.Date(2022, 10, 10, 0, 0, 0, 0, time.UTC)}
 	c, _ := deadConn(tb, clock)
-	frames := []frame{pingFrame{}}
 	c.sent = make([]sentPacket, 0, inflight+4096)
 	push := func() {
-		c.sent = append(c.sent, sentPacket{pn: c.nextPN, frames: frames, size: 1200, sentAt: clock.now})
+		c.sent = append(c.sent, sentPacket{pn: c.nextPN, frame: pingFrame{}, size: 1200, sentAt: clock.now})
 		c.inFlight += 1200
 		c.nextPN++
 	}

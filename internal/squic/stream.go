@@ -375,23 +375,24 @@ func (s *Stream) nextFrameLocked(maxData int) *streamFrame {
 	if n < 0 {
 		n = 0
 	}
-	f := &streamFrame{id: s.id, offset: s.sendOffset}
+	// Attach the FIN once all buffered data is out.
+	fin := s.sendFin && !s.finSent && s.pendLen == n
+	if n == 0 && !fin {
+		return nil
+	}
+	f := s.c.newStreamFrameLocked()
+	f.id, f.offset, f.fin = s.id, s.sendOffset, fin
 	if n > 0 {
 		// The frame aliases the send buffer's block instead of copying (see
 		// appendPendingLocked): its bytes stay immutable until the packet is
-		// acked and the frame dropped, including across retransmissions,
-		// which reuse the same frame.
+		// acked and the frame freed, including across retransmissions, which
+		// reuse the same frame.
 		f.data = s.takePendingLocked(n)
 		s.sendOffset += uint64(n)
 		s.c.writable.Broadcast()
 	}
-	// Attach the FIN once all buffered data is out.
-	if s.sendFin && !s.finSent && s.pendLen == 0 {
-		f.fin = true
+	if fin {
 		s.finSent = true
-	}
-	if len(f.data) == 0 && !f.fin {
-		return nil
 	}
 	return f
 }
