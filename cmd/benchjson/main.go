@@ -1,444 +1,181 @@
-// Command benchjson converts `go test -bench` output on stdin into the
-// repository's bench-trajectory JSON (BENCH_<n>.json): one entry per
-// benchmark with ns/op and every custom metric, so perf regressions are
-// trackable across PRs by diffing small committed files.
+// Command benchjson checks `go test -bench` output on stdin against timing
+// gates and exits nonzero when one fails:
 //
-//	go test -bench=. -benchtime=1x -run NONE . | go run ./cmd/benchjson -pr 3 > BENCH_3.json
+//	go test -bench=. -benchtime=1x -run NONE ./... | go run ./cmd/benchjson \
+//	    -gate-max MonitorIngestContended=2000000 \
+//	    -gate-rel "PacketTemplate/templated<=PacketTemplate/full*1.1" \
+//	    -gate-min SQUICTransfer/MB/s=31
 //
-// Repeatable -gate Name=N flags turn the converter into an allocation
-// budget check: each named benchmark must report allocs/op (b.ReportAllocs)
-// at or under N, or the exit status is nonzero — wired into CI's
-// bench-smoke step so alloc regressions on gated hot paths fail the build.
+// Each flag is repeatable:
+//   - -gate-max Name=N: the benchmark's ns/op is at most N.
+//   - -gate-rel "A<=B*F": A's ns/op is at most B's times F. Both sides are
+//     full names, sub-benchmark included.
+//   - -gate-min Name/metric=X: the benchmark's custom metric is at least X.
+//     The name ends at the first '/', since metric names such as MB/s
+//     contain slashes themselves.
 //
-// Repeatable -gate-min Name/metric=X flags are the throughput mirror: the
-// named benchmark's custom metric (everything after the first '/' — metric
-// names may themselves contain slashes, e.g. MB/s) must be at least X.
+// A missing benchmark or metric fails its gate. Names drop the "Benchmark"
+// prefix and the GOMAXPROCS suffix; benchmark names are unique across the
+// repository's packages, so the package is not part of the key. A later line
+// of the same name replaces an earlier one: a re-run at a longer -benchtime
+// overrides the smoke run's sample.
 //
-// Repeatable -gate-max Name=N flags put a ceiling on a benchmark's ns/op,
-// and -gate-rel "A<=B*F" flags tie two benchmarks together: A's ns/op must
-// stay at or under B's times F — how CI asserts the optimized variant of a
-// pair actually beats the baseline it rode in with.
-//
-// -diff-prior DIR compares the parsed results against the highest-numbered
-// committed BENCH_<n>.json below -pr in DIR and prints every shared
-// benchmark whose ns/op regressed by more than 1.5x — to stderr and, when
-// $GITHUB_STEP_SUMMARY is set, as a markdown table in the job summary. The
-// diff is informational: single-iteration smoke numbers are too noisy to
-// fail the build on, but not too noisy to read.
+// Allocation budgets are not gated here: each is a testing.AllocsPerRun
+// test beside its benchmark, so the plain test run enforces it.
 package main
 
 import (
 	"bufio"
-	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
-	"path/filepath"
-	"sort"
 	"strconv"
 	"strings"
 )
 
-// Result is one benchmark's parsed measurements.
-type Result struct {
-	NsPerOp float64            `json:"ns_per_op"`
-	Iters   int64              `json:"iterations"`
-	Metrics map[string]float64 `json:"metrics,omitempty"`
-}
-
-// Trajectory is the BENCH_<n>.json document.
-type Trajectory struct {
-	PR         int               `json:"pr"`
-	Go         string            `json:"go,omitempty"`
-	Benchmarks map[string]Result `json:"benchmarks"`
-}
-
-// allocGate is one -gate entry: the benchmark's allocs/op budget.
-type allocGate struct {
-	name string
-	max  float64
-}
-
-// allocGates implements flag.Value for repeatable -gate Name=N flags.
-type allocGates []allocGate
-
-func (g *allocGates) String() string {
-	parts := make([]string, len(*g))
-	for i, e := range *g {
-		parts[i] = fmt.Sprintf("%s=%g", e.name, e.max)
-	}
-	return strings.Join(parts, ",")
-}
-
-func (g *allocGates) Set(v string) error {
-	name, lim, ok := strings.Cut(v, "=")
-	if !ok || name == "" {
-		return fmt.Errorf("want Name=N, got %q", v)
-	}
-	max, err := strconv.ParseFloat(lim, 64)
-	if err != nil {
-		return fmt.Errorf("bad limit in %q: %v", v, err)
-	}
-	*g = append(*g, allocGate{name: name, max: max})
-	return nil
-}
-
-// minGate is one -gate-min entry: a floor on a benchmark's custom metric.
-type minGate struct {
-	name   string
-	metric string
-	min    float64
-}
-
-// minGates implements flag.Value for repeatable -gate-min Name/metric=X
-// flags. The benchmark name ends at the FIRST '/': metric names may contain
-// slashes themselves (MB/s).
-type minGates []minGate
-
-func (g *minGates) String() string {
-	parts := make([]string, len(*g))
-	for i, e := range *g {
-		parts[i] = fmt.Sprintf("%s/%s=%g", e.name, e.metric, e.min)
-	}
-	return strings.Join(parts, ",")
-}
-
-func (g *minGates) Set(v string) error {
-	spec, lim, ok := strings.Cut(v, "=")
-	if !ok {
-		return fmt.Errorf("want Name/metric=X, got %q", v)
-	}
-	name, metric, ok := strings.Cut(spec, "/")
-	if !ok || name == "" || metric == "" {
-		return fmt.Errorf("want Name/metric=X, got %q", v)
-	}
-	min, err := strconv.ParseFloat(lim, 64)
-	if err != nil {
-		return fmt.Errorf("bad floor in %q: %v", v, err)
-	}
-	*g = append(*g, minGate{name: name, metric: metric, min: min})
-	return nil
-}
-
-// check enforces every floor; missing benchmarks or metrics fail like
-// exceeded floors do.
-func (g minGates) check(benchmarks map[string]Result) (failed bool) {
-	for _, e := range g {
-		r, ok := benchmarks[e.name]
-		if !ok {
-			fmt.Fprintf(os.Stderr, "benchjson: gate-min %s: benchmark missing from input\n", e.name)
-			failed = true
-			continue
-		}
-		v, ok := r.Metrics[e.metric]
-		if !ok {
-			fmt.Fprintf(os.Stderr, "benchjson: gate-min %s: no %s metric in output\n", e.name, e.metric)
-			failed = true
-			continue
-		}
-		if v < e.min {
-			fmt.Fprintf(os.Stderr, "benchjson: gate-min %s: %g %s below floor %g\n", e.name, v, e.metric, e.min)
-			failed = true
-		}
-	}
-	return failed
-}
-
-// nsGate is one -gate-max entry: a ceiling on a benchmark's ns/op.
-type nsGate struct {
-	name string
-	max  float64
-}
-
-// nsGates implements flag.Value for repeatable -gate-max Name=N flags.
-type nsGates []nsGate
-
-func (g *nsGates) String() string {
-	parts := make([]string, len(*g))
-	for i, e := range *g {
-		parts[i] = fmt.Sprintf("%s=%g", e.name, e.max)
-	}
-	return strings.Join(parts, ",")
-}
-
-func (g *nsGates) Set(v string) error {
-	name, lim, ok := strings.Cut(v, "=")
-	if !ok || name == "" {
-		return fmt.Errorf("want Name=N, got %q", v)
-	}
-	max, err := strconv.ParseFloat(lim, 64)
-	if err != nil {
-		return fmt.Errorf("bad ceiling in %q: %v", v, err)
-	}
-	*g = append(*g, nsGate{name: name, max: max})
-	return nil
-}
-
-// check enforces every ns/op ceiling; missing benchmarks fail too.
-func (g nsGates) check(benchmarks map[string]Result) (failed bool) {
-	for _, e := range g {
-		r, ok := benchmarks[e.name]
-		if !ok {
-			fmt.Fprintf(os.Stderr, "benchjson: gate-max %s: benchmark missing from input\n", e.name)
-			failed = true
-			continue
-		}
-		if r.NsPerOp > e.max {
-			fmt.Fprintf(os.Stderr, "benchjson: gate-max %s: %g ns/op exceeds ceiling %g\n", e.name, r.NsPerOp, e.max)
-			failed = true
-		}
-	}
-	return failed
-}
-
-// relGate is one -gate-rel entry: benchmark a's ns/op must stay at or
-// under benchmark b's ns/op scaled by factor.
-type relGate struct {
-	a, b   string
-	factor float64
-}
-
-// relGates implements flag.Value for repeatable -gate-rel "A<=B*F" flags.
-// Both sides are FULL benchmark names (sub-benchmark slashes included).
-type relGates []relGate
-
-func (g *relGates) String() string {
-	parts := make([]string, len(*g))
-	for i, e := range *g {
-		parts[i] = fmt.Sprintf("%s<=%s*%g", e.a, e.b, e.factor)
-	}
-	return strings.Join(parts, ",")
-}
-
-func (g *relGates) Set(v string) error {
-	a, rest, ok := strings.Cut(v, "<=")
-	if !ok || a == "" {
-		return fmt.Errorf(`want "A<=B*F", got %q`, v)
-	}
-	b, f, ok := strings.Cut(rest, "*")
-	if !ok || b == "" {
-		return fmt.Errorf(`want "A<=B*F", got %q`, v)
-	}
-	factor, err := strconv.ParseFloat(f, 64)
-	if err != nil || factor <= 0 {
-		return fmt.Errorf("bad factor in %q: %v", v, err)
-	}
-	*g = append(*g, relGate{a: a, b: b, factor: factor})
-	return nil
-}
-
-// check enforces every relative gate; either side missing fails.
-func (g relGates) check(benchmarks map[string]Result) (failed bool) {
-	for _, e := range g {
-		ra, okA := benchmarks[e.a]
-		rb, okB := benchmarks[e.b]
-		if !okA || !okB {
-			for name, ok := range map[string]bool{e.a: okA, e.b: okB} {
-				if !ok {
-					fmt.Fprintf(os.Stderr, "benchjson: gate-rel %s<=%s*%g: benchmark %s missing from input\n", e.a, e.b, e.factor, name)
-				}
-			}
-			failed = true
-			continue
-		}
-		if limit := rb.NsPerOp * e.factor; ra.NsPerOp > limit {
-			fmt.Fprintf(os.Stderr, "benchjson: gate-rel %s: %g ns/op exceeds %s*%g = %g\n", e.a, ra.NsPerOp, e.b, e.factor, limit)
-			failed = true
-		}
-	}
-	return failed
-}
-
-// priorRegressionFactor is the informational-diff threshold: shared
-// benchmarks whose ns/op grew past this multiple of the prior trajectory
-// get printed. Smoke runs are single-iteration, so small drift is noise.
-const priorRegressionFactor = 1.5
-
-// diffPrior locates the highest-numbered BENCH_<n>.json below pr in dir,
-// compares shared benchmarks' ns/op, and reports regressions beyond
-// priorRegressionFactor — to stderr always, and into $GITHUB_STEP_SUMMARY
-// when running under CI. Informational only: never fails the run.
-func diffPrior(dir string, pr int, benchmarks map[string]Result) {
-	entries, err := os.ReadDir(dir)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "benchjson: diff-prior: %v\n", err)
-		return
-	}
-	best, bestPath := -1, ""
-	for _, ent := range entries {
-		var n int
-		if _, err := fmt.Sscanf(ent.Name(), "BENCH_%d.json", &n); err != nil {
-			continue
-		}
-		if ent.Name() != fmt.Sprintf("BENCH_%d.json", n) {
-			continue
-		}
-		if n < pr && n > best {
-			best, bestPath = n, filepath.Join(dir, ent.Name())
-		}
-	}
-	if best < 0 {
-		fmt.Fprintf(os.Stderr, "benchjson: diff-prior: no BENCH_<n>.json below %d in %s\n", pr, dir)
-		return
-	}
-	raw, err := os.ReadFile(bestPath)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "benchjson: diff-prior: %v\n", err)
-		return
-	}
-	var prior Trajectory
-	if err := json.Unmarshal(raw, &prior); err != nil {
-		fmt.Fprintf(os.Stderr, "benchjson: diff-prior %s: %v\n", bestPath, err)
-		return
-	}
-	type reg struct {
-		name     string
-		was, now float64
-	}
-	var regs []reg
-	shared := 0
-	for name, r := range benchmarks {
-		p, ok := prior.Benchmarks[name]
-		if !ok || p.NsPerOp <= 0 {
-			continue
-		}
-		shared++
-		if r.NsPerOp > p.NsPerOp*priorRegressionFactor {
-			regs = append(regs, reg{name: name, was: p.NsPerOp, now: r.NsPerOp})
-		}
-	}
-	sort.Slice(regs, func(i, j int) bool { return regs[i].now/regs[i].was > regs[j].now/regs[j].was })
-	if len(regs) == 0 {
-		fmt.Fprintf(os.Stderr, "benchjson: diff-prior: no >%.1fx ns/op regressions vs %s (%d shared benchmarks)\n", priorRegressionFactor, bestPath, shared)
-		return
-	}
-	fmt.Fprintf(os.Stderr, "benchjson: diff-prior: %d of %d shared benchmarks regressed >%.1fx vs %s:\n", len(regs), shared, priorRegressionFactor, bestPath)
-	for _, r := range regs {
-		fmt.Fprintf(os.Stderr, "  %-40s %12.0f -> %12.0f ns/op (%.1fx)\n", r.name, r.was, r.now, r.now/r.was)
-	}
-	summary := os.Getenv("GITHUB_STEP_SUMMARY")
-	if summary == "" {
-		return
-	}
-	f, err := os.OpenFile(summary, os.O_APPEND|os.O_CREATE|os.O_WRONLY, 0o644)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "benchjson: diff-prior: job summary: %v\n", err)
-		return
-	}
-	defer f.Close()
-	fmt.Fprintf(f, "### Bench regressions vs %s (>%.1fx ns/op, informational)\n\n", filepath.Base(bestPath), priorRegressionFactor)
-	fmt.Fprintf(f, "| benchmark | was (ns/op) | now (ns/op) | factor |\n|---|---:|---:|---:|\n")
-	for _, r := range regs {
-		fmt.Fprintf(f, "| %s | %.0f | %.0f | %.1fx |\n", r.name, r.was, r.now, r.now/r.was)
-	}
-	fmt.Fprintln(f)
-}
-
-// check enforces every gate against the parsed results, reporting each
-// violation; a missing benchmark or one not reporting allocs/op fails too —
-// a silently vanished gate is itself a regression.
-func (g allocGates) check(benchmarks map[string]Result) (failed bool) {
-	for _, e := range g {
-		r, ok := benchmarks[e.name]
-		if !ok {
-			fmt.Fprintf(os.Stderr, "benchjson: gate %s: benchmark missing from input\n", e.name)
-			failed = true
-			continue
-		}
-		allocs, ok := r.Metrics["allocs/op"]
-		if !ok {
-			fmt.Fprintf(os.Stderr, "benchjson: gate %s: no allocs/op metric (missing b.ReportAllocs?)\n", e.name)
-			failed = true
-			continue
-		}
-		if allocs > e.max {
-			fmt.Fprintf(os.Stderr, "benchjson: gate %s: %g allocs/op exceeds budget %g\n", e.name, allocs, e.max)
-			failed = true
-		}
-	}
-	return failed
+// result is one benchmark's ns/op and custom metrics (unit → value).
+type result struct {
+	ns      float64
+	metrics map[string]float64
 }
 
 func main() {
-	pr := flag.Int("pr", 0, "PR number stamped into the document")
-	var gates allocGates
-	flag.Var(&gates, "gate", "allocation budget Name=N (repeatable): fail unless the named benchmark reports allocs/op <= N")
-	var floors minGates
-	flag.Var(&floors, "gate-min", "metric floor Name/metric=X (repeatable): fail unless the named benchmark reports metric >= X")
-	var ceilings nsGates
-	flag.Var(&ceilings, "gate-max", "ns/op ceiling Name=N (repeatable): fail unless the named benchmark runs in <= N ns/op")
-	var rels relGates
-	flag.Var(&rels, "gate-rel", `relative gate "A<=B*F" (repeatable): fail unless benchmark A's ns/op <= benchmark B's ns/op * F`)
-	diffDir := flag.String("diff-prior", "", "directory holding committed BENCH_<n>.json files: report >1.5x ns/op regressions vs the latest one below -pr (informational)")
-	flag.Parse()
+	os.Exit(run(os.Args[1:], os.Stdin, os.Stderr))
+}
 
-	out := Trajectory{PR: *pr, Benchmarks: map[string]Result{}}
-	sc := bufio.NewScanner(os.Stdin)
+// run parses the flags and the benchmark output, applies every gate, and
+// returns the exit status: 0 when all pass, 1 when a gate fails or the
+// input holds no benchmark, 2 on bad flags.
+func run(args []string, in io.Reader, stderr io.Writer) int {
+	var checks []func(map[string]result) error // one per gate flag
+	fs := flag.NewFlagSet("benchjson", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	fs.Func("gate-max", "ns/op ceiling Name=N (repeatable)", func(v string) error {
+		name, ceiling, err := cutLimit(v, "=")
+		if err != nil {
+			return err
+		}
+		checks = append(checks, func(rs map[string]result) error {
+			r, ok := rs[name]
+			if !ok {
+				return fmt.Errorf("gate-max %s: benchmark missing from input", name)
+			}
+			if r.ns > ceiling {
+				return fmt.Errorf("gate-max %s: %g ns/op exceeds ceiling %g", name, r.ns, ceiling)
+			}
+			return nil
+		})
+		return nil
+	})
+	fs.Func("gate-rel", `relative ns/op gate "A<=B*F" (repeatable)`, func(v string) error {
+		a, rest, ok := strings.Cut(v, "<=")
+		b, factor, err := cutLimit(rest, "*")
+		if !ok || a == "" || err != nil || factor <= 0 {
+			return fmt.Errorf(`want "A<=B*F", got %q`, v)
+		}
+		checks = append(checks, func(rs map[string]result) error {
+			ra, okA := rs[a]
+			rb, okB := rs[b]
+			if !okA || !okB {
+				return fmt.Errorf("gate-rel %s: benchmark %s or %s missing from input", v, a, b)
+			}
+			if limit := rb.ns * factor; ra.ns > limit {
+				return fmt.Errorf("gate-rel %s: %g ns/op exceeds %s*%g = %g", a, ra.ns, b, factor, limit)
+			}
+			return nil
+		})
+		return nil
+	})
+	fs.Func("gate-min", "metric floor Name/metric=X (repeatable)", func(v string) error {
+		spec, floor, err := cutLimit(v, "=")
+		name, metric, ok := strings.Cut(spec, "/")
+		if err != nil || !ok || metric == "" {
+			return fmt.Errorf("want Name/metric=X, got %q", v)
+		}
+		checks = append(checks, func(rs map[string]result) error {
+			r, ok := rs[name]
+			if !ok {
+				return fmt.Errorf("gate-min %s: benchmark missing from input", name)
+			}
+			got, ok := r.metrics[metric]
+			if !ok {
+				return fmt.Errorf("gate-min %s: no %s metric in output", name, metric)
+			}
+			if got < floor {
+				return fmt.Errorf("gate-min %s: %g %s below floor %g", name, got, metric, floor)
+			}
+			return nil
+		})
+		return nil
+	})
+	if err := fs.Parse(args); err != nil {
+		return 2
+	}
+
+	results, err := parse(in)
+	if err != nil {
+		fmt.Fprintf(stderr, "benchjson: %v\n", err)
+		return 1
+	}
+	status := 0
+	for _, c := range checks {
+		if err := c(results); err != nil {
+			fmt.Fprintf(stderr, "benchjson: %v\n", err)
+			status = 1
+		}
+	}
+	return status
+}
+
+// cutLimit splits "spec<sep>number", the shape of every gate flag.
+func cutLimit(v, sep string) (string, float64, error) {
+	spec, lim, ok := strings.Cut(v, sep)
+	if !ok || spec == "" {
+		return "", 0, fmt.Errorf("want spec%snumber, got %q", sep, v)
+	}
+	n, err := strconv.ParseFloat(lim, 64)
+	if err != nil {
+		return "", 0, fmt.Errorf("bad number in %q: %v", v, err)
+	}
+	return spec, n, nil
+}
+
+// parse reads `go test -bench` output, keyed by benchmark name.
+func parse(in io.Reader) (map[string]result, error) {
+	results := map[string]result{}
+	sc := bufio.NewScanner(in)
 	sc.Buffer(make([]byte, 1<<20), 1<<20)
 	for sc.Scan() {
-		line := sc.Text()
-		if !strings.HasPrefix(line, "Benchmark") {
-			continue // goos/goarch/cpu/pkg/PASS lines identify the runner only
-		}
-		fields := strings.Fields(line)
 		// BenchmarkName-8  N  1234 ns/op  [value unit]...
-		if len(fields) < 4 || fields[3] != "ns/op" {
-			continue
+		fields := strings.Fields(sc.Text())
+		if len(fields) < 4 || !strings.HasPrefix(fields[0], "Benchmark") || fields[3] != "ns/op" {
+			continue // goos/goarch/pkg/PASS lines identify the runner only
 		}
-		name := fields[0]
+		name := strings.TrimPrefix(fields[0], "Benchmark")
 		if i := strings.LastIndexByte(name, '-'); i > 0 {
-			name = name[:i] // strip the GOMAXPROCS suffix
-		}
-		name = strings.TrimPrefix(name, "Benchmark")
-		iters, err := strconv.ParseInt(fields[1], 10, 64)
-		if err != nil {
-			continue
+			if _, err := strconv.Atoi(name[i+1:]); err == nil {
+				name = name[:i] // the GOMAXPROCS suffix
+			}
 		}
 		ns, err := strconv.ParseFloat(fields[2], 64)
 		if err != nil {
 			continue
 		}
-		r := Result{NsPerOp: ns, Iters: iters}
+		r := result{ns: ns, metrics: map[string]float64{}}
 		for i := 4; i+1 < len(fields); i += 2 {
-			v, err := strconv.ParseFloat(fields[i], 64)
-			if err != nil {
-				continue
+			if v, err := strconv.ParseFloat(fields[i], 64); err == nil {
+				r.metrics[fields[i+1]] = v
 			}
-			if r.Metrics == nil {
-				r.Metrics = map[string]float64{}
-			}
-			r.Metrics[fields[i+1]] = v
 		}
-		out.Benchmarks[name] = r
+		results[name] = r
 	}
 	if err := sc.Err(); err != nil {
-		fmt.Fprintf(os.Stderr, "benchjson: reading stdin: %v\n", err)
-		os.Exit(1)
+		return nil, fmt.Errorf("reading stdin: %v", err)
 	}
-	if len(out.Benchmarks) == 0 {
-		fmt.Fprintln(os.Stderr, "benchjson: no benchmark lines on stdin")
-		os.Exit(1)
+	if len(results) == 0 {
+		return nil, errors.New("no benchmark lines on stdin")
 	}
-	enc := json.NewEncoder(os.Stdout)
-	enc.SetIndent("", "  ")
-	if err := enc.Encode(out); err != nil {
-		fmt.Fprintf(os.Stderr, "benchjson: %v\n", err)
-		os.Exit(1)
-	}
-	if *diffDir != "" {
-		diffPrior(*diffDir, *pr, out.Benchmarks)
-	}
-	failed := gates.check(out.Benchmarks)
-	if floors.check(out.Benchmarks) {
-		failed = true
-	}
-	if ceilings.check(out.Benchmarks) {
-		failed = true
-	}
-	if rels.check(out.Benchmarks) {
-		failed = true
-	}
-	if failed {
-		os.Exit(1)
-	}
+	return results, nil
 }

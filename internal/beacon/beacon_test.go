@@ -17,7 +17,7 @@ var (
 )
 
 // world runs a full beaconing round over the default topology.
-func world(t *testing.T) (*topology.Topology, *Infra, *pathdb.Registry) {
+func world(t testing.TB) (*topology.Topology, *Infra, *pathdb.Registry) {
 	t.Helper()
 	topo := topology.Default()
 	infra, err := NewInfra(topo, t0, t1)
@@ -225,4 +225,17 @@ func TestRerunIsIdempotentPerContent(t *testing.T) {
 		t.Fatal("second round lost segments")
 	}
 	_ = addr.WildcardISD
+}
+
+// BenchmarkBeaconRound measures one full beaconing round over the default
+// topology: origination, propagation, signing and registration.
+func BenchmarkBeaconRound(b *testing.B) {
+	topo, infra, _ := world(b)
+	b.ResetTimer()
+	for range b.N {
+		reg := pathdb.NewRegistry(infra.Store)
+		if err := NewService(topo, infra, reg, 12*time.Hour).Run(t0); err != nil {
+			b.Fatal(err)
+		}
+	}
 }

@@ -31,7 +31,7 @@ type world struct {
 	clock *netsim.SimClock
 }
 
-func newWorld(t *testing.T) *world {
+func newWorld(t testing.TB) *world {
 	t.Helper()
 	topo := topology.Default()
 	infra, err := beacon.NewInfra(topo, t0, t1)

@@ -113,3 +113,12 @@ func TestMarkStrings(t *testing.T) {
 		t.Fatal("glyphs must be distinct")
 	}
 }
+
+// BenchmarkTable1LayerModel regenerates the Table 1 decision matrix.
+func BenchmarkTable1LayerModel(b *testing.B) {
+	for range b.N {
+		if len(Matrix()) != 12 {
+			b.Fatal("matrix incomplete")
+		}
+	}
+}

@@ -16,7 +16,7 @@ import (
 	"tango/internal/topology"
 )
 
-func dialWorld(t *testing.T) (*world, *pan.Host, addr.UDPAddr) {
+func dialWorld(t testing.TB) (*world, *pan.Host, addr.UDPAddr) {
 	t.Helper()
 	w := newWorld(t)
 	server := w.host(topology.AS211, "10.0.0.2")

@@ -33,7 +33,7 @@ type world struct {
 	pool  *squic.CertPool
 }
 
-func newWorld(t *testing.T) *world {
+func newWorld(t testing.TB) *world {
 	t.Helper()
 	topo := topology.Default()
 	infra, err := beacon.NewInfra(topo, t0, t1)
@@ -63,7 +63,7 @@ func (w *world) host(ia addr.IA, ip string) *pan.Host {
 }
 
 // echoServer serves one echo stream per accepted connection, forever.
-func echoServer(t *testing.T, h *pan.Host, port uint16, name string, pool *squic.CertPool) *squic.Listener {
+func echoServer(t testing.TB, h *pan.Host, port uint16, name string, pool *squic.CertPool) *squic.Listener {
 	t.Helper()
 	id, err := squic.NewIdentity(name)
 	if err != nil {

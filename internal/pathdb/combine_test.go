@@ -17,7 +17,7 @@ var (
 	during = t0.Add(time.Hour)
 )
 
-func combinerWorld(t *testing.T) (*topology.Topology, *beacon.Infra, *pathdb.Combiner) {
+func combinerWorld(t testing.TB) (*topology.Topology, *beacon.Infra, *pathdb.Combiner) {
 	t.Helper()
 	topo := topology.Default()
 	infra, err := beacon.NewInfra(topo, t0, t1)
@@ -262,5 +262,17 @@ func TestPathCountIsRich(t *testing.T) {
 	}
 	if total < 12 {
 		t.Fatalf("total inter-ISD path options = %d, want >= 12", total)
+	}
+}
+
+// BenchmarkPathCombination measures end-to-end path assembly (up, core and
+// down joins, shortcuts, peering) for an inter-ISD pair.
+func BenchmarkPathCombination(b *testing.B) {
+	_, _, comb := combinerWorld(b)
+	b.ResetTimer()
+	for range b.N {
+		if len(comb.Paths(topology.AS111, topology.AS211, during)) == 0 {
+			b.Fatal("no paths")
+		}
 	}
 }

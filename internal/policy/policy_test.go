@@ -114,3 +114,13 @@ func TestCountryAvoidance(t *testing.T) {
 		t.Error("nil avoidance must accept everything")
 	}
 }
+
+// BenchmarkGeofenceCompliance measures ISD-level geofence checks.
+func BenchmarkGeofenceCompliance(b *testing.B) {
+	fence := NewBlockGeofence(3, 4, 5)
+	for range b.N {
+		if !fence.Compliant(domestic) || !fence.Compliant(foreign) {
+			b.Fatal("unexpected violation")
+		}
+	}
+}

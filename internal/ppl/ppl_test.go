@@ -335,3 +335,36 @@ func mustACL(t *testing.T, entries ...string) *ACL {
 	}
 	return acl
 }
+
+// BenchmarkPPLPolicyEval measures full policy evaluation (ACL, sequence,
+// metric caps and orderings) over six paths of an inter-ISD pair: one
+// crosses a denied AS and one is over the latency cap.
+func BenchmarkPPLPolicyEval(b *testing.B) {
+	ia220 := addr.MustIA(2, 0xff00_0000_0220)
+	paths := []*segment.Path{
+		mkPath(60*time.Millisecond, 1e9, 10, ia111, ia110, ia210, ia211),
+		mkPath(80*time.Millisecond, 1e9, 5, ia111, ia120, ia210, ia211),
+		mkPath(90*time.Millisecond, 5e8, 20, ia111, ia110, ia120, ia210, ia211),
+		mkPath(70*time.Millisecond, 1e9, 8, ia111, ia110, ia220, ia211),
+		mkPath(250*time.Millisecond, 1e9, 1, ia111, ia120, ia210, ia211),
+		mkPath(120*time.Millisecond, 2e9, 15, ia111, ia110, ia210, ia220, ia211),
+	}
+	seq, err := ParseSequence("1-ff00:0:111 0* 2-ff00:0:211")
+	if err != nil {
+		b.Fatal(err)
+	}
+	acl, err := ParseACL("- 2-ff00:0:220", "+")
+	if err != nil {
+		b.Fatal(err)
+	}
+	pol := &Policy{
+		ACL: acl, Sequence: seq, MaxLatency: 200 * time.Millisecond,
+		Orderings: []Ordering{OrderCarbon, OrderLatency},
+	}
+	b.ResetTimer()
+	for range b.N {
+		if len(pol.Filter(paths)) != 3 {
+			b.Fatal("policy kept the wrong paths")
+		}
+	}
+}

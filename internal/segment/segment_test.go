@@ -20,7 +20,7 @@ var (
 
 // pki builds an ISD-1 authority with signers for the three test ASes and a
 // store trusting them.
-func pki(t *testing.T) (map[addr.IA]*cppki.Signer, *cppki.Store) {
+func pki(t testing.TB) (map[addr.IA]*cppki.Signer, *cppki.Store) {
 	t.Helper()
 	auth, err := cppki.NewAuthority(1, t0, t1)
 	if err != nil {
@@ -42,7 +42,7 @@ func pki(t *testing.T) (map[addr.IA]*cppki.Signer, *cppki.Store) {
 }
 
 // buildSegment originates at 110 and extends through 111 to 112.
-func buildSegment(t *testing.T, signers map[addr.IA]*cppki.Signer) *Segment {
+func buildSegment(t testing.TB, signers map[addr.IA]*cppki.Signer) *Segment {
 	t.Helper()
 	key := []byte("forwarding-key-110")
 	seg := NewSegment(t0, 7, ia110)
@@ -248,5 +248,29 @@ func TestSegmentID(t *testing.T) {
 	c := NewSegment(t0, 8, ia110)
 	if a.ID() == c.ID() {
 		t.Fatal("different segments share an ID")
+	}
+}
+
+// BenchmarkSegmentVerify measures signature-chain verification of a
+// three-AS segment.
+func BenchmarkSegmentVerify(b *testing.B) {
+	signers, store := pki(b)
+	seg := buildSegment(b, signers)
+	b.ResetTimer()
+	for range b.N {
+		if err := seg.Verify(store, during); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkHopFieldMAC measures hop-field MAC computation, the router's
+// fast path.
+func BenchmarkHopFieldMAC(b *testing.B) {
+	info := Info{Timestamp: t0, SegID: 1, Origin: ia110}
+	hf := HopField{ConsIngress: 1, ConsEgress: 2, ExpTime: t1}
+	key := []byte("forwarding-key-bench")
+	for range b.N {
+		hf.MAC = ComputeMAC(key, info, hf)
 	}
 }

@@ -297,12 +297,25 @@ func MaxPayload(path *segment.Path) int {
 }
 
 // ReadFrom blocks until a datagram arrives, the read deadline passes, or the
-// socket closes.
+// socket closes. A closed socket or a passed deadline fails the read even
+// with datagrams queued, as net.Conn does.
 func (c *Conn) ReadFrom() (*Datagram, error) {
 	c.mu.Lock()
 	deadline := c.deadline // nil without a deadline: never ready
 	done := c.done
 	c.mu.Unlock()
+	// Go's select picks at random among ready cases, so the failures are
+	// checked on their own before a queued datagram can be taken.
+	select {
+	case <-done:
+		return nil, ErrClosed
+	default:
+	}
+	select {
+	case <-deadline:
+		return nil, ErrDeadlineExceeded
+	default:
+	}
 	select {
 	case dg := <-c.inbox:
 		return dg, nil

@@ -455,7 +455,8 @@ func TestTemplatedDatagramAllocs(t *testing.T) {
 
 // TestReadFromAcrossDeadline: in queued mode a read deadline fails ReadFrom
 // once it passes, clearing it lets ReadFrom return queued datagrams again,
-// and a ReadFrom without a deadline allocates nothing of its own.
+// a ReadFrom without a deadline allocates nothing of its own, and a passed
+// deadline or a closed socket fails the read even with datagrams queued.
 func TestReadFromAcrossDeadline(t *testing.T) {
 	w := newPairWorld(t)
 	sc, err := w.dst.Listen(8000)
@@ -500,5 +501,27 @@ func TestReadFromAcrossDeadline(t *testing.T) {
 	}
 	if next != n {
 		t.Fatalf("read %d datagrams, want %d", next, n)
+	}
+
+	// With datagrams queued, a passed deadline still fails every read, and
+	// so does a closed socket.
+	for i := range 4 {
+		if err := cc.WriteTo([]byte{byte(i)}, dst, w.path); err != nil {
+			t.Fatal(err)
+		}
+	}
+	w.run()
+	sc.SetReadDeadline(w.clock.Now().Add(-time.Millisecond))
+	for i := range 50 {
+		if _, err := sc.ReadFrom(); err != snet.ErrDeadlineExceeded {
+			t.Fatalf("read %d past the deadline with datagrams queued: err = %v", i, err)
+		}
+	}
+	sc.SetReadDeadline(time.Time{})
+	sc.Close()
+	for i := range 50 {
+		if _, err := sc.ReadFrom(); err != snet.ErrClosed {
+			t.Fatalf("read %d on a closed socket with datagrams queued: err = %v", i, err)
+		}
 	}
 }

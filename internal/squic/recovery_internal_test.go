@@ -537,8 +537,8 @@ func ackProcessing(tb testing.TB, inflight int) (*Conn, func()) {
 
 // BenchmarkAckProcessing times ackProcessing's op with few and with many
 // packets in flight: the ordered history makes the cost independent of the
-// in-flight count (CI holds inflight4096 within 2x of inflight64 at 0
-// allocs/op; TestAckProcessingAllocs holds the 0). Reallocating the
+// in-flight count (CI holds inflight4096 within 2x of inflight64;
+// TestAckProcessingAllocs holds its 0 allocs/op). Reallocating the
 // history's backing array happens off the timer, because one 4096-entry
 // copy inside a 100-iteration sample would swamp the ratio the gate
 // compares.
@@ -565,8 +565,8 @@ func BenchmarkAckProcessing(b *testing.B) {
 }
 
 // TestAckProcessingAllocs: BenchmarkAckProcessing/inflight4096's op
-// allocates nothing, the budget CI's bench gate holds. 101 ops stay within
-// the history's spare room, so none reallocates it.
+// allocates nothing. 101 ops stay within the history's spare room, so none
+// reallocates it.
 func TestAckProcessingAllocs(t *testing.T) {
 	_, op := ackProcessing(t, 4096)
 	if n := testing.AllocsPerRun(100, op); n != 0 {

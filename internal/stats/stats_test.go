@@ -141,3 +141,17 @@ func TestSummariesSortStable(t *testing.T) {
 		t.Fatalf("median %v outside naive band [%v, %v]", s.Median, sorted[498], sorted[501])
 	}
 }
+
+// BenchmarkStatsSummarize measures five-number summaries on a 1000-sample
+// distribution.
+func BenchmarkStatsSummarize(b *testing.B) {
+	sample := make([]float64, 1000)
+	for i := range sample {
+		sample[i] = float64(i * 7 % 997)
+	}
+	for range b.N {
+		if Summarize(sample).N != 1000 {
+			b.Fatal("bad summary")
+		}
+	}
+}
