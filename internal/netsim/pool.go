@@ -23,57 +23,49 @@ import (
 // AS-local datagram (64 KiB payload + SCION header).
 var bufClasses = [...]int{256, 1536, 4096, 16384, 73728}
 
-// bufStripes spreads each class over independently-locked free lists so
-// concurrent routers don't serialize on one mutex. Must be a power of two.
-const bufStripes = 8
+// poolCap bounds each class's free list; beyond it, PutBuf drops to the GC.
+// Bounds idle pool memory at sum(class·poolCap).
+const poolCap = 512
 
-// stripeCap bounds each stripe's free list; beyond it, PutBuf drops to the
-// GC. Bounds idle pool memory at sum(class·stripes·stripeCap).
-const stripeCap = 64
-
-type bufStripe struct {
+// bufClass is one class's free list, used last in, first out, so a
+// single-threaded get takes the buffer the last put returned.
+type bufClass struct {
 	mu   sync.Mutex
 	free [][]byte
-	// Lease counters (see PoolStats), updated under mu, read atomically.
-	gets, misses, puts, dropsFull atomic.Uint64
-	_                             [64]byte // keep neighboring stripes off one cache line
+	// Lease counters (see PoolStats), guarded by mu.
+	gets, misses, puts, dropsFull uint64
 }
 
 var (
-	bufPool [len(bufClasses)][bufStripes]bufStripe
-	// getCtr and putCtr pick stripes round-robin, one counter per side: on
-	// one shared counter, interleaved gets and puts land on different
-	// stripes, so some stripes fill and drop their puts while others run
-	// empty and miss.
-	getCtr, putCtr atomic.Uint32
+	bufPool [len(bufClasses)]bufClass
 	// dropsForeign counts PutBuf calls whose buffer has no class capacity.
 	dropsForeign atomic.Uint64
 )
 
 // PoolStats counts buffer pool traffic since the process started. Every
 // lease taken from a class is eventually put back unless it leaked, so with
-// no buffers in flight Gets == Puts; Misses are Gets that found their stripe
+// no buffers in flight Gets == Puts; Misses are Gets that found their class
 // empty and allocated, and in a steady state they come from DropsFull, the
-// Puts dropped to the GC because their stripe was full.
+// Puts dropped to the GC because their class was full.
 type PoolStats struct {
 	Gets         uint64 // GetBuf calls for a class size (larger ones are plain allocations)
 	Misses       uint64 // Gets that allocated a new buffer
 	Puts         uint64 // PutBuf calls with a class-capacity buffer
-	DropsFull    uint64 // Puts dropped because the stripe held stripeCap buffers
+	DropsFull    uint64 // Puts dropped because the class held poolCap buffers
 	DropsForeign uint64 // PutBuf calls with a buffer of no class capacity
 }
 
-// ReadPoolStats sums the pool's counters over all classes and stripes.
+// ReadPoolStats sums the pool's counters over all classes.
 func ReadPoolStats() PoolStats {
 	st := PoolStats{DropsForeign: dropsForeign.Load()}
 	for ci := range bufPool {
-		for si := range bufPool[ci] {
-			s := &bufPool[ci][si]
-			st.Gets += s.gets.Load()
-			st.Misses += s.misses.Load()
-			st.Puts += s.puts.Load()
-			st.DropsFull += s.dropsFull.Load()
-		}
+		c := &bufPool[ci]
+		c.mu.Lock()
+		st.Gets += c.gets
+		st.Misses += c.misses
+		st.Puts += c.puts
+		st.DropsFull += c.dropsFull
+		c.mu.Unlock()
 	}
 	return st
 }
@@ -86,8 +78,8 @@ func ReadPoolStats() PoolStats {
 //lint:lease source
 func GetBuf(n int) []byte {
 	ci := -1
-	for i, c := range bufClasses {
-		if n <= c {
+	for i, cl := range bufClasses {
+		if n <= cl {
 			ci = i
 			break
 		}
@@ -95,31 +87,30 @@ func GetBuf(n int) []byte {
 	if ci < 0 {
 		return make([]byte, n)
 	}
-	s := &bufPool[ci][getCtr.Add(1)&(bufStripes-1)]
-	s.mu.Lock()
-	s.gets.Add(1)
-	if k := len(s.free); k > 0 {
-		b := s.free[k-1]
-		s.free[k-1] = nil
-		s.free = s.free[:k-1]
-		s.mu.Unlock()
+	c := &bufPool[ci]
+	c.mu.Lock()
+	c.gets++
+	if k := len(c.free); k > 0 {
+		b := c.free[k-1]
+		c.free[k-1] = nil
+		c.free = c.free[:k-1]
+		c.mu.Unlock()
 		return b[:n]
 	}
-	s.misses.Add(1)
-	s.mu.Unlock()
+	c.misses++
+	c.mu.Unlock()
 	return make([]byte, n, bufClasses[ci])
 }
 
 // PutBuf returns a leased buffer to the pool. Buffers whose capacity is not
-// exactly a pool class (or whose stripe is full) are dropped to the GC, so
+// exactly a pool class (or whose class is full) are dropped to the GC, so
 // passing any []byte is safe. The caller must not use the buffer afterwards.
 //
 //lint:lease sink
 func PutBuf(b []byte) {
-	c := cap(b)
 	ci := -1
 	for i, cl := range bufClasses {
-		if c == cl {
+		if cap(b) == cl {
 			ci = i
 			break
 		}
@@ -129,13 +120,13 @@ func PutBuf(b []byte) {
 		//lint:allow-lease non-class buffers are dropped to the GC; that is their release
 		return
 	}
-	s := &bufPool[ci][putCtr.Add(1)&(bufStripes-1)]
-	s.mu.Lock()
-	s.puts.Add(1)
-	if len(s.free) < stripeCap {
-		s.free = append(s.free, b[:0])
+	c := &bufPool[ci]
+	c.mu.Lock()
+	c.puts++
+	if len(c.free) < poolCap {
+		c.free = append(c.free, b[:0])
 	} else {
-		s.dropsFull.Add(1)
+		c.dropsFull++
 	}
-	s.mu.Unlock()
+	c.mu.Unlock()
 }

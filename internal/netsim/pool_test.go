@@ -34,9 +34,8 @@ func TestGetBufClassSelection(t *testing.T) {
 
 func TestPutBufGetBufReuses(t *testing.T) {
 	// Contents survive a put/get cycle (the pool never zeroes), so a sentinel
-	// byte proves reuse. Fill a full stripe rotation so the round-robin
-	// counter can't dodge the returned buffers.
-	const n = 2 * bufStripes
+	// byte proves reuse.
+	const n = 16
 	bufs := make([][]byte, n)
 	for i := range bufs {
 		bufs[i] = GetBuf(1400)
@@ -53,7 +52,7 @@ func TestPutBufGetBufReuses(t *testing.T) {
 		}
 	}
 	if reused == 0 {
-		t.Fatal("no buffer reuse across a full stripe rotation")
+		t.Fatalf("none of %d gets after %d puts reused a buffer", n, n)
 	}
 }
 
@@ -62,7 +61,7 @@ func TestPutBufDropsForeignCapacities(t *testing.T) {
 	// back out of GetBuf — foreign buffers (Marshal results, test literals)
 	// fall to the GC instead of corrupting class boundaries.
 	PutBuf(make([]byte, 0, 2000))
-	for i := 0; i < 4*bufStripes; i++ {
+	for i := 0; i < 32; i++ {
 		b := GetBuf(1700) // 1700 maps to the 4096 class; 2000 fits but is foreign
 		if cap(b) == 2000 {
 			t.Fatal("foreign-capacity buffer leaked back out of the pool")
@@ -115,7 +114,7 @@ func TestSendOwnedReleasesDroppedPackets(t *testing.T) {
 	// No receiver attached: every send is dropped at the link, and the
 	// ownership contract says the link must return the buffer to the pool.
 	l := NewLink(c, LinkProps{}, 1)
-	marked := make([][]byte, 2*bufStripes)
+	marked := make([][]byte, 16)
 	for i := range marked {
 		marked[i] = GetBuf(50)
 		marked[i][1] = 0xCD
@@ -125,10 +124,10 @@ func TestSendOwnedReleasesDroppedPackets(t *testing.T) {
 			t.Fatal("send accepted with no receiver")
 		}
 	}
-	// A full stripe rotation of gets must surface at least one of the marked
-	// buffers — proof the drops went back to the pool rather than leaking.
+	// As many gets must surface at least one of the marked buffers — proof
+	// the drops went back to the pool rather than leaking.
 	recovered := 0
-	for i := 0; i < 2*bufStripes; i++ {
+	for i := 0; i < len(marked); i++ {
 		//lint:allow-lease reuse counting deliberately keeps the gets
 		if b := GetBuf(50); b[1] == 0xCD {
 			recovered++
@@ -147,7 +146,7 @@ func TestSendOwnedReleasesDroppedPackets(t *testing.T) {
 }
 
 // TestPoolStatsCounts: each lease call lands in exactly one counter, and a
-// full stripe's drop is counted against the put that caused it.
+// full class's drop is counted against the put that caused it.
 func TestPoolStatsCounts(t *testing.T) {
 	before := ReadPoolStats()
 	b := GetBuf(100)
@@ -160,9 +159,9 @@ func TestPoolStatsCounts(t *testing.T) {
 		t.Fatalf("after one get, one put and one foreign put: %+v, before %+v", d, before)
 	}
 
-	// Overfill every stripe of the 16 KiB class: the pool keeps
-	// bufStripes*stripeCap buffers and drops the rest.
-	const n = bufStripes*stripeCap + 3*bufStripes
+	// Overfill the 16 KiB class: the pool keeps poolCap buffers and drops
+	// the rest.
+	const n = poolCap + 24
 	bufs := make([][]byte, n)
 	for i := range bufs {
 		bufs[i] = GetBuf(10000)
@@ -172,17 +171,45 @@ func TestPoolStatsCounts(t *testing.T) {
 		PutBuf(b)
 	}
 	d = ReadPoolStats()
-	if got := d.DropsFull - before.DropsFull; got < 3*bufStripes {
-		t.Fatalf("overfilled stripes dropped %d buffers, want at least %d", got, 3*bufStripes)
+	if got := d.DropsFull - before.DropsFull; got < 24 {
+		t.Fatalf("the overfilled class dropped %d buffers, want at least %d", got, 24)
 	}
 	before = ReadPoolStats()
-	for i := 0; i < bufStripes*stripeCap; i++ {
+	for i := 0; i < poolCap; i++ {
 		bufs[i] = GetBuf(10000)
 	}
-	for _, b := range bufs[:bufStripes*stripeCap] {
+	for _, b := range bufs[:poolCap] {
 		PutBuf(b)
 	}
 	if d := ReadPoolStats(); d.Misses != before.Misses {
-		t.Fatalf("%d misses draining full stripes", d.Misses-before.Misses)
+		t.Fatalf("%d misses draining a full class", d.Misses-before.Misses)
+	}
+}
+
+// TestGetAfterPutHits: a pool hits as soon as it holds a buffer. Once a
+// buffer of a class is put, the next single-threaded get of that class
+// takes a pooled buffer, from an emptied class on.
+func TestGetAfterPutHits(t *testing.T) {
+	const size = 10000 // the 16 KiB class
+	held := make([][]byte, poolCap)
+	for i := range held {
+		held[i] = GetBuf(size) // empties the class, whatever it held
+	}
+	b := GetBuf(size)
+	misses := 0
+	for pass := 0; pass < 8; pass++ {
+		PutBuf(b)
+		before := ReadPoolStats()
+		b = GetBuf(size)
+		if ReadPoolStats().Misses != before.Misses {
+			misses++
+		}
+	}
+	PutBuf(b)
+	for _, h := range held {
+		PutBuf(h)
+	}
+	if misses > 0 {
+		t.Fatalf("%d of 8 gets right after a put missed", misses)
 	}
 }

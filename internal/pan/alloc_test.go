@@ -17,8 +17,9 @@ import (
 
 // The monitor's hot paths each have an allocation budget, held here by a
 // test and timed by the benchmark beside it: steady-state ingest (0),
-// proxy-scale ingest (0), a host monitor's Observe (8) and a server's
-// Observe plus steering pick (64).
+// proxy-scale ingest (0), a host monitor's Observe (0) and a server's
+// Observe plus steering pick (9). Each budget is what its op measures, so
+// one allocation added to ingest fails them.
 
 // TestMonitorIngestAllocs: steady-state passive ingest on a tracked path
 // with a BatchSink subscribed allocates nothing, one sample or a burst.
@@ -241,12 +242,12 @@ func BenchmarkMonitorPassive(b *testing.B) {
 	}
 }
 
-// TestMonitorPassiveAllocs: BenchmarkMonitorPassive's op stays within its
-// budget of 8 allocs.
+// TestMonitorPassiveAllocs: BenchmarkMonitorPassive's op allocates
+// nothing.
 func TestMonitorPassiveAllocs(t *testing.T) {
 	op, samples := monitorPassive(t)
-	if n := testing.AllocsPerRun(100, op); n > 8 {
-		t.Errorf("Observe: %v allocs/op, budget 8", n)
+	if n := testing.AllocsPerRun(100, op); n > 0 {
+		t.Errorf("Observe: %v allocs/op, budget 0", n)
 	}
 	if got := samples(); got != 102 {
 		t.Fatalf("ingested %d of 102 passive samples", got)
@@ -301,11 +302,11 @@ func BenchmarkServerObserve(b *testing.B) {
 }
 
 // TestServerObserveAllocs: BenchmarkServerObserve's op stays within its
-// budget of 64 allocs.
+// budget of 9 allocs.
 func TestServerObserveAllocs(t *testing.T) {
 	op, samples := serverObserve(t)
-	if n := testing.AllocsPerRun(100, op); n > 64 {
-		t.Errorf("Observe+PickReverse: %v allocs/op, budget 64", n)
+	if n := testing.AllocsPerRun(100, op); n > 9 {
+		t.Errorf("Observe+PickReverse: %v allocs/op, budget 9", n)
 	}
 	if got := samples(); got != 102 {
 		t.Fatalf("server ingested %d of 102 samples", got)

@@ -6,8 +6,12 @@ import (
 	"fmt"
 	"io"
 	"math/rand"
+	"runtime"
+	"slices"
 	"testing"
 	"time"
+	"unsafe"
+	"weak"
 
 	"tango/internal/addr"
 	"tango/internal/netsim"
@@ -31,6 +35,8 @@ func sealedPacket(sealer cipher.AEAD, connID, pn uint64, frames ...frame) (heade
 
 // capturePconn records every datagram written, each copied into a buffer of
 // its own (the wire), recycling the buffers handed back through recycle.
+// Every buffer has room for a full-size packet, so a recycled one never
+// regrows.
 type capturePconn struct {
 	pkts  [][]byte
 	spare [][]byte
@@ -40,6 +46,8 @@ func (p *capturePconn) WriteTo(payload []byte, dst addr.UDPAddr, path *segment.P
 	var b []byte
 	if n := len(p.spare); n > 0 {
 		b, p.spare = p.spare[n-1][:0], p.spare[:n-1]
+	} else {
+		b = make([]byte, 0, 1536)
 	}
 	p.pkts = append(p.pkts, append(b, payload...))
 	return nil
@@ -187,9 +195,10 @@ func TestReceivePathOwnsNoWireBytes(t *testing.T) {
 	}
 }
 
-// TestFreeFramesDroppedWithHistory: acked stream frames feed later packets
-// during a transfer, and once the last packet is acked and the history
-// empties, the free list the burst left behind goes with it.
+// TestFreeFramesDroppedWithHistory: once the last packet of a transfer is
+// acked and the history empties, no send block stays pinned — not by the
+// history, nor by a queue slot a retransmission popped, nor by the packet
+// scratch. Every other round is lost whole, so frames pass through queued.
 func TestFreeFramesDroppedWithHistory(t *testing.T) {
 	clock := &stepClock{now: time.Date(2022, 10, 10, 0, 0, 0, 0, time.UTC)}
 	client, server, toServer, toClient := connPair(t, clock)
@@ -197,36 +206,54 @@ func TestFreeFramesDroppedWithHistory(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	// Hold packetization while writing, so every block is still pending and
+	// can be watched before any frame aliases it.
+	client.established = false
 	if _, err := s.Write(make([]byte, 600_000)); err != nil {
 		t.Fatal(err)
 	}
 	s.CloseWrite()
-	maxFree := 0
+	client.mu.Lock()
+	var blocks []weak.Pointer[byte]
+	for _, b := range s.pending {
+		blocks = append(blocks, weak.Make(unsafe.SliceData(b)))
+	}
+	client.established = true
+	client.packetizeLocked()
+	client.mu.Unlock()
+	if len(blocks) < 2 {
+		t.Fatalf("%d send blocks, want several", len(blocks))
+	}
 	for round := 0; ; round++ {
 		if round == 1000 {
 			t.Fatal("transfer stalled")
 		}
-		for _, p := range toServer.take() {
-			deliver(server, p)
+		pkts := toServer.take()
+		if round%2 == 0 {
+			for _, p := range pkts {
+				deliver(server, p)
+			}
 		}
 		for _, p := range toClient.take() {
 			deliver(client, p)
 		}
 		client.mu.Lock()
-		maxFree = max(maxFree, len(client.freeFrames))
-		idle := len(client.sent) == 0 && len(toServer.pkts) == 0
-		freeCap := cap(client.freeFrames)
+		idle := len(client.sent) == 0 && len(client.queued) == 0 && len(toServer.pkts) == 0
 		client.mu.Unlock()
 		if idle {
-			if maxFree <= idleFreeFrames {
-				t.Fatalf("the free list never held more than %d frames", maxFree)
-			}
-			if freeCap > idleFreeFrames {
-				t.Fatalf("history empty, free list capacity %d, want <= %d", freeCap, idleFreeFrames)
-			}
-			return
+			break
+		}
+		if round%2 == 1 || len(toServer.pkts) == 0 {
+			expirePTO(client)
 		}
 	}
+	runtime.GC()
+	for i, b := range blocks {
+		if b.Value() != nil {
+			t.Errorf("send block %d of %d is still reachable with the history empty", i, len(blocks))
+		}
+	}
+	runtime.KeepAlive(s) // the connection and stream are live; only their blocks may go
 }
 
 // checkPending asserts the send buffer's length invariant.
@@ -342,8 +369,9 @@ func TestTakePendingAliasesOrCopies(t *testing.T) {
 	}
 }
 
-// TestFrameSizeMatchesEncoding: every frame type's computed size equals the
-// length of its encoding, across varint width boundaries.
+// TestFrameSizeMatchesEncoding: every frame kind's computed size equals the
+// length of its encoding, across varint width boundaries, and parsing the
+// encoding gives the frame back.
 func TestFrameSizeMatchesEncoding(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	edges := []uint64{0, 1, 127, 128, 16383, 16384, 1<<21 - 1, 1 << 21, 1<<63 - 1, 1 << 63, ^uint64(0)}
@@ -353,25 +381,46 @@ func TestFrameSizeMatchesEncoding(t *testing.T) {
 		}
 		return rng.Uint64() >> rng.Intn(64)
 	}
+	seen := make(map[byte]bool)
+	var sc frameScratch
 	for i := 0; i < 2000; i++ {
-		ack := &ackFrame{}
+		var ranges []ackRange
 		for n := rng.Intn(40); n > 0; n-- {
 			lo := v()
-			ack.ranges = append(ack.ranges, ackRange{lo: lo, hi: lo + v()%1000})
+			ranges = append(ranges, ackRange{lo: lo, hi: lo + v()%1000})
 		}
 		frames := []frame{
-			ack,
-			&streamFrame{id: v(), offset: v(), fin: rng.Intn(2) == 0, data: make([]byte, rng.Intn(300))},
-			&maxStreamDataFrame{id: v(), max: v()},
-			&closeFrame{code: v(), reason: string(make([]byte, rng.Intn(200)))},
-			pingFrame{},
-			handshakeDoneFrame{},
+			{kind: ftAck, data: appendAckRanges(nil, ranges)},
+			{kind: ftStream, id: v(), val: v(), fin: rng.Intn(2) == 0, data: make([]byte, rng.Intn(300))},
+			{kind: ftMaxStreamData, id: v(), val: v()},
+			{kind: ftClose, val: v(), data: make([]byte, rng.Intn(200))},
+			{kind: ftPing},
+			{kind: ftHandshakeDone},
 		}
 		for _, f := range frames {
-			if got, want := f.size(), len(f.append(nil)); got != want {
-				t.Fatalf("%T size() = %d, encoding is %d bytes (%+v)", f, got, want, f)
+			seen[f.kind] = true
+			enc := f.append(nil)
+			if got, want := f.size(), len(enc); got != want {
+				t.Fatalf("kind 0x%02x size() = %d, encoding is %d bytes (%+v)", f.kind, got, want, f)
+			}
+			out, err := parseFrames(enc, &sc)
+			if err != nil || len(out) != 1 {
+				t.Fatalf("kind 0x%02x: parsed %d frames, err %v", f.kind, len(out), err)
+			}
+			got := out[0]
+			if f.kind == ftAck {
+				if !slices.Equal(sc.acks[got.id:got.val], ranges) {
+					t.Fatalf("ack ranges %v, want %v", sc.acks[got.id:got.val], ranges)
+				}
+				got.id, got.val = 0, 0 // the scratch indices of the decoded ranges
+			}
+			if !sameFrame(got, f) {
+				t.Fatalf("kind 0x%02x parsed as %+v, want %+v", f.kind, got, f)
 			}
 		}
+	}
+	if len(seen) != 6 {
+		t.Fatalf("covered %d frame kinds, want all 6", len(seen))
 	}
 }
 
@@ -426,8 +475,8 @@ func oneRTTRound(tb testing.TB) func() {
 
 // BenchmarkOneRTTPacket times oneRTTRound's op. TestOneRTTPacketAllocs
 // holds its allocation budget: the send-buffer block the write is copied
-// into, and the sender's history array, which every round trip empties. The stream frame comes from the free list the previous
-// round's ack filled, and the retransmission record holds it inline.
+// into, and the sender's history array, which every round trip empties. The
+// stream frame is a value held inline in the retransmission record.
 func BenchmarkOneRTTPacket(b *testing.B) {
 	round := oneRTTRound(b)
 	b.SetBytes(oneRTTChunk)
@@ -445,5 +494,99 @@ func TestOneRTTPacketAllocs(t *testing.T) {
 	round := oneRTTRound(t)
 	if n := testing.AllocsPerRun(100, round); n > 2 {
 		t.Errorf("one 1-RTT packet round: %v allocs/op, want <= 2", n)
+	}
+}
+
+// windowRound writes n full-size packets' worth of stream data on client,
+// then sends them, delivers them to server, reads them there and carries
+// every ack and window update back until both sides are quiet. It returns
+// the allocations of that exchange, the write excluded, and the number of
+// send blocks the write filled.
+func windowRound(tb testing.TB, client, server *Conn, toServer, toClient *capturePconn, n int) (allocs uint64, blocks int) {
+	s := client.streams[0]
+	client.established = false // hold packetization while writing
+	if _, err := s.Write(make([]byte, n*oneRTTChunk)); err != nil {
+		tb.Fatal(err)
+	}
+	blocks = len(s.pending)
+	sink := make([]byte, 64<<10)
+	var ms runtime.MemStats
+	runtime.ReadMemStats(&ms)
+	before := ms.Mallocs
+	client.mu.Lock()
+	client.established = true
+	client.packetizeLocked()
+	client.mu.Unlock()
+	for rs := (*Stream)(nil); len(toServer.pkts)+len(toClient.pkts) > 0; {
+		for _, p := range toServer.take() {
+			hdr, _, _ := parseHeader(p)
+			server.handleOneRTT(hdr, &snet.Datagram{Payload: p})
+			toServer.recycle(p)
+		}
+		if rs == nil {
+			rs = server.streams[0]
+		}
+		for {
+			server.mu.Lock()
+			ready := rs.recvOff < len(rs.recvBuf)
+			server.mu.Unlock()
+			if !ready {
+				break
+			}
+			rs.Read(sink)
+		}
+		for _, p := range toClient.take() {
+			hdr, _, _ := parseHeader(p)
+			client.handleOneRTT(hdr, &snet.Datagram{Payload: p})
+			toClient.recycle(p)
+		}
+	}
+	runtime.ReadMemStats(&ms)
+	if len(client.sent) != 0 {
+		tb.Fatalf("%d packets still in flight after the exchange", len(client.sent))
+	}
+	return ms.Mallocs - before, blocks
+}
+
+// TestWindowAllocsFlat: a warm connection sending, and getting acked, a
+// window of 256 full-size packets allocates no more than one sending a
+// window of 16 but for what follows the history length and the bytes: the
+// history array's extra doublings (the array is dropped whenever the
+// history empties, so each window regrows it) and one copy per extra send
+// block (a frame whose bytes straddle two blocks is copied into one run).
+// No frame, record or scratch allocation may come per packet.
+func TestWindowAllocsFlat(t *testing.T) {
+	if unsafe.Sizeof(sentPacket{}) > 96 {
+		t.Errorf("sentPacket is %d bytes, want <= 96", unsafe.Sizeof(sentPacket{}))
+	}
+	clock := &stepClock{now: time.Date(2022, 10, 10, 0, 0, 0, 0, time.UTC)}
+	client, server, toServer, toClient := connPair(t, clock)
+	if _, err := client.OpenStream(); err != nil {
+		t.Fatal(err)
+	}
+	for range 4 { // warm: cwnd, receive buffer, scratch and pconn slices
+		windowRound(t, client, server, toServer, toClient, 256)
+		windowRound(t, client, server, toServer, toClient, 16)
+	}
+	// The least of three rounds each: a round in which the receiver's window
+	// update falls allocates that update's queue slot and history array.
+	var small, large uint64
+	var smallBlocks, largeBlocks int
+	for i := range 3 {
+		s, sb := windowRound(t, client, server, toServer, toClient, 16)
+		l, lb := windowRound(t, client, server, toServer, toClient, 256)
+		if i == 0 || s < small {
+			small, smallBlocks = s, sb
+		}
+		if i == 0 || l < large {
+			large, largeBlocks = l, lb
+		}
+	}
+	// 16 → 256 entries is four more doublings; one more absorbs the append
+	// growth rule's rounding.
+	const extraDoublings = 5
+	if want := small + extraDoublings + uint64(largeBlocks-smallBlocks); large > want {
+		t.Errorf("a 256-packet window allocates %d times, a 16-packet window %d: want at most %d",
+			large, small, want)
 	}
 }

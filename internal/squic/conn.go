@@ -87,12 +87,14 @@ var (
 // frames are frame and then more: the first is held inline, so the record of
 // the common packet (one stream frame, or one control frame) allocates
 // nothing, and only a packet with several retransmittable frames has more.
+// sentAt is the send time as an offset from the connection's epoch, which
+// keeps the record at 96 bytes.
 type sentPacket struct {
 	pn     uint64
 	frame  frame
 	more   []frame
 	size   int
-	sentAt time.Time
+	sentAt time.Duration
 }
 
 // requeue appends the packet's retransmittable frames to q, in the order
@@ -105,6 +107,7 @@ func (sp *sentPacket) requeue(q []frame) []frame {
 type Conn struct {
 	cfg       *Config
 	clock     netsim.Clock
+	epoch     time.Time // the origin of sentPacket.sentAt
 	pconn     PacketConn
 	ownsPconn bool
 	isClient  bool
@@ -159,16 +162,11 @@ type Conn struct {
 	// Server handshake state.
 	helloBuf []byte
 
-	// Send/reliability state. A stream frame is owned by exactly one of
-	// queued, txFrames or one sentPacket of sent, and only an ack frees it:
-	// the acked packet's stream frames move, zeroed, to freeFrames, which
-	// nextFrameLocked takes from before it allocates. Lost and PTO'd frames
-	// are requeued, never freed (a frame split to fit a smaller path is
-	// left to the collector). The free list is dropped with the history
-	// array (see dropIdleFreeLocked) and at teardown.
-	nextPN     uint64
-	queued     []frame
-	freeFrames []*streamFrame
+	// Send/reliability state. Frames are values (see frame): lost and
+	// PTO'd packets copy theirs back onto queued, and an ack simply drops
+	// the packet's record, ending its alias of the stream's send block.
+	nextPN uint64
+	queued []frame
 	// sent is the in-flight history in ascending packet-number order:
 	// sendPacketLocked appends and packet numbers only grow, so an ack is a
 	// merge walk over the prefix it can reach (see handleAckLocked). An ack
@@ -215,12 +213,12 @@ type Conn struct {
 	// allocation-free on long-lived pooled connections.
 	streamScratch []*Stream
 	// Per-packet scratch, all guarded by mu: txFrames collects one packet's
-	// frames, ackOut is its ack frame (never retained: acks are not
-	// retransmittable), sendBuf holds the packet while it is encoded and
-	// sealed in place, nonce is refilled for every seal and open, and rx is
-	// the frame decode target of the receive path.
+	// frames, ackOut is its ack frame's encoded ranges (never retained: acks
+	// are not retransmittable), sendBuf holds the packet while it is encoded
+	// and sealed in place, nonce is refilled for every seal and open, and rx
+	// is the frame decode target of the receive path.
 	txFrames []frame
-	ackOut   ackFrame
+	ackOut   []byte
 	sendBuf  []byte
 	nonce    nonceBuf
 	rx       frameScratch
@@ -234,6 +232,7 @@ func newConn(pconn PacketConn, cfg *Config, isClient bool) *Conn {
 	c := &Conn{
 		cfg:          cfg,
 		clock:        cfg.Clock,
+		epoch:        cfg.Clock.Now(),
 		pconn:        pconn,
 		isClient:     isClient,
 		streams:      make(map[uint64]*Stream),
@@ -404,7 +403,7 @@ func (c *Conn) teardownIf(guard func() bool, code uint64, reason string, cause e
 	c.closed = true
 	c.closeErr = cause
 	if notify && c.keys != nil {
-		c.sendPacketLocked([]frame{&closeFrame{code: code, reason: reason}}, false)
+		c.sendPacketLocked([]frame{{kind: ftClose, val: code, data: []byte(reason)}}, false)
 	}
 	if c.ptoCancel != nil {
 		c.ptoCancel()
@@ -421,8 +420,8 @@ func (c *Conn) teardownIf(guard func() bool, code uint64, reason string, cause e
 	// Closed conns can stay reachable (pools, steering state, callers);
 	// the retransmission state must not keep their stream data alive, nor
 	// the packet scratch its buffers.
-	c.sent, c.queued, c.freeFrames, c.inFlight = nil, nil, nil, 0
-	c.txFrames, c.sendBuf, c.rx = nil, nil, frameScratch{}
+	c.sent, c.queued, c.inFlight = nil, nil, 0
+	c.txFrames, c.ackOut, c.sendBuf, c.rx = nil, nil, nil, frameScratch{}
 	c.readable.Broadcast()
 	c.writable.Broadcast()
 	c.hsCond.Broadcast()
@@ -623,7 +622,7 @@ func (c *Conn) handleHello(body []byte) {
 	}
 	c.hsCond.Broadcast()
 	// Confirm to the server with an immediate (possibly ACK-only) packet.
-	c.queued = append(c.queued, pingFrame{})
+	c.queued = append(c.queued, frame{kind: ftPing})
 	c.packetizeLocked()
 	c.mu.Unlock()
 }
@@ -753,7 +752,7 @@ func (c *Conn) processOneRTT(hdr header, dg *snet.Datagram) {
 		c.remote = dg.Src
 		if !c.confirmed {
 			c.confirmed = true
-			c.queued = append(c.queued, handshakeDoneFrame{})
+			c.queued = append(c.queued, frame{kind: ftHandshakeDone})
 		}
 	}
 	for _, f := range frames {
@@ -763,30 +762,30 @@ func (c *Conn) processOneRTT(hdr header, dg *snet.Datagram) {
 		if f.retransmittable() {
 			c.ackPending = true
 		}
-		switch f := f.(type) {
-		case *streamFrame:
+		switch f.kind {
+		case ftStream:
 			c.handleStreamFrameLocked(f)
-		case *ackFrame:
-			c.handleAckLocked(f)
-		case *maxStreamDataFrame:
-			if s, ok := c.streams[f.id]; ok && f.max > s.maxSend {
-				s.maxSend = f.max
+		case ftAck:
+			c.handleAckLocked(c.rx.acks[f.id:f.val])
+		case ftMaxStreamData:
+			if s, ok := c.streams[f.id]; ok && f.val > s.maxSend {
+				s.maxSend = f.val
 				c.writable.Broadcast()
 			}
-		case *closeFrame:
-			cause := fmt.Errorf("%w: peer closed (code %d: %s)", ErrConnClosed, f.code, f.reason)
+		case ftClose:
+			cause := fmt.Errorf("%w: peer closed (code %d: %s)", ErrConnClosed, f.val, f.data)
 			c.mu.Unlock()
-			c.teardown(f.code, "", cause, false)
+			c.teardown(f.val, "", cause, false)
 			c.mu.Lock()
 			return
-		case pingFrame, handshakeDoneFrame:
+		case ftPing, ftHandshakeDone:
 			// ACK-eliciting only.
 		}
 	}
 	c.packetizeLocked()
 }
 
-func (c *Conn) handleStreamFrameLocked(f *streamFrame) {
+func (c *Conn) handleStreamFrameLocked(f frame) {
 	s, ok := c.streams[f.id]
 	if !ok {
 		peerInitiated := (f.id%2 == 0) != c.isClient
@@ -828,18 +827,18 @@ func (c *Conn) retireStreamLocked(s *Stream) {
 
 // --- reliability ---
 
-// handleAckLocked applies an ack frame to the in-flight history. The peer
-// acks its full receive history, so the ranges span the connection's
-// lifetime; only the history prefix up to the frame's highest packet number
-// can change, and a merge walk of that prefix against the (ascending,
-// disjoint) ranges costs O(newly acked + holes + ranges), independent of how
-// much is still in flight above it.
-func (c *Conn) handleAckLocked(f *ackFrame) {
-	if len(f.ranges) == 0 || len(c.sent) == 0 {
+// handleAckLocked applies an ack frame's ranges to the in-flight history.
+// The peer acks its full receive history, so the ranges span the
+// connection's lifetime; only the history prefix up to the frame's highest
+// packet number can change, and a merge walk of that prefix against the
+// (ascending, disjoint) ranges costs O(newly acked + holes + ranges),
+// independent of how much is still in flight above it.
+func (c *Conn) handleAckLocked(ranges []ackRange) {
+	if len(ranges) == 0 || len(c.sent) == 0 {
 		return
 	}
-	now := c.clock.Now()
-	top := f.ranges[len(f.ranges)-1].hi
+	now := c.sinceEpoch()
+	top := ranges[len(ranges)-1].hi
 	if c.largestAcked > int64(top) {
 		top = uint64(c.largestAcked)
 	}
@@ -848,10 +847,10 @@ func (c *Conn) handleAckLocked(f *ackFrame) {
 	end, kept, ri := 0, 0, 0
 	for ; end < len(h) && h[end].pn <= top; end++ {
 		sp := &h[end]
-		for ri < len(f.ranges) && f.ranges[ri].hi < sp.pn {
+		for ri < len(ranges) && ranges[ri].hi < sp.pn {
 			ri++
 		}
-		if ri == len(f.ranges) || sp.pn < f.ranges[ri].lo {
+		if ri == len(ranges) || sp.pn < ranges[ri].lo {
 			h[kept] = *sp
 			kept++
 			continue
@@ -859,13 +858,12 @@ func (c *Conn) handleAckLocked(f *ackFrame) {
 		c.inFlight -= sp.size
 		if int64(sp.pn) > c.largestAcked {
 			c.largestAcked = int64(sp.pn)
-			c.sampleRTTLocked(now.Sub(sp.sentAt))
+			c.sampleRTTLocked(now - sp.sentAt)
 		}
 		// Slow-start growth, capped.
 		if c.cwnd < 4<<20 {
 			c.cwnd += sp.size
 		}
-		c.freeAckedLocked(sp)
 	}
 	if kept == end {
 		return // nothing newly acked
@@ -891,7 +889,6 @@ func (c *Conn) handleAckLocked(f *ackFrame) {
 	if live == 0 && end == len(h) {
 		// Idle: drop the array, sized for the last burst, rather than keep it.
 		c.sent = nil
-		c.dropIdleFreeLocked()
 	} else {
 		// Right-align the survivors against the untouched suffix and advance
 		// the head past the vacated slots, cleared so they pin no frames.
@@ -1076,7 +1073,6 @@ func (c *Conn) onPTO() {
 		c.queued = c.sent[i].requeue(c.queued)
 	}
 	c.sent = nil
-	c.dropIdleFreeLocked()
 	c.packetizeLocked()
 }
 
@@ -1126,8 +1122,8 @@ func (c *Conn) packetizeLocked() {
 		size := 0
 		ackEliciting := false
 		if c.ackPending {
-			af := &c.ackOut
-			af.ranges = c.recvd.ranges()
+			c.ackOut = appendAckRanges(c.ackOut[:0], c.recvd.ranges())
+			af := frame{kind: ftAck, data: c.ackOut}
 			frames = append(frames, af)
 			size += af.size()
 			c.ackPending = false
@@ -1142,8 +1138,8 @@ func (c *Conn) packetizeLocked() {
 				// A lone over-budget frame is a requeued stream frame sized
 				// for a previous path with a bigger MTU budget: split it so
 				// the packet fits the path the connection rides NOW.
-				if sf, ok := f.(*streamFrame); ok {
-					if head, tail := splitStreamFrame(sf, maxPayload-size); head != nil {
+				if f.kind == ftStream {
+					if head, tail, ok := splitStreamFrame(f, maxPayload-size); ok {
 						c.queued[0] = tail
 						frames = append(frames, head)
 						size += head.size()
@@ -1154,6 +1150,7 @@ func (c *Conn) packetizeLocked() {
 				// Non-stream frames are all small; fall through rather than
 				// wedge the queue.
 			}
+			c.queued[0] = frame{} // the popped slot must not pin its data
 			c.queued = c.queued[1:]
 			frames = append(frames, f)
 			size += fs
@@ -1165,8 +1162,8 @@ func (c *Conn) packetizeLocked() {
 			const streamOverhead = 32 // type, flags, 3 varints worst case
 			for _, s := range c.sortedStreamsLocked() {
 				for s.sendableLocked() && size+streamOverhead < maxPayload && c.inFlight+size < c.cwnd {
-					f := s.nextFrameLocked(maxPayload - size - streamOverhead)
-					if f == nil {
+					f, ok := s.nextFrameLocked(maxPayload - size - streamOverhead)
+					if !ok {
 						break
 					}
 					frames = append(frames, f)
@@ -1182,7 +1179,7 @@ func (c *Conn) packetizeLocked() {
 			return
 		}
 		c.sendPacketLocked(frames, ackEliciting)
-		clear(frames) // the sent history holds its own copy
+		clear(frames) // the sent history holds its own copies
 		c.txFrames = frames[:0]
 	}
 }
@@ -1213,11 +1210,11 @@ func (c *Conn) sendPacketLocked(frames []frame, ackEliciting bool) {
 	c.sendBuf = buf
 	c.pconn.WriteTo(buf, c.remote, c.path)
 	if ackEliciting {
-		sp := sentPacket{pn: pn, size: len(buf), sentAt: c.clock.Now()}
+		sp := sentPacket{pn: pn, size: len(buf), sentAt: c.sinceEpoch()}
 		for _, f := range frames {
 			switch {
 			case !f.retransmittable():
-			case sp.frame == nil:
+			case sp.frame.kind == ftPadding: // the inline slot is free
 				sp.frame = f
 			default:
 				sp.more = append(sp.more, f)
@@ -1231,49 +1228,9 @@ func (c *Conn) sendPacketLocked(frames []frame, ackEliciting bool) {
 	}
 }
 
-// freeAckedLocked moves the stream frames of an acked packet to the free
-// list, zeroed so they pin no stream data. The packet's history slot is
-// about to be overwritten or cleared, which ends its ownership of them.
-func (c *Conn) freeAckedLocked(sp *sentPacket) {
-	c.freeFrameLocked(sp.frame)
-	for _, f := range sp.more {
-		c.freeFrameLocked(f)
-	}
-}
-
-func (c *Conn) freeFrameLocked(f frame) {
-	if sf, ok := f.(*streamFrame); ok {
-		*sf = streamFrame{}
-		c.freeFrames = append(c.freeFrames, sf)
-	}
-}
-
-// newStreamFrameLocked returns a zeroed stream frame, from the free list
-// when it has one.
-func (c *Conn) newStreamFrameLocked() *streamFrame {
-	if n := len(c.freeFrames); n > 0 {
-		f := c.freeFrames[n-1]
-		c.freeFrames[n-1] = nil
-		c.freeFrames = c.freeFrames[:n-1]
-		return f
-	}
-	return new(streamFrame)
-}
-
-// idleFreeFrames bounds the free list an emptied history keeps: enough
-// for a connection that sends a few packets per round trip (a request, an
-// ack-clocked trickle) to reuse its frames, while the list a bulk burst
-// left behind, one frame per packet of the burst, is dropped with the
-// history array.
-const idleFreeFrames = 8
-
-// dropIdleFreeLocked runs when the history empties: it drops a free list
-// that has grown beyond idleFreeFrames.
-func (c *Conn) dropIdleFreeLocked() {
-	if cap(c.freeFrames) > idleFreeFrames {
-		c.freeFrames = nil
-	}
-}
+// sinceEpoch is the clock's current time as an offset from the
+// connection's epoch.
+func (c *Conn) sinceEpoch() time.Duration { return c.clock.Now().Sub(c.epoch) }
 
 // sendRaw transmits a plaintext handshake packet.
 func (c *Conn) sendRaw(buf []byte) {
@@ -1326,8 +1283,7 @@ func (r *rangeSet) add(pn uint64) {
 
 // ranges returns the current ranges, capped to the most recent 32. The
 // returned slice aliases the set: it is only valid until the next add —
-// fine for ack frames, which are built and serialized under the same lock
-// hold and never queued or retransmitted.
+// fine for ack frames, which encode it at once (appendAckRanges).
 func (r *rangeSet) ranges() []ackRange {
 	rs := r.rs
 	if len(rs) > 32 {

@@ -33,12 +33,12 @@ type refRecovery struct {
 	sent map[uint64]sentPacket
 }
 
-// refCovers reports whether pn falls in one of f's ranges, by binary search.
-func refCovers(f *ackFrame, pn uint64) bool {
-	lo, hi := 0, len(f.ranges)
+// refCovers reports whether pn falls in one of ranges, by binary search.
+func refCovers(ranges []ackRange, pn uint64) bool {
+	lo, hi := 0, len(ranges)
 	for lo < hi {
 		mid := (lo + hi) / 2
-		switch r := f.ranges[mid]; {
+		switch r := ranges[mid]; {
 		case pn < r.lo:
 			hi = mid
 		case pn > r.hi:
@@ -50,11 +50,11 @@ func refCovers(f *ackFrame, pn uint64) bool {
 	return false
 }
 
-func (r *refRecovery) ack(f *ackFrame) (acked, lost []uint64) {
+func (r *refRecovery) ack(ranges []ackRange) (acked, lost []uint64) {
 	c := r.c
-	now := c.clock.Now()
+	now := c.sinceEpoch()
 	for pn := range r.sent {
-		if refCovers(f, pn) {
+		if refCovers(ranges, pn) {
 			acked = append(acked, pn)
 		}
 	}
@@ -65,7 +65,7 @@ func (r *refRecovery) ack(f *ackFrame) (acked, lost []uint64) {
 		c.inFlight -= sp.size
 		if int64(pn) > c.largestAcked {
 			c.largestAcked = int64(pn)
-			c.sampleRTTLocked(now.Sub(sp.sentAt))
+			c.sampleRTTLocked(now - sp.sentAt)
 		}
 		if c.cwnd < 4<<20 {
 			c.cwnd += sp.size
@@ -131,34 +131,22 @@ func checkHistory(t *testing.T, c *Conn) {
 	}
 }
 
-// checkFrameOwnership asserts the stream-frame ownership invariant: every
-// frame on the free list is zeroed and is neither queued nor held by a
-// packet in flight, and no frame is queued or in flight twice.
+// checkFrameOwnership asserts the stream-frame ownership invariant: the
+// bytes at one stream offset are queued or in flight in one packet, never
+// both nor twice. Frames are values, so a copy left behind by a requeue or
+// an ack would show as a second frame at the same offset.
 func checkFrameOwnership(t *testing.T, c *Conn) {
 	t.Helper()
-	free := make(map[*streamFrame]bool, len(c.freeFrames))
-	for _, f := range c.freeFrames {
-		if free[f] {
-			t.Fatalf("stream frame %p is on the free list twice", f)
-		}
-		if f.id != 0 || f.offset != 0 || f.fin || f.data != nil {
-			t.Fatalf("free stream frame %p not zeroed: %+v", f, *f)
-		}
-		free[f] = true
-	}
-	owned := make(map[*streamFrame]string)
+	type at struct{ id, off uint64 }
+	owned := make(map[at]string)
 	own := func(f frame, where string) {
-		sf, ok := f.(*streamFrame)
-		if !ok {
+		if f.kind != ftStream {
 			return
 		}
-		if free[sf] {
-			t.Fatalf("stream frame %p is on the free list and %s", sf, where)
+		if prev, dup := owned[at{f.id, f.val}]; dup {
+			t.Fatalf("stream frame at offset %d is %s and %s", f.val, prev, where)
 		}
-		if prev, dup := owned[sf]; dup {
-			t.Fatalf("stream frame %p is %s and %s", sf, prev, where)
-		}
-		owned[sf] = where
+		owned[at{f.id, f.val}] = where
 	}
 	for _, f := range c.queued {
 		own(f, "queued")
@@ -187,10 +175,8 @@ type recoveryHarness struct {
 	// and every ack frame it has sent (replayed as duplicate/stale acks).
 	wire []uint64
 	rcv  rangeSet
-	acks []*ackFrame
+	acks [][]ackRange
 	off  uint64
-	// reused counts stream frames sends took from the free list.
-	reused int
 }
 
 func newRecoveryHarness(t *testing.T, seed int64) *recoveryHarness {
@@ -201,6 +187,7 @@ func newRecoveryHarness(t *testing.T, seed int64) *recoveryHarness {
 	}
 	h.c, _ = deadConn(t, h.clock)
 	refConn, _ := deadConn(t, h.clock)
+	refConn.epoch = h.c.epoch // the oracle reads the real side's sentAt offsets
 	h.ref = refRecovery{c: refConn, sent: make(map[uint64]sentPacket)}
 	h.c.OnRTTSampleBatch(func(rtts []time.Duration) { h.rtts = append(h.rtts, rtts...) })
 	refConn.OnRTTSampleBatch(func(rtts []time.Duration) { h.refRTTs = append(h.refRTTs, rtts...) })
@@ -231,11 +218,7 @@ func (h *recoveryHarness) send() {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	for n := 1 + h.rng.Intn(6); n > 0; n-- {
-		if len(c.freeFrames) > 0 {
-			h.reused++
-		}
-		f := c.newStreamFrameLocked()
-		f.offset, f.data = h.off, make([]byte, 1+h.rng.Intn(400))
+		f := frame{kind: ftStream, val: h.off, data: make([]byte, 1+h.rng.Intn(400))}
 		c.queueFrameLocked(f)
 		h.off += uint64(len(f.data))
 	}
@@ -244,7 +227,7 @@ func (h *recoveryHarness) send() {
 
 // peerAck delivers part of the wire to the peer (the rest is dropped or
 // stays in flight, i.e. reordered) and returns the peer's ack of it.
-func (h *recoveryHarness) peerAck() *ackFrame {
+func (h *recoveryHarness) peerAck() []ackRange {
 	h.rng.Shuffle(len(h.wire), func(i, j int) { h.wire[i], h.wire[j] = h.wire[j], h.wire[i] })
 	still := h.wire[:0]
 	for _, pn := range h.wire {
@@ -257,28 +240,28 @@ func (h *recoveryHarness) peerAck() *ackFrame {
 		}
 	}
 	h.wire = still
-	f := &ackFrame{ranges: slices.Clone(h.rcv.ranges())}
-	h.acks = append(h.acks, f)
-	return f
+	ranges := slices.Clone(h.rcv.ranges())
+	h.acks = append(h.acks, ranges)
+	return ranges
 }
 
 // randomAck acknowledges arbitrary ascending disjoint ranges, including
 // packet numbers never sent or already resolved.
-func (h *recoveryHarness) randomAck() *ackFrame {
-	f := &ackFrame{}
+func (h *recoveryHarness) randomAck() []ackRange {
+	var ranges []ackRange
 	next := uint64(h.rng.Intn(int(h.c.nextPN) + 1))
 	for n := 1 + h.rng.Intn(4); n > 0; n-- {
 		lo := next + uint64(h.rng.Intn(8))
 		hi := lo + uint64(h.rng.Intn(8))
-		f.ranges = append(f.ranges, ackRange{lo: lo, hi: hi})
+		ranges = append(ranges, ackRange{lo: lo, hi: hi})
 		next = hi + 2
 	}
-	return f
+	return ranges
 }
 
-// apply runs one ack (or, for a nil frame, a PTO fire) through both sides
-// and compares everything it may change.
-func (h *recoveryHarness) apply(f *ackFrame) {
+// apply runs one ack of ranges (or, if pto is set, a PTO fire) through both
+// sides and compares everything it may change.
+func (h *recoveryHarness) apply(ranges []ackRange, pto bool) {
 	t, c, ref := h.t, h.c, h.ref.c
 	c.mu.Lock()
 	before := make(map[uint64]sentPacket, len(c.sent))
@@ -286,20 +269,21 @@ func (h *recoveryHarness) apply(f *ackFrame) {
 		before[sp.pn] = sp
 	}
 	c.established = false
-	if f != nil {
-		c.handleAckLocked(f)
-		wantAcked, wantLost := h.ref.ack(f)
+	if !pto {
+		c.handleAckLocked(ranges)
+		wantAcked, wantLost := h.ref.ack(ranges)
 		// Recover the real side's acked and lost sets from what left the
-		// history: lost packets are exactly those whose frames were requeued.
-		requeued := make(map[frame]bool)
+		// history: lost packets are exactly those whose frames were requeued
+		// (a send's stream offsets are unique).
+		requeued := make(map[uint64]bool)
 		for _, fr := range c.queued {
-			requeued[fr] = true
+			requeued[fr.val] = true
 		}
 		var gotAcked, gotLost []uint64
 		for pn, sp := range before {
 			switch {
 			case slices.ContainsFunc(c.sent, func(x sentPacket) bool { return x.pn == pn }):
-			case requeued[sp.frame]:
+			case requeued[sp.frame.val]:
 				gotLost = append(gotLost, pn)
 			default:
 				gotAcked = append(gotAcked, pn)
@@ -308,10 +292,10 @@ func (h *recoveryHarness) apply(f *ackFrame) {
 		slices.Sort(gotAcked)
 		slices.Sort(gotLost)
 		if !slices.Equal(gotAcked, wantAcked) {
-			t.Fatalf("acked %v, oracle %v (ack %+v)", gotAcked, wantAcked, f.ranges)
+			t.Fatalf("acked %v, oracle %v (ack %+v)", gotAcked, wantAcked, ranges)
 		}
 		if !slices.Equal(gotLost, wantLost) {
-			t.Fatalf("lost %v, oracle %v (ack %+v)", gotLost, wantLost, f.ranges)
+			t.Fatalf("lost %v, oracle %v (ack %+v)", gotLost, wantLost, ranges)
 		}
 	} else {
 		c.ptoDeadline = time.Time{}
@@ -321,7 +305,7 @@ func (h *recoveryHarness) apply(f *ackFrame) {
 		h.ref.pto()
 	}
 	// The requeue order is the lost (or PTO) order, frame by frame.
-	if !slices.Equal(c.queued, ref.queued) {
+	if !slices.EqualFunc(c.queued, ref.queued, sameFrame) {
 		t.Fatalf("requeued %d frames, oracle %d, or in a different order", len(c.queued), len(ref.queued))
 	}
 	checkFrameOwnership(t, c)
@@ -366,9 +350,9 @@ func (h *recoveryHarness) compareLocked() {
 // map-keyed oracle through seeded schedules — gaps, reordering, drops,
 // duplicate and stale acks, acks of unsent packet numbers, PTO fires — and
 // requires identical acked and lost sets, requeue order, cwnd, recovery
-// epoch, inFlight, PTO backoff and RTT samples after every event. Sends take
-// their stream frames from the free list acks fill, and after every event
-// no frame may be both free and queued or in flight (checkFrameOwnership).
+// epoch, inFlight, PTO backoff and RTT samples after every event, and after
+// every event no stream frame may be queued or in flight twice
+// (checkFrameOwnership).
 func TestSentHistoryMatchesMapOracle(t *testing.T) {
 	for seed := int64(1); seed <= 40; seed++ {
 		h := newRecoveryHarness(t, seed)
@@ -377,18 +361,18 @@ func TestSentHistoryMatchesMapOracle(t *testing.T) {
 			case p < 0.40:
 				h.send()
 			case p < 0.80:
-				h.apply(h.peerAck())
+				h.apply(h.peerAck(), false)
 			case p < 0.88 && len(h.acks) > 0:
-				h.apply(h.acks[h.rng.Intn(len(h.acks))]) // duplicate or stale
+				h.apply(h.acks[h.rng.Intn(len(h.acks))], false) // duplicate or stale
 			case p < 0.95:
-				h.apply(h.randomAck())
+				h.apply(h.randomAck(), false)
 			default:
-				h.apply(nil)
+				h.apply(nil, true)
 			}
 			h.clock.now = h.clock.now.Add(time.Duration(h.rng.Intn(5)) * time.Millisecond)
 		}
-		if h.c.rttSamples == 0 || h.c.recoveryEnd == 0 || h.reused == 0 {
-			t.Fatalf("seed %d never exercised RTT sampling, loss recovery or frame reuse", seed)
+		if h.c.rttSamples == 0 || h.c.recoveryEnd == 0 {
+			t.Fatalf("seed %d never exercised RTT sampling or loss recovery", seed)
 		}
 	}
 }
@@ -402,13 +386,12 @@ func TestSentHistoryReleasedAtTeardown(t *testing.T) {
 		c, _ := deadConn(t, &stepClock{now: time.Date(2022, 10, 10, 0, 0, 0, 0, time.UTC)})
 		c.mu.Lock()
 		for i := 0; i < 8; i++ {
-			c.queueFrameLocked(&streamFrame{id: 0, offset: uint64(i) * 1000, data: make([]byte, 1000)})
+			c.queueFrameLocked(frame{kind: ftStream, val: uint64(i) * 1000, data: make([]byte, 1000)})
 		}
 		c.packetizeLocked()
 		if len(c.sent) == 0 {
 			t.Fatal("nothing in flight before teardown")
 		}
-		c.freeFrames = append(c.freeFrames, new(streamFrame))
 		checkHistory(t, c)
 		c.mu.Unlock()
 		return c
@@ -417,9 +400,9 @@ func TestSentHistoryReleasedAtTeardown(t *testing.T) {
 		t.Helper()
 		c.mu.Lock()
 		defer c.mu.Unlock()
-		if !c.closed || c.sent != nil || c.queued != nil || c.freeFrames != nil || c.inFlight != 0 {
-			t.Fatalf("%s: closed=%v history=%d queued=%d free=%d inFlight=%d, want released",
-				how, c.closed, len(c.sent), len(c.queued), len(c.freeFrames), c.inFlight)
+		if !c.closed || c.sent != nil || c.queued != nil || c.inFlight != 0 {
+			t.Fatalf("%s: closed=%v history=%d queued=%d inFlight=%d, want released",
+				how, c.closed, len(c.sent), len(c.queued), c.inFlight)
 		}
 	}
 
@@ -428,7 +411,7 @@ func TestSentHistoryReleasedAtTeardown(t *testing.T) {
 	released("Close", c)
 
 	c = loaded()
-	hdr, dg := sealedPacket(c.keys.serverSeal, c.connID, 0, &closeFrame{code: 9, reason: "bye"})
+	hdr, dg := sealedPacket(c.keys.serverSeal, c.connID, 0, frame{kind: ftClose, val: 9, data: []byte("bye")})
 	c.handleOneRTT(hdr, dg)
 	released("peer close", c)
 }
@@ -457,7 +440,7 @@ func TestMirrorPathReuse(t *testing.T) {
 	}
 	var pn uint64
 	deliver := func(rp *segment.Path) {
-		hdr, dg := sealedPacket(c.keys.clientSeal, c.connID, pn, pingFrame{})
+		hdr, dg := sealedPacket(c.keys.clientSeal, c.connID, pn, frame{kind: ftPing})
 		pn++
 		dg.ReplyPath = rp
 		c.handleOneRTT(hdr, dg)
@@ -515,17 +498,17 @@ func ackProcessing(tb testing.TB, inflight int) (*Conn, func()) {
 	c, _ := deadConn(tb, clock)
 	c.sent = make([]sentPacket, 0, inflight+4096)
 	push := func() {
-		c.sent = append(c.sent, sentPacket{pn: c.nextPN, frame: pingFrame{}, size: 1200, sentAt: clock.now})
+		c.sent = append(c.sent, sentPacket{pn: c.nextPN, frame: frame{kind: ftPing}, size: 1200, sentAt: clock.now.Sub(c.epoch)})
 		c.inFlight += 1200
 		c.nextPN++
 	}
 	for range inflight {
 		push()
 	}
-	ack := &ackFrame{ranges: []ackRange{{lo: 0}}}
+	ack := []ackRange{{lo: 0}}
 	return c, func() {
 		clock.now = clock.now.Add(time.Millisecond)
-		ack.ranges[0].hi = c.sent[ackBatch-1].pn
+		ack[0].hi = c.sent[ackBatch-1].pn
 		c.mu.Lock()
 		c.handleAckLocked(ack)
 		for range ackBatch {

@@ -58,7 +58,7 @@ func TestPTOBackoffCappedNoOverflow(t *testing.T) {
 	c.mu.Lock()
 	c.srtt, c.rttvar = 100*time.Millisecond, 10*time.Millisecond
 	c.rttSamples = 1
-	c.queueFrameLocked(pingFrame{})
+	c.queueFrameLocked(frame{kind: ftPing})
 	c.packetizeLocked() // sends, arms the first PTO
 	c.mu.Unlock()
 	if len(pconn.sends) != 1 {

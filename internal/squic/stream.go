@@ -114,7 +114,7 @@ func (s *Stream) maybeExtendWindowLocked() {
 	win := s.c.cfg.StreamWindow
 	if s.consumed+win > s.recvLimit+win/2 {
 		s.recvLimit = s.consumed + win
-		s.c.queueFrameLocked(&maxStreamDataFrame{id: s.id, max: s.recvLimit})
+		s.c.queueFrameLocked(frame{kind: ftMaxStreamData, id: s.id, val: s.recvLimit})
 		s.c.scheduleSendLocked()
 	}
 }
@@ -292,8 +292,8 @@ func (s *Stream) setDeadlineLocked(d *deadline, t time.Time, cond interface{ Bro
 }
 
 // handleFrameLocked ingests one received stream frame.
-func (s *Stream) handleFrameLocked(f *streamFrame) error {
-	end := f.offset + uint64(len(f.data))
+func (s *Stream) handleFrameLocked(f frame) error {
+	end := f.val + uint64(len(f.data))
 	if end > s.recvLimit {
 		return fmt.Errorf("squic: stream %d flow-control violation (%d > %d)", s.id, end, s.recvLimit)
 	}
@@ -309,7 +309,7 @@ func (s *Stream) handleFrameLocked(f *streamFrame) error {
 		// change mid-transfer re-splits frames to the new MTU budget), so
 		// trim any prefix already delivered and let a longer chunk replace
 		// a shorter one at the same offset.
-		off, data := f.offset, f.data
+		off, data := f.val, f.data
 		if off < s.recvNext {
 			data = data[s.recvNext-off:]
 			off = s.recvNext
@@ -365,8 +365,9 @@ func (s *Stream) sendableLocked() bool {
 	return s.sendFin && !s.finSent
 }
 
-// nextFrameLocked pops the next stream frame, at most maxData payload bytes.
-func (s *Stream) nextFrameLocked(maxData int) *streamFrame {
+// nextFrameLocked pops the next stream frame, at most maxData payload bytes;
+// ok is false when the stream has nothing to send.
+func (s *Stream) nextFrameLocked(maxData int) (f frame, ok bool) {
 	avail := s.pendLen
 	if fcRoom := int(s.maxSend - s.sendOffset); avail > fcRoom {
 		avail = fcRoom
@@ -378,15 +379,14 @@ func (s *Stream) nextFrameLocked(maxData int) *streamFrame {
 	// Attach the FIN once all buffered data is out.
 	fin := s.sendFin && !s.finSent && s.pendLen == n
 	if n == 0 && !fin {
-		return nil
+		return frame{}, false
 	}
-	f := s.c.newStreamFrameLocked()
-	f.id, f.offset, f.fin = s.id, s.sendOffset, fin
+	f = frame{kind: ftStream, id: s.id, val: s.sendOffset, fin: fin}
 	if n > 0 {
 		// The frame aliases the send buffer's block instead of copying (see
-		// appendPendingLocked): its bytes stay immutable until the packet is
-		// acked and the frame freed, including across retransmissions, which
-		// reuse the same frame.
+		// appendPendingLocked): its bytes stay immutable until the packet
+		// that carries them, or a retransmission's copy of the frame, is
+		// acked.
 		f.data = s.takePendingLocked(n)
 		s.sendOffset += uint64(n)
 		s.c.writable.Broadcast()
@@ -394,7 +394,7 @@ func (s *Stream) nextFrameLocked(maxData int) *streamFrame {
 	if fin {
 		s.finSent = true
 	}
-	return f
+	return f, true
 }
 
 // doneLocked reports whether both directions have fully completed: our FIN

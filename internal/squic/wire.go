@@ -62,163 +62,126 @@ func parseHeader(buf []byte) (header, []byte, error) {
 	}, buf[headerLen:], nil
 }
 
-// frame is the interface of all OneRTT frames.
-type frame interface {
-	append(buf []byte) []byte
-	// size is the encoded length, len(f.append(nil)), computed without
-	// encoding.
-	size() int
-	// retransmittable reports whether loss of this frame requires resending.
-	retransmittable() bool
+// frame is one OneRTT frame, held by value: queued, txFrames and the sent
+// history each hold their own copy, never a pointer, so a frame has exactly
+// one owner by construction and building one allocates nothing. Fields by
+// kind:
+//
+//   - ftStream: id, val = offset, fin, data = payload (aliasing the send
+//     block, or on receive the decrypted wire buffer);
+//   - ftMaxStreamData: id, val = the new limit;
+//   - ftClose: val = error code, data = reason;
+//   - ftAck: data = the encoded range list (see appendAckRanges). Ranges
+//     are never retransmitted, so they stay in the connection's scratch
+//     (ackOut on send; on receive, rx.acks[id:val]) and out of the value;
+//   - ftPing, ftHandshakeDone: no fields.
+type frame struct {
+	kind byte
+	fin  bool
+	id   uint64
+	val  uint64
+	data []byte
+}
+
+// retransmittable reports whether loss of the frame requires resending it.
+func (f frame) retransmittable() bool {
+	switch f.kind {
+	case ftStream, ftMaxStreamData, ftPing, ftHandshakeDone:
+		return true
+	}
+	return false
+}
+
+// size is the encoded length, len(f.append(nil)), computed without encoding.
+func (f frame) size() int {
+	n := len(f.data)
+	switch f.kind {
+	case ftStream:
+		return 2 + uvarintLen(f.id) + uvarintLen(f.val) + uvarintLen(uint64(n)) + n
+	case ftMaxStreamData:
+		return 1 + uvarintLen(f.id) + uvarintLen(f.val)
+	case ftClose:
+		return 1 + uvarintLen(f.val) + uvarintLen(uint64(n)) + n
+	}
+	return 1 + n // ack; ping and handshake done carry no data
+}
+
+func (f frame) append(buf []byte) []byte {
+	buf = append(buf, f.kind)
+	switch f.kind {
+	case ftStream:
+		flags := byte(0)
+		if f.fin {
+			flags = 1
+		}
+		buf = append(buf, flags)
+		buf = binary.AppendUvarint(buf, f.id)
+		buf = binary.AppendUvarint(buf, f.val)
+		buf = binary.AppendUvarint(buf, uint64(len(f.data)))
+	case ftMaxStreamData:
+		buf = binary.AppendUvarint(buf, f.id)
+		return binary.AppendUvarint(buf, f.val)
+	case ftClose:
+		buf = binary.AppendUvarint(buf, f.val)
+		buf = binary.AppendUvarint(buf, uint64(len(f.data)))
+	}
+	return append(buf, f.data...)
 }
 
 // ackRange is a closed interval of acknowledged packet numbers.
 type ackRange struct{ lo, hi uint64 }
 
-// ackFrame acknowledges received packet numbers.
-type ackFrame struct {
-	ranges []ackRange // ascending, non-overlapping
-}
-
-func (f *ackFrame) retransmittable() bool { return false }
-
-func (f *ackFrame) size() int {
-	n := 1 + uvarintLen(uint64(len(f.ranges)))
-	for _, r := range f.ranges {
-		n += uvarintLen(r.lo) + uvarintLen(r.hi-r.lo)
-	}
-	return n
-}
-
-func (f *ackFrame) append(buf []byte) []byte {
-	buf = append(buf, ftAck)
-	buf = binary.AppendUvarint(buf, uint64(len(f.ranges)))
-	for _, r := range f.ranges {
+// appendAckRanges appends the body of an ack frame for rs (ascending,
+// non-overlapping): the range count, then each range's low end and span.
+func appendAckRanges(buf []byte, rs []ackRange) []byte {
+	buf = binary.AppendUvarint(buf, uint64(len(rs)))
+	for _, r := range rs {
 		buf = binary.AppendUvarint(buf, r.lo)
 		buf = binary.AppendUvarint(buf, r.hi-r.lo)
 	}
 	return buf
 }
 
-// streamFrame carries application data.
-type streamFrame struct {
-	id     uint64
-	offset uint64
-	fin    bool
-	data   []byte
-}
-
-func (f *streamFrame) retransmittable() bool { return true }
-
-func (f *streamFrame) size() int {
-	n := len(f.data)
-	return 2 + uvarintLen(f.id) + uvarintLen(f.offset) + uvarintLen(uint64(n)) + n
-}
-
-func (f *streamFrame) append(buf []byte) []byte {
-	buf = append(buf, ftStream)
-	flags := byte(0)
-	if f.fin {
-		flags = 1
-	}
-	buf = append(buf, flags)
-	buf = binary.AppendUvarint(buf, f.id)
-	buf = binary.AppendUvarint(buf, f.offset)
-	buf = binary.AppendUvarint(buf, uint64(len(f.data)))
-	buf = append(buf, f.data...)
-	return buf
-}
-
-// splitStreamFrame cuts f into a head that encodes within budget bytes and
-// a tail carrying the remainder (and the FIN, if any). A requeued stream
-// frame can exceed the CURRENT path's per-packet budget when the connection
-// was re-pathed under it — sent whole, the datagram would exceed the new
-// path's MTU and be dropped by the first link, turning every retransmission
-// into the same black hole. nil,nil means no split is possible (budget too
-// small for even one data byte) or needed (f already fits).
-func splitStreamFrame(f *streamFrame, budget int) (head, tail *streamFrame) {
+// splitStreamFrame cuts stream frame f into a head that encodes within
+// budget bytes and a tail carrying the remainder (and the FIN, if any). A
+// requeued stream frame can exceed the CURRENT path's per-packet budget when
+// the connection was re-pathed under it — sent whole, the datagram would
+// exceed the new path's MTU and be dropped by the first link, turning every
+// retransmission into the same black hole. ok is false when no split is
+// possible (budget too small for even one data byte) or needed (f already
+// fits).
+func splitStreamFrame(f frame, budget int) (head, tail frame, ok bool) {
 	overhead := f.size() - len(f.data)
 	// Leave headroom for the tail's offset varint growing and the head's
 	// length varint; the head is guaranteed to encode within budget.
 	n := budget - overhead - 4
 	if n <= 0 || n >= len(f.data) {
-		return nil, nil
+		return frame{}, frame{}, false
 	}
-	head = &streamFrame{id: f.id, offset: f.offset, data: f.data[:n]}
-	tail = &streamFrame{id: f.id, offset: f.offset + uint64(n), fin: f.fin, data: f.data[n:]}
-	return head, tail
+	head, tail = f, f
+	head.fin, head.data = false, f.data[:n]
+	tail.val, tail.data = f.val+uint64(n), f.data[n:]
+	return head, tail, true
 }
-
-// maxStreamDataFrame raises the peer's send limit on one stream.
-type maxStreamDataFrame struct {
-	id  uint64
-	max uint64
-}
-
-func (f *maxStreamDataFrame) retransmittable() bool { return true }
-
-func (f *maxStreamDataFrame) size() int { return 1 + uvarintLen(f.id) + uvarintLen(f.max) }
-
-func (f *maxStreamDataFrame) append(buf []byte) []byte {
-	buf = append(buf, ftMaxStreamData)
-	buf = binary.AppendUvarint(buf, f.id)
-	buf = binary.AppendUvarint(buf, f.max)
-	return buf
-}
-
-// closeFrame terminates the connection.
-type closeFrame struct {
-	code   uint64
-	reason string
-}
-
-func (f *closeFrame) retransmittable() bool { return false }
-
-func (f *closeFrame) size() int {
-	return 1 + uvarintLen(f.code) + uvarintLen(uint64(len(f.reason))) + len(f.reason)
-}
-
-func (f *closeFrame) append(buf []byte) []byte {
-	buf = append(buf, ftClose)
-	buf = binary.AppendUvarint(buf, f.code)
-	buf = binary.AppendUvarint(buf, uint64(len(f.reason)))
-	buf = append(buf, f.reason...)
-	return buf
-}
-
-// pingFrame elicits an ACK.
-type pingFrame struct{}
-
-func (pingFrame) retransmittable() bool    { return true }
-func (pingFrame) size() int                { return 1 }
-func (pingFrame) append(buf []byte) []byte { return append(buf, ftPing) }
-
-// handshakeDoneFrame confirms the handshake to the client.
-type handshakeDoneFrame struct{}
-
-func (handshakeDoneFrame) retransmittable() bool    { return true }
-func (handshakeDoneFrame) size() int                { return 1 }
-func (handshakeDoneFrame) append(buf []byte) []byte { return append(buf, ftHandshakeDone) }
 
 // frameScratch is the reusable decode target of parseFrames: the frame list
-// and the stream and ack frames it points into. A connection keeps one and
-// reuses it for every packet under its lock, so decoding a packet allocates
-// nothing once the scratch has grown to the packet's shape.
+// and the ranges of its ack frames. A connection keeps one and reuses it for
+// every packet under its lock, so decoding a packet allocates nothing once
+// the scratch has grown to the packet's shape.
 type frameScratch struct {
-	frames  []frame
-	streams []streamFrame
-	acks    []ackFrame
+	frames []frame
+	acks   []ackRange
 }
 
 // parseFrames decodes the frame sequence of a decrypted OneRTT payload into
-// sc. The returned frames point into sc and are valid until the next
-// parseFrames with the same scratch. Stream frame data aliases buf, which on
-// the receive path is the leased wire buffer decrypted in place: it is valid
-// only until the packet's handler returns, so the stream copies the bytes it
-// keeps (recvBuf, out-of-order chunks) and no frame may outlive the call.
+// sc. The returned frames and the ack ranges they index are valid until the
+// next parseFrames with the same scratch. Stream frame data aliases buf,
+// which on the receive path is the leased wire buffer decrypted in place: it
+// is valid only until the packet's handler returns, so the stream copies the
+// bytes it keeps (recvBuf, out-of-order chunks) and no frame may outlive the
+// call.
 func parseFrames(buf []byte, sc *frameScratch) ([]frame, error) {
 	out := sc.frames[:0]
-	sc.streams = sc.streams[:0]
 	sc.acks = sc.acks[:0]
 	for len(buf) > 0 {
 		ft := buf[0]
@@ -226,11 +189,10 @@ func parseFrames(buf []byte, sc *frameScratch) ([]frame, error) {
 		switch ft {
 		case ftPadding:
 			// skip
-		case ftPing:
-			out = append(out, pingFrame{})
-		case ftHandshakeDone:
-			out = append(out, handshakeDoneFrame{})
+		case ftPing, ftHandshakeDone:
+			out = append(out, frame{kind: ft})
 		case ftAck:
+			body := buf
 			n, rest, err := readUvarint(buf)
 			if err != nil {
 				return nil, err
@@ -239,7 +201,7 @@ func parseFrames(buf []byte, sc *frameScratch) ([]frame, error) {
 			if n > 1024 {
 				return nil, fmt.Errorf("squic: ack with %d ranges", n)
 			}
-			f := sc.nextAck()
+			first := len(sc.acks)
 			for i := uint64(0); i < n; i++ {
 				lo, rest, err := readUvarint(buf)
 				if err != nil {
@@ -250,9 +212,10 @@ func parseFrames(buf []byte, sc *frameScratch) ([]frame, error) {
 					return nil, err
 				}
 				buf = rest2
-				f.ranges = append(f.ranges, ackRange{lo: lo, hi: lo + span})
+				sc.acks = append(sc.acks, ackRange{lo: lo, hi: lo + span})
 			}
-			out = append(out, f)
+			out = append(out, frame{kind: ftAck, id: uint64(first), val: uint64(len(sc.acks)),
+				data: body[:len(body)-len(buf)]})
 		case ftStream:
 			if len(buf) < 1 {
 				return nil, errTruncatedPacket
@@ -274,9 +237,8 @@ func parseFrames(buf []byte, sc *frameScratch) ([]frame, error) {
 			if uint64(len(rest3)) < length {
 				return nil, errTruncatedPacket
 			}
-			sc.streams = append(sc.streams, streamFrame{id: id, offset: offset, fin: fin, data: rest3[:length:length]})
+			out = append(out, frame{kind: ftStream, id: id, val: offset, fin: fin, data: rest3[:length:length]})
 			buf = rest3[length:]
-			out = append(out, &sc.streams[len(sc.streams)-1])
 		case ftMaxStreamData:
 			id, rest, err := readUvarint(buf)
 			if err != nil {
@@ -287,7 +249,7 @@ func parseFrames(buf []byte, sc *frameScratch) ([]frame, error) {
 				return nil, err
 			}
 			buf = rest2
-			out = append(out, &maxStreamDataFrame{id: id, max: max})
+			out = append(out, frame{kind: ftMaxStreamData, id: id, val: max})
 		case ftClose:
 			code, rest, err := readUvarint(buf)
 			if err != nil {
@@ -300,7 +262,7 @@ func parseFrames(buf []byte, sc *frameScratch) ([]frame, error) {
 			if uint64(len(rest2)) < rl {
 				return nil, errTruncatedPacket
 			}
-			out = append(out, &closeFrame{code: code, reason: string(rest2[:rl])})
+			out = append(out, frame{kind: ftClose, val: code, data: rest2[:rl:rl]})
 			buf = rest2[rl:]
 		default:
 			return nil, fmt.Errorf("%w 0x%02x", errUnknownFrame, ft)
@@ -308,19 +270,6 @@ func parseFrames(buf []byte, sc *frameScratch) ([]frame, error) {
 	}
 	sc.frames = out
 	return out, nil
-}
-
-// nextAck returns the scratch's next ack frame, its ranges emptied but their
-// backing array kept.
-func (sc *frameScratch) nextAck() *ackFrame {
-	if len(sc.acks) < cap(sc.acks) {
-		sc.acks = sc.acks[:len(sc.acks)+1]
-	} else {
-		sc.acks = append(sc.acks, ackFrame{})
-	}
-	f := &sc.acks[len(sc.acks)-1]
-	f.ranges = f.ranges[:0]
-	return f
 }
 
 func readUvarint(buf []byte) (uint64, []byte, error) {

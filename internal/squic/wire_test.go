@@ -10,19 +10,20 @@ import (
 
 func TestFrameRoundTrip(t *testing.T) {
 	in := []frame{
-		pingFrame{},
-		handshakeDoneFrame{},
-		&ackFrame{ranges: []ackRange{{lo: 1, hi: 4}, {lo: 9, hi: 9}}},
-		&streamFrame{id: 4, offset: 1000, fin: true, data: []byte("hello")},
-		&streamFrame{id: 1, offset: 0, data: []byte{}},
-		&maxStreamDataFrame{id: 8, max: 1 << 30},
-		&closeFrame{code: 7, reason: "bye"},
+		{kind: ftPing},
+		{kind: ftHandshakeDone},
+		{kind: ftAck, data: appendAckRanges(nil, []ackRange{{lo: 1, hi: 4}, {lo: 9, hi: 9}})},
+		{kind: ftStream, id: 4, val: 1000, fin: true, data: []byte("hello")},
+		{kind: ftStream, id: 1, val: 0, data: []byte{}},
+		{kind: ftMaxStreamData, id: 8, val: 1 << 30},
+		{kind: ftClose, val: 7, data: []byte("bye")},
 	}
 	var buf []byte
 	for _, f := range in {
 		buf = f.append(buf)
 	}
-	out, err := parseFrames(buf, &frameScratch{})
+	var sc frameScratch
+	out, err := parseFrames(buf, &sc)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -30,16 +31,16 @@ func TestFrameRoundTrip(t *testing.T) {
 	if len(out) != len(in) {
 		t.Fatalf("parsed %d frames, want %d", len(out), len(in))
 	}
-	ack := out[2].(*ackFrame)
-	if len(ack.ranges) != 2 || ack.ranges[0] != (ackRange{1, 4}) {
-		t.Fatalf("ack ranges %+v", ack.ranges)
+	ack := out[2]
+	if ranges := sc.acks[ack.id:ack.val]; len(ranges) != 2 || ranges[0] != (ackRange{1, 4}) {
+		t.Fatalf("ack ranges %+v", ranges)
 	}
-	sf := out[3].(*streamFrame)
-	if sf.id != 4 || sf.offset != 1000 || !sf.fin || !bytes.Equal(sf.data, []byte("hello")) {
+	sf := out[3]
+	if sf.kind != ftStream || sf.id != 4 || sf.val != 1000 || !sf.fin || !bytes.Equal(sf.data, []byte("hello")) {
 		t.Fatalf("stream frame %+v", sf)
 	}
-	cf := out[6].(*closeFrame)
-	if cf.code != 7 || cf.reason != "bye" {
+	cf := out[6]
+	if cf.kind != ftClose || cf.val != 7 || string(cf.data) != "bye" {
 		t.Fatalf("close frame %+v", cf)
 	}
 }
