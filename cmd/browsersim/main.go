@@ -19,6 +19,7 @@ import (
 	"tango/internal/browser"
 	"tango/internal/experiments"
 	"tango/internal/policy"
+	"tango/internal/proxy"
 )
 
 func main() {
@@ -31,8 +32,17 @@ func main() {
 	adaptiveRace := flag.Bool("adaptive-race", false, "tune the race width from telemetry (needs -probe-interval)")
 	passive := flag.Bool("passive", true, "feed live-traffic RTTs into the telemetry monitor as zero-cost samples (needs -probe-interval)")
 	flag.Parse()
+	if *adaptiveRace && *probeInterval <= 0 {
+		fmt.Fprintln(os.Stderr, "-adaptive-race needs -probe-interval")
+		os.Exit(1)
+	}
 
-	w, client, err := experiments.Demo(1)
+	w, client, err := experiments.Demo(1, proxy.Config{
+		RaceWidth:     *raceWidth,
+		ProbeInterval: *probeInterval,
+		AdaptiveRace:  *adaptiveRace,
+		Passive:       *passive,
+	})
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "building world: %v\n", err)
 		os.Exit(1)
@@ -53,23 +63,15 @@ func main() {
 		fmt.Println("extension: disabled (BGP/IP only)")
 	}
 	if *raceWidth > 1 {
-		client.Extension.SetRace(*raceWidth, 0)
 		fmt.Printf("racing: top %d ranked paths per connection\n", *raceWidth)
 	}
 	if *probeInterval > 0 {
-		client.Extension.SetProbing(*probeInterval)
-		client.Extension.SetPassive(*passive)
 		fmt.Printf("probing: telemetry monitor at %v base interval\n", *probeInterval)
 		if *passive {
 			fmt.Println("passive telemetry: browsed origins sustain their own estimates for free")
 		}
 	}
 	if *adaptiveRace {
-		if *probeInterval <= 0 {
-			fmt.Fprintln(os.Stderr, "-adaptive-race needs -probe-interval")
-			os.Exit(1)
-		}
-		client.Extension.SetAdaptiveRace(true)
 		fmt.Println("adaptive racing: width picked per dial from telemetry")
 	}
 
@@ -105,9 +107,9 @@ func main() {
 	for _, p := range snap.Paths {
 		fmt.Printf("  path %s: %d requests, %d bytes, compliant=%v\n", p.Fingerprint, p.Requests, p.Bytes, p.Compliant)
 	}
-	// Per-path liveness from the extension's telemetry feed (paper §4.2):
-	// what the UI would render next to each path.
-	for _, h := range client.Extension.PathHealth() {
+	// Per-path liveness from the proxy's telemetry feed (paper §4.2): what
+	// the UI would render next to each path.
+	for _, h := range client.Proxy.PathHealth() {
 		state := "live"
 		if h.Down {
 			state = "DOWN"
@@ -120,12 +122,12 @@ func main() {
 	}
 	// Per-link congestion from the monitor's probe decomposition: where
 	// the variance lives, not just which paths feel it.
-	for _, l := range client.Extension.LinkHealth() {
+	for _, l := range client.Proxy.LinkStats() {
 		fmt.Printf("  link %s <-> %s: excess=%v dev=%v sharers=%d\n", l.A, l.B, l.Congestion, l.Dev, l.Sharers)
 	}
 	// Passive-vs-probe sample split per origin: which destinations pay for
 	// their own telemetry with live traffic and which draw on the budget.
-	for host, split := range client.Extension.TelemetrySamples() {
+	for host, split := range client.Proxy.SampleSplits() {
 		fmt.Printf("  origin %s: %d passive / %d probe samples\n", host, split.Passive, split.Probes)
 	}
 }

@@ -45,7 +45,7 @@ func main() {
 	stripeWidth := flag.Int("stripe-width", 0, "after the PLT comparison, fetch the demo's large download striped over this many link-disjoint paths through the reverse proxy (0 = skip)")
 	flag.Parse()
 
-	w, client, err := experiments.Demo(4)
+	w, client, err := experiments.Demo(4, proxy.Config{})
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "building world: %v\n", err)
 		os.Exit(1)
@@ -80,21 +80,33 @@ func main() {
 	// Optional: striped large download through the reverse proxy. Range
 	// requests flow through the reverse proxy to the origin, so the striped
 	// client can pull one resource as concurrent segments over disjoint paths
-	// even though the origin itself never deployed SCION.
+	// even though the origin itself never deployed SCION. Striping adds a
+	// Range probe to every GET, so a second client, built to stripe, makes
+	// this fetch and the page loads above stay as they were.
 	if *stripeWidth > 0 {
-		client.Proxy.SetStripe(&pan.StripeOptions{Width: *stripeWidth})
+		sc, err := w.NewClient(experiments.ClientConfig{
+			IA:         topology.AS111,
+			IP:         "10.0.0.9",
+			LegacyName: "stripe-client",
+			Proxy:      proxy.Config{Stripe: &pan.StripeOptions{Width: *stripeWidth}},
+		})
+		if err != nil {
+			fmt.Fprintf(os.Stderr, "striping client: %v\n", err)
+			os.Exit(1)
+		}
+		defer sc.Close()
 		url := fmt.Sprintf("http://www.proxied.example%s", experiments.BigResourcePath)
 		fmt.Printf("\nfetching %s striped over %d paths...\n", url, *stripeWidth)
 		req := httptest.NewRequest(http.MethodGet, url, nil)
 		rec := httptest.NewRecorder()
-		client.Proxy.ServeHTTP(rec, req)
+		sc.Proxy.ServeHTTP(rec, req)
 		res := rec.Result()
 		n, _ := io.Copy(io.Discard, res.Body)
 		res.Body.Close()
 		fmt.Printf("  status=%d via=%s bytes=%d striped=%d\n",
 			res.StatusCode, res.Header.Get(proxy.HeaderVia), n,
-			client.Proxy.Stats().Snapshot().Striped)
-		for dst, pipes := range client.Proxy.StripeStatus() {
+			sc.Proxy.Stats().Snapshot().Striped)
+		for dst, pipes := range sc.Proxy.StripeStatus() {
 			fmt.Printf("  stripe set %s:\n", dst)
 			for _, ps := range pipes {
 				state := "live"
@@ -150,14 +162,16 @@ func main() {
 			}
 		}
 		c, err := w.NewClient(experiments.ClientConfig{
-			IA:           topology.AS111,
-			IP:           fmt.Sprintf("10.0.7.%d", i+1),
-			LegacyName:   fmt.Sprintf("rp-client-%d", i+1),
-			Monitor:      monitor, // shared, or this client's own gossiped one
-			RaceWidth:    3,
-			AdaptiveRace: *adaptiveRace,
-			Passive:      *passive,
-			Seed:         int64(i + 1),
+			IA:         topology.AS111,
+			IP:         fmt.Sprintf("10.0.7.%d", i+1),
+			LegacyName: fmt.Sprintf("rp-client-%d", i+1),
+			Proxy: proxy.Config{
+				Monitor:      monitor, // shared, or this client's own gossiped one
+				RaceWidth:    3,
+				AdaptiveRace: *adaptiveRace,
+				Passive:      *passive,
+			},
+			Seed: int64(i + 1),
 		})
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "client %d: %v\n", i+1, err)

@@ -18,6 +18,7 @@ import (
 	"tango/internal/addr"
 	"tango/internal/experiments"
 	"tango/internal/pan"
+	"tango/internal/proxy"
 	"tango/internal/shttp"
 	"tango/internal/squic"
 	"tango/internal/topology"
@@ -29,7 +30,7 @@ func main() {
 	size := flag.Int("size", 4096, "bytes per subresource")
 	flag.Parse()
 
-	w, _, err := experiments.Demo(3)
+	w, _, err := experiments.Demo(3, proxy.Config{})
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "building world: %v\n", err)
 		os.Exit(1)

@@ -57,8 +57,26 @@ func main() {
 		fmt.Fprintln(os.Stderr, "-peers needs -probe-interval (a warm monitor to gossip from)")
 		os.Exit(1)
 	}
+	if *selector == "hotspot" && *probeInterval <= 0 {
+		fmt.Fprintln(os.Stderr, "-selector hotspot needs -probe-interval (link telemetry comes from the monitor)")
+		os.Exit(1)
+	}
+	if *adaptiveRace && *probeInterval <= 0 {
+		fmt.Fprintln(os.Stderr, "-adaptive-race needs -probe-interval (width decisions come from telemetry)")
+		os.Exit(1)
+	}
 
-	w, client, err := experiments.Demo(2)
+	pc := proxy.Config{
+		RaceWidth:     *raceWidth,
+		ProbeInterval: *probeInterval,
+		ProbeBudget:   *probeBudget,
+		AdaptiveRace:  *adaptiveRace,
+		Passive:       *passive,
+	}
+	if *stripeWidth > 0 {
+		pc.Stripe = &pan.StripeOptions{Width: *stripeWidth, SegmentSize: *stripeSegment, MinStripeBytes: *stripeMin}
+	}
+	w, client, err := experiments.Demo(2, pc)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "building world: %v\n", err)
 		os.Exit(1)
@@ -80,8 +98,6 @@ func main() {
 		fmt.Printf("installed policy %q\n", pol.Name)
 	}
 	if *probeInterval > 0 {
-		client.Proxy.SetProbing(*probeInterval, *probeBudget)
-		client.Proxy.SetPassive(*passive)
 		if *probeBudget > 0 {
 			fmt.Printf("telemetry monitor: base interval %v, budget %.1f probes/s\n", *probeInterval, *probeBudget)
 		} else {
@@ -100,10 +116,6 @@ func main() {
 		client.Extension.SetSelector(pan.NewRoundRobinSelector(nil))
 		fmt.Println("installed round-robin selector")
 	case "hotspot":
-		if *probeInterval <= 0 {
-			fmt.Fprintln(os.Stderr, "-selector hotspot needs -probe-interval (link telemetry comes from the monitor)")
-			os.Exit(1)
-		}
 		client.Extension.SetSelector(pan.NewHotspotSelector(client.Proxy.Monitor()))
 		fmt.Println("installed hotspot-aware selector (latency + shared-link variance penalty)")
 	default:
@@ -112,24 +124,13 @@ func main() {
 	}
 
 	if *raceWidth > 1 {
-		client.Proxy.SetRace(*raceWidth, 0)
 		fmt.Printf("racing the top %d ranked paths per connection\n", *raceWidth)
 	}
 	if *adaptiveRace {
-		if *probeInterval <= 0 {
-			fmt.Fprintln(os.Stderr, "-adaptive-race needs -probe-interval (width decisions come from telemetry)")
-			os.Exit(1)
-		}
-		client.Proxy.SetAdaptiveRace(true)
 		fmt.Println("adaptive racing: width tuned per dial from telemetry freshness and RTT spread")
 	}
 
 	if *stripeWidth > 0 {
-		client.Proxy.SetStripe(&pan.StripeOptions{
-			Width:          *stripeWidth,
-			SegmentSize:    *stripeSegment,
-			MinStripeBytes: *stripeMin,
-		})
 		fmt.Printf("striping large responses over up to %d link-disjoint paths\n", *stripeWidth)
 	}
 

@@ -13,10 +13,11 @@ import (
 
 	"tango/internal/experiments"
 	"tango/internal/policy"
+	"tango/internal/proxy"
 )
 
 func main() {
-	world, client, err := experiments.Demo(10)
+	world, client, err := experiments.Demo(10, proxy.Config{})
 	if err != nil {
 		log.Fatal(err)
 	}

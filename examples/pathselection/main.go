@@ -9,7 +9,7 @@
 //
 //   - RaceWidth: how many top-ranked candidates a Dialer dials
 //     concurrently per connection, keeping the first completed handshake
-//     (0/1 = sequential failover through MaxAttempts candidates).
+//     (0/1 = sequential failover through up to three candidates).
 //
 //   - RaceStagger: racer i starts i*RaceStagger late, so a healthy first
 //     choice wins without extra handshakes on the wire (0 = pan's
@@ -46,11 +46,12 @@ import (
 	"tango/internal/pan"
 	"tango/internal/policy"
 	"tango/internal/ppl"
+	"tango/internal/proxy"
 	"tango/internal/topology"
 )
 
 func main() {
-	world, _, err := experiments.Demo(11)
+	world, _, err := experiments.Demo(11, proxy.Config{})
 	if err != nil {
 		log.Fatal(err)
 	}

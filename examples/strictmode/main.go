@@ -13,10 +13,11 @@ import (
 	"time"
 
 	"tango/internal/experiments"
+	"tango/internal/proxy"
 )
 
 func main() {
-	world, client, err := experiments.Demo(12)
+	world, client, err := experiments.Demo(12, proxy.Config{})
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -140,55 +140,6 @@ func (e *Extension) SetStrictAll(v bool) {
 	e.strictAll = v
 }
 
-// SetRace reconfigures the proxy's connection racing — the UI's
-// "responsiveness" knob: width concurrent path dials per connection,
-// keeping the first completed handshake.
-func (e *Extension) SetRace(width int, stagger time.Duration) {
-	e.proxy.SetRace(width, stagger)
-}
-
-// SetProbing starts (interval > 0) or stops the proxy's background path
-// telemetry monitor, which keeps rankings and the liveness view fresh
-// between requests.
-func (e *Extension) SetProbing(interval time.Duration) {
-	e.proxy.SetProbing(interval, 0)
-}
-
-// SetAdaptiveRace toggles telemetry-driven race-width tuning: the proxy
-// races wide only while the leading path's estimate is stale or contested.
-// Needs probing enabled to have effect.
-func (e *Extension) SetAdaptiveRace(on bool) {
-	e.proxy.SetAdaptiveRace(on)
-}
-
-// SetPassive toggles passive telemetry: pooled connections' ack RTTs and
-// per-request first-byte times feed the monitor as zero-cost samples, so
-// origins the user actually browses keep fresh estimates without spending
-// the probe budget. Needs probing enabled to have effect.
-func (e *Extension) SetPassive(on bool) {
-	e.proxy.SetPassive(on)
-}
-
-// TelemetrySamples surfaces the per-origin passive-vs-probe sample split —
-// the UI layer that can show which origins sustain their own telemetry
-// from live traffic and which the probe budget is spent on.
-func (e *Extension) TelemetrySamples() map[string]proxy.SampleSplit {
-	return e.proxy.SampleSplits()
-}
-
-// PathHealth surfaces the proxy's per-path liveness and live RTT telemetry
-// — the data behind rendering each path as live, degraded, or down in the
-// paper's §4.2 path-selection UI.
-func (e *Extension) PathHealth() []proxy.PathHealth {
-	return e.proxy.PathHealth()
-}
-
-// LinkHealth surfaces the monitor's per-link congestion estimates — the UI
-// layer that can show WHERE congestion lives, not just which paths feel it.
-func (e *Extension) LinkHealth() []proxy.LinkStat {
-	return e.proxy.LinkStats()
-}
-
 // strictFor decides whether a request to host runs in strict mode: user
 // preference or an active Strict-SCION pin.
 func (e *Extension) strictFor(host string) bool {

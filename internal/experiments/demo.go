@@ -6,6 +6,7 @@ import (
 
 	"tango/internal/addr"
 	"tango/internal/netsim"
+	"tango/internal/proxy"
 	"tango/internal/sciondetect"
 	"tango/internal/squic"
 	"tango/internal/topology"
@@ -21,7 +22,10 @@ import (
 //	www.legacy.example  IP-only origin
 //	www.proxied.example IP origin fronted by a SCION reverse proxy in
 //	                    2-ff00:0:221
-func Demo(seed int64) (*World, *Client, error) {
+//
+// pc sets the client proxy's options (racing, probing, passive telemetry,
+// striping); the zero value is the plain proxy.
+func Demo(seed int64, pc proxy.Config) (*World, *Client, error) {
 	w, err := NewWorld(seed, nil)
 	if err != nil {
 		return nil, nil, err
@@ -72,7 +76,7 @@ func Demo(seed int64) (*World, *Client, error) {
 		return nil, nil, err
 	}
 
-	c, err := w.localClient(seed)
+	c, err := w.localClient(seed, pc)
 	if err != nil {
 		return nil, nil, err
 	}

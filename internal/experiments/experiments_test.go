@@ -145,7 +145,7 @@ func behaviourWorld(t *testing.T) (*World, *Client) {
 	}
 	addAZone(w, "ipfs.local", "192.0.2.10")
 
-	c, err := w.localClient(0)
+	c, err := w.localClient(0, proxy.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}

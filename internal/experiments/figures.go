@@ -10,6 +10,7 @@ import (
 
 	"tango/internal/addr"
 	"tango/internal/netsim"
+	"tango/internal/proxy"
 	"tango/internal/sciondetect"
 	"tango/internal/squic"
 	"tango/internal/stats"
@@ -88,13 +89,15 @@ func (w *World) scionServer(ia addr.IA, ip string, site http.Handler, strictMaxA
 	return nil
 }
 
-// localClient builds a fig-3-style client with prototype overheads.
-func (w *World) localClient(seed int64) (*Client, error) {
+// localClient builds a fig-3-style client with prototype overheads and
+// the proxy options pc.
+func (w *World) localClient(seed int64, pc proxy.Config) (*Client, error) {
 	return w.NewClient(ClientConfig{
 		IA: topology.AS111, IP: "10.0.0.1", LegacyName: "client",
 		InterceptCost: interceptCost, InterceptJitter: interceptJitter,
 		ProxyCost: proxyCost, ProxyJitter: proxyJitter,
-		Seed: seed,
+		Proxy: pc,
+		Seed:  seed,
 	})
 }
 
@@ -179,7 +182,7 @@ func RunFig3(runs int) (*Figure, error) {
 	for _, m := range modes {
 		var samples []time.Duration
 		for run := 0; run < runs; run++ {
-			c, err := w.localClient(int64(run))
+			c, err := w.localClient(int64(run), proxy.Config{})
 			if err != nil {
 				return nil, err
 			}
@@ -292,7 +295,7 @@ func runPLTComparison(w *World, runs int, pages map[string]string) ([]Series, er
 		}{{"SCION", true}, {"IPv4/6", false}} {
 			var samples []time.Duration
 			for run := 0; run < runs; run++ {
-				c, err := w.localClient(int64(run))
+				c, err := w.localClient(int64(run), proxy.Config{})
 				if err != nil {
 					return nil, err
 				}

@@ -30,7 +30,7 @@ func geofenceWorld(t *testing.T) (*World, *Client) {
 	}
 	addAZone(w, "abroad.example", "198.51.100.99")
 
-	c, err := w.localClient(0)
+	c, err := w.localClient(0, proxy.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -63,11 +63,28 @@ func TestGeofencingOpportunisticFlagsNonCompliance(t *testing.T) {
 }
 
 func TestGeofencingStrictBlocks(t *testing.T) {
-	_, c := geofenceWorld(t)
-	c.Extension.SetGeofence(policy.NewBlockGeofence(2))
-	c.Extension.SetStrictAll(true)
-	if _, err := c.Browser.LoadPage(context.Background(), "http://abroad.example/index.html"); err == nil {
-		t.Fatal("strict mode must refuse a site with no policy-compliant path")
+	for _, tc := range []struct {
+		name   string
+		strict func(*browser.Extension)
+		refuse bool
+	}{
+		{"all-hosts", func(e *browser.Extension) { e.SetStrictAll(true) }, true},
+		// Strict mode for the one sensitive site (paper §5.1).
+		{"this-host", func(e *browser.Extension) { e.EnableStrict("abroad.example") }, true},
+		{"other-host", func(e *browser.Extension) { e.EnableStrict("elsewhere.example") }, false},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			_, c := geofenceWorld(t)
+			c.Extension.SetGeofence(policy.NewBlockGeofence(2))
+			tc.strict(c.Extension)
+			_, err := c.Browser.LoadPage(context.Background(), "http://abroad.example/index.html")
+			if tc.refuse && err == nil {
+				t.Fatal("strict mode must refuse a site with no policy-compliant path")
+			}
+			if !tc.refuse && err != nil {
+				t.Fatalf("strict mode for another host refused this one: %v", err)
+			}
+		})
 	}
 }
 
@@ -103,7 +120,7 @@ func TestGeofencingReroutesAroundBlockedAS(t *testing.T) {
 	if err := w.scionServer(topology.AS121, "10.0.0.2", site, 0, "domestic.example"); err != nil {
 		t.Fatal(err)
 	}
-	c, err := w.localClient(0)
+	c, err := w.localClient(0, proxy.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -10,6 +10,7 @@ import (
 
 	"tango/internal/addr"
 	"tango/internal/pan"
+	"tango/internal/proxy"
 	"tango/internal/segment"
 	"tango/internal/squic"
 	"tango/internal/topology"
@@ -126,9 +127,8 @@ func TestProxyProbingSurfacesHealthStats(t *testing.T) {
 
 	c, err := w.NewClient(ClientConfig{
 		IA: topology.AS111, IP: "10.0.0.1", LegacyName: "client",
-		RaceWidth:     2,
-		ProbeInterval: 2 * time.Second,
-		Seed:          1,
+		Proxy: proxy.Config{RaceWidth: 2, ProbeInterval: 2 * time.Second},
+		Seed:  1,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -160,9 +160,9 @@ func TestProxyProbingSurfacesHealthStats(t *testing.T) {
 			t.Fatalf("probed path without live RTT: %+v", h)
 		}
 	}
-	// The extension sees the same feed (what the UI renders).
-	if got := c.Extension.PathHealth(); len(got) != len(snap.Health) {
-		t.Fatalf("extension health = %d entries, stats = %d", len(got), len(snap.Health))
+	// The proxy's live feed matches the snapshot (what the UI renders).
+	if got := c.Proxy.PathHealth(); len(got) != len(snap.Health) {
+		t.Fatalf("proxy health = %d entries, stats = %d", len(got), len(snap.Health))
 	}
 }
 

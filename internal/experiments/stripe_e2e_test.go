@@ -13,6 +13,7 @@ import (
 	"tango/internal/addr"
 	"tango/internal/netsim"
 	"tango/internal/pan"
+	"tango/internal/proxy"
 	"tango/internal/topology"
 	"tango/internal/webserver"
 )
@@ -27,14 +28,17 @@ func stripeBody(n int) []byte {
 	return body
 }
 
+// stripeOpts stripes over two paths in 128 KiB segments.
+var stripeOpts = &pan.StripeOptions{Width: 2, SegmentSize: 128 << 10, MinStripeBytes: 128 << 10}
+
 // stripeWorld assembles the striping scenario: every inter-ISD core link
 // throttled to bwBits (so each single path is capped, while link-disjoint
 // paths aggregate), a SCION origin in AS211 serving /big, and a client in
-// AS111. The intra-ISD edges keep their 1 Gbit capacity — in particular the
+// AS111 whose proxy stripes with stripe (nil = striping off). The intra-ISD edges keep their 1 Gbit capacity — in particular the
 // shared last link 210-211, which both disjoint paths traverse. A non-nil
 // wrap decorates the origin handler — the hook the path-kill test uses to
 // trigger its fault deterministically from inside the virtual event flow.
-func stripeWorld(t *testing.T, seed, bwBits int64, size int, wrap func(http.Handler) http.Handler) (*World, *Client) {
+func stripeWorld(t *testing.T, seed, bwBits int64, size int, stripe *pan.StripeOptions, wrap func(http.Handler) http.Handler) (*World, *Client) {
 	t.Helper()
 	w, err := NewWorld(seed, nil)
 	if err != nil {
@@ -62,7 +66,7 @@ func stripeWorld(t *testing.T, seed, bwBits int64, size int, wrap func(http.Hand
 	if err := w.scionServer(topology.AS211, "10.0.0.2", handler, time.Hour, "stripe.example"); err != nil {
 		t.Fatal(err)
 	}
-	c, err := w.NewClient(ClientConfig{IA: topology.AS111, IP: "10.0.0.1", LegacyName: "client", Seed: 1})
+	c, err := w.NewClient(ClientConfig{IA: topology.AS111, IP: "10.0.0.1", LegacyName: "client", Proxy: proxy.Config{Stripe: stripe}, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -95,7 +99,7 @@ func fetchBig(t *testing.T, c *Client) []byte {
 // virtual time.
 func TestStripedTransferSpeedup(t *testing.T) {
 	const size = 6 << 20
-	w, c := stripeWorld(t, 42, 20_000_000, size, nil)
+	w, c := stripeWorld(t, 42, 20_000_000, size, nil, nil)
 	want := stripeBody(size)
 
 	start := w.Clock.Now()
@@ -105,8 +109,11 @@ func TestStripedTransferSpeedup(t *testing.T) {
 		t.Fatal("single-path transfer corrupted the body")
 	}
 
-	c.Proxy.SetStripe(&pan.StripeOptions{Width: 2, SegmentSize: 128 << 10, MinStripeBytes: 128 << 10})
-	c.Proxy.Dialer().Invalidate() // cold start for a fair comparison
+	// A second client, built to stripe, starts cold for a fair comparison.
+	c, err := w.NewClient(ClientConfig{IA: topology.AS111, IP: "10.0.0.4", LegacyName: "client-striped", Proxy: proxy.Config{Stripe: stripeOpts}, Seed: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
 	start = w.Clock.Now()
 	got = fetchBig(t, c)
 	striped := w.Clock.Now().Sub(start)
@@ -179,7 +186,7 @@ func TestStripedTransferSurvivesPathKill(t *testing.T) {
 		p.LossRate = 1
 		link.SetProps(p)
 	}
-	w, c = stripeWorld(t, 43, 10_000_000, size, func(next http.Handler) http.Handler {
+	w, c = stripeWorld(t, 43, 10_000_000, size, stripeOpts, func(next http.Handler) http.Handler {
 		return http.HandlerFunc(func(rw http.ResponseWriter, r *http.Request) {
 			if reqs.Add(1) == 12 {
 				kill()
@@ -187,7 +194,6 @@ func TestStripedTransferSurvivesPathKill(t *testing.T) {
 			next.ServeHTTP(rw, r)
 		})
 	})
-	c.Proxy.SetStripe(&pan.StripeOptions{Width: 2, SegmentSize: 128 << 10, MinStripeBytes: 128 << 10})
 	want := stripeBody(size)
 
 	rec := httptest.NewRecorder()

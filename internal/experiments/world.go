@@ -116,15 +116,17 @@ func (w *World) Resolver(fromHost string) *dnssim.Resolver {
 
 // SerialDelay models a serialized per-request processing stage (the
 // extension's single-threaded event loop, the prototype proxy's request
-// handling): callers queue on a mutex and hold it for a jittered interval of
-// virtual time.
+// handling): each caller is served for a jittered interval of virtual time,
+// after every caller that arrived before it. The queue is a virtual-time
+// ticket, so no lock is held while a caller waits.
 type SerialDelay struct {
-	mu     sync.Mutex
 	clock  netsim.Clock
 	base   time.Duration
 	jitter time.Duration
-	rng    *rand.Rand
-	rngMu  sync.Mutex
+
+	mu        sync.Mutex
+	rng       *rand.Rand
+	busyUntil time.Time // when the last queued caller's service ends
 }
 
 // NewSerialDelay creates a stage with base cost ± uniform jitter.
@@ -137,15 +139,18 @@ func (d *SerialDelay) Wait() {
 	if d == nil || d.base == 0 {
 		return
 	}
-	d.rngMu.Lock()
+	d.mu.Lock()
 	cost := d.base
 	if d.jitter > 0 {
 		cost += time.Duration(d.rng.Int63n(int64(2*d.jitter))) - d.jitter
 	}
-	d.rngMu.Unlock()
-	d.mu.Lock()
-	d.clock.Sleep(cost)
+	if now := d.clock.Now(); d.busyUntil.Before(now) {
+		d.busyUntil = now
+	}
+	d.busyUntil = d.busyUntil.Add(cost)
+	until := d.busyUntil
 	d.mu.Unlock()
+	d.clock.Sleep(until.Sub(d.clock.Now()))
 }
 
 // ClientConfig parameterizes a browser+extension+proxy bundle.
@@ -159,31 +164,11 @@ type ClientConfig struct {
 	// overheads (zero = ideal integration).
 	InterceptCost, InterceptJitter time.Duration
 	ProxyCost, ProxyJitter         time.Duration
-	// RaceWidth, when > 1, makes the client's proxy race that many
-	// top-ranked SCION paths per connection; RaceStagger offsets the
-	// racers' starts (0 = pan's default stagger when racing).
-	RaceWidth   int
-	RaceStagger time.Duration
-	// ProbeInterval, when positive, runs the proxy's background path
-	// telemetry monitor on the world's virtual clock. Ignored when Monitor
-	// is set.
-	ProbeInterval time.Duration
-	// ProbeBudget caps the owned monitor's probes/sec (0 = pan default).
-	ProbeBudget float64
-	// Monitor attaches the client's proxy to a shared telemetry plane —
-	// several clients' dialers feeding from (and into) one monitor, the
-	// skip-proxy deployment shape.
-	Monitor *pan.Monitor
-	// AdaptiveRace lets telemetry pick the race width per dial (RaceWidth
-	// caps it).
-	AdaptiveRace bool
-	// Passive streams pooled connections' ack RTTs and per-request
-	// first-byte times into the monitor as zero-cost telemetry samples,
-	// suppressing scheduled probes for origins with live traffic.
-	Passive bool
-	// Stripe, when non-nil, makes the client's proxy fetch large responses
-	// as concurrent byte-range segments over link-disjoint paths.
-	Stripe *pan.StripeOptions
+	// Proxy holds the proxy's options: racing, probing, passive telemetry,
+	// striping and the initial selector. NewClient fills in the fields the
+	// world owns (Host, Legacy, LegacyHost, Resolver, Detector and
+	// Processing).
+	Proxy proxy.Config
 	// Seed drives the overhead jitter so repeated runs differ.
 	Seed int64
 }
@@ -203,8 +188,8 @@ type Client struct {
 // Close releases everything the client holds in its world: the browser's
 // idle connections, the proxy's loopback listener, and then the proxy
 // itself, which closes its pooled connections and its dialer and stops
-// the monitor it owns (a monitor passed in through ClientConfig.Monitor is
-// shared, and stays running). A world that serves many short-lived users
+// the monitor it owns (a monitor passed in through ClientConfig.Proxy.Monitor
+// is shared, and stays running). A world that serves many short-lived users
 // must close each one, or every user leaves goroutines and connections
 // behind.
 func (c *Client) Close() {
@@ -226,23 +211,11 @@ func (w *World) NewClient(cfg ClientConfig) (*Client, error) {
 	host := w.PANHost(cfg.IA, cfg.IP)
 	store := sciondetect.NewStrictStore(w.Clock)
 
-	proxyDelay := NewSerialDelay(w.Clock, cfg.ProxyCost, cfg.ProxyJitter, w.seed+cfg.Seed*7919+101)
-	p := proxy.New(proxy.Config{
-		Host:          host,
-		Legacy:        w.Legacy,
-		LegacyHost:    cfg.LegacyName,
-		Resolver:      resolver,
-		Detector:      detector,
-		Processing:    proxyDelay.Wait,
-		RaceWidth:     cfg.RaceWidth,
-		RaceStagger:   cfg.RaceStagger,
-		ProbeInterval: cfg.ProbeInterval,
-		ProbeBudget:   cfg.ProbeBudget,
-		Monitor:       cfg.Monitor,
-		AdaptiveRace:  cfg.AdaptiveRace,
-		Passive:       cfg.Passive,
-		Stripe:        cfg.Stripe,
-	})
+	pc := cfg.Proxy
+	pc.Host, pc.Legacy, pc.LegacyHost = host, w.Legacy, cfg.LegacyName
+	pc.Resolver, pc.Detector = resolver, detector
+	pc.Processing = NewSerialDelay(w.Clock, cfg.ProxyCost, cfg.ProxyJitter, w.seed+cfg.Seed*7919+101).Wait
+	p := proxy.New(pc)
 
 	// Loopback: zero-latency same-machine route, unique port per client.
 	w.Legacy.SetRoute(cfg.LegacyName, cfg.LegacyName, netsim.RouteProps{})

@@ -12,9 +12,10 @@ import (
 	"tango/internal/squic"
 )
 
-// DialOptions parameterizes a Dialer.
+// DialOptions parameterizes a Dialer. They are fixed once NewDialer
+// returns; only the selector changes later, through SetSelector.
 type DialOptions struct {
-	// Selector ranks candidate paths (nil = accept-everything
+	// Selector is the initial path ranker (nil = accept-everything
 	// PolicySelector).
 	Selector Selector
 	// Mode is the operational mode applied at selection time.
@@ -25,14 +26,12 @@ type DialOptions struct {
 	// Timeout caps each dial attempt's handshake (0 = squic's default). A
 	// context deadline tightens it further.
 	Timeout time.Duration
-	// MaxAttempts bounds candidate failover per Dial call (0 = 3).
-	MaxAttempts int
 	// RaceWidth, when > 1, dials that many top-ranked candidates
 	// concurrently per Dial call and keeps the first completed handshake;
 	// the losers are canceled and closed. A canceled loser is NOT reported
 	// as a failure — cancellation says nothing about the path — while a
 	// loser that failed on its own merit before the race was decided still
-	// reports Failure. 0 or 1 keeps sequential failover over MaxAttempts
+	// reports Failure. 0 or 1 keeps sequential failover over maxAttempts
 	// candidates.
 	RaceWidth int
 	// RaceStagger delays racer i's start by i*RaceStagger, so the
@@ -55,7 +54,7 @@ type DialOptions struct {
 	// ack RTT samples into Monitor.Observe for the connection's lifetime:
 	// zero-cost telemetry from traffic the dialer already carries, which
 	// keeps busy destinations fresh and suppresses their scheduled active
-	// probes. Toggled at runtime with SetPassive.
+	// probes.
 	Passive bool
 }
 
@@ -81,22 +80,28 @@ type RaceDecision struct {
 // with an unset RaceStagger.
 const DefaultRaceStagger = 10 * time.Millisecond
 
+// maxAttempts bounds sequential candidate failover per Dial call.
+const maxAttempts = 3
+
 // ErrDialerClosed is returned by Dial after Close.
 var ErrDialerClosed = errors.New("pan: dialer closed")
 
 // Dialer dials squic connections with selector-driven path choice,
 // per-destination connection reuse, and failure feedback.
 //
-// Reuse is keyed by a selector epoch: SetSelector (or SetMode) bumps the
-// epoch and drops every pooled connection, so the next request to each
-// destination re-dials under the new policy — callers no longer hand-clear
+// Reuse is keyed by a selector epoch: SetSelector bumps the epoch and drops
+// every pooled connection, so the next request to each destination
+// re-dials under the new policy — callers no longer hand-clear
 // per-authority maps. Dial failures and reported transport errors mark the
 // path down in the selector; the next dial re-ranks and fails over.
 type Dialer struct {
 	host *Host
+	// opts is read-only after NewDialer; the live selector is sel.
+	opts  DialOptions
+	unsub func() // drops the monitor subscription
 
 	mu     sync.Mutex //lint:lockorder pandialer
-	opts   DialOptions
+	sel    Selector
 	epoch  uint64
 	closed bool
 	conns  map[string]*pooledConn
@@ -111,7 +116,6 @@ type Dialer struct {
 	// is tracked while (and only while) it has a pooled connection, so a
 	// long-lived proxy stops probing origins it no longer talks to.
 	tracked  map[string]trackRef
-	unsub    func()
 	lastRace RaceDecision
 	// dials counts fresh connections pooled, ever; each pooledConn is
 	// stamped with the value at its pooling (see pooledConn.gen), giving
@@ -141,115 +145,27 @@ func (h *Host) NewDialer(opts DialOptions) *Dialer {
 	if opts.Selector == nil {
 		opts.Selector = NewPolicySelector(nil, nil)
 	}
-	if opts.MaxAttempts <= 0 {
-		opts.MaxAttempts = 3
+	// Zero means the default; a negative stagger disables staggering. It
+	// applies only when a dial races, statically or by adaptive widening.
+	if opts.RaceStagger == 0 {
+		opts.RaceStagger = DefaultRaceStagger
 	}
-	opts.RaceStagger = normalizeStagger(opts.RaceWidth, opts.RaceStagger)
-	d := &Dialer{host: h, opts: opts, conns: make(map[string]*pooledConn), stripes: make(map[string]*Striped), last: make(map[string]Selection), tracked: make(map[string]trackRef)}
-	if opts.Monitor != nil {
-		d.subscribeLocked(opts.Monitor)
+	d := &Dialer{host: h, opts: opts, sel: opts.Selector, conns: make(map[string]*pooledConn), stripes: make(map[string]*Striped), last: make(map[string]Selection), tracked: make(map[string]trackRef)}
+	if m := opts.Monitor; m != nil {
+		// Probe outcomes reach whatever selector is active at delivery
+		// time, so SetSelector redirects probe feedback automatically.
+		d.unsub = m.SubscribeBatch(BatchSinkFunc(func(reports []SampleReport) {
+			sel := d.Selector()
+			if bs, ok := sel.(BatchSink); ok {
+				bs.ReportBatch(reports)
+				return
+			}
+			for _, r := range reports {
+				sel.Report(r.Path, r.Outcome)
+			}
+		}))
 	}
 	return d
-}
-
-// subscribeLocked wires probe outcomes from the monitor into whatever
-// selector is active at delivery time, so SetSelector swaps redirect probe
-// feedback automatically.
-func (d *Dialer) subscribeLocked(m *Monitor) {
-	d.unsub = m.SubscribeBatch(BatchSinkFunc(func(reports []SampleReport) {
-		sel := d.Selector()
-		if bs, ok := sel.(BatchSink); ok {
-			bs.ReportBatch(reports)
-			return
-		}
-		for _, r := range reports {
-			sel.Report(r.Path, r.Outcome)
-		}
-	}))
-}
-
-// Monitor returns the attached telemetry plane, if any.
-func (d *Dialer) Monitor() *Monitor {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return d.opts.Monitor
-}
-
-// SetMonitor attaches the dialer to a (possibly shared) telemetry plane at
-// runtime, detaching from the previous one: its subscription is dropped and
-// every destination this dialer tracked is untracked. Destinations with a
-// live pooled connection are re-tracked on the new monitor immediately.
-func (d *Dialer) SetMonitor(m *Monitor) {
-	d.mu.Lock()
-	unsub := d.unsub
-	if old := d.opts.Monitor; old != nil {
-		for _, ref := range d.tracked {
-			old.Untrack(ref.remote, ref.serverName)
-		}
-	}
-	d.tracked = make(map[string]trackRef)
-	d.opts.Monitor = m
-	d.unsub = nil
-	if m != nil {
-		d.subscribeLocked(m)
-		for key, pc := range d.conns {
-			if pc.conn.Err() == nil {
-				ref := trackRef{remote: pc.remote, serverName: pc.serverName}
-				d.tracked[key] = ref
-				m.Track(ref.remote, ref.serverName)
-			}
-		}
-	}
-	d.mu.Unlock()
-	if unsub != nil {
-		unsub()
-	}
-}
-
-// SetAdaptiveRace toggles telemetry-driven race-width tuning at runtime (a
-// scheduling concern: the epoch is not bumped). It has effect only with a
-// Monitor attached.
-func (d *Dialer) SetAdaptiveRace(on bool) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	d.opts.AdaptiveRace = on
-}
-
-// SetPassive toggles passive telemetry at runtime. Disabling stops the
-// sample flow immediately (already-registered connection observers check
-// the flag per sample); enabling takes effect per connection as it is
-// (re-)pooled — the epoch is not bumped. Effective only with a Monitor
-// attached.
-func (d *Dialer) SetPassive(on bool) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	d.opts.Passive = on
-}
-
-// observePassive routes one passive RTT sample from a pooled connection on
-// path into the currently attached monitor. Reading the monitor per sample
-// (rather than capturing it at registration) keeps a SetMonitor swap from
-// leaking samples into a detached plane.
-func (d *Dialer) observePassive(path *segment.Path, rtt time.Duration) {
-	d.mu.Lock()
-	m, on := d.opts.Monitor, d.opts.Passive
-	d.mu.Unlock()
-	if m == nil || !on {
-		return
-	}
-	m.Observe(path, rtt)
-}
-
-// observePassiveBatch is observePassive for a connection's coalesced ack
-// RTT batch: the monitor ingests the whole burst under one lock.
-func (d *Dialer) observePassiveBatch(path *segment.Path, rtts []time.Duration) {
-	d.mu.Lock()
-	m, on := d.opts.Monitor, d.opts.Passive
-	d.mu.Unlock()
-	if m == nil || !on {
-		return
-	}
-	m.ObserveBatch(path, rtts)
 }
 
 // LastRace reports how the most recent Dial chose its race width.
@@ -259,33 +175,11 @@ func (d *Dialer) LastRace() RaceDecision {
 	return d.lastRace
 }
 
-// normalizeStagger resolves the zero value (racing configured, stagger
-// unset) to the default. A NEGATIVE stagger is the caller explicitly
-// disabling staggering and is preserved as-is — dial paths treat any
-// non-positive stagger as "no stagger", so the disabled state survives an
-// adaptive-racing width widening too.
-func normalizeStagger(width int, stagger time.Duration) time.Duration {
-	if width > 1 && stagger == 0 {
-		return DefaultRaceStagger
-	}
-	return stagger
-}
-
-// Host returns the dialer's PAN host.
-func (d *Dialer) Host() *Host { return d.host }
-
 // Selector returns the active selector.
 func (d *Dialer) Selector() Selector {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	return d.opts.Selector
-}
-
-// Mode returns the active operational mode.
-func (d *Dialer) Mode() Mode {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return d.opts.Mode
+	return d.sel
 }
 
 // Epoch returns the current selector epoch.
@@ -302,25 +196,7 @@ func (d *Dialer) SetSelector(s Selector) {
 		s = NewPolicySelector(nil, nil)
 	}
 	d.mu.Lock()
-	d.opts.Selector = s
-	d.mu.Unlock()
-	d.Invalidate()
-}
-
-// SetRace reconfigures connection racing at runtime. Racing is a
-// scheduling concern, not a policy change, so the epoch is NOT bumped and
-// pooled connections stay valid.
-func (d *Dialer) SetRace(width int, stagger time.Duration) {
-	stagger = normalizeStagger(width, stagger)
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	d.opts.RaceWidth, d.opts.RaceStagger = width, stagger
-}
-
-// SetMode switches the operational mode, bumping the epoch.
-func (d *Dialer) SetMode(m Mode) {
-	d.mu.Lock()
-	d.opts.Mode = m
+	d.sel = s
 	d.mu.Unlock()
 	d.Invalidate()
 }
@@ -337,12 +213,11 @@ func (d *Dialer) Invalidate() {
 	stripes := d.stripes
 	d.stripes = make(map[string]*Striped)
 	d.last = make(map[string]Selection) // selected under a superseded policy
-	if m := d.opts.Monitor; m != nil {
-		// Under d.mu: a concurrent Dial cannot interleave its Track between
-		// this snapshot and the release, so the refcounts stay exact.
-		for _, ref := range d.tracked {
-			m.Untrack(ref.remote, ref.serverName)
-		}
+	// Under d.mu: a concurrent Dial cannot interleave its Track between
+	// this snapshot and the release, so the refcounts stay exact. Entries
+	// exist only with a monitor attached.
+	for _, ref := range d.tracked {
+		d.opts.Monitor.Untrack(ref.remote, ref.serverName)
 	}
 	d.tracked = make(map[string]trackRef)
 	d.mu.Unlock()
@@ -361,11 +236,9 @@ func (d *Dialer) Invalidate() {
 func (d *Dialer) Close() {
 	d.mu.Lock()
 	d.closed = true
-	unsub := d.unsub
-	d.unsub = nil
 	d.mu.Unlock()
-	if unsub != nil {
-		unsub()
+	if d.unsub != nil {
+		d.unsub() // idempotent
 	}
 	d.Invalidate()
 }
@@ -433,7 +306,7 @@ func (d *Dialer) ReportFailure(remote addr.UDPAddr, serverName string) {
 	}
 	delete(d.conns, key)
 	d.untrackKeyLocked(key)
-	sel := d.opts.Selector
+	sel := d.sel
 	d.mu.Unlock()
 	pc.conn.Close()
 	sel.Report(pc.sel.Path, Failure)
@@ -447,7 +320,7 @@ func (d *Dialer) ReportFailure(remote addr.UDPAddr, serverName string) {
 // refcount stays exact.
 func (d *Dialer) untrackKeyLocked(key string) {
 	ref, ok := d.tracked[key]
-	if !ok || d.opts.Monitor == nil {
+	if !ok {
 		return
 	}
 	delete(d.tracked, key)
@@ -457,7 +330,7 @@ func (d *Dialer) untrackKeyLocked(key string) {
 // Dial returns a connection to remote whose server proves serverName
 // (DialOptions.ServerName when empty). A live pooled connection at the
 // current epoch is reused; otherwise candidates are dialed in ranked order
-// — sequentially through MaxAttempts candidates, or concurrently over the
+// — sequentially through maxAttempts candidates, or concurrently over the
 // top RaceWidth candidates when racing is configured — reporting genuine
 // failures into the selector. The winning path's Success report carries the
 // measured handshake latency, feeding latency-ranking selectors a live
@@ -474,9 +347,7 @@ func (d *Dialer) Dial(ctx context.Context, remote addr.UDPAddr, serverName strin
 	}
 	key := d.key(remote, serverName)
 	epoch := d.epoch
-	sel, mode, timeout, attempts := d.opts.Selector, d.opts.Mode, d.opts.Timeout, d.opts.MaxAttempts
-	width, stagger := d.opts.RaceWidth, d.opts.RaceStagger
-	monitor, adaptive, passive := d.opts.Monitor, d.opts.AdaptiveRace, d.opts.Passive
+	sel := d.sel
 	if pc := d.conns[key]; pc != nil {
 		if pc.epoch == epoch && pc.conn.Err() == nil {
 			d.mu.Unlock()
@@ -491,7 +362,8 @@ func (d *Dialer) Dial(ctx context.Context, remote addr.UDPAddr, serverName strin
 	}
 	d.mu.Unlock()
 
-	cands, selection, err := d.host.candidates(remote.IA, sel, mode)
+	width, monitor := d.opts.RaceWidth, d.opts.Monitor
+	cands, selection, err := d.host.candidates(remote.IA, sel, d.opts.Mode)
 	if err != nil {
 		return nil, selection, err
 	}
@@ -502,7 +374,7 @@ func (d *Dialer) Dial(ctx context.Context, remote addr.UDPAddr, serverName strin
 			decision.Width = len(cands)
 		}
 	}
-	if adaptive && monitor != nil && len(cands) > 1 {
+	if d.opts.AdaptiveRace && monitor != nil && len(cands) > 1 {
 		maxWidth := width
 		if maxWidth <= 1 {
 			maxWidth = DefaultAdaptiveRaceWidth
@@ -510,9 +382,6 @@ func (d *Dialer) Dial(ctx context.Context, remote addr.UDPAddr, serverName strin
 		w, reason := monitor.RaceWidth(cands, maxWidth)
 		width = w
 		decision = RaceDecision{Width: w, Adaptive: true, Reason: reason}
-		if width > 1 && stagger == 0 {
-			stagger = DefaultRaceStagger
-		}
 	}
 	var conn *squic.Conn
 	var won Candidate
@@ -529,12 +398,12 @@ func (d *Dialer) Dial(ctx context.Context, remote addr.UDPAddr, serverName strin
 		d.mu.Lock()
 		d.lastRace = decision
 		d.mu.Unlock()
-		conn, won, hsLatency, err = d.dialRaced(ctx, remote, racers, serverName, timeout, len(racers), stagger, sel)
+		conn, won, hsLatency, err = d.dialRaced(ctx, remote, racers, serverName, sel)
 	} else {
 		d.mu.Lock()
 		d.lastRace = decision
 		d.mu.Unlock()
-		conn, won, hsLatency, err = d.dialSequential(ctx, remote, cands, serverName, timeout, attempts, sel)
+		conn, won, hsLatency, err = d.dialSequential(ctx, remote, cands, serverName, sel)
 	}
 	if err != nil {
 		return nil, selection, err
@@ -566,25 +435,23 @@ func (d *Dialer) Dial(ctx context.Context, remote addr.UDPAddr, serverName strin
 	d.dials++
 	d.conns[key] = &pooledConn{conn: conn, sel: selection, epoch: epoch, gen: d.dials, remote: remote, serverName: serverName}
 	d.last[key] = selection
-	if m := d.opts.Monitor; m != nil {
+	if monitor != nil {
 		if _, ok := d.tracked[key]; !ok {
 			// The pooled destination joins the shared probe set — under
 			// d.mu, so a concurrent Invalidate/Close cannot slip between
 			// the mirror entry and the refcount. The matching Untrack fires
 			// when this pool entry is evicted or closed.
 			d.tracked[key] = trackRef{remote: remote, serverName: serverName}
-			m.Track(remote, serverName)
+			monitor.Track(remote, serverName)
 		}
 	}
 	d.mu.Unlock()
-	if monitor != nil && passive {
+	if monitor != nil && d.opts.Passive {
 		// Stream the pooled connection's ack RTTs into the telemetry plane
 		// for as long as it lives: every request the caller sends doubles as
-		// a free probe of the winning path. The observer re-reads the
-		// dialer's monitor/passive state per sample, so SetMonitor and
-		// SetPassive apply to live connections immediately.
+		// a free probe of the winning path.
 		path := won.Path
-		conn.OnRTTSampleBatch(func(rtts []time.Duration) { d.observePassiveBatch(path, rtts) })
+		conn.OnRTTSampleBatch(func(rtts []time.Duration) { monitor.ObserveBatch(path, rtts) })
 	}
 	// Report Success only for a connection actually put into service: a
 	// discarded race-loser or stale-epoch dial must not advance use-driven
@@ -606,7 +473,8 @@ func abandoned(ctx context.Context, err error) bool {
 // canceled or expired) NOTHING is reported — not even earlier candidates'
 // failures, whose timing may itself have been an artifact of the shrinking
 // context budget rather than path health.
-func (d *Dialer) dialSequential(ctx context.Context, remote addr.UDPAddr, cands []Candidate, serverName string, timeout time.Duration, attempts int, sel Selector) (*squic.Conn, Candidate, time.Duration, error) {
+func (d *Dialer) dialSequential(ctx context.Context, remote addr.UDPAddr, cands []Candidate, serverName string, sel Selector) (*squic.Conn, Candidate, time.Duration, error) {
+	attempts := maxAttempts
 	if len(cands) < attempts {
 		attempts = len(cands)
 	}
@@ -614,7 +482,7 @@ func (d *Dialer) dialSequential(ctx context.Context, remote addr.UDPAddr, cands 
 	var failed []*segment.Path
 	for _, cand := range cands[:attempts] {
 		start := d.host.clock.Now()
-		conn, err := d.dialPath(ctx, remote, cand, serverName, timeout)
+		conn, err := d.dialPath(ctx, remote, cand, serverName)
 		if err != nil {
 			if abandoned(ctx, err) {
 				return nil, Candidate{}, 0, err
@@ -634,7 +502,7 @@ func (d *Dialer) dialSequential(ctx context.Context, remote addr.UDPAddr, cands 
 	return nil, Candidate{}, 0, lastErr
 }
 
-// dialRaced dials the top-width candidates concurrently, each racer's start
+// dialRaced dials every candidate concurrently, each racer's start
 // staggered by its rank, and keeps the first completed handshake. The
 // remaining racers are canceled — squic aborts their handshakes promptly —
 // and their connections closed, so no goroutine or socket outlives the
@@ -642,10 +510,8 @@ func (d *Dialer) dialSequential(ctx context.Context, remote addr.UDPAddr, cands 
 // latency) from Dial's pooling tail; a racer that failed on its own merit
 // while the race was still undecided reports Failure; a racer canceled by
 // the win (or by the caller) reports nothing.
-func (d *Dialer) dialRaced(ctx context.Context, remote addr.UDPAddr, cands []Candidate, serverName string, timeout time.Duration, width int, stagger time.Duration, sel Selector) (*squic.Conn, Candidate, time.Duration, error) {
-	if width > len(cands) {
-		width = len(cands)
-	}
+func (d *Dialer) dialRaced(ctx context.Context, remote addr.UDPAddr, cands []Candidate, serverName string, sel Selector) (*squic.Conn, Candidate, time.Duration, error) {
+	width, stagger := len(cands), d.opts.RaceStagger
 	rctx, cancel := context.WithCancel(ctx)
 	defer cancel()
 	type raceResult struct {
@@ -656,7 +522,7 @@ func (d *Dialer) dialRaced(ctx context.Context, remote addr.UDPAddr, cands []Can
 	}
 	clock := d.host.clock
 	results := make(chan raceResult, width)
-	for i, cand := range cands[:width] {
+	for i, cand := range cands {
 		go func(i int, cand Candidate) {
 			if stagger > 0 && i > 0 {
 				select {
@@ -667,7 +533,7 @@ func (d *Dialer) dialRaced(ctx context.Context, remote addr.UDPAddr, cands []Can
 				}
 			}
 			start := clock.Now()
-			conn, err := d.dialPath(rctx, remote, cand, serverName, timeout)
+			conn, err := d.dialPath(rctx, remote, cand, serverName)
 			results <- raceResult{cand: cand, conn: conn, latency: clock.Since(start), err: err}
 		}(i, cand)
 	}
@@ -718,7 +584,8 @@ func (d *Dialer) dialRaced(ctx context.Context, remote addr.UDPAddr, cands []Can
 // never extends past the configured or default squic timeout), and the
 // socket never outlives a failed dial. Deadlines are interpreted on the
 // host's clock — create them from that clock (virtual in simulation).
-func (d *Dialer) dialPath(ctx context.Context, remote addr.UDPAddr, cand Candidate, serverName string, timeout time.Duration) (*squic.Conn, error) {
+func (d *Dialer) dialPath(ctx context.Context, remote addr.UDPAddr, cand Candidate, serverName string) (*squic.Conn, error) {
+	timeout := d.opts.Timeout
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}

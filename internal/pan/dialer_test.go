@@ -240,12 +240,13 @@ func TestDialerRacedKeepsFirstHandshakeAndCancelsLosers(t *testing.T) {
 		{Path: good, Compliant: true},
 	}}
 	d := client.NewDialer(pan.DialOptions{
-		Selector:   sel,
-		ServerName: "dialer.server",
-		Timeout:    2 * time.Second,
+		Selector:    sel,
+		ServerName:  "dialer.server",
+		Timeout:     2 * time.Second,
+		RaceWidth:   2,
+		RaceStagger: 20 * time.Millisecond,
 	})
 	defer d.Close()
-	d.SetRace(2, 20*time.Millisecond)
 
 	conn, selection, err := d.Dial(context.Background(), remote, "")
 	if err != nil {

@@ -39,13 +39,13 @@ const SteerBanTTL = 30 * time.Second
 // chosen — the server-side analogue of RaceDecision.
 type SteerDecision struct {
 	// Mirrored reports the safety valve: the reply rides the reverse of the
-	// client's own path because telemetry was empty/stale (or steering is
-	// off, or the client's choice ranks best anyway).
+	// client's own path because telemetry was empty/stale (or the client's
+	// choice ranks best anyway).
 	Mirrored bool
 	// Fingerprint is the chosen reverse path when steered.
 	Fingerprint string
 	// Reason is the one-word rationale: "steered", "mirror-best",
-	// "no-fresh-telemetry", "steer-stale", "steering-off".
+	// "multi-conn", "no-fresh-telemetry", "steer-stale".
 	Reason string
 }
 
@@ -74,13 +74,11 @@ type ServerTelemetry struct {
 	host *Host
 	m    *Monitor
 
-	mu            sync.Mutex
-	steer         bool
-	steerInterval time.Duration
-	decisions     map[addr.IA]SteerDecision
-	conns         map[addr.IA]map[*connSteer]bool
-	steers        int
-	mirrors       int
+	mu        sync.Mutex
+	decisions map[addr.IA]SteerDecision
+	conns     map[addr.IA]map[*connSteer]bool
+	steers    int
+	mirrors   int
 	// revPaths caches the combined path set per destination: steering
 	// re-evaluates per sample batch, and recombining segments on every
 	// evaluation was the dominant garbage producer of the whole server
@@ -110,44 +108,11 @@ func (h *Host) NewServerTelemetry(m *Monitor) *ServerTelemetry {
 	if m == nil {
 		m = h.NewMonitor(MonitorOptions{})
 	}
-	return &ServerTelemetry{
-		host:          h,
-		m:             m,
-		steer:         true,
-		steerInterval: DefaultSteerInterval,
-		decisions:     make(map[addr.IA]SteerDecision),
-	}
+	return &ServerTelemetry{host: h, m: m, decisions: make(map[addr.IA]SteerDecision)}
 }
 
 // Monitor returns the underlying telemetry store.
 func (st *ServerTelemetry) Monitor() *Monitor { return st.m }
-
-// SetSteering toggles reverse-path steering. Off, connections mirror the
-// client (telemetry is still collected); already-steered connections revert
-// on their next sample.
-func (st *ServerTelemetry) SetSteering(on bool) {
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	st.steer = on
-}
-
-// SetSteerInterval tunes how often each connection's reverse path is
-// re-evaluated (non-positive resets the default).
-func (st *ServerTelemetry) SetSteerInterval(d time.Duration) {
-	if d <= 0 {
-		d = DefaultSteerInterval
-	}
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	st.steerInterval = d
-}
-
-// steering returns the current knobs.
-func (st *ServerTelemetry) steering() (bool, time.Duration) {
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	return st.steer, st.steerInterval
-}
 
 // LastDecision reports how the most recent reply-path choice for a
 // destination AS was made.
@@ -252,11 +217,10 @@ func (st *ServerTelemetry) connCount(dst addr.IA) int {
 // steering evaluation wants on a busy connection.
 func (cs *connSteer) onSampleBatch(rtts []time.Duration) {
 	cs.st.m.ObserveBatch(cs.conn.Path(), rtts)
-	_, interval := cs.st.steering()
 	cs.mu.Lock()
 	now := cs.st.host.clock.Now()
 	cs.lastSample = now
-	due := now.Sub(cs.lastEval) >= interval
+	due := now.Sub(cs.lastEval) >= DefaultSteerInterval
 	if due {
 		cs.lastEval = now
 	}
@@ -269,11 +233,6 @@ func (cs *connSteer) onSampleBatch(rtts []time.Duration) {
 // evaluate applies one steering decision to the connection.
 func (cs *connSteer) evaluate() {
 	st := cs.st
-	on, interval := st.steering()
-	if !on {
-		cs.setMirror(SteerDecision{Mirrored: true, Reason: "steering-off"})
-		return
-	}
 	// A client holding several live connections to one destination is
 	// spreading load on purpose — a striped download pins one link-disjoint
 	// path per connection — so steering ANY of them would collapse that
@@ -305,7 +264,7 @@ func (cs *connSteer) evaluate() {
 		// path is black-holed for replies and only mirroring can heal it —
 		// samples are the re-evaluation trigger, so without this timer a
 		// dead steered path would wedge the connection forever.
-		st.host.clock.AfterFunc(SteerStaleFactor*interval, func() { cs.checkStale(fp, now) })
+		st.host.clock.AfterFunc(SteerStaleFactor*DefaultSteerInterval, func() { cs.checkStale(fp, now) })
 	}
 }
 

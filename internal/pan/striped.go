@@ -67,8 +67,8 @@ type Striped struct {
 	sel        Selection // the leader pipeline's selection, for annotations
 
 	// mu serializes fetches: pipeline scheduler state is single-threaded by
-	// design, and lock order is st.mu → d.mu (the Observe tap takes the
-	// dialer lock), so the dialer must never touch st.mu under its own lock.
+	// design. A fetch holds it for the whole transfer, so the dialer must
+	// never touch st.mu under its own lock.
 	mu sync.Mutex //lint:lockorder stripedfetch before pandialer,stripestatus
 	// pipes is set once in DialStriped and never mutated afterwards, so
 	// snapshot readers (Status, alive) need no lock — crucially, they must
@@ -132,29 +132,21 @@ func (s *Striped) closeConns() {
 // the destination's scheduled probes. Fetches on one Striped are serialized;
 // pipeline congestion state warm-starts each subsequent fetch.
 func (s *Striped) Fetch(ctx context.Context, off, length int64, fetch stripe.FetchFunc) (*stripe.Result, error) {
+	// Segment RTTs feed the monitor whether or not Passive is set: striping
+	// owns its telemetry, while Passive governs only the pooled single
+	// connections' ambient ack samples.
+	var observe func(*segment.Path, time.Duration)
+	if m := s.dialer.opts.Monitor; m != nil {
+		observe = m.Observe
+	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return stripe.Fetch(ctx, off, length, s.pipes, stripe.Options{
 		SegmentSize: s.opts.SegmentSize,
 		Clock:       s.dialer.host.clock,
 		Fetch:       fetch,
-		Observe:     s.dialer.observeStripe,
+		Observe:     observe,
 	})
-}
-
-// observeStripe routes one striped-segment RTT sample into the currently
-// attached monitor. Unlike observePassive it is not gated on the Passive
-// flag: striping explicitly owns its telemetry contract (the ISSUE-level
-// behavior "every ack RTT feeds the shared monitor"), while Passive governs
-// only the pooled single connections' ambient samples.
-func (d *Dialer) observeStripe(path *segment.Path, rtt time.Duration) {
-	d.mu.Lock()
-	m := d.opts.Monitor
-	d.mu.Unlock()
-	if m == nil {
-		return
-	}
-	m.Observe(path, rtt)
 }
 
 // StripedStatus snapshots every pooled striped set's pipelines, keyed by the
@@ -194,7 +186,7 @@ func stripeTrackKey(key string) string { return key + "|stripe" }
 //
 // The set is pooled per destination and reused while every member connection
 // is live; a set with any dead or abandoned pipeline is evicted and re-dialed
-// whole, restoring full stripe width. SetSelector/SetMode/Invalidate evict
+// whole, restoring full stripe width. SetSelector and Invalidate evict
 // striped sets exactly like single connections.
 func (d *Dialer) DialStriped(ctx context.Context, remote addr.UDPAddr, serverName string, opts StripeOptions) (*Striped, error) {
 	opts = opts.WithDefaults()
@@ -208,14 +200,13 @@ func (d *Dialer) DialStriped(ctx context.Context, remote addr.UDPAddr, serverNam
 	}
 	key := d.key(remote, serverName)
 	epoch := d.epoch
-	sel, mode, timeout := d.opts.Selector, d.opts.Mode, d.opts.Timeout
-	monitor, passive := d.opts.Monitor, d.opts.Passive
+	sel := d.sel
 	pooled := d.stripes[key]
 	d.mu.Unlock()
 
 	if pooled != nil {
-		// Liveness is checked outside d.mu: alive() takes st.mu, which the
-		// Observe tap orders BEFORE d.mu.
+		// Liveness is checked outside d.mu, like StripedStatus: alive()
+		// takes each pipeline's status lock.
 		if pooled.epoch == epoch && pooled.alive() {
 			return pooled, nil
 		}
@@ -228,7 +219,8 @@ func (d *Dialer) DialStriped(ctx context.Context, remote addr.UDPAddr, serverNam
 		pooled.closeConns()
 	}
 
-	cands, _, err := d.host.candidates(remote.IA, sel, mode)
+	monitor := d.opts.Monitor
+	cands, _, err := d.host.candidates(remote.IA, sel, d.opts.Mode)
 	if err != nil {
 		return nil, err
 	}
@@ -245,7 +237,7 @@ func (d *Dialer) DialStriped(ctx context.Context, remote addr.UDPAddr, serverNam
 	for _, cand := range racers {
 		go func(cand Candidate) {
 			start := clock.Now()
-			conn, err := d.dialPath(ctx, remote, cand, serverName, timeout)
+			conn, err := d.dialPath(ctx, remote, cand, serverName)
 			results <- dialResult{cand: cand, conn: conn, latency: clock.Since(start), err: err}
 		}(cand)
 	}
@@ -340,10 +332,10 @@ func (d *Dialer) DialStriped(ctx context.Context, remote addr.UDPAddr, serverNam
 	}
 	d.mu.Unlock()
 
-	if monitor != nil && passive {
+	if monitor != nil && d.opts.Passive {
 		for _, w := range wins {
 			path := w.cand.Path
-			w.conn.OnRTTSampleBatch(func(rtts []time.Duration) { d.observePassiveBatch(path, rtts) })
+			w.conn.OnRTTSampleBatch(func(rtts []time.Duration) { monitor.ObserveBatch(path, rtts) })
 		}
 	}
 	// Every kept connection is in service: report each path's handshake as a

@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"tango/internal/addr"
-	"tango/internal/pan"
 )
 
 func originHost(i int) string { return fmt.Sprintf("origin-%d.example", i) }
@@ -20,7 +19,7 @@ func TestOriginSweepOffRequestPath(t *testing.T) {
 	entered := make(chan struct{})
 	release := make(chan struct{})
 	first := true
-	p.originTracked = func(_ *pan.Monitor, _ addr.UDPAddr, _ string) bool {
+	p.originTracked = func(_ addr.UDPAddr, _ string) bool {
 		if first {
 			first = false
 			close(entered)
@@ -106,7 +105,7 @@ func TestOriginEvictionOldestFirst(t *testing.T) {
 	p.origins[originHost(0)] = originRec{touch: p.originSeq}
 
 	// Nil monitor: no staleness verdicts, recency alone decides.
-	p.sweepOrigins(nil)
+	p.sweepOrigins()
 
 	p.mu.Lock()
 	defer p.mu.Unlock()

@@ -44,7 +44,8 @@ const (
 	HeaderCompliant = "X-Skip-Compliant" // "true"/"false"
 )
 
-// Config assembles a proxy.
+// Config assembles a proxy. Every option is fixed once New returns; the
+// user's runtime input is the path selector, installed with SetSelector.
 type Config struct {
 	// Host is the SCION side (the proxy runs on the browser's machine).
 	Host *pan.Host
@@ -65,16 +66,14 @@ type Config struct {
 	Processing func()
 	// RaceWidth, when > 1, dials that many top-ranked SCION paths
 	// concurrently per connection and keeps the first completed handshake;
-	// RaceStagger offsets the racers' starts (0 = pan's default stagger).
-	// Both can be changed at runtime with SetRace.
-	RaceWidth   int
-	RaceStagger time.Duration
+	// the racers' starts are offset by pan.DefaultRaceStagger.
+	RaceWidth int
 	// ProbeInterval, when positive, runs a proxy-owned background telemetry
 	// monitor probing each known path to every SCION origin the proxy
 	// currently pools a connection to, feeding live RTT/liveness into the
 	// active selector so rankings react to network conditions between
 	// requests (and the stats API's Health reflects reality, paper §4.2).
-	// Changeable at runtime with SetProbing. Ignored when Monitor is set.
+	// Ignored when Monitor is set.
 	ProbeInterval time.Duration
 	// ProbeBudget caps the owned monitor's global probe rate in probes/sec
 	// (0 = pan's default).
@@ -86,7 +85,7 @@ type Config struct {
 	Monitor *pan.Monitor
 	// AdaptiveRace auto-tunes the race width per dial from telemetry
 	// freshness and RTT spread (RaceWidth then caps the width); requires
-	// probing (ProbeInterval or Monitor). Changeable with SetAdaptiveRace.
+	// probing (ProbeInterval or Monitor).
 	AdaptiveRace bool
 	// Stripe, when non-nil, enables striped downloads: a large GET response
 	// (at least Stripe.MinStripeBytes, learned from a Range probe's
@@ -94,7 +93,7 @@ type Config struct {
 	// Stripe.Width link-disjoint paths, each with its own congestion window
 	// and retransmit timer, and reassembled for the client as one 200.
 	// Origins without Range support are relayed un-striped. Per-path byte
-	// splits surface in Stats; changeable at runtime with SetStripe.
+	// splits surface in Stats.
 	Stripe *pan.StripeOptions
 	// Passive streams zero-cost telemetry from live traffic into the
 	// attached monitor: every pooled squic connection's ack RTTs (via the
@@ -103,8 +102,7 @@ type Config struct {
 	// transfer size with path RTT — approximates one request/response round
 	// trip. Busy origins then keep fresh telemetry with their scheduled
 	// active probes suppressed, and the probe budget concentrates on idle
-	// ones. Requires probing (ProbeInterval or Monitor); changeable with
-	// SetPassive.
+	// ones. Requires probing (ProbeInterval or Monitor).
 	Passive bool
 }
 
@@ -117,11 +115,14 @@ type Proxy struct {
 	scion  *shttp.Transport
 	legacy *http.Transport
 
-	mu         sync.Mutex
+	// monitor is the attached telemetry plane (nil without probing);
+	// ownMonitor says New built it, so Close stops it. stripe holds the
+	// resolved stripe options (nil = striping off).
 	monitor    *pan.Monitor
 	ownMonitor bool
-	passive    bool
 	stripe     *pan.StripeOptions
+
+	mu sync.Mutex
 	// origins remembers each SCION-served host's endpoint so the stats
 	// snapshot can ask the monitor for that destination's passive/probe
 	// sample split. Entries carry a last-touched sequence (originSeq) so
@@ -133,9 +134,9 @@ type Proxy struct {
 	// off the request path (see sweepOrigins).
 	sweeping bool
 	// originTracked answers "does the monitor still track this origin" for
-	// the sweep. Defaults to a TargetSamples probe of the monitor passed to
-	// the sweep; a test hook so sweep/request interleaving is controllable.
-	originTracked func(m *pan.Monitor, remote addr.UDPAddr, host string) bool
+	// the sweep. Defaults to a TargetSamples probe of the monitor; a test
+	// hook so sweep/request interleaving is controllable.
+	originTracked func(remote addr.UDPAddr, host string) bool
 }
 
 // originRec is one remembered origin: its endpoint plus the monotone
@@ -147,17 +148,22 @@ type originRec struct {
 
 // New builds the proxy.
 func New(cfg Config) *Proxy {
-	p := &Proxy{cfg: cfg, stats: NewStats(), passive: cfg.Passive, origins: make(map[string]originRec)}
+	p := &Proxy{cfg: cfg, stats: NewStats(), monitor: cfg.Monitor, origins: make(map[string]originRec)}
+	if p.monitor == nil && cfg.ProbeInterval > 0 {
+		p.monitor = cfg.Host.NewMonitor(pan.MonitorOptions{BaseInterval: cfg.ProbeInterval, ProbeBudget: cfg.ProbeBudget})
+		p.ownMonitor = true
+	}
 	p.dialer = cfg.Host.NewDialer(pan.DialOptions{
 		Selector:     cfg.Selector,
 		Mode:         pan.Opportunistic,
 		RaceWidth:    cfg.RaceWidth,
-		RaceStagger:  cfg.RaceStagger,
-		Monitor:      cfg.Monitor,
+		Monitor:      p.monitor,
 		AdaptiveRace: cfg.AdaptiveRace,
 		Passive:      cfg.Passive,
 	})
-	p.monitor = cfg.Monitor
+	if p.ownMonitor {
+		p.monitor.Start()
+	}
 	if cfg.Stripe != nil {
 		o := cfg.Stripe.WithDefaults()
 		p.stripe = &o
@@ -171,9 +177,6 @@ func New(cfg Config) *Proxy {
 	p.stats.SetLinkSource(p.LinkStats)
 	p.stats.SetSampleSource(p.SampleSplits)
 	p.stats.SetIngestSource(p.IngestStats)
-	if cfg.Monitor == nil && cfg.ProbeInterval > 0 {
-		p.SetProbing(cfg.ProbeInterval, cfg.ProbeBudget)
-	}
 	return p
 }
 
@@ -192,75 +195,17 @@ func (p *Proxy) SetSelector(s pan.Selector) {
 	p.scion.CloseIdleConnections()
 }
 
-// SetRace reconfigures connection racing at runtime — the extension's
-// performance knob. Racing is a scheduling change, not a policy change:
-// pooled connections stay valid.
-func (p *Proxy) SetRace(width int, stagger time.Duration) {
-	p.dialer.SetRace(width, stagger)
-}
-
-// SetProbing starts (interval > 0) or stops (interval <= 0) the proxy's
-// background path telemetry: an owned pan.Monitor with the given base probe
-// interval and probes/sec budget (0 = pan's default). The dialer re-tracks
-// its pooled destinations on the new monitor immediately, so probing
-// resumes without waiting for fresh dials. A shared Monitor attached via
-// Config is detached (but never stopped) by SetProbing(0, 0).
-func (p *Proxy) SetProbing(interval time.Duration, budget float64) {
-	var m *pan.Monitor
-	if interval > 0 {
-		m = p.cfg.Host.NewMonitor(pan.MonitorOptions{BaseInterval: interval, ProbeBudget: budget})
-	}
-	p.mu.Lock()
-	old, owned := p.monitor, p.ownMonitor
-	p.monitor, p.ownMonitor = m, m != nil
-	p.mu.Unlock()
-	// Probe outcomes route through the dialer's CURRENT selector, so a
-	// SetSelector swap redirects feedback automatically.
-	p.dialer.SetMonitor(m)
-	if m != nil {
-		m.Start()
-	}
-	if old != nil && owned {
-		old.Stop()
-	}
-}
-
-// SetAdaptiveRace toggles telemetry-driven race-width tuning at runtime —
-// the "race wide only when it could pay" knob. Effective only while a
-// monitor is attached (SetProbing or Config.Monitor).
-func (p *Proxy) SetAdaptiveRace(on bool) {
-	p.dialer.SetAdaptiveRace(on)
-}
-
-// SetPassive toggles passive telemetry at runtime: pooled connections' ack
-// RTT streams (per connection as it is re-pooled; disabling stops live
-// streams immediately) and the proxy's per-request first-byte feed.
-// Effective only while a monitor is attached.
-func (p *Proxy) SetPassive(on bool) {
-	p.mu.Lock()
-	p.passive = on
-	p.mu.Unlock()
-	p.dialer.SetPassive(on)
-}
-
 // Monitor returns the attached telemetry plane, owned or shared, if any.
-func (p *Proxy) Monitor() *pan.Monitor {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.monitor
-}
+func (p *Proxy) Monitor() *pan.Monitor { return p.monitor }
 
 // passiveSampleCount reads the destination's current passive sample count
 // from the monitor (0 when untracked or no monitor) — the before/after
 // bracket that tells whether the ack stream delivered during a request.
 func (p *Proxy) passiveSampleCount(remote addr.UDPAddr, host string) int {
-	p.mu.Lock()
-	m := p.monitor
-	p.mu.Unlock()
-	if m == nil {
+	if p.monitor == nil {
 		return 0
 	}
-	split, _ := m.TargetSamples(remote, host)
+	split, _ := p.monitor.TargetSamples(remote, host)
 	return split.Passive
 }
 
@@ -274,8 +219,8 @@ func (p *Proxy) passiveSampleCount(remote addr.UDPAddr, host string) int {
 // stream already delivered during this request (the passive count moved
 // past passiveBefore), the TTFB is dropped rather than letting the spread
 // between the two measurands inflate the path's deviation estimate; it
-// feeds only where the finer stream is absent (e.g. a connection pooled
-// before passive telemetry was enabled).
+// feeds only where the finer stream is absent (e.g. a connection whose
+// ack stream has not delivered yet).
 func (p *Proxy) observeFirstByte(host string, remote addr.UDPAddr, path *segment.Path, ttfb time.Duration, warm bool, passiveBefore int) {
 	p.mu.Lock()
 	p.originSeq++
@@ -286,13 +231,13 @@ func (p *Proxy) observeFirstByte(host string, remote addr.UDPAddr, path *segment
 	// pays exactly one map insert: the old inline sweep held p.mu through
 	// up to ~1280 monitor queries, stalling every concurrent request (and
 	// every connection whose ack sample needed the proxy's locks).
-	m, on := p.monitor, p.passive
 	if len(p.origins) > maxTrackedOrigins+maxTrackedOrigins/4 && !p.sweeping {
 		p.sweeping = true
-		go p.sweepOrigins(m)
+		go p.sweepOrigins()
 	}
 	p.mu.Unlock()
-	if m == nil || !on || !warm || path == nil || ttfb <= 0 {
+	m := p.monitor
+	if m == nil || !p.cfg.Passive || !warm || path == nil || ttfb <= 0 {
 		return
 	}
 	if split, ok := m.TargetSamples(remote, host); ok && split.Passive > passiveBefore {
@@ -316,7 +261,7 @@ const maxTrackedOrigins = 1024
 // their slots. An entry touched by a request after the snapshot is left
 // alone either way: its staleness verdict and its position in the age
 // order both describe a state that no longer holds.
-func (p *Proxy) sweepOrigins(m *pan.Monitor) {
+func (p *Proxy) sweepOrigins() {
 	defer func() {
 		p.mu.Lock()
 		p.sweeping = false
@@ -334,31 +279,25 @@ func (p *Proxy) sweepOrigins(m *pan.Monitor) {
 	tracked := p.originTracked
 	p.mu.Unlock()
 	if tracked == nil {
-		tracked = func(m *pan.Monitor, remote addr.UDPAddr, host string) bool {
-			if m == nil {
+		tracked = func(remote addr.UDPAddr, host string) bool {
+			if p.monitor == nil {
 				// No telemetry plane to consult: treat every origin as live
 				// and let recency alone pick the evictions.
 				return true
 			}
-			_, ok := m.TargetSamples(remote, host)
+			_, ok := p.monitor.TargetSamples(remote, host)
 			return ok
 		}
 	}
 	stale := make([]snap, 0)
 	for _, s := range entries {
-		if !tracked(m, s.rec.remote, s.host) {
+		if !tracked(s.rec.remote, s.host) {
 			stale = append(stale, s)
 		}
 	}
 	sort.Slice(entries, func(i, j int) bool { return entries[i].rec.touch < entries[j].rec.touch })
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	if p.monitor != m {
-		// A concurrent SetProbing swapped the plane: the staleness verdicts
-		// describe a monitor no longer attached. Age-based eviction below
-		// still applies — recency is the proxy's own state.
-		stale = nil
-	}
 	for _, s := range stale {
 		if cur, ok := p.origins[s.host]; ok && cur.touch == s.rec.touch {
 			delete(p.origins, s.host)
@@ -379,8 +318,8 @@ func (p *Proxy) sweepOrigins(m *pan.Monitor) {
 // observability surface behind the "N passive / M probe samples" liveness
 // printouts. Hosts the monitor no longer tracks are omitted (and pruned).
 func (p *Proxy) SampleSplits() map[string]pan.SampleSplit {
-	p.mu.Lock()
 	m := p.monitor
+	p.mu.Lock()
 	origins := make(map[string]addr.UDPAddr, len(p.origins))
 	for h, r := range p.origins {
 		origins[h] = r.remote
@@ -400,13 +339,8 @@ func (p *Proxy) SampleSplits() map[string]pan.SampleSplit {
 	}
 	if len(stale) > 0 {
 		p.mu.Lock()
-		// Only prune against the same monitor the splits were read from: a
-		// concurrent SetProbing swap means the snapshot (and its staleness
-		// verdicts) no longer describes the attached plane.
-		if p.monitor == m {
-			for _, host := range stale {
-				delete(p.origins, host)
-			}
+		for _, host := range stale {
+			delete(p.origins, host)
 		}
 		p.mu.Unlock()
 	}
@@ -431,35 +365,32 @@ func (p *Proxy) PathHealth() []PathHealth {
 // without probing) — the hotspot feed behind the stats API and the CLI
 // liveness printouts.
 func (p *Proxy) LinkStats() []LinkStat {
-	p.mu.Lock()
-	m := p.monitor
-	p.mu.Unlock()
-	if m == nil {
+	if p.monitor == nil {
 		return nil
 	}
-	return m.LinkStats()
+	return p.monitor.LinkStats()
 }
 
 // IngestStats exports the monitor's passive-sample ingest accounting
 // (ok=false without an attached monitor) — how the monitor is absorbing
 // the proxy's sample load.
 func (p *Proxy) IngestStats() (IngestStats, bool) {
-	p.mu.Lock()
-	m := p.monitor
-	p.mu.Unlock()
-	if m == nil {
+	if p.monitor == nil {
 		return IngestStats{}, false
 	}
-	return m.IngestStats(), true
+	return p.monitor.IngestStats(), true
 }
 
-// Close releases pooled connections, detaches from the monitor, and stops
-// it when proxy-owned.
+// Close releases pooled connections and the dialer, which untracks its
+// destinations and unsubscribes from the monitor, and then stops the
+// monitor when proxy-owned. A shared monitor keeps running.
 func (p *Proxy) Close() {
-	p.SetProbing(0, 0)
 	p.scion.CloseIdleConnections()
 	p.legacy.CloseIdleConnections()
 	p.dialer.Close()
+	if p.ownMonitor {
+		p.monitor.Stop()
+	}
 }
 
 // CheckSCION reports whether host is reachable over SCION right now and
@@ -540,8 +471,8 @@ func (p *Proxy) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 		// are pulled as concurrent segments over link-disjoint paths. An
 		// unhandled attempt (probe failure, unusable 206) falls through to
 		// the normal round trip below, which owns retry and fallback.
-		if stripeOpts, on := p.stripeOpts(); on && stripeEligible(outReq) {
-			if p.serveStriped(w, outReq, remote, host, start, stripeOpts) {
+		if p.stripe != nil && stripeEligible(outReq) {
+			if p.serveStriped(w, outReq, remote, host, start, *p.stripe) {
 				return
 			}
 		}

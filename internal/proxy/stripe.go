@@ -12,31 +12,6 @@ import (
 	"tango/internal/shttp"
 )
 
-// SetStripe enables (non-nil) or disables (nil) striped downloads at
-// runtime. A change applies to subsequent requests; pooled striped
-// connection sets survive until the dialer's next epoch bump.
-func (p *Proxy) SetStripe(opts *pan.StripeOptions) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if opts == nil {
-		p.stripe = nil
-		return
-	}
-	o := opts.WithDefaults()
-	p.stripe = &o
-}
-
-// stripeOpts returns the resolved stripe options, or ok=false when striping
-// is disabled.
-func (p *Proxy) stripeOpts() (pan.StripeOptions, bool) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if p.stripe == nil {
-		return pan.StripeOptions{}, false
-	}
-	return *p.stripe, true
-}
-
 // StripeStatus snapshots every pooled striped connection set's pipelines,
 // keyed by destination — the liveness feed behind the CLI's per-path stripe
 // printouts.
