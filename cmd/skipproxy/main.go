@@ -16,11 +16,13 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"maps"
 	"net"
 	"net/http"
 	"net/http/httptest"
 	"net/netip"
 	"os"
+	"slices"
 	"time"
 
 	"tango/internal/addr"
@@ -172,9 +174,10 @@ func main() {
 		res.Body.Close()
 		fmt.Printf("  status=%d via=%s bytes=%d wall=%v\n",
 			res.StatusCode, res.Header.Get(proxy.HeaderVia), n, w.Clock.Since(start).Round(time.Millisecond))
-		for dst, pipes := range client.Proxy.StripeStatus() {
+		status := client.Proxy.StripeStatus()
+		for _, dst := range slices.Sorted(maps.Keys(status)) {
 			fmt.Printf("  stripe set %s:\n", dst)
-			for _, ps := range pipes {
+			for _, ps := range status[dst] {
 				state := "live"
 				if ps.Dead {
 					state = "DEAD"
@@ -191,8 +194,8 @@ func main() {
 	if snap.Striped > 0 {
 		fmt.Printf("striped responses: %d\n", snap.Striped)
 	}
-	for host, m := range snap.ByHost {
-		fmt.Printf("  %-22s %v\n", host, m)
+	for _, host := range slices.Sorted(maps.Keys(snap.ByHost)) {
+		fmt.Printf("  %-22s %v\n", host, snap.ByHost[host])
 	}
 	fmt.Println("path usage:")
 	for _, p := range snap.Paths {
@@ -226,7 +229,8 @@ func main() {
 	}
 	if len(snap.Samples) > 0 {
 		fmt.Println("telemetry sample split (passive = free, probes = budget):")
-		for host, split := range snap.Samples {
+		for _, host := range slices.Sorted(maps.Keys(snap.Samples)) {
+			split := snap.Samples[host]
 			fmt.Printf("  %-22s %d passive / %d probe samples\n", host, split.Passive, split.Probes)
 		}
 	}

@@ -277,7 +277,7 @@ func serverObserve(tb testing.TB) (op func(), samples func() int) {
 			tb.Fatal("no steering pick despite fresh telemetry")
 		}
 	}
-	// The first pick builds the telemetry maps and the reverse-path cache.
+	// The first pick builds the telemetry maps and the combiner's path cache.
 	op()
 	return op, func() int {
 		tel, _ := m.Telemetry(rev[0].Fingerprint())

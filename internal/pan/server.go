@@ -79,22 +79,6 @@ type ServerTelemetry struct {
 	conns     map[addr.IA]map[*connSteer]bool
 	steers    int
 	mirrors   int
-	// revPaths caches the combined path set per destination: steering
-	// re-evaluates per sample batch, and recombining segments on every
-	// evaluation was the dominant garbage producer of the whole server
-	// plane. Entries expire after revPathTTL; path-set churn (new beacons)
-	// is hours-scale, so a seconds-scale TTL costs nothing. Cached entries
-	// also keep path POINTERS stable across evaluations, so per-path
-	// memoization (fingerprints, wire templates) pays off.
-	revPaths map[addr.IA]revPathEntry
-}
-
-// revPathTTL bounds how stale a cached reverse path set may get.
-const revPathTTL = time.Second
-
-type revPathEntry struct {
-	paths []*segment.Path
-	at    time.Time
 }
 
 // statScratch pools PathStat slices across steering evaluations.
@@ -344,7 +328,7 @@ func (st *ServerTelemetry) PickReverse(dst addr.IA) (*segment.Path, bool) {
 // non-nil, gets a SteerMargin hysteresis bonus so near-ties don't
 // oscillate.
 func (st *ServerTelemetry) pickReverse(dst addr.IA, keep *segment.Path, banned map[string]bool) (*segment.Path, bool) {
-	paths := st.reversePaths(dst)
+	paths := st.host.Paths(dst)
 	if len(paths) == 0 {
 		return nil, false
 	}
@@ -392,24 +376,4 @@ func (st *ServerTelemetry) pickReverse(dst addr.IA, keep *segment.Path, banned m
 		return nil, false
 	}
 	return best, true
-}
-
-// reversePaths returns the (cached) combined path set toward dst; see the
-// revPaths field for why this is cached.
-func (st *ServerTelemetry) reversePaths(dst addr.IA) []*segment.Path {
-	now := st.host.clock.Now()
-	st.mu.Lock()
-	if e, ok := st.revPaths[dst]; ok && now.Sub(e.at) < revPathTTL {
-		st.mu.Unlock()
-		return e.paths
-	}
-	st.mu.Unlock()
-	paths := st.host.Paths(dst)
-	st.mu.Lock()
-	if st.revPaths == nil {
-		st.revPaths = make(map[addr.IA]revPathEntry)
-	}
-	st.revPaths[dst] = revPathEntry{paths: paths, at: now}
-	st.mu.Unlock()
-	return paths
 }

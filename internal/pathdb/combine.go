@@ -1,7 +1,11 @@
 package pathdb
 
 import (
-	"sort"
+	"cmp"
+	"maps"
+	"slices"
+	"strings"
+	"sync"
 	"time"
 
 	"tango/internal/addr"
@@ -12,89 +16,119 @@ import (
 // SCION path combination: up+core+down joins, same-core joins, common-AS
 // shortcuts, and peering shortcuts. The combination of different path
 // segments is what yields "on the order of dozens to even over a hundred
-// potential paths" (paper §2).
+// potential paths" (paper §2). Answers are cached; see the package comment.
 type Combiner struct {
 	reg *Registry
+
+	mu    sync.Mutex
+	cache map[[2]addr.IA]combined
+}
+
+// combined is one cached answer: the registry generation it read and the
+// instants [at, until) it holds for (a zero until never expires).
+type combined struct {
+	gen       uint64
+	at, until time.Time
+	paths     []*segment.Path
 }
 
 // NewCombiner returns a combiner reading from reg.
-func NewCombiner(reg *Registry) *Combiner { return &Combiner{reg: reg} }
+func NewCombiner(reg *Registry) *Combiner {
+	return &Combiner{reg: reg, cache: make(map[[2]addr.IA]combined)}
+}
 
 // Paths returns all loop-free end-to-end paths from src to dst valid at the
 // given instant, deduplicated and sorted by (latency, hop count,
-// fingerprint) for determinism.
+// fingerprint) for determinism. The result is shared: callers must not
+// modify the slice or the paths.
 func (c *Combiner) Paths(src, dst addr.IA, at time.Time) []*segment.Path {
+	key := [2]addr.IA{src, dst}
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	gen := c.reg.gen.Load()
+	if e, ok := c.cache[key]; ok && e.gen == gen && !at.Before(e.at) && (e.until.IsZero() || at.Before(e.until)) {
+		return e.paths
+	}
+	e := combined{gen: gen, at: at}
+	e.paths = c.paths(src, dst, at, &e.until)
+	c.cache[key] = e
+	return e.paths
+}
+
+// paths combines the answer for Paths, lowering *until to the expiry of
+// every segment it reads and every path it returns.
+func (c *Combiner) paths(src, dst addr.IA, at time.Time, until *time.Time) []*segment.Path {
 	if src == dst {
 		return []*segment.Path{{Src: src, Dst: dst, Meta: segment.Metadata{ASes: []addr.IA{src}}}}
 	}
 
-	ups := c.reg.UpSegments(src, at)
-	downs := c.reg.DownSegments(dst, at)
-	// A nil segment in these lists means "endpoint is already a core AS".
-	upChoices := make([]*segment.Segment, 0, len(ups)+1)
-	if len(ups) == 0 {
-		upChoices = append(upChoices, nil)
-	} else {
-		upChoices = append(upChoices, ups...)
+	ups, downs := c.reg.UpSegments(src, at), c.reg.DownSegments(dst, at)
+	if (len(ups) == 0 && !c.isCoreEndpoint(src)) || (len(downs) == 0 && !c.isCoreEndpoint(dst)) {
+		return nil // a non-core endpoint without segments is unreachable
 	}
-	downChoices := make([]*segment.Segment, 0, len(downs)+1)
-	if len(downs) == 0 {
-		downChoices = append(downChoices, nil)
-	} else {
-		downChoices = append(downChoices, downs...)
-	}
-
+	upChoices, downChoices := orCore(ups, until), orCore(downs, until)
 	var candidates [][]protoHop
 	for _, up := range upChoices {
-		if up == nil && len(ups) == 0 && !c.isCoreEndpoint(src, at) {
-			// src is non-core with no up segments: unreachable.
-			return nil
-		}
 		for _, down := range downChoices {
-			if down == nil && len(downs) == 0 && !c.isCoreEndpoint(dst, at) {
-				return nil
-			}
-			candidates = append(candidates, c.combine(src, dst, up, down, at)...)
+			candidates = append(candidates, c.combine(src, dst, up, down, at, until)...)
 		}
 	}
 
-	seen := make(map[string]bool)
+	seen := make(map[string]int) // fingerprint -> index in out
 	var out []*segment.Path
 	for _, hops := range candidates {
 		p := assemble(hops, at)
 		if p == nil || p.Src != src || p.Dst != dst {
 			continue
 		}
+		earliest(until, p.Meta.Expiry)
 		fp := p.Fingerprint()
-		if seen[fp] {
+		if i, dup := seen[fp]; dup {
+			// Two beaconing rounds yield one hop sequence twice, in
+			// map order; keeping the later expiry makes the answer
+			// independent of that order.
+			if p.Meta.Expiry.After(out[i].Meta.Expiry) {
+				out[i] = p
+			}
 			continue
 		}
-		seen[fp] = true
+		seen[fp] = len(out)
 		out = append(out, p)
 	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Meta.Latency != out[j].Meta.Latency {
-			return out[i].Meta.Latency < out[j].Meta.Latency
-		}
-		if len(out[i].Hops) != len(out[j].Hops) {
-			return len(out[i].Hops) < len(out[j].Hops)
-		}
-		return out[i].Fingerprint() < out[j].Fingerprint()
+	slices.SortFunc(out, func(a, b *segment.Path) int {
+		return cmp.Or(cmp.Compare(a.Meta.Latency, b.Meta.Latency), cmp.Compare(len(a.Hops), len(b.Hops)),
+			strings.Compare(a.Fingerprint(), b.Fingerprint()))
 	})
-	return out
+	return slices.Clip(out) // a caller's append must not write the shared array
+}
+
+// orCore lowers *until to the segments' expiries and returns them, or,
+// when there are none, one nil segment: "the endpoint is a core AS".
+func orCore(segs []*segment.Segment, until *time.Time) []*segment.Segment {
+	for _, seg := range segs {
+		earliest(until, seg.Expiry())
+	}
+	if len(segs) == 0 {
+		return []*segment.Segment{nil}
+	}
+	return segs
+}
+
+// earliest lowers *until to t; a zero *until is unbounded.
+func earliest(until *time.Time, t time.Time) {
+	if until.IsZero() || t.Before(*until) {
+		*until = t
+	}
 }
 
 // isCoreEndpoint guesses whether ia is core by looking for core segments
 // touching it. Core ASes originate or terminate core segments.
-func (c *Combiner) isCoreEndpoint(ia addr.IA, at time.Time) bool {
+func (c *Combiner) isCoreEndpoint(ia addr.IA) bool {
 	c.reg.mu.RLock()
 	defer c.reg.mu.RUnlock()
-	if len(c.reg.core[ia]) > 0 {
-		return true
-	}
 	for _, m := range c.reg.core {
 		for _, seg := range m {
-			if seg.LastIA() == ia {
+			if seg.FirstIA() == ia || seg.LastIA() == ia {
 				return true
 			}
 		}
@@ -104,7 +138,7 @@ func (c *Combiner) isCoreEndpoint(ia addr.IA, at time.Time) bool {
 
 // combine yields all hop sequences for one (up, down) segment pair,
 // including core-joined, same-core, shortcut, and peering variants.
-func (c *Combiner) combine(src, dst addr.IA, up, down *segment.Segment, at time.Time) [][]protoHop {
+func (c *Combiner) combine(src, dst addr.IA, up, down *segment.Segment, at time.Time, until *time.Time) [][]protoHop {
 	var out [][]protoHop
 
 	srcCore := src
@@ -130,6 +164,7 @@ func (c *Combiner) combine(src, dst addr.IA, up, down *segment.Segment, at time.
 		}
 	} else {
 		for _, cs := range c.reg.CoreSegments(srcCore, dstCore, at) {
+			earliest(until, cs.Seg.Expiry())
 			var coreLeg []protoHop
 			if cs.AgainstConstruction {
 				coreLeg = legAgainstUntil(cs.Seg, 0)
@@ -332,9 +367,9 @@ func assemble(hops []protoHop, at time.Time) *segment.Path {
 	}
 	seen := make(map[addr.IA]bool, len(hops))
 	countries := make(map[string]bool)
-	meta := segment.Metadata{}
+	meta := segment.Metadata{ASes: make([]addr.IA, 0, len(hops))}
 	var expiry time.Time
-	p := &segment.Path{Src: hops[0].ia, Dst: hops[len(hops)-1].ia}
+	p := &segment.Path{Src: hops[0].ia, Dst: hops[len(hops)-1].ia, Hops: make([]segment.Hop, 0, len(hops))}
 	for idx, h := range hops {
 		if seen[h.ia] || len(h.auth) > 2 || len(h.auth) == 0 {
 			return nil
@@ -370,17 +405,8 @@ func assemble(hops []protoHop, at time.Time) *segment.Path {
 	if !expiry.After(at) {
 		return nil
 	}
-	meta.Countries = sortedCountrySet(countries)
+	meta.Countries = slices.Sorted(maps.Keys(countries))
 	meta.Expiry = expiry
 	p.Meta = meta
 	return p
-}
-
-func sortedCountrySet(set map[string]bool) []string {
-	out := make([]string, 0, len(set))
-	for c := range set {
-		out = append(out, c)
-	}
-	sort.Strings(out)
-	return out
 }

@@ -1,6 +1,8 @@
 package pathdb_test
 
 import (
+	"reflect"
+	"sync"
 	"testing"
 	"time"
 
@@ -17,7 +19,9 @@ var (
 	during = t0.Add(time.Hour)
 )
 
-func combinerWorld(t testing.TB) (*topology.Topology, *beacon.Infra, *pathdb.Combiner) {
+// beaconed beacons the default topology at t0 into a fresh registry, with
+// segments expiring after expiry.
+func beaconed(t testing.TB, expiry time.Duration) (*topology.Topology, *beacon.Infra, *pathdb.Registry) {
 	t.Helper()
 	topo := topology.Default()
 	infra, err := beacon.NewInfra(topo, t0, t1)
@@ -25,10 +29,15 @@ func combinerWorld(t testing.TB) (*topology.Topology, *beacon.Infra, *pathdb.Com
 		t.Fatal(err)
 	}
 	reg := pathdb.NewRegistry(infra.Store)
-	svc := beacon.NewService(topo, infra, reg, 12*time.Hour)
-	if err := svc.Run(t0); err != nil {
+	if err := beacon.NewService(topo, infra, reg, expiry).Run(t0); err != nil {
 		t.Fatal(err)
 	}
+	return topo, infra, reg
+}
+
+func combinerWorld(t testing.TB) (*topology.Topology, *beacon.Infra, *pathdb.Combiner) {
+	t.Helper()
+	topo, infra, reg := beaconed(t, 12*time.Hour)
 	return topo, infra, pathdb.NewCombiner(reg)
 }
 
@@ -216,9 +225,11 @@ func TestPathsMetadataAggregation(t *testing.T) {
 }
 
 func TestPathsDeterministicOrder(t *testing.T) {
-	_, _, c := combinerWorld(t)
-	a := c.Paths(topology.AS111, topology.AS221, during)
-	b := c.Paths(topology.AS111, topology.AS221, during)
+	// Two combiners, so the second answer is recombined, not the cached
+	// first one.
+	_, _, reg := beaconed(t, 12*time.Hour)
+	a := pathdb.NewCombiner(reg).Paths(topology.AS111, topology.AS221, during)
+	b := pathdb.NewCombiner(reg).Paths(topology.AS111, topology.AS221, during)
 	if len(a) != len(b) {
 		t.Fatal("nondeterministic path count")
 	}
@@ -266,13 +277,183 @@ func TestPathCountIsRich(t *testing.T) {
 }
 
 // BenchmarkPathCombination measures end-to-end path assembly (up, core and
-// down joins, shortcuts, peering) for an inter-ISD pair.
+// down joins, shortcuts, peering) for an inter-ISD pair: cold, by a fresh
+// combiner, and cached.
 func BenchmarkPathCombination(b *testing.B) {
-	_, _, comb := combinerWorld(b)
-	b.ResetTimer()
-	for range b.N {
-		if len(comb.Paths(topology.AS111, topology.AS211, during)) == 0 {
-			b.Fatal("no paths")
+	_, _, reg := beaconed(b, 12*time.Hour)
+	b.Run("cold", func(b *testing.B) {
+		for range b.N {
+			if len(pathdb.NewCombiner(reg).Paths(topology.AS111, topology.AS211, during)) == 0 {
+				b.Fatal("no paths")
+			}
+		}
+	})
+	b.Run("cached", func(b *testing.B) {
+		c := pathdb.NewCombiner(reg)
+		for range b.N {
+			if len(c.Paths(topology.AS111, topology.AS211, during)) == 0 {
+				b.Fatal("no paths")
+			}
+		}
+	})
+}
+
+// assertSamePaths compares two answers by fingerprint and metadata.
+func assertSamePaths(t *testing.T, got, want []*segment.Path) {
+	t.Helper()
+	if len(got) != len(want) {
+		t.Fatalf("%d paths, fresh combiner returns %d", len(got), len(want))
+	}
+	for i := range got {
+		if got[i].Fingerprint() != want[i].Fingerprint() || !reflect.DeepEqual(got[i].Meta, want[i].Meta) {
+			t.Fatalf("path %d: %s %+v, fresh combiner returns %s %+v",
+				i, got[i], got[i].Meta, want[i], want[i].Meta)
+		}
+	}
+}
+
+// TestCombinerPathsAllocs holds a warm query at zero allocations: a cache
+// hit scans no registry and returns the shared answer itself.
+func TestCombinerPathsAllocs(t *testing.T) {
+	_, _, c := combinerWorld(t)
+	first := c.Paths(topology.AS111, topology.AS211, during)
+	if len(first) == 0 {
+		t.Fatal("no paths")
+	}
+	later := during.Add(time.Minute)
+	allocs := testing.AllocsPerRun(100, func() {
+		if got := c.Paths(topology.AS111, topology.AS211, later); &got[0] != &first[0] {
+			t.Fatal("warm query did not return the cached answer")
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("warm Paths allocates %.1f, want 0", allocs)
+	}
+}
+
+// TestCombinerCacheRegistrationInvalidates registers the core segments an
+// AS111 -> AS211 path needs one at a time after a first query: every answer
+// must equal a fresh combiner's.
+func TestCombinerCacheRegistrationInvalidates(t *testing.T) {
+	topo, infra, src := beaconed(t, 12*time.Hour)
+	reg := pathdb.NewRegistry(infra.Store)
+	for _, seg := range src.UpSegments(topology.AS111, during) {
+		if err := reg.RegisterUp(seg, t0); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, seg := range src.DownSegments(topology.AS211, during) {
+		if err := reg.RegisterDown(seg, t0); err != nil {
+			t.Fatal(err)
+		}
+	}
+	c := pathdb.NewCombiner(reg)
+	if got := c.Paths(topology.AS111, topology.AS211, during); len(got) != 0 {
+		t.Fatalf("%d inter-ISD paths without core segments", len(got))
+	}
+	cores := topo.CoreASes(addr.WildcardISD)
+	grew := 0
+	for _, a := range cores {
+		for _, b := range cores {
+			for _, cs := range src.CoreSegments(a.IA, b.IA, during) {
+				before := len(c.Paths(topology.AS111, topology.AS211, during))
+				if err := reg.RegisterCore(cs.Seg, t0); err != nil {
+					t.Fatal(err)
+				}
+				got := c.Paths(topology.AS111, topology.AS211, during)
+				assertSamePaths(t, got, pathdb.NewCombiner(reg).Paths(topology.AS111, topology.AS211, during))
+				if len(got) > before {
+					grew++
+				}
+			}
+		}
+	}
+	if grew < 2 {
+		t.Fatalf("only %d registrations added paths, want >= 2", grew)
+	}
+}
+
+// expiringCombiner beacons the default topology with one-hour segments and
+// returns a combiner over them and the paths' earliest expiry.
+func expiringCombiner(t *testing.T) (*pathdb.Combiner, *pathdb.Registry, time.Time) {
+	t.Helper()
+	_, _, reg := beaconed(t, time.Hour)
+	var exp time.Time
+	for _, p := range pathdb.NewCombiner(reg).Paths(topology.AS111, topology.AS211, t0) {
+		if exp.IsZero() || p.Meta.Expiry.Before(exp) {
+			exp = p.Meta.Expiry
+		}
+	}
+	if exp.IsZero() {
+		t.Fatal("no paths")
+	}
+	return pathdb.NewCombiner(reg), reg, exp
+}
+
+// TestCombinerCacheExpiryInvalidates queries just before and at the
+// earliest expiry: the first is served from the cache, the second must be
+// recomputed.
+func TestCombinerCacheExpiryInvalidates(t *testing.T) {
+	c, reg, exp := expiringCombiner(t)
+	first := c.Paths(topology.AS111, topology.AS211, t0)
+	if len(first) == 0 {
+		t.Fatal("no paths")
+	}
+	if got := c.Paths(topology.AS111, topology.AS211, exp.Add(-time.Nanosecond)); len(got) == 0 || &got[0] != &first[0] {
+		t.Fatal("query before the earliest expiry was not served from the cache")
+	}
+	for _, at := range []time.Time{exp, exp.Add(time.Minute)} {
+		assertSamePaths(t, c.Paths(topology.AS111, topology.AS211, at),
+			pathdb.NewCombiner(reg).Paths(topology.AS111, topology.AS211, at))
+	}
+}
+
+// TestCombinerCacheEarlierInstantRecomputes queries after every segment
+// expired, then at an earlier instant, when the segments were valid.
+func TestCombinerCacheEarlierInstantRecomputes(t *testing.T) {
+	c, reg, exp := expiringCombiner(t)
+	if got := c.Paths(topology.AS111, topology.AS211, exp.Add(time.Hour)); len(got) != 0 {
+		t.Fatalf("%d paths after expiry", len(got))
+	}
+	got := c.Paths(topology.AS111, topology.AS211, t0)
+	if len(got) == 0 {
+		t.Fatal("earlier query served the later, empty answer")
+	}
+	assertSamePaths(t, got, pathdb.NewCombiner(reg).Paths(topology.AS111, topology.AS211, t0))
+}
+
+// TestCombinerConcurrentQueries queries every pair from several goroutines
+// while beaconing registers a second round of segments; run it under
+// -race. Afterwards every answer must equal a fresh combiner's.
+func TestCombinerConcurrentQueries(t *testing.T) {
+	topo, infra, reg := beaconed(t, 12*time.Hour)
+	c := pathdb.NewCombiner(reg)
+	ases := topo.ASes()
+	var wg sync.WaitGroup
+	for g := range 4 {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := range 5 {
+				at := during.Add(time.Duration(g*5+i) * time.Minute)
+				for _, a := range ases {
+					for _, b := range ases {
+						c.Paths(a.IA, b.IA, at)
+					}
+				}
+			}
+		}()
+	}
+	second := beacon.NewService(topo, infra, reg, 12*time.Hour).Run(t0.Add(time.Minute))
+	wg.Wait()
+	if second != nil {
+		t.Fatal(second)
+	}
+	at := during.Add(time.Hour)
+	for _, a := range ases {
+		for _, b := range ases {
+			got := c.Paths(a.IA, b.IA, at)
+			assertSamePaths(t, got, pathdb.NewCombiner(reg).Paths(a.IA, b.IA, at))
 		}
 	}
 }

@@ -14,7 +14,8 @@ import (
 // TestCombinationInvariantsOnRandomTopologies is the heavyweight property
 // test of the control plane: across randomly generated topologies, every
 // combined path between every AS pair must be structurally valid (loop-free,
-// link-consistent, interface-authorized) and metadata-consistent.
+// link-consistent, interface-authorized) and metadata-consistent, and a
+// repeated, cached query must answer what a fresh combiner does.
 func TestCombinationInvariantsOnRandomTopologies(t *testing.T) {
 	if testing.Short() {
 		t.Skip("random-topology sweep")
@@ -47,6 +48,10 @@ func TestCombinationInvariantsOnRandomTopologies(t *testing.T) {
 						continue
 					}
 					paths := comb.Paths(src.IA, dst.IA, during)
+					// The second, cached answer must equal a fresh
+					// combiner's.
+					assertSamePaths(t, comb.Paths(src.IA, dst.IA, during),
+						pathdb.NewCombiner(reg).Paths(src.IA, dst.IA, during))
 					if len(paths) > 0 {
 						reachablePairs++
 					}

@@ -8,11 +8,20 @@
 // fully decorated paths containing all added information" — Lookup is that
 // fetch, Combine builds the dozens of path options the end host selects
 // from.
+//
+// Like the SCION end-host daemon, the combiner answers from a cache of
+// combined paths, one entry per (src, dst). An entry is served while the
+// registry generation it read is current (every Register* bumps it) and the
+// query instant lies in [computed-at, until), where until is the earliest
+// expiry of any segment read or path returned; an earlier instant
+// recomputes. Returned paths, and the slice holding them, are shared by
+// every caller and must not be mutated.
 package pathdb
 
 import (
 	"fmt"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"tango/internal/addr"
@@ -31,6 +40,7 @@ type Registry struct {
 	up   map[addr.IA]map[string]*segment.Segment // leaf AS -> segID -> seg
 	down map[addr.IA]map[string]*segment.Segment
 	core map[addr.IA]map[string]*segment.Segment // origin core AS -> segID -> seg
+	gen  atomic.Uint64                           // bumped by every registration
 }
 
 // NewRegistry builds an empty registry verifying against store. A nil store
@@ -71,6 +81,7 @@ func (r *Registry) register(m map[addr.IA]map[string]*segment.Segment, key addr.
 		m[key] = make(map[string]*segment.Segment)
 	}
 	m[key][seg.ID()] = seg
+	r.gen.Add(1)
 	return nil
 }
 

@@ -57,12 +57,10 @@ func (g *Geofence) Compliant(p *segment.Path) bool {
 	if g == nil {
 		return true
 	}
-	for _, isd := range p.Meta.ISDs() {
-		listed := g.ISDs[isd]
-		if g.Mode == BlockListed && listed {
-			return false
-		}
-		if g.Mode == AllowOnlyListed && !listed {
+	// A blocklist rejects any listed ISD, an allowlist any unlisted one.
+	block := g.Mode == BlockListed
+	for _, ia := range p.Meta.ASes {
+		if g.ISDs[ia.ISD] == block {
 			return false
 		}
 	}

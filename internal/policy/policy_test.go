@@ -61,6 +61,22 @@ func TestAllowGeofence(t *testing.T) {
 	}
 }
 
+// TestGeofenceCompliantAllocs holds the per-path geofence check, run for
+// every candidate of every Rank, at zero allocations in both modes and for
+// both verdicts.
+func TestGeofenceCompliantAllocs(t *testing.T) {
+	block, allow := NewBlockGeofence(2), NewAllowGeofence(1)
+	allocs := testing.AllocsPerRun(100, func() {
+		if !block.Compliant(domestic) || block.Compliant(foreign) ||
+			!allow.Compliant(domestic) || allow.Compliant(foreign) {
+			t.Fatal("wrong verdict")
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("Compliant allocates %.1f per 4 checks, want 0", allocs)
+	}
+}
+
 func TestGeofencePolicyCompilesToACL(t *testing.T) {
 	g := NewBlockGeofence(2)
 	pol := g.Policy()

@@ -253,7 +253,13 @@ func (s *Stats) Snapshot() Snapshot {
 	for _, u := range s.byPath {
 		out.Paths = append(out.Paths, *u)
 	}
-	sort.Slice(out.Paths, func(i, j int) bool { return out.Paths[i].Requests > out.Paths[j].Requests })
+	sort.Slice(out.Paths, func(i, j int) bool {
+		a, b := &out.Paths[i], &out.Paths[j]
+		if a.Requests != b.Requests {
+			return a.Requests > b.Requests
+		}
+		return a.Fingerprint < b.Fingerprint
+	})
 	return out
 }
 

@@ -75,7 +75,9 @@ func (m *Metadata) ISDs() []addr.ISD {
 }
 
 // Path is a complete forwarding path between two SCION ASes together with
-// its metadata. Paths are immutable once built.
+// its metadata. Paths are immutable once built: those from pathdb's
+// combiner are shared by every caller, with one memoized fingerprint and
+// wire template each.
 type Path struct {
 	Src, Dst addr.IA
 	Hops     []Hop
