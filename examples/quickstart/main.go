@@ -1,6 +1,6 @@
-// Quickstart: bring up a minimal SCION world from scratch — topology,
-// beaconing, data plane, host stacks — then serve a page over
-// HTTP/squic/SCION and fetch it with policy-driven path selection.
+// Quickstart: bring up a simulated SCION world — topology, beaconing, data
+// plane, host stacks — then serve a page over HTTP/squic/SCION and fetch it
+// with policy-driven path selection.
 //
 //	go run ./examples/quickstart
 package main
@@ -11,64 +11,44 @@ import (
 	"io"
 	"log"
 	"net/http"
-	"net/netip"
-	"time"
 
 	"tango/internal/addr"
-	"tango/internal/beacon"
-	"tango/internal/dataplane"
-	"tango/internal/netsim"
 	"tango/internal/pan"
-	"tango/internal/pathdb"
 	"tango/internal/policy"
 	"tango/internal/shttp"
-	"tango/internal/snet"
 	"tango/internal/squic"
-	"tango/internal/topology"
+	"tango/internal/testbed"
 )
 
 func main() {
-	// 1. A topology: two ISDs, ten ASes, core/parent/peering links.
-	topo := topology.Default()
-
-	// 2. Control-plane credentials and one round of beaconing, which
-	//    discovers and registers all path segments.
-	epoch := time.Date(2022, 10, 10, 0, 0, 0, 0, time.UTC)
-	infra, err := beacon.NewInfra(topo, epoch, epoch.Add(24*time.Hour))
+	// 1. A beaconed SCION world on a virtual clock: the default topology
+	//    (two ISDs, ten ASes, core/parent/peering links), control-plane
+	//    credentials and one round of beaconing, which discovers and
+	//    registers all path segments, then border routers and links.
+	clock := testbed.NewClock()
+	world, err := testbed.NewWorld(clock, nil, 42)
 	if err != nil {
 		log.Fatal(err)
 	}
-	registry := pathdb.NewRegistry(infra.Store)
-	if err := beacon.NewService(topo, infra, registry, 12*time.Hour).Run(epoch); err != nil {
-		log.Fatal(err)
-	}
-
-	// 3. The data plane on a virtual clock: border routers and links.
-	clock := netsim.NewSimClock(epoch.Add(time.Hour))
-	world, err := dataplane.NewWorld(topo, infra.ForwardingKeys, clock, 42)
-	if err != nil {
-		log.Fatal(err)
-	}
-	stop := clock.AutoAdvance(0)
+	stop := testbed.Advance(clock)
 	defer stop()
 
-	// 4. Host stacks: one server in ISD 2, one client in ISD 1.
-	combiner := pathdb.NewCombiner(registry)
-	pool := squic.NewCertPool()
-	newHost := func(ia addr.IA, ip string) *pan.Host {
-		disp := snet.NewDispatcher(world.Router(ia), clock)
-		return pan.NewHost(disp.Host(netip.MustParseAddr(ip), world.Router(ia)), combiner, pool)
+	// 2. Host stacks: one server in ISD 2, one client in ISD 1.
+	remote, err := addr.ParseUDPAddr("2-ff00:0:211,10.0.0.2:443")
+	if err != nil {
+		log.Fatal(err)
 	}
-	server := newHost(topology.AS211, "10.0.0.2")
-	client := newHost(topology.AS111, "10.0.0.1")
+	pool := squic.NewCertPool()
+	server := pan.NewHost(world.Stack(remote.IA, remote.Host.String()), world.Combiner, pool)
+	client := pan.NewHost(world.Stack(addr.MustIA(1, 0xff00_0000_0111), "10.0.0.1"), world.Combiner, pool)
 
-	// 5. Serve HTTP over SCION.
+	// 3. Serve HTTP over SCION.
 	identity, err := squic.NewIdentity("hello.scion")
 	if err != nil {
 		log.Fatal(err)
 	}
 	pool.AddIdentity(identity)
-	lis, err := server.Listen(443, identity)
+	lis, err := server.Listen(remote.Port, identity)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -77,10 +57,9 @@ func main() {
 		fmt.Fprintf(w, "hello from %s over SCION!", server.Local())
 	}))
 
-	// 6. Fetch it with a Dialer: a PolicySelector ranks the paths (lowest
+	// 4. Fetch it with a Dialer: a PolicySelector ranks the paths (lowest
 	//    latency first), strict mode refuses non-compliant ones, and
 	//    repeated requests reuse the pooled connection.
-	remote := addr.UDPAddr{Addr: addr.Addr{IA: topology.AS211, Host: netip.MustParseAddr("10.0.0.2")}, Port: 443}
 	dialer := client.NewDialer(pan.DialOptions{
 		Selector:   pan.NewPolicySelector(policy.LowLatency(), nil),
 		Mode:       pan.Strict,

@@ -7,14 +7,15 @@ import (
 	"tango/internal/dataplane"
 	"tango/internal/netsim"
 	"tango/internal/segment"
+	"tango/internal/testbed"
 	"tango/internal/topology"
 )
 
 // benchPacket returns a 111 → 211 packet on the first combined path with a
 // payload of size bytes, and that path.
-func benchPacket(tb testing.TB, w *world, size int) (*dataplane.Packet, *segment.Path) {
+func benchPacket(tb testing.TB, w *testbed.World, size int) (*dataplane.Packet, *segment.Path) {
 	tb.Helper()
-	paths := w.comb.Paths(topology.AS111, topology.AS211, during)
+	paths := w.Combiner.Paths(topology.AS111, topology.AS211, testbed.Start)
 	if len(paths) == 0 {
 		tb.Fatal("no paths")
 	}
@@ -35,7 +36,7 @@ func benchPacket(tb testing.TB, w *world, size int) (*dataplane.Packet, *segment
 func transit(tb testing.TB, cold bool) (op func(), delivered func() int) {
 	w := newWorld(tb)
 	n := 0
-	w.world.Router(topology.AS211).SetDeliveryHandler(func(p *dataplane.Packet) { n++; p.Release() })
+	w.DW.Router(topology.AS211).SetDeliveryHandler(func(p *dataplane.Packet) { n++; p.Release() })
 	pkt, path := benchPacket(tb, w, 900)
 	tmpl, err := dataplane.TemplateFor(path)
 	if err != nil {
@@ -44,10 +45,10 @@ func transit(tb testing.TB, cold bool) (op func(), delivered func() int) {
 	var flush []*dataplane.Router
 	if cold {
 		for _, h := range path.Hops {
-			flush = append(flush, w.world.Router(h.IA))
+			flush = append(flush, w.DW.Router(h.IA))
 		}
 	}
-	src := w.world.Router(topology.AS111)
+	src := w.DW.Router(topology.AS111)
 	op = func() {
 		for _, r := range flush {
 			r.InvalidateMACCache()
@@ -55,7 +56,7 @@ func transit(tb testing.TB, cold bool) (op func(), delivered func() int) {
 		if err := src.InjectTemplated(pkt, tmpl); err != nil {
 			tb.Fatal(err)
 		}
-		for w.clock.AdvanceToNext() {
+		for w.Clock.AdvanceToNext() {
 		}
 	}
 	op()

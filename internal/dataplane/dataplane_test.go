@@ -14,47 +14,19 @@ import (
 	"tango/internal/netsim"
 	"tango/internal/pathdb"
 	"tango/internal/segment"
+	"tango/internal/testbed"
 	"tango/internal/topology"
 )
 
-var (
-	t0     = time.Date(2022, 10, 10, 0, 0, 0, 0, time.UTC)
-	t1     = t0.Add(24 * time.Hour)
-	during = t0.Add(time.Hour)
-)
-
-type world struct {
-	topo  *topology.Topology
-	infra *beacon.Infra
-	comb  *pathdb.Combiner
-	world *dataplane.World
-	clock *netsim.SimClock
-}
-
-func newWorld(t testing.TB) *world {
-	t.Helper()
-	topo := topology.Default()
-	infra, err := beacon.NewInfra(topo, t0, t1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	reg := pathdb.NewRegistry(infra.Store)
-	if err := beacon.NewService(topo, infra, reg, 12*time.Hour).Run(t0); err != nil {
-		t.Fatal(err)
-	}
-	clock := netsim.NewSimClock(during)
-	w, err := dataplane.NewWorld(topo, infra.ForwardingKeys, clock, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return &world{topo: topo, infra: infra, comb: pathdb.NewCombiner(reg), world: w, clock: clock}
-}
+// newWorld is the testbed world stepped by hand.
+func newWorld(t testing.TB) *testbed.World { return testbed.New(t, testbed.NewClock(), nil, 1) }
 
 func udp(ia addr.IA, host string, port uint16) addr.UDPAddr {
 	return addr.UDPAddr{Addr: addr.Addr{IA: ia, Host: netip.MustParseAddr(host)}, Port: port}
 }
 
 func TestPacketMarshalRoundTrip(t *testing.T) {
+	t0, t1 := testbed.Epoch, testbed.Epoch.Add(24*time.Hour)
 	p := &dataplane.Packet{
 		Src:     udp(topology.AS111, "10.0.0.1", 4242),
 		Dst:     udp(topology.AS211, "192.168.1.9", 443),
@@ -131,17 +103,17 @@ func TestPacketUnmarshalFuzz(t *testing.T) {
 
 // sendAndAwait injects pkt at the source router and waits (advancing virtual
 // time) for delivery at the destination AS.
-func sendAndAwait(t *testing.T, w *world, pkt *dataplane.Packet) (*dataplane.Packet, time.Duration) {
+func sendAndAwait(t *testing.T, w *testbed.World, pkt *dataplane.Packet) (*dataplane.Packet, time.Duration) {
 	t.Helper()
 	var mu sync.Mutex
 	var got *dataplane.Packet
-	w.world.Router(pkt.Dst.IA).SetDeliveryHandler(func(p *dataplane.Packet) {
+	w.DW.Router(pkt.Dst.IA).SetDeliveryHandler(func(p *dataplane.Packet) {
 		mu.Lock()
 		got = p
 		mu.Unlock()
 	})
-	start := w.clock.Now()
-	if err := w.world.Router(pkt.Src.IA).InjectLocal(pkt); err != nil {
+	start := w.Clock.Now()
+	if err := w.DW.Router(pkt.Src.IA).InjectLocal(pkt); err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < 100; i++ {
@@ -149,20 +121,20 @@ func sendAndAwait(t *testing.T, w *world, pkt *dataplane.Packet) (*dataplane.Pac
 		done := got != nil
 		mu.Unlock()
 		if done {
-			return got, w.clock.Since(start)
+			return got, w.Clock.Since(start)
 		}
-		if !w.clock.AdvanceToNext() {
+		if !w.Clock.AdvanceToNext() {
 			break
 		}
 	}
 	mu.Lock()
 	defer mu.Unlock()
-	return got, w.clock.Since(start)
+	return got, w.Clock.Since(start)
 }
 
 func TestForwardingAcrossISDs(t *testing.T) {
 	w := newWorld(t)
-	paths := w.comb.Paths(topology.AS111, topology.AS211, during)
+	paths := w.Combiner.Paths(topology.AS111, topology.AS211, testbed.Start)
 	if len(paths) == 0 {
 		t.Fatal("no paths")
 	}
@@ -188,7 +160,7 @@ func TestForwardingAcrossISDs(t *testing.T) {
 
 func TestForwardingPeeringPath(t *testing.T) {
 	w := newWorld(t)
-	paths := w.comb.Paths(topology.AS111, topology.AS121, during)
+	paths := w.Combiner.Paths(topology.AS111, topology.AS121, testbed.Start)
 	var peering *segment.Path
 	for _, p := range paths {
 		if len(p.Hops) == 2 {
@@ -215,7 +187,7 @@ func TestForwardingPeeringPath(t *testing.T) {
 
 func TestForwardingRejectsForgedMAC(t *testing.T) {
 	w := newWorld(t)
-	paths := w.comb.Paths(topology.AS111, topology.AS211, during)
+	paths := w.Combiner.Paths(topology.AS111, topology.AS211, testbed.Start)
 	best := paths[0]
 	hops := append([]segment.Hop(nil), best.Hops...)
 	// A malicious end host rewrites an interface to detour the path; the
@@ -231,7 +203,7 @@ func TestForwardingRejectsForgedMAC(t *testing.T) {
 	if got != nil {
 		t.Fatal("packet with forged hop field delivered")
 	}
-	stats := w.world.Router(hops[1].IA).Stats()
+	stats := w.DW.Router(hops[1].IA).Stats()
 	if stats.BadMAC == 0 {
 		t.Fatalf("router stats %+v: expected BadMAC", stats)
 	}
@@ -239,7 +211,7 @@ func TestForwardingRejectsForgedMAC(t *testing.T) {
 
 func TestForwardingRejectsUnauthorizedDetour(t *testing.T) {
 	w := newWorld(t)
-	paths := w.comb.Paths(topology.AS111, topology.AS211, during)
+	paths := w.Combiner.Paths(topology.AS111, topology.AS211, testbed.Start)
 	best := paths[0]
 	hops := append([]segment.Hop(nil), best.Hops...)
 	// Keep MACs intact but change the travel egress to an interface not
@@ -254,7 +226,7 @@ func TestForwardingRejectsUnauthorizedDetour(t *testing.T) {
 	if got != nil {
 		t.Fatal("detoured packet delivered")
 	}
-	stats := w.world.Router(hops[1].IA).Stats()
+	stats := w.DW.Router(hops[1].IA).Stats()
 	if stats.Unauthorized == 0 {
 		t.Fatalf("router stats %+v: expected Unauthorized", stats)
 	}
@@ -262,7 +234,8 @@ func TestForwardingRejectsUnauthorizedDetour(t *testing.T) {
 
 func TestForwardingRejectsExpiredHops(t *testing.T) {
 	topo := topology.Default()
-	infra, err := beacon.NewInfra(topo, t0, t1)
+	t0 := testbed.Epoch
+	infra, err := beacon.NewInfra(topo, t0, t0.Add(24*time.Hour))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -296,16 +269,16 @@ func TestForwardingRejectsExpiredHops(t *testing.T) {
 func TestLocalDeliveryEmptyPath(t *testing.T) {
 	w := newWorld(t)
 	var got *dataplane.Packet
-	w.world.Router(topology.AS111).SetDeliveryHandler(func(p *dataplane.Packet) { got = p })
+	w.DW.Router(topology.AS111).SetDeliveryHandler(func(p *dataplane.Packet) { got = p })
 	pkt := &dataplane.Packet{
 		Src:     udp(topology.AS111, "10.0.0.1", 1),
 		Dst:     udp(topology.AS111, "10.0.0.2", 2),
 		Payload: []byte("local"),
 	}
-	if err := w.world.Router(topology.AS111).InjectLocal(pkt); err != nil {
+	if err := w.DW.Router(topology.AS111).InjectLocal(pkt); err != nil {
 		t.Fatal(err)
 	}
-	w.clock.AdvanceToNext() // AS-local delivery is asynchronous
+	w.Clock.AdvanceToNext() // AS-local delivery is asynchronous
 	if got == nil || string(got.Payload) != "local" {
 		t.Fatal("AS-local packet not delivered")
 	}
@@ -314,7 +287,7 @@ func TestLocalDeliveryEmptyPath(t *testing.T) {
 func TestInjectLocalValidation(t *testing.T) {
 	w := newWorld(t)
 	// Empty path to a non-local destination.
-	err := w.world.Router(topology.AS111).InjectLocal(&dataplane.Packet{
+	err := w.DW.Router(topology.AS111).InjectLocal(&dataplane.Packet{
 		Src: udp(topology.AS111, "10.0.0.1", 1),
 		Dst: udp(topology.AS211, "10.0.0.2", 2),
 	})
@@ -322,8 +295,8 @@ func TestInjectLocalValidation(t *testing.T) {
 		t.Fatal("empty path to remote AS accepted")
 	}
 	// Path whose first hop is another AS.
-	paths := w.comb.Paths(topology.AS112, topology.AS211, during)
-	err = w.world.Router(topology.AS111).InjectLocal(&dataplane.Packet{
+	paths := w.Combiner.Paths(topology.AS112, topology.AS211, testbed.Start)
+	err = w.DW.Router(topology.AS111).InjectLocal(&dataplane.Packet{
 		Src:  udp(topology.AS111, "10.0.0.1", 1),
 		Dst:  udp(topology.AS211, "10.0.0.2", 2),
 		Hops: paths[0].Hops,
@@ -335,7 +308,7 @@ func TestInjectLocalValidation(t *testing.T) {
 
 func TestReplyPathRoundTrip(t *testing.T) {
 	w := newWorld(t)
-	paths := w.comb.Paths(topology.AS111, topology.AS211, during)
+	paths := w.Combiner.Paths(topology.AS111, topology.AS211, testbed.Start)
 	best := paths[0]
 	pkt := &dataplane.Packet{
 		Src:     udp(topology.AS111, "10.0.0.1", 1000),
@@ -368,7 +341,7 @@ func TestReplyPathRoundTrip(t *testing.T) {
 
 func TestMTUEnforcedByLinks(t *testing.T) {
 	w := newWorld(t)
-	paths := w.comb.Paths(topology.AS111, topology.AS211, during)
+	paths := w.Combiner.Paths(topology.AS111, topology.AS211, testbed.Start)
 	best := paths[0]
 	pkt := &dataplane.Packet{
 		Src:     udp(topology.AS111, "10.0.0.1", 1),

@@ -8,6 +8,7 @@ import (
 	"tango/internal/dataplane"
 	"tango/internal/netsim"
 	"tango/internal/segment"
+	"tango/internal/testbed"
 	"tango/internal/topology"
 )
 
@@ -16,7 +17,7 @@ import (
 // byte-identical to Packet.Marshal.
 func TestMarshalTemplatedMatchesMarshal(t *testing.T) {
 	w := newWorld(t)
-	paths := w.comb.Paths(topology.AS111, topology.AS211, during)
+	paths := w.Combiner.Paths(topology.AS111, topology.AS211, testbed.Start)
 	if len(paths) == 0 {
 		t.Fatal("no paths")
 	}
@@ -71,7 +72,7 @@ func TestMarshalTemplatedMatchesMarshal(t *testing.T) {
 // payload, and the sender's packet is left untouched for reuse.
 func TestInjectTemplatedDelivers(t *testing.T) {
 	w := newWorld(t)
-	paths := w.comb.Paths(topology.AS111, topology.AS211, during)
+	paths := w.Combiner.Paths(topology.AS111, topology.AS211, testbed.Start)
 	tmpl, err := dataplane.TemplateFor(paths[0])
 	if err != nil {
 		t.Fatal(err)
@@ -84,16 +85,16 @@ func TestInjectTemplatedDelivers(t *testing.T) {
 	}
 	var mu sync.Mutex
 	var got []*dataplane.Packet
-	w.world.Router(topology.AS211).SetDeliveryHandler(func(p *dataplane.Packet) {
+	w.DW.Router(topology.AS211).SetDeliveryHandler(func(p *dataplane.Packet) {
 		mu.Lock()
 		got = append(got, p)
 		mu.Unlock()
 	})
 	for i := 0; i < 3; i++ { // reuse the same packet across sends
-		if err := w.world.Router(topology.AS111).InjectTemplated(pkt, tmpl); err != nil {
+		if err := w.DW.Router(topology.AS111).InjectTemplated(pkt, tmpl); err != nil {
 			t.Fatal(err)
 		}
-		for w.clock.AdvanceToNext() {
+		for w.Clock.AdvanceToNext() {
 		}
 	}
 	if len(got) != 3 {
@@ -112,10 +113,10 @@ func TestInjectTemplatedDelivers(t *testing.T) {
 		t.Fatalf("InjectTemplated mutated the caller's packet: CurrHop %d", pkt.CurrHop)
 	}
 	// A nil template falls back to InjectLocal transparently.
-	if err := w.world.Router(topology.AS111).InjectTemplated(pkt, nil); err != nil {
+	if err := w.DW.Router(topology.AS111).InjectTemplated(pkt, nil); err != nil {
 		t.Fatal(err)
 	}
-	for w.clock.AdvanceToNext() {
+	for w.Clock.AdvanceToNext() {
 	}
 	mu.Lock()
 	defer mu.Unlock()
@@ -129,7 +130,7 @@ func TestInjectTemplatedDelivers(t *testing.T) {
 // forged hop bytes differ, so the cached PASS verdict must not apply.
 func TestMACCacheRejectsForgeryAfterWarm(t *testing.T) {
 	w := newWorld(t)
-	paths := w.comb.Paths(topology.AS111, topology.AS211, during)
+	paths := w.Combiner.Paths(topology.AS111, topology.AS211, testbed.Start)
 	best := paths[0]
 	good := &dataplane.Packet{
 		Src:  udp(topology.AS111, "10.0.0.1", 1),
@@ -144,7 +145,7 @@ func TestMACCacheRejectsForgeryAfterWarm(t *testing.T) {
 			t.Fatal("valid packet not delivered")
 		}
 	}
-	transit := w.world.Router(best.Hops[1].IA)
+	transit := w.DW.Router(best.Hops[1].IA)
 	badBefore := transit.Stats().BadMAC
 	hops := append([]segment.Hop(nil), best.Hops...)
 	hops[1].Auth[0].HopField.ConsEgress++ // stale MAC, warm cache
@@ -172,7 +173,7 @@ func TestMACCacheRejectsForgeryAfterWarm(t *testing.T) {
 // remain intact for handlers that retain packets without releasing.
 func TestReleasedPacketsAreReused(t *testing.T) {
 	w := newWorld(t)
-	paths := w.comb.Paths(topology.AS111, topology.AS211, during)
+	paths := w.Combiner.Paths(topology.AS111, topology.AS211, testbed.Start)
 	pkt := &dataplane.Packet{
 		Src:     udp(topology.AS111, "10.0.0.1", 1),
 		Dst:     udp(topology.AS211, "10.0.0.2", 2),
@@ -181,7 +182,7 @@ func TestReleasedPacketsAreReused(t *testing.T) {
 	}
 	seen := make(map[*dataplane.Packet]int)
 	deliveries := 0
-	w.world.Router(topology.AS211).SetDeliveryHandler(func(p *dataplane.Packet) {
+	w.DW.Router(topology.AS211).SetDeliveryHandler(func(p *dataplane.Packet) {
 		deliveries++
 		seen[p]++
 		if string(p.Payload) != "pooled delivery" {
@@ -192,10 +193,10 @@ func TestReleasedPacketsAreReused(t *testing.T) {
 	const n = 8
 	for i := 0; i < n; i++ {
 		fresh := *pkt // InjectLocal advances CurrHop in the caller's packet
-		if err := w.world.Router(topology.AS111).InjectLocal(&fresh); err != nil {
+		if err := w.DW.Router(topology.AS111).InjectLocal(&fresh); err != nil {
 			t.Fatal(err)
 		}
-		for w.clock.AdvanceToNext() {
+		for w.Clock.AdvanceToNext() {
 		}
 	}
 	if deliveries != n {

@@ -8,9 +8,8 @@ import (
 	"time"
 
 	"tango/internal/netsim"
+	"tango/internal/testbed"
 )
-
-var epoch = time.Date(2022, 10, 10, 0, 0, 0, 0, time.UTC)
 
 func TestMessageRoundTrip(t *testing.T) {
 	m := &Message{
@@ -63,8 +62,7 @@ func TestMarshalRejectsBadNames(t *testing.T) {
 
 func world(t *testing.T) (*netsim.SimClock, *netsim.StreamNetwork, *Zone, *Resolver) {
 	t.Helper()
-	clock := netsim.NewSimClock(epoch)
-	t.Cleanup(clock.AutoAdvance(100 * time.Microsecond))
+	clock := testbed.AutoClock(t)
 	n := netsim.NewStreamNetwork(clock)
 	n.SetRoute("client", "dns", netsim.RouteProps{Latency: 2 * time.Millisecond})
 	zone := NewZone()

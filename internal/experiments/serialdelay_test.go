@@ -5,7 +5,7 @@ import (
 	"testing"
 	"time"
 
-	"tango/internal/netsim"
+	"tango/internal/testbed"
 )
 
 // TestSerialDelayHoldsNoLockAcrossWait: callers that arrive at one instant
@@ -18,13 +18,13 @@ func TestSerialDelayHoldsNoLockAcrossWait(t *testing.T) {
 		waiters = 4
 		cost    = 10 * time.Millisecond
 	)
-	clock := netsim.NewSimClock(Epoch)
+	clock := testbed.NewClock()
 	d := NewSerialDelay(clock, cost, 0, 1)
 	done := make(chan time.Duration, waiters)
 	for i := 0; i < waiters; i++ {
 		go func() {
 			d.Wait()
-			done <- clock.Since(Epoch)
+			done <- clock.Since(testbed.Start)
 		}()
 	}
 	// within polls cond until it holds, for up to 5 s of wall time.

@@ -7,89 +7,56 @@ package experiments
 import (
 	"fmt"
 	"math/rand"
-	"net/netip"
 	"sync"
 	"time"
 
 	"tango/internal/addr"
-	"tango/internal/beacon"
 	"tango/internal/browser"
-	"tango/internal/dataplane"
 	"tango/internal/dnssim"
 	"tango/internal/netsim"
 	"tango/internal/pan"
-	"tango/internal/pathdb"
 	"tango/internal/proxy"
 	"tango/internal/sciondetect"
-	"tango/internal/snet"
 	"tango/internal/squic"
+	"tango/internal/testbed"
 	"tango/internal/topology"
 	"tango/internal/webserver"
 )
 
-// Epoch is the virtual start time of every experiment world.
-var Epoch = time.Date(2022, 10, 10, 0, 0, 0, 0, time.UTC)
-
-// World is a fully assembled simulation: SCION control and data plane,
-// legacy IP network, DNS, and a shared virtual clock.
+// World is a fully assembled simulation: the testbed's SCION world (control
+// and data plane on a shared virtual clock) plus the legacy IP network, DNS
+// and the squic trust pool.
 type World struct {
-	Topo     *topology.Topology
-	Infra    *beacon.Infra
-	Registry *pathdb.Registry
-	Combiner *pathdb.Combiner
-	Clock    *netsim.SimClock
-	DW       *dataplane.World
-	Legacy   *netsim.StreamNetwork
-	Zone     *dnssim.Zone
-	Pool     *squic.CertPool
+	*testbed.World
+	Legacy *netsim.StreamNetwork
+	Zone   *dnssim.Zone
+	Pool   *squic.CertPool
 
-	dispatchers map[addr.IA]*snet.Dispatcher
-	dnsServer   *dnssim.Server
-	stop        func()
-	seed        int64
+	dnsServer *dnssim.Server
+	stop      func()
+	seed      int64
 }
 
 // NewWorld builds a world over the default topology (optionally customized)
 // with beaconing complete and the virtual clock auto-advancing.
 func NewWorld(seed int64, customize func(*topology.Topology)) (*World, error) {
-	topo := topology.Default()
-	if customize != nil {
-		customize(topo)
-	}
-	infra, err := beacon.NewInfra(topo, Epoch, Epoch.Add(30*24*time.Hour))
-	if err != nil {
-		return nil, err
-	}
-	reg := pathdb.NewRegistry(infra.Store)
-	if err := beacon.NewService(topo, infra, reg, 24*time.Hour).Run(Epoch); err != nil {
-		return nil, err
-	}
-	clock := netsim.NewSimClock(Epoch.Add(time.Hour))
-	dw, err := dataplane.NewWorld(topo, infra.ForwardingKeys, clock, seed)
+	clock := testbed.NewClock()
+	tb, err := testbed.NewWorld(clock, customize, seed)
 	if err != nil {
 		return nil, err
 	}
 	w := &World{
-		Topo:        topo,
-		Infra:       infra,
-		Registry:    reg,
-		Combiner:    pathdb.NewCombiner(reg),
-		Clock:       clock,
-		DW:          dw,
-		Legacy:      netsim.NewStreamNetwork(clock),
-		Zone:        dnssim.NewZone(),
-		Pool:        squic.NewCertPool(),
-		dispatchers: make(map[addr.IA]*snet.Dispatcher),
-		seed:        seed,
-	}
-	for _, as := range topo.ASes() {
-		w.dispatchers[as.IA] = snet.NewDispatcher(dw.Router(as.IA), clock)
+		World:  tb,
+		Legacy: netsim.NewStreamNetwork(clock),
+		Zone:   dnssim.NewZone(),
+		Pool:   squic.NewCertPool(),
+		seed:   seed,
 	}
 	w.dnsServer, err = dnssim.Serve(w.Legacy, "dns:53", w.Zone)
 	if err != nil {
 		return nil, err
 	}
-	w.stop = clock.AutoAdvance(200 * time.Microsecond)
+	w.stop = testbed.Advance(clock)
 	return w, nil
 }
 
@@ -97,11 +64,6 @@ func NewWorld(seed int64, customize func(*topology.Topology)) (*World, error) {
 func (w *World) Close() {
 	w.dnsServer.Close()
 	w.stop()
-}
-
-// Stack returns a host stack inside an AS.
-func (w *World) Stack(ia addr.IA, ip string) *snet.Stack {
-	return w.dispatchers[ia].Host(netip.MustParseAddr(ip), w.DW.Router(ia))
 }
 
 // PANHost returns a PAN host (stack + combiner + trust pool).

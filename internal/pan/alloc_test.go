@@ -1,6 +1,7 @@
 package pan_test
 
 import (
+	"context"
 	"net/netip"
 	"runtime"
 	"sync"
@@ -12,6 +13,7 @@ import (
 	"tango/internal/netsim"
 	"tango/internal/pan"
 	"tango/internal/segment"
+	"tango/internal/testbed"
 	"tango/internal/topology"
 )
 
@@ -25,7 +27,7 @@ import (
 // with a BatchSink subscribed allocates nothing, one sample or a burst.
 func TestMonitorIngestAllocs(t *testing.T) {
 	paths := []*segment.Path{fakePath(topology.AS211, 0)}
-	clock := netsim.NewSimClock(time.Date(2022, 10, 10, 0, 0, 0, 0, time.UTC))
+	clock := testbed.NewClock()
 	m := pan.NewMonitor(clock, func(addr.IA) []*segment.Path { return paths }, pan.MonitorOptions{
 		Probe: (&probeScript{}).fn,
 	})
@@ -310,5 +312,28 @@ func TestServerObserveAllocs(t *testing.T) {
 	}
 	if got := samples(); got != 102 {
 		t.Fatalf("server ingested %d of 102 samples", got)
+	}
+}
+
+// TestDialerLookupAllocs: with a live pooled connection, the lookups the
+// proxy makes around every round trip (PoolState before and after it,
+// Cached for the annotation) allocate nothing, because the pools are keyed
+// by comparable structs rather than formatted strings.
+func TestDialerLookupAllocs(t *testing.T) {
+	_, client, remote := dialWorld(t)
+	d := client.NewDialer(pan.DialOptions{ServerName: "dialer.server"})
+	defer d.Close()
+	if _, _, err := d.Dial(context.Background(), remote, ""); err != nil {
+		t.Fatal(err)
+	}
+	if n := testing.AllocsPerRun(100, func() {
+		if _, live := d.PoolState(remote, ""); !live {
+			t.Fatal("pooled connection not live")
+		}
+		if _, ok := d.Cached(remote, ""); !ok {
+			t.Fatal("no cached selection")
+		}
+	}); n != 0 {
+		t.Errorf("PoolState + Cached: %v allocs, want 0", n)
 	}
 }

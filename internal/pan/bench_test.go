@@ -19,11 +19,11 @@ func benchDials(b *testing.B, w *world, d *pan.Dialer, remote addr.UDPAddr, widt
 	b.ResetTimer()
 	for range b.N {
 		d.Invalidate() // force a fresh dial per iteration
-		start := w.clock.Now()
+		start := w.Clock.Now()
 		if _, _, err := d.Dial(context.Background(), remote, ""); err != nil {
 			b.Fatal(err)
 		}
-		virtual += w.clock.Since(start)
+		virtual += w.Clock.Since(start)
 		width += d.LastRace().Width
 	}
 	b.ReportMetric(float64(virtual.Milliseconds())/float64(b.N), "virtms/dial")
@@ -95,9 +95,9 @@ func benchRounds(b *testing.B, w *world, monitor *pan.Monitor) {
 	var virtual time.Duration
 	b.ResetTimer()
 	for range b.N {
-		start := w.clock.Now()
+		start := w.Clock.Now()
 		monitor.RunRound()
-		virtual += w.clock.Since(start)
+		virtual += w.Clock.Since(start)
 	}
 	b.ReportMetric(float64(virtual.Milliseconds())/float64(b.N), "virtms/round")
 	b.ReportMetric(float64(monitor.TrackedPaths()), "paths/round")
@@ -141,7 +141,7 @@ func BenchmarkSnapshotMerge(b *testing.B) {
 	warm := client.NewMonitor(pan.MonitorOptions{BaseInterval: time.Second})
 	warm.Track(remote, "dialer.server")
 	warm.RunRound()
-	cold := pan.NewMonitor(w.clock, client.Paths, pan.MonitorOptions{BaseInterval: time.Second})
+	cold := pan.NewMonitor(w.Clock, client.Paths, pan.MonitorOptions{BaseInterval: time.Second})
 	applied := 0
 	b.ResetTimer()
 	for range b.N {

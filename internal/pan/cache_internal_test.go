@@ -6,8 +6,8 @@ import (
 	"time"
 
 	"tango/internal/addr"
-	"tango/internal/netsim"
 	"tango/internal/segment"
+	"tango/internal/testbed"
 )
 
 // TestLinkStatsCached (whitebox): the sorted link snapshot is computed once
@@ -26,7 +26,7 @@ func TestLinkStatsCached(t *testing.T) {
 		},
 		Meta: segment.Metadata{Latency: 10 * time.Millisecond},
 	}
-	clock := netsim.NewSimClock(time.Date(2022, 10, 10, 0, 0, 0, 0, time.UTC))
+	clock := testbed.NewClock()
 	m := NewMonitor(clock, func(addr.IA) []*segment.Path { return []*segment.Path{path} }, MonitorOptions{
 		BaseInterval: time.Second,
 		Probe: func(addr.UDPAddr, string, *segment.Path, time.Duration) (time.Duration, error) {

@@ -104,18 +104,18 @@ type Dialer struct {
 	sel    Selector
 	epoch  uint64
 	closed bool
-	conns  map[string]*pooledConn
+	conns  map[target]*pooledConn
 	// stripes pools striped connection sets per destination (DialStriped),
 	// epoch-keyed and invalidated exactly like conns.
-	stripes map[string]*Striped
+	stripes map[target]*Striped
 	// last remembers the most recent successful selection per destination
 	// at the current epoch, surviving the pooled connection's death so a
 	// response served just before a failure still annotates correctly.
-	last map[string]Selection
+	last map[target]Selection
 	// tracked mirrors the pool into the monitor's probe set: a destination
 	// is tracked while (and only while) it has a pooled connection, so a
 	// long-lived proxy stops probing origins it no longer talks to.
-	tracked  map[string]trackRef
+	tracked  map[trackKey]bool
 	lastRace RaceDecision
 	// dials counts fresh connections pooled, ever; each pooledConn is
 	// stamped with the value at its pooling (see pooledConn.gen), giving
@@ -123,21 +123,20 @@ type Dialer struct {
 	dials uint64
 }
 
-// trackRef remembers what was passed to Monitor.Track so the matching
-// Untrack is exact.
-type trackRef struct {
-	remote     addr.UDPAddr
-	serverName string
+// trackKey is one entry of the tracking mirror. A destination pooled both
+// as a single connection and as a stripe set holds one refcounted Track
+// for each.
+type trackKey struct {
+	target
+	stripe bool
 }
 
 // pooledConn is one reusable connection plus the selection that produced it.
 type pooledConn struct {
-	conn       *squic.Conn
-	sel        Selection
-	epoch      uint64
-	gen        uint64 // unique per pooling; PoolState's re-dial detector
-	remote     addr.UDPAddr
-	serverName string
+	conn  *squic.Conn
+	sel   Selection
+	epoch uint64
+	gen   uint64 // unique per pooling; PoolState's re-dial detector
 }
 
 // NewDialer builds a Dialer on the host.
@@ -150,7 +149,7 @@ func (h *Host) NewDialer(opts DialOptions) *Dialer {
 	if opts.RaceStagger == 0 {
 		opts.RaceStagger = DefaultRaceStagger
 	}
-	d := &Dialer{host: h, opts: opts, sel: opts.Selector, conns: make(map[string]*pooledConn), stripes: make(map[string]*Striped), last: make(map[string]Selection), tracked: make(map[string]trackRef)}
+	d := &Dialer{host: h, opts: opts, sel: opts.Selector, conns: make(map[target]*pooledConn), stripes: make(map[target]*Striped), last: make(map[target]Selection), tracked: make(map[trackKey]bool)}
 	if m := opts.Monitor; m != nil {
 		// Probe outcomes reach whatever selector is active at delivery
 		// time, so SetSelector redirects probe feedback automatically.
@@ -209,17 +208,17 @@ func (d *Dialer) Invalidate() {
 	d.mu.Lock()
 	d.epoch++
 	conns := d.conns
-	d.conns = make(map[string]*pooledConn)
+	d.conns = make(map[target]*pooledConn)
 	stripes := d.stripes
-	d.stripes = make(map[string]*Striped)
-	d.last = make(map[string]Selection) // selected under a superseded policy
+	d.stripes = make(map[target]*Striped)
+	d.last = make(map[target]Selection) // selected under a superseded policy
 	// Under d.mu: a concurrent Dial cannot interleave its Track between
 	// this snapshot and the release, so the refcounts stay exact. Entries
 	// exist only with a monitor attached.
-	for _, ref := range d.tracked {
-		d.opts.Monitor.Untrack(ref.remote, ref.serverName)
+	for k := range d.tracked {
+		d.opts.Monitor.Untrack(k.remote, k.serverName)
 	}
-	d.tracked = make(map[string]trackRef)
+	d.tracked = make(map[trackKey]bool)
 	d.mu.Unlock()
 	for _, pc := range conns {
 		pc.conn.Close()
@@ -243,11 +242,6 @@ func (d *Dialer) Close() {
 	d.Invalidate()
 }
 
-// key identifies one reusable connection.
-func (d *Dialer) key(remote addr.UDPAddr, serverName string) string {
-	return remote.String() + "|" + serverName
-}
-
 // Cached returns the most recent Selection that produced a connection to
 // remote at the current epoch — the annotation source for callers that
 // already routed a request over the pool. It keeps answering after the
@@ -259,7 +253,7 @@ func (d *Dialer) Cached(remote addr.UDPAddr, serverName string) (Selection, bool
 	}
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	sel, ok := d.last[d.key(remote, serverName)]
+	sel, ok := d.last[target{remote, serverName}]
 	return sel, ok
 }
 
@@ -278,7 +272,7 @@ func (d *Dialer) PoolState(remote addr.UDPAddr, serverName string) (gen uint64, 
 	}
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	pc := d.conns[d.key(remote, serverName)]
+	pc := d.conns[target{remote, serverName}]
 	if pc == nil || pc.epoch != d.epoch || pc.conn.Err() != nil {
 		return 0, false
 	}
@@ -298,14 +292,14 @@ func (d *Dialer) ReportFailure(remote addr.UDPAddr, serverName string) {
 		serverName = d.opts.ServerName
 	}
 	d.mu.Lock()
-	key := d.key(remote, serverName)
+	key := target{remote, serverName}
 	pc := d.conns[key]
 	if pc == nil || pc.conn.Err() == nil {
 		d.mu.Unlock()
 		return
 	}
 	delete(d.conns, key)
-	d.untrackKeyLocked(key)
+	d.untrackKeyLocked(trackKey{target: key})
 	sel := d.sel
 	d.mu.Unlock()
 	pc.conn.Close()
@@ -318,13 +312,12 @@ func (d *Dialer) ReportFailure(remote addr.UDPAddr, serverName string) {
 // outside its own lock), so a concurrent Dial can never re-Track a
 // destination between an Invalidate's snapshot and its release — the
 // refcount stays exact.
-func (d *Dialer) untrackKeyLocked(key string) {
-	ref, ok := d.tracked[key]
-	if !ok {
+func (d *Dialer) untrackKeyLocked(k trackKey) {
+	if !d.tracked[k] {
 		return
 	}
-	delete(d.tracked, key)
-	d.opts.Monitor.Untrack(ref.remote, ref.serverName)
+	delete(d.tracked, k)
+	d.opts.Monitor.Untrack(k.remote, k.serverName)
 }
 
 // Dial returns a connection to remote whose server proves serverName
@@ -345,7 +338,7 @@ func (d *Dialer) Dial(ctx context.Context, remote addr.UDPAddr, serverName strin
 	if serverName == "" {
 		serverName = d.opts.ServerName
 	}
-	key := d.key(remote, serverName)
+	key := target{remote, serverName}
 	epoch := d.epoch
 	sel := d.sel
 	if pc := d.conns[key]; pc != nil {
@@ -357,7 +350,7 @@ func (d *Dialer) Dial(ctx context.Context, remote addr.UDPAddr, serverName strin
 		// failures below, not graceful closes, feed the health signal. The
 		// probe set follows the pool: a successful re-dial re-tracks.
 		delete(d.conns, key)
-		d.untrackKeyLocked(key)
+		d.untrackKeyLocked(trackKey{target: key})
 		defer pc.conn.Close()
 	}
 	d.mu.Unlock()
@@ -433,15 +426,15 @@ func (d *Dialer) Dial(ctx context.Context, remote addr.UDPAddr, serverName strin
 		return existing.conn, existing.sel, nil
 	}
 	d.dials++
-	d.conns[key] = &pooledConn{conn: conn, sel: selection, epoch: epoch, gen: d.dials, remote: remote, serverName: serverName}
+	d.conns[key] = &pooledConn{conn: conn, sel: selection, epoch: epoch, gen: d.dials}
 	d.last[key] = selection
 	if monitor != nil {
-		if _, ok := d.tracked[key]; !ok {
+		if tk := (trackKey{target: key}); !d.tracked[tk] {
 			// The pooled destination joins the shared probe set — under
 			// d.mu, so a concurrent Invalidate/Close cannot slip between
 			// the mirror entry and the refcount. The matching Untrack fires
 			// when this pool entry is evicted or closed.
-			d.tracked[key] = trackRef{remote: remote, serverName: serverName}
+			d.tracked[tk] = true
 			monitor.Track(remote, serverName)
 		}
 	}

@@ -315,7 +315,7 @@ func TestDialerRacedAllCandidatesFail(t *testing.T) {
 
 // TestDialerCancelDiscardsEarlierFailureReports is the regression test for
 // the latent sequential-dial bug: candidate 1 fails (its Failure formerly
-// reported immediately), then the caller cancels during candidate 2's dial.
+// reported immediately), then the caller cancels testbed.Start candidate 2's dial.
 // The whole call was abandoned — the selector must see NO reports from it,
 // or every caller-side cancellation would poison rankings. Racing makes
 // cancellation the common case, so this semantics is now load-bearing.
@@ -341,7 +341,7 @@ func TestDialerCancelDiscardsEarlierFailureReports(t *testing.T) {
 	// caller cancels at 3s, mid-candidate-2.
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	w.clock.AfterFunc(3*time.Second, func() { cancel() })
+	w.Clock.AfterFunc(3*time.Second, func() { cancel() })
 	_, _, err := d.Dial(ctx, remote, "")
 	if err == nil {
 		t.Fatal("canceled dial succeeded")
@@ -367,7 +367,7 @@ func TestDialerHonorsContextDeadline(t *testing.T) {
 
 	// An already-expired deadline (on the virtual clock) must fail without
 	// dialing.
-	ctx, cancel := context.WithDeadline(context.Background(), w.clock.Now().Add(-time.Second))
+	ctx, cancel := context.WithDeadline(context.Background(), w.Clock.Now().Add(-time.Second))
 	defer cancel()
 	if _, _, err := d.Dial(ctx, remote, ""); err == nil {
 		t.Fatal("dial with expired deadline succeeded")

@@ -10,6 +10,7 @@ import (
 	"tango/internal/addr"
 	"tango/internal/netsim"
 	"tango/internal/segment"
+	"tango/internal/testbed"
 )
 
 // ringPath builds a distinct in-memory path to dst (distinct hop sequence →
@@ -36,7 +37,7 @@ func ringRemote(dst addr.IA, host int) addr.UDPAddr {
 // tracked but that arrives after the last Untrack must NOT apply —
 // tracking is the contract — and is counted in IngestStats.Untracked.
 func TestMonitorDrainDropsUntracked(t *testing.T) {
-	clock := netsim.NewSimClock(time.Date(2022, 10, 10, 0, 0, 0, 0, time.UTC))
+	clock := testbed.NewClock()
 	dst := ringDst(2)
 	p := ringPath(dst, 0)
 	m := NewMonitor(clock, func(addr.IA) []*segment.Path { return []*segment.Path{p} }, MonitorOptions{
@@ -264,7 +265,7 @@ func TestMonitorIngestHammer(t *testing.T) {
 // it is iterating is not overwritten by the nested one, and both batches
 // are accounted.
 func TestObserveBatchReentrantSink(t *testing.T) {
-	clock := netsim.NewSimClock(time.Date(2022, 10, 10, 0, 0, 0, 0, time.UTC))
+	clock := testbed.NewClock()
 	dst := ringDst(4)
 	pa, pb := ringPath(dst, 0), ringPath(dst, 1)
 	m := NewMonitor(clock, func(addr.IA) []*segment.Path { return []*segment.Path{pa, pb} }, MonitorOptions{

@@ -146,11 +146,21 @@ func (s *excessSeries) ingest(x time.Duration, now time.Time) {
 	s.last = now
 }
 
-// monTarget is one refcounted destination whose paths are probed.
-type monTarget struct {
+// target is one destination: a remote address and the server name its
+// certificate must prove. It keys the monitor's target tables and the
+// dialer's pools.
+type target struct {
 	remote     addr.UDPAddr
 	serverName string
-	refs       int
+}
+
+// String is the "remote|serverName" form printouts show.
+func (t target) String() string { return t.remote.String() + "|" + t.serverName }
+
+// monTarget is one refcounted destination whose paths are probed.
+type monTarget struct {
+	target
+	refs int
 	// activeRefs counts the trackers that want ACTIVE probing. A target
 	// whose refs are all passive (TrackPassive — e.g. a server tracking the
 	// clients it serves) accepts passive samples and retains telemetry but
@@ -173,7 +183,7 @@ type SampleSplit struct {
 // on the entry object would then latch or clear the wrong incarnation.
 type monEntry struct {
 	path    *segment.Path
-	targets map[string]*monTarget // target keys this path serves
+	targets map[target]*monTarget // targets this path serves
 	// links memoizes pathLinks(path) — the hop sequence is fixed for a
 	// fingerprint, and rebuilding the slice was the one allocation left on
 	// the per-sample ingest path.
@@ -262,11 +272,11 @@ type Monitor struct {
 	wheel *probeWheel
 
 	mu      sync.Mutex //lint:lockorder panmon before panwheel
-	targets map[string]*monTarget
+	targets map[target]*monTarget
 	entries map[string]*monEntry // path fingerprint → state
 	// byTarget indexes each target's entries so Track/Untrack and path-set
 	// reconciliation cost O(paths of that target), not O(all entries).
-	byTarget map[string]map[string]*monEntry
+	byTarget map[target]map[string]*monEntry
 	// inflight marks fingerprints with a probe currently on the wire, at
 	// most one per path. Monitor-level (not per-entry) so a probe draining
 	// across entry pruning/re-creation — or across a Stop→Start cycle —
@@ -367,9 +377,9 @@ func NewMonitor(clock netsim.Clock, paths func(addr.IA) []*segment.Path, opts Mo
 		clock:    clock,
 		paths:    paths,
 		opts:     opts,
-		targets:  make(map[string]*monTarget),
+		targets:  make(map[target]*monTarget),
 		entries:  make(map[string]*monEntry),
-		byTarget: make(map[string]map[string]*monEntry),
+		byTarget: make(map[target]map[string]*monEntry),
 		inflight: make(map[string]bool),
 		links:    make(map[linkKey]map[string]*excessSeries),
 		priors:   make(map[linkKey]*linkPrior),
@@ -428,10 +438,6 @@ func (h *Host) handshakeProbe(remote addr.UDPAddr, serverName string, path *segm
 	return rtt, nil
 }
 
-func targetKey(remote addr.UDPAddr, serverName string) string {
-	return remote.String() + "|" + serverName
-}
-
 // Track adds a destination to the probe set, reference-counted: a
 // destination tracked by several dialers is probed once, and keeps being
 // probed until every tracker has untracked it.
@@ -452,10 +458,10 @@ func (m *Monitor) TrackPassive(remote addr.UDPAddr, serverName string) {
 func (m *Monitor) track(remote addr.UDPAddr, serverName string, active bool) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	key := targetKey(remote, serverName)
+	key := target{remote, serverName}
 	tgt := m.targets[key]
 	if tgt == nil {
-		tgt = &monTarget{remote: remote, serverName: serverName}
+		tgt = &monTarget{target: key}
 		m.targets[key] = tgt
 	}
 	// Per-entry schedulability BEFORE the ref change, so a passive→active
@@ -470,7 +476,7 @@ func (m *Monitor) track(remote addr.UDPAddr, serverName string, active bool) {
 	}
 	if tgt.refs == 1 {
 		m.pruneLocked()
-		m.syncTargetLocked(key, tgt)
+		m.syncTargetLocked(tgt)
 		return
 	}
 	if active && tgt.activeRefs == 1 {
@@ -499,7 +505,7 @@ func (m *Monitor) UntrackPassive(remote addr.UDPAddr, serverName string) {
 func (m *Monitor) untrack(remote addr.UDPAddr, serverName string, active bool) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	key := targetKey(remote, serverName)
+	key := target{remote, serverName}
 	tgt := m.targets[key]
 	if tgt == nil {
 		return
@@ -592,7 +598,8 @@ func (m *Monitor) pruneLocked() {
 // path the control plane no longer offers drop the reference — so path
 // expiry and turnover retire defunct schedules instead of probing ghosts
 // forever.
-func (m *Monitor) syncTargetLocked(key string, tgt *monTarget) {
+func (m *Monitor) syncTargetLocked(tgt *monTarget) {
+	key := tgt.target
 	idx := m.byTarget[key]
 	if idx == nil {
 		idx = make(map[string]*monEntry)
@@ -606,7 +613,7 @@ func (m *Monitor) syncTargetLocked(key string, tgt *monTarget) {
 		if e == nil {
 			e = &monEntry{
 				path:     p,
-				targets:  make(map[string]*monTarget),
+				targets:  make(map[target]*monTarget),
 				interval: m.opts.BaseInterval,
 			}
 			m.entries[fp] = e
@@ -853,7 +860,9 @@ func (m *Monitor) probeEntry(fp string, scheduled bool) {
 		if t.activeRefs == 0 {
 			continue
 		}
-		if tgt == nil || targetKey(t.remote, t.serverName) < targetKey(tgt.remote, tgt.serverName) {
+		// The lowest formatted target wins: a deterministic pick, and the
+		// only place targets are formatted, on the probe path.
+		if tgt == nil || t.String() < tgt.String() {
 			tgt = t
 		}
 	}
@@ -916,13 +925,13 @@ func (m *Monitor) resyncEntryTargets(fp string) {
 	if e == nil {
 		return
 	}
-	keys := make([]string, 0, len(e.targets))
+	keys := make([]target, 0, len(e.targets))
 	for key := range e.targets {
 		keys = append(keys, key)
 	}
 	for _, key := range keys {
 		if tgt := m.targets[key]; tgt != nil {
-			m.syncTargetLocked(key, tgt)
+			m.syncTargetLocked(tgt)
 		}
 	}
 }
@@ -1174,7 +1183,7 @@ func (m *Monitor) IngestStats() IngestStats {
 func (m *Monitor) TargetSamples(remote addr.UDPAddr, serverName string) (SampleSplit, bool) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	key := targetKey(remote, serverName)
+	key := target{remote, serverName}
 	if m.targets[key] == nil {
 		return SampleSplit{}, false
 	}
@@ -1193,8 +1202,8 @@ func (m *Monitor) TargetSamples(remote addr.UDPAddr, serverName string) (SampleS
 func (m *Monitor) RunRound() {
 	var fps []string
 	m.mu.Lock()
-	for key, tgt := range m.targets {
-		m.syncTargetLocked(key, tgt)
+	for _, tgt := range m.targets {
+		m.syncTargetLocked(tgt)
 	}
 	for fp, e := range m.entries {
 		if m.inflight[fp] || !entrySchedulable(e) {

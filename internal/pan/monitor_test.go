@@ -12,6 +12,7 @@ import (
 	"tango/internal/netsim"
 	"tango/internal/pan"
 	"tango/internal/segment"
+	"tango/internal/testbed"
 	"tango/internal/topology"
 )
 
@@ -139,7 +140,7 @@ func probeTarget(i int) addr.UDPAddr {
 // one tracked destination and a report sink subscribed.
 func monitorFixture(t *testing.T, paths []*segment.Path, script *probeScript, opts pan.MonitorOptions) (*pan.Monitor, *netsim.SimClock, *reportLog) {
 	t.Helper()
-	clock := netsim.NewSimClock(time.Date(2022, 10, 10, 0, 0, 0, 0, time.UTC))
+	clock := testbed.NewClock()
 	script.clock = clock
 	log := &reportLog{}
 	opts.Probe = script.fn
@@ -215,7 +216,7 @@ func TestMonitorJitteredScheduling(t *testing.T) {
 			script.script[p.Fingerprint()] = []probeOutcome{{rtt: 20 * time.Millisecond}}
 		}
 	}
-	clock := netsim.NewSimClock(time.Date(2022, 10, 10, 0, 0, 0, 0, time.UTC))
+	clock := testbed.NewClock()
 	script.clock = clock
 	m := pan.NewMonitor(clock, func(ia addr.IA) []*segment.Path { return all }, pan.MonitorOptions{
 		BaseInterval: 4 * time.Second,
@@ -449,7 +450,7 @@ func TestMonitorFeedsSubscribedSelectors(t *testing.T) {
 		paths[0].Fingerprint(): {{rtt: 500 * time.Millisecond}},
 		fp1:                    {{rtt: 5 * time.Millisecond}},
 	}}
-	clock := netsim.NewSimClock(time.Date(2022, 10, 10, 0, 0, 0, 0, time.UTC))
+	clock := testbed.NewClock()
 	m := pan.NewMonitor(clock, func(addr.IA) []*segment.Path { return paths }, pan.MonitorOptions{
 		BaseInterval: time.Second, Probe: script.fn,
 	})
@@ -639,7 +640,7 @@ func TestHotspotSelectorRanksAroundSharedHotLink(t *testing.T) {
 		hotB.Fingerprint():  {{rtt: 92 * time.Millisecond}, {rtt: 192 * time.Millisecond}},
 		clean.Fingerprint(): {{rtt: 160 * time.Millisecond}},
 	}}
-	clock := netsim.NewSimClock(time.Date(2022, 10, 10, 0, 0, 0, 0, time.UTC))
+	clock := testbed.NewClock()
 	m := pan.NewMonitor(clock, func(addr.IA) []*segment.Path { return paths }, pan.MonitorOptions{
 		BaseInterval: time.Second, Probe: script.fn,
 	})
@@ -677,7 +678,7 @@ func TestMonitorDropsVanishedPaths(t *testing.T) {
 	}}
 	var mu sync.Mutex
 	current := []*segment.Path{keep, gone}
-	clock := netsim.NewSimClock(time.Date(2022, 10, 10, 0, 0, 0, 0, time.UTC))
+	clock := testbed.NewClock()
 	script.clock = clock
 	m := pan.NewMonitor(clock, func(addr.IA) []*segment.Path {
 		mu.Lock()
@@ -716,7 +717,7 @@ func TestMonitorDropsVanishedPaths(t *testing.T) {
 // same deviation, same sample count, same link attribution — differing only
 // in the passive/probe marking of the outcomes and counters.
 func TestMonitorObserveMatchesProbePipeline(t *testing.T) {
-	clock := netsim.NewSimClock(time.Date(2022, 10, 10, 0, 0, 0, 0, time.UTC))
+	clock := testbed.NewClock()
 	samples := []time.Duration{100 * time.Millisecond, 180 * time.Millisecond, 60 * time.Millisecond}
 
 	// Two monitors on one clock: one fed by probes, one fed by Observe.
@@ -869,7 +870,7 @@ func TestMonitorObserveUntrackedPathDropped(t *testing.T) {
 func TestMonitorStopRestartMidProbe(t *testing.T) {
 	p := fakePath(topology.AS211, 0)
 	fp := p.Fingerprint()
-	clock := netsim.NewSimClock(time.Date(2022, 10, 10, 0, 0, 0, 0, time.UTC))
+	clock := testbed.NewClock()
 	gate := make(chan struct{})
 	launched := make(chan struct{}, 16)
 	var mu sync.Mutex

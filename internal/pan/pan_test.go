@@ -8,58 +8,27 @@ import (
 	"time"
 
 	"tango/internal/addr"
-	"tango/internal/beacon"
-	"tango/internal/dataplane"
-	"tango/internal/netsim"
 	"tango/internal/pan"
-	"tango/internal/pathdb"
 	"tango/internal/policy"
 	"tango/internal/ppl"
-	"tango/internal/snet"
 	"tango/internal/squic"
+	"tango/internal/testbed"
 	"tango/internal/topology"
 )
 
-var (
-	t0 = time.Date(2022, 10, 10, 0, 0, 0, 0, time.UTC)
-	t1 = t0.Add(24 * time.Hour)
-)
-
+// world is the testbed world on an auto-advanced clock, with one squic
+// trust pool.
 type world struct {
-	clock *netsim.SimClock
-	comb  *pathdb.Combiner
-	dw    *dataplane.World
-	disp  map[addr.IA]*snet.Dispatcher
-	pool  *squic.CertPool
+	*testbed.World
+	pool *squic.CertPool
 }
 
 func newWorld(t testing.TB) *world {
-	t.Helper()
-	topo := topology.Default()
-	infra, err := beacon.NewInfra(topo, t0, t1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	reg := pathdb.NewRegistry(infra.Store)
-	if err := beacon.NewService(topo, infra, reg, 12*time.Hour).Run(t0); err != nil {
-		t.Fatal(err)
-	}
-	clock := netsim.NewSimClock(t0.Add(time.Hour))
-	dw, err := dataplane.NewWorld(topo, infra.ForwardingKeys, clock, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	disp := make(map[addr.IA]*snet.Dispatcher)
-	for _, as := range topo.ASes() {
-		disp[as.IA] = snet.NewDispatcher(dw.Router(as.IA), clock)
-	}
-	t.Cleanup(clock.AutoAdvance(150 * time.Microsecond))
-	return &world{clock: clock, comb: pathdb.NewCombiner(reg), dw: dw, disp: disp, pool: squic.NewCertPool()}
+	return &world{World: testbed.New(t, testbed.AutoClock(t), nil, 1), pool: squic.NewCertPool()}
 }
 
 func (w *world) host(ia addr.IA, ip string) *pan.Host {
-	stack := w.disp[ia].Host(netip.MustParseAddr(ip), w.dw.Router(ia))
-	return pan.NewHost(stack, w.comb, w.pool)
+	return pan.NewHost(w.Stack(ia, ip), w.Combiner, w.pool)
 }
 
 // echoServer serves one echo stream per accepted connection, forever.

@@ -5,9 +5,9 @@ import (
 	"time"
 
 	"tango/internal/addr"
-	"tango/internal/netsim"
 	"tango/internal/pan"
 	"tango/internal/segment"
+	"tango/internal/testbed"
 	"tango/internal/topology"
 )
 
@@ -24,7 +24,7 @@ func TestTrackPassiveNeverSchedulesProbes(t *testing.T) {
 		fp0:                    {{rtt: 50 * time.Millisecond}},
 		paths[1].Fingerprint(): {{rtt: 70 * time.Millisecond}},
 	}}
-	clock := netsim.NewSimClock(time.Date(2022, 10, 10, 0, 0, 0, 0, time.UTC))
+	clock := testbed.NewClock()
 	script.clock = clock
 	m := pan.NewMonitor(clock, func(addr.IA) []*segment.Path { return paths }, pan.MonitorOptions{
 		BaseInterval: time.Second,

@@ -245,7 +245,7 @@ func (m *Monitor) ImportLinks(snap LinkSnapshot, weight float64) (int, error) {
 		if e == nil {
 			e = &monEntry{
 				path:     path,
-				targets:  make(map[string]*monTarget),
+				targets:  make(map[target]*monTarget),
 				interval: m.opts.BaseInterval,
 			}
 			m.entries[p.Fingerprint] = e

@@ -9,6 +9,7 @@ import (
 	"tango/internal/netsim"
 	"tango/internal/pan"
 	"tango/internal/segment"
+	"tango/internal/testbed"
 	"tango/internal/topology"
 )
 
@@ -17,8 +18,7 @@ import (
 // carry ages, not timestamps, so clocks need not agree).
 func snapshotFixture(t *testing.T, paths []*segment.Path, opts pan.MonitorOptions) (warm, cold *pan.Monitor, warmClock, coldClock *netsim.SimClock, probes *probeScript) {
 	t.Helper()
-	epoch := time.Date(2022, 10, 10, 0, 0, 0, 0, time.UTC)
-	warmClock, coldClock = netsim.NewSimClock(epoch), netsim.NewSimClock(epoch)
+	warmClock, coldClock = testbed.NewClock(), testbed.NewClock()
 	probes = &probeScript{script: map[string][]probeOutcome{}}
 	pathsFn := func(addr.IA) []*segment.Path { return paths }
 	warmOpts := opts
@@ -214,8 +214,7 @@ func TestSnapshotRejectsMalformed(t *testing.T) {
 func TestSnapshotNeverSchedulesProbes(t *testing.T) {
 	paths := []*segment.Path{fakePath(topology.AS211, 0)}
 	fp := paths[0].Fingerprint()
-	epoch := time.Date(2022, 10, 10, 0, 0, 0, 0, time.UTC)
-	clock := netsim.NewSimClock(epoch)
+	clock := testbed.NewClock()
 	probes := &probeScript{script: map[string][]probeOutcome{fp: {{rtt: 50 * time.Millisecond}}}}
 	m := pan.NewMonitor(clock, func(addr.IA) []*segment.Path { return paths }, pan.MonitorOptions{
 		BaseInterval: time.Second,

@@ -11,6 +11,7 @@ import (
 	"tango/internal/netsim"
 	"tango/internal/pan/stripe"
 	"tango/internal/segment"
+	"tango/internal/testbed"
 	"tango/internal/topology"
 )
 
@@ -63,16 +64,8 @@ func hangFetch(ctx context.Context, p *stripe.Pipeline, seg stripe.Segment) ([]b
 	return nil, ctx.Err()
 }
 
-func simClock(t *testing.T) *netsim.SimClock {
-	t.Helper()
-	clock := netsim.NewSimClock(time.Unix(0, 0).UTC())
-	stop := clock.AutoAdvance(200 * time.Microsecond)
-	t.Cleanup(stop)
-	return clock
-}
-
 func TestFetchReassembles(t *testing.T) {
-	clock := simClock(t)
+	clock := testbed.AutoClock(t)
 	fast := stripe.NewPipeline(nil, testPath(1), 10*time.Millisecond, time.Millisecond)
 	slow := stripe.NewPipeline(nil, testPath(2), 40*time.Millisecond, time.Millisecond)
 	delays := map[*stripe.Pipeline]time.Duration{fast: 10 * time.Millisecond, slow: 40 * time.Millisecond}
@@ -115,7 +108,7 @@ func TestFetchReassembles(t *testing.T) {
 }
 
 func TestSchedulerPrefersLowPessimisticRTT(t *testing.T) {
-	clock := simClock(t)
+	clock := testbed.AutoClock(t)
 	fast := stripe.NewPipeline(nil, testPath(1), 10*time.Millisecond, time.Millisecond)
 	slow := stripe.NewPipeline(nil, testPath(2), 100*time.Millisecond, time.Millisecond)
 
@@ -151,7 +144,7 @@ func TestSchedulerPrefersLowPessimisticRTT(t *testing.T) {
 }
 
 func TestDeadPipelineReassignsOutstanding(t *testing.T) {
-	clock := simClock(t)
+	clock := testbed.AutoClock(t)
 	// The dying pipeline is seeded faster so the scheduler loads it first.
 	dying := stripe.NewPipeline(nil, testPath(1), 10*time.Millisecond, time.Millisecond)
 	healthy := stripe.NewPipeline(nil, testPath(2), 20*time.Millisecond, time.Millisecond)
@@ -194,7 +187,7 @@ func TestDeadPipelineReassignsOutstanding(t *testing.T) {
 }
 
 func TestAllPipelinesDeadFails(t *testing.T) {
-	clock := simClock(t)
+	clock := testbed.AutoClock(t)
 	only := stripe.NewPipeline(nil, testPath(1), 10*time.Millisecond, time.Millisecond)
 	_, err := stripe.Fetch(context.Background(), 0, 3000, []*stripe.Pipeline{only}, stripe.Options{
 		SegmentSize:   1000,
@@ -212,7 +205,7 @@ func TestAllPipelinesDeadFails(t *testing.T) {
 }
 
 func TestFetchRejectsDeadInput(t *testing.T) {
-	clock := simClock(t)
+	clock := testbed.AutoClock(t)
 	only := stripe.NewPipeline(nil, testPath(1), 10*time.Millisecond, time.Millisecond)
 	if _, err := stripe.Fetch(context.Background(), 0, 1000, []*stripe.Pipeline{only}, stripe.Options{
 		SegmentSize:   500,
@@ -233,7 +226,7 @@ func TestFetchRejectsDeadInput(t *testing.T) {
 }
 
 func TestShortSegmentIsLoss(t *testing.T) {
-	clock := simClock(t)
+	clock := testbed.AutoClock(t)
 	p1 := stripe.NewPipeline(nil, testPath(1), 10*time.Millisecond, time.Millisecond)
 	p2 := stripe.NewPipeline(nil, testPath(2), 20*time.Millisecond, time.Millisecond)
 	var mu sync.Mutex
@@ -272,7 +265,7 @@ func TestShortSegmentIsLoss(t *testing.T) {
 }
 
 func TestObserveReceivesSegmentRTTs(t *testing.T) {
-	clock := simClock(t)
+	clock := testbed.AutoClock(t)
 	p1 := stripe.NewPipeline(nil, testPath(1), 10*time.Millisecond, time.Millisecond)
 	p2 := stripe.NewPipeline(nil, testPath(2), 10*time.Millisecond, time.Millisecond)
 	samples := make(map[string]int)
@@ -302,7 +295,7 @@ func TestObserveReceivesSegmentRTTs(t *testing.T) {
 }
 
 func TestZeroLengthFetch(t *testing.T) {
-	clock := simClock(t)
+	clock := testbed.AutoClock(t)
 	p1 := stripe.NewPipeline(nil, testPath(1), 0, 0)
 	res, err := stripe.Fetch(context.Background(), 0, 0, []*stripe.Pipeline{p1}, stripe.Options{
 		Clock: clock,
@@ -317,7 +310,7 @@ func TestZeroLengthFetch(t *testing.T) {
 }
 
 func TestContextCancel(t *testing.T) {
-	clock := simClock(t)
+	clock := testbed.AutoClock(t)
 	p1 := stripe.NewPipeline(nil, testPath(1), 10*time.Millisecond, time.Millisecond)
 	ctx, cancel := context.WithCancel(context.Background())
 	done := make(chan struct{})

@@ -150,12 +150,12 @@ func (s *Striped) Fetch(ctx context.Context, off, length int64, fetch stripe.Fet
 }
 
 // StripedStatus snapshots every pooled striped set's pipelines, keyed by the
-// destination's "remote|serverName" pool key — the dialer-level liveness
+// destination formatted as "remote|serverName" — the dialer-level liveness
 // feed for CLI printouts. Pipeline snapshots are taken outside d.mu (lock
 // order: st.mu is never acquired under d.mu).
 func (d *Dialer) StripedStatus() map[string][]stripe.PipelineStatus {
 	d.mu.Lock()
-	sets := make(map[string]*Striped, len(d.stripes))
+	sets := make(map[target]*Striped, len(d.stripes))
 	for k, st := range d.stripes {
 		sets[k] = st
 	}
@@ -165,15 +165,10 @@ func (d *Dialer) StripedStatus() map[string][]stripe.PipelineStatus {
 	}
 	out := make(map[string][]stripe.PipelineStatus, len(sets))
 	for k, st := range sets {
-		out[k] = st.Status()
+		out[k.String()] = st.Status()
 	}
 	return out
 }
-
-// stripeTrackKey namespaces the stripe pool's monitor-tracking mirror entry
-// away from the single-connection pool's entry for the same destination, so
-// each holds its own refcounted Track.
-func stripeTrackKey(key string) string { return key + "|stripe" }
 
 // DialStriped returns a pooled striped connection set to remote: up to
 // opts.Width connections dialed concurrently over link-disjoint paths
@@ -198,7 +193,7 @@ func (d *Dialer) DialStriped(ctx context.Context, remote addr.UDPAddr, serverNam
 	if serverName == "" {
 		serverName = d.opts.ServerName
 	}
-	key := d.key(remote, serverName)
+	key := target{remote, serverName}
 	epoch := d.epoch
 	sel := d.sel
 	pooled := d.stripes[key]
@@ -213,7 +208,7 @@ func (d *Dialer) DialStriped(ctx context.Context, remote addr.UDPAddr, serverNam
 		d.mu.Lock()
 		if d.stripes[key] == pooled {
 			delete(d.stripes, key)
-			d.untrackKeyLocked(stripeTrackKey(key))
+			d.untrackKeyLocked(trackKey{key, true})
 		}
 		d.mu.Unlock()
 		pooled.closeConns()
@@ -324,9 +319,8 @@ func (d *Dialer) DialStriped(ctx context.Context, remote addr.UDPAddr, serverNam
 	d.stripes[key] = st
 	d.last[key] = st.sel
 	if monitor != nil {
-		tk := stripeTrackKey(key)
-		if _, ok := d.tracked[tk]; !ok {
-			d.tracked[tk] = trackRef{remote: remote, serverName: serverName}
+		if tk := (trackKey{key, true}); !d.tracked[tk] {
+			d.tracked[tk] = true
 			monitor.Track(remote, serverName)
 		}
 	}

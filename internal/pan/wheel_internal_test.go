@@ -9,13 +9,14 @@ import (
 	"tango/internal/addr"
 	"tango/internal/netsim"
 	"tango/internal/segment"
+	"tango/internal/testbed"
 )
 
 // TestProbeWheelFireTiming (whitebox): deadlines are rounded UP to a slot
 // boundary — a node never fires before its requested time, and never later
 // than one slot width past it.
 func TestProbeWheelFireTiming(t *testing.T) {
-	clock := netsim.NewSimClock(time.Date(2022, 10, 10, 0, 0, 0, 0, time.UTC))
+	clock := testbed.NewClock()
 	var mu sync.Mutex
 	fired := make(map[string]time.Time)
 	w := newProbeWheel(clock, 10*time.Millisecond, func(n *wheelNode) {
@@ -50,7 +51,7 @@ func TestProbeWheelFireTiming(t *testing.T) {
 // TestProbeWheelCancelAndIdentity (whitebox): cancel is O(1) and final —
 // a cancelled node never fires — and a node fires at most once.
 func TestProbeWheelCancelAndIdentity(t *testing.T) {
-	clock := netsim.NewSimClock(time.Date(2022, 10, 10, 0, 0, 0, 0, time.UTC))
+	clock := testbed.NewClock()
 	var mu sync.Mutex
 	count := map[string]int{}
 	w := newProbeWheel(clock, 10*time.Millisecond, func(n *wheelNode) {
@@ -93,7 +94,7 @@ func wheelTestMonitor(t *testing.T) (*Monitor, *netsim.SimClock, *segment.Path, 
 		Hops: []segment.Hop{{IA: src, Egress: 1}, {IA: dst, Ingress: 2}},
 		Meta: segment.Metadata{Latency: 10 * time.Millisecond},
 	}
-	clock := netsim.NewSimClock(time.Date(2022, 10, 10, 0, 0, 0, 0, time.UTC))
+	clock := testbed.NewClock()
 	var mu sync.Mutex
 	probes := 0
 	m := NewMonitor(clock, func(addr.IA) []*segment.Path { return []*segment.Path{path} }, MonitorOptions{

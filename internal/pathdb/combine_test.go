@@ -10,36 +10,12 @@ import (
 	"tango/internal/beacon"
 	"tango/internal/pathdb"
 	"tango/internal/segment"
+	"tango/internal/testbed"
 	"tango/internal/topology"
 )
 
-var (
-	t0     = time.Date(2022, 10, 10, 0, 0, 0, 0, time.UTC)
-	t1     = t0.Add(24 * time.Hour)
-	during = t0.Add(time.Hour)
-)
-
-// beaconed beacons the default topology at t0 into a fresh registry, with
-// segments expiring after expiry.
-func beaconed(t testing.TB, expiry time.Duration) (*topology.Topology, *beacon.Infra, *pathdb.Registry) {
-	t.Helper()
-	topo := topology.Default()
-	infra, err := beacon.NewInfra(topo, t0, t1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	reg := pathdb.NewRegistry(infra.Store)
-	if err := beacon.NewService(topo, infra, reg, expiry).Run(t0); err != nil {
-		t.Fatal(err)
-	}
-	return topo, infra, reg
-}
-
-func combinerWorld(t testing.TB) (*topology.Topology, *beacon.Infra, *pathdb.Combiner) {
-	t.Helper()
-	topo, infra, reg := beaconed(t, 12*time.Hour)
-	return topo, infra, pathdb.NewCombiner(reg)
-}
+// newWorld is the testbed world stepped by hand.
+func newWorld(t testing.TB) *testbed.World { return testbed.New(t, testbed.NewClock(), nil, 1) }
 
 // checkPathWellFormed asserts structural invariants every combined path must
 // satisfy.
@@ -85,8 +61,9 @@ func checkPathWellFormed(t *testing.T, topo *topology.Topology, p *segment.Path)
 }
 
 func TestPathsLeafToLeafSameISD(t *testing.T) {
-	topo, _, c := combinerWorld(t)
-	paths := c.Paths(topology.AS111, topology.AS121, during)
+	w := newWorld(t)
+	topo, c := w.Topo, w.Combiner
+	paths := c.Paths(topology.AS111, topology.AS121, testbed.Start)
 	if len(paths) < 3 {
 		t.Fatalf("found %d paths 111->121, want >= 3 (core, shortcut variants, peering)", len(paths))
 	}
@@ -105,14 +82,15 @@ func TestPathsLeafToLeafSameISD(t *testing.T) {
 }
 
 func TestPathsInterISD(t *testing.T) {
-	topo, _, c := combinerWorld(t)
-	paths := c.Paths(topology.AS111, topology.AS211, during)
+	w := newWorld(t)
+	topo, c := w.Topo, w.Combiner
+	paths := c.Paths(topology.AS111, topology.AS211, testbed.Start)
 	if len(paths) < 2 {
 		t.Fatalf("found %d paths 111->211, want >= 2", len(paths))
 	}
 	for _, p := range paths {
 		checkPathWellFormed(t, topo, p)
-		if p.Meta.ISDs()[0] != 1 {
+		if p.Meta.ASes[0].ISD != 1 {
 			t.Errorf("path %s does not start in ISD 1", p)
 		}
 	}
@@ -125,9 +103,10 @@ func TestPathsInterISD(t *testing.T) {
 }
 
 func TestPathsShortcutCommonAncestor(t *testing.T) {
-	topo, _, c := combinerWorld(t)
+	w := newWorld(t)
+	topo, c := w.Topo, w.Combiner
 	// 122 and 121: 121 is an ancestor of 122, so the 1-link path must exist.
-	paths := c.Paths(topology.AS122, topology.AS121, during)
+	paths := c.Paths(topology.AS122, topology.AS121, testbed.Start)
 	if len(paths) == 0 {
 		t.Fatal("no paths 122->121")
 	}
@@ -141,10 +120,11 @@ func TestPathsShortcutCommonAncestor(t *testing.T) {
 }
 
 func TestPathsSiblingShortcut(t *testing.T) {
-	topo, _, c := combinerWorld(t)
+	w := newWorld(t)
+	topo, c := w.Topo, w.Combiner
 	// 111 and 112 are siblings under 110: shortcut via 110 (3+4=7ms) beats
 	// any longer combination.
-	paths := c.Paths(topology.AS111, topology.AS112, during)
+	paths := c.Paths(topology.AS111, topology.AS112, testbed.Start)
 	if len(paths) == 0 {
 		t.Fatal("no paths 111->112")
 	}
@@ -162,8 +142,9 @@ func TestPathsSiblingShortcut(t *testing.T) {
 }
 
 func TestPathsToCoreAS(t *testing.T) {
-	topo, _, c := combinerWorld(t)
-	paths := c.Paths(topology.AS111, topology.Core210, during)
+	w := newWorld(t)
+	topo, c := w.Topo, w.Combiner
+	paths := c.Paths(topology.AS111, topology.Core210, testbed.Start)
 	if len(paths) == 0 {
 		t.Fatal("no paths 111->210")
 	}
@@ -176,8 +157,9 @@ func TestPathsToCoreAS(t *testing.T) {
 }
 
 func TestPathsFromCoreToCore(t *testing.T) {
-	topo, _, c := combinerWorld(t)
-	paths := c.Paths(topology.Core110, topology.Core220, during)
+	w := newWorld(t)
+	topo, c := w.Topo, w.Combiner
+	paths := c.Paths(topology.Core110, topology.Core220, testbed.Start)
 	if len(paths) < 2 {
 		t.Fatalf("found %d paths 110->220, want >= 2 (via 120, via 210)", len(paths))
 	}
@@ -191,16 +173,17 @@ func TestPathsFromCoreToCore(t *testing.T) {
 }
 
 func TestPathsSameAS(t *testing.T) {
-	_, _, c := combinerWorld(t)
-	paths := c.Paths(topology.AS111, topology.AS111, during)
+	c := newWorld(t).Combiner
+	paths := c.Paths(topology.AS111, topology.AS111, testbed.Start)
 	if len(paths) != 1 || len(paths[0].Hops) != 0 {
 		t.Fatalf("same-AS paths = %v", paths)
 	}
 }
 
 func TestPathsMetadataAggregation(t *testing.T) {
-	topo, _, c := combinerWorld(t)
-	paths := c.Paths(topology.AS111, topology.AS211, during)
+	w := newWorld(t)
+	topo, c := w.Topo, w.Combiner
+	paths := c.Paths(topology.AS111, topology.AS211, testbed.Start)
 	for _, p := range paths {
 		wantCarbon := 0.0
 		for _, ia := range p.Meta.ASes {
@@ -215,7 +198,7 @@ func TestPathsMetadataAggregation(t *testing.T) {
 		if p.Meta.Bandwidth != 1_000_000_000 {
 			t.Errorf("path %s bandwidth = %d", p, p.Meta.Bandwidth)
 		}
-		if !p.Meta.Expiry.After(during) {
+		if !p.Meta.Expiry.After(testbed.Start) {
 			t.Errorf("path %s already expired", p)
 		}
 		if len(p.Meta.Countries) == 0 {
@@ -227,9 +210,9 @@ func TestPathsMetadataAggregation(t *testing.T) {
 func TestPathsDeterministicOrder(t *testing.T) {
 	// Two combiners, so the second answer is recombined, not the cached
 	// first one.
-	_, _, reg := beaconed(t, 12*time.Hour)
-	a := pathdb.NewCombiner(reg).Paths(topology.AS111, topology.AS221, during)
-	b := pathdb.NewCombiner(reg).Paths(topology.AS111, topology.AS221, during)
+	reg := newWorld(t).Registry
+	a := pathdb.NewCombiner(reg).Paths(topology.AS111, topology.AS221, testbed.Start)
+	b := pathdb.NewCombiner(reg).Paths(topology.AS111, topology.AS221, testbed.Start)
 	if len(a) != len(b) {
 		t.Fatal("nondeterministic path count")
 	}
@@ -241,18 +224,8 @@ func TestPathsDeterministicOrder(t *testing.T) {
 }
 
 func TestPathsExpiredAtQueryTime(t *testing.T) {
-	topo := topology.Default()
-	infra, err := beacon.NewInfra(topo, t0, t1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	reg := pathdb.NewRegistry(infra.Store)
-	svc := beacon.NewService(topo, infra, reg, time.Hour)
-	if err := svc.Run(t0); err != nil {
-		t.Fatal(err)
-	}
-	c := pathdb.NewCombiner(reg)
-	if got := c.Paths(topology.AS111, topology.AS211, t0.Add(2*time.Hour)); len(got) != 0 {
+	c := pathdb.NewCombiner(expiringRegistry(t))
+	if got := c.Paths(topology.AS111, topology.AS211, testbed.Epoch.Add(2*time.Hour)); len(got) != 0 {
 		t.Fatalf("expired query returned %d paths", len(got))
 	}
 }
@@ -260,7 +233,7 @@ func TestPathsExpiredAtQueryTime(t *testing.T) {
 func TestPathCountIsRich(t *testing.T) {
 	// The paper argues SCION offers "dozens" of path choices; our small
 	// 10-AS topology should still offer meaningful diversity end to end.
-	_, _, c := combinerWorld(t)
+	c := newWorld(t).Combiner
 	total := 0
 	pairs := [][2]addr.IA{
 		{topology.AS111, topology.AS211},
@@ -269,7 +242,7 @@ func TestPathCountIsRich(t *testing.T) {
 		{topology.AS122, topology.AS211},
 	}
 	for _, pr := range pairs {
-		total += len(c.Paths(pr[0], pr[1], during))
+		total += len(c.Paths(pr[0], pr[1], testbed.Start))
 	}
 	if total < 12 {
 		t.Fatalf("total inter-ISD path options = %d, want >= 12", total)
@@ -280,10 +253,10 @@ func TestPathCountIsRich(t *testing.T) {
 // down joins, shortcuts, peering) for an inter-ISD pair: cold, by a fresh
 // combiner, and cached.
 func BenchmarkPathCombination(b *testing.B) {
-	_, _, reg := beaconed(b, 12*time.Hour)
+	reg := newWorld(b).Registry
 	b.Run("cold", func(b *testing.B) {
 		for range b.N {
-			if len(pathdb.NewCombiner(reg).Paths(topology.AS111, topology.AS211, during)) == 0 {
+			if len(pathdb.NewCombiner(reg).Paths(topology.AS111, topology.AS211, testbed.Start)) == 0 {
 				b.Fatal("no paths")
 			}
 		}
@@ -291,7 +264,7 @@ func BenchmarkPathCombination(b *testing.B) {
 	b.Run("cached", func(b *testing.B) {
 		c := pathdb.NewCombiner(reg)
 		for range b.N {
-			if len(c.Paths(topology.AS111, topology.AS211, during)) == 0 {
+			if len(c.Paths(topology.AS111, topology.AS211, testbed.Start)) == 0 {
 				b.Fatal("no paths")
 			}
 		}
@@ -315,12 +288,12 @@ func assertSamePaths(t *testing.T, got, want []*segment.Path) {
 // TestCombinerPathsAllocs holds a warm query at zero allocations: a cache
 // hit scans no registry and returns the shared answer itself.
 func TestCombinerPathsAllocs(t *testing.T) {
-	_, _, c := combinerWorld(t)
-	first := c.Paths(topology.AS111, topology.AS211, during)
+	c := newWorld(t).Combiner
+	first := c.Paths(topology.AS111, topology.AS211, testbed.Start)
 	if len(first) == 0 {
 		t.Fatal("no paths")
 	}
-	later := during.Add(time.Minute)
+	later := testbed.Start.Add(time.Minute)
 	allocs := testing.AllocsPerRun(100, func() {
 		if got := c.Paths(topology.AS111, topology.AS211, later); &got[0] != &first[0] {
 			t.Fatal("warm query did not return the cached answer")
@@ -335,33 +308,34 @@ func TestCombinerPathsAllocs(t *testing.T) {
 // AS111 -> AS211 path needs one at a time after a first query: every answer
 // must equal a fresh combiner's.
 func TestCombinerCacheRegistrationInvalidates(t *testing.T) {
-	topo, infra, src := beaconed(t, 12*time.Hour)
+	w := newWorld(t)
+	topo, infra, src := w.Topo, w.Infra, w.Registry
 	reg := pathdb.NewRegistry(infra.Store)
-	for _, seg := range src.UpSegments(topology.AS111, during) {
-		if err := reg.RegisterUp(seg, t0); err != nil {
+	for _, seg := range src.UpSegments(topology.AS111, testbed.Start) {
+		if err := reg.RegisterUp(seg, testbed.Epoch); err != nil {
 			t.Fatal(err)
 		}
 	}
-	for _, seg := range src.DownSegments(topology.AS211, during) {
-		if err := reg.RegisterDown(seg, t0); err != nil {
+	for _, seg := range src.DownSegments(topology.AS211, testbed.Start) {
+		if err := reg.RegisterDown(seg, testbed.Epoch); err != nil {
 			t.Fatal(err)
 		}
 	}
 	c := pathdb.NewCombiner(reg)
-	if got := c.Paths(topology.AS111, topology.AS211, during); len(got) != 0 {
+	if got := c.Paths(topology.AS111, topology.AS211, testbed.Start); len(got) != 0 {
 		t.Fatalf("%d inter-ISD paths without core segments", len(got))
 	}
 	cores := topo.CoreASes(addr.WildcardISD)
 	grew := 0
 	for _, a := range cores {
 		for _, b := range cores {
-			for _, cs := range src.CoreSegments(a.IA, b.IA, during) {
-				before := len(c.Paths(topology.AS111, topology.AS211, during))
-				if err := reg.RegisterCore(cs.Seg, t0); err != nil {
+			for _, cs := range src.CoreSegments(a.IA, b.IA, testbed.Start) {
+				before := len(c.Paths(topology.AS111, topology.AS211, testbed.Start))
+				if err := reg.RegisterCore(cs.Seg, testbed.Epoch); err != nil {
 					t.Fatal(err)
 				}
-				got := c.Paths(topology.AS111, topology.AS211, during)
-				assertSamePaths(t, got, pathdb.NewCombiner(reg).Paths(topology.AS111, topology.AS211, during))
+				got := c.Paths(topology.AS111, topology.AS211, testbed.Start)
+				assertSamePaths(t, got, pathdb.NewCombiner(reg).Paths(topology.AS111, topology.AS211, testbed.Start))
 				if len(got) > before {
 					grew++
 				}
@@ -373,13 +347,29 @@ func TestCombinerCacheRegistrationInvalidates(t *testing.T) {
 	}
 }
 
-// expiringCombiner beacons the default topology with one-hour segments and
-// returns a combiner over them and the paths' earliest expiry.
+// expiringRegistry beacons the default topology at testbed.Epoch with
+// one-hour segments.
+func expiringRegistry(t *testing.T) *pathdb.Registry {
+	t.Helper()
+	topo := topology.Default()
+	infra, err := beacon.NewInfra(topo, testbed.Epoch, testbed.Epoch.Add(24*time.Hour))
+	if err != nil {
+		t.Fatal(err)
+	}
+	reg := pathdb.NewRegistry(infra.Store)
+	if err := beacon.NewService(topo, infra, reg, time.Hour).Run(testbed.Epoch); err != nil {
+		t.Fatal(err)
+	}
+	return reg
+}
+
+// expiringCombiner returns a combiner over expiringRegistry's segments and
+// the paths' earliest expiry.
 func expiringCombiner(t *testing.T) (*pathdb.Combiner, *pathdb.Registry, time.Time) {
 	t.Helper()
-	_, _, reg := beaconed(t, time.Hour)
+	reg := expiringRegistry(t)
 	var exp time.Time
-	for _, p := range pathdb.NewCombiner(reg).Paths(topology.AS111, topology.AS211, t0) {
+	for _, p := range pathdb.NewCombiner(reg).Paths(topology.AS111, topology.AS211, testbed.Epoch) {
 		if exp.IsZero() || p.Meta.Expiry.Before(exp) {
 			exp = p.Meta.Expiry
 		}
@@ -395,7 +385,7 @@ func expiringCombiner(t *testing.T) (*pathdb.Combiner, *pathdb.Registry, time.Ti
 // recomputed.
 func TestCombinerCacheExpiryInvalidates(t *testing.T) {
 	c, reg, exp := expiringCombiner(t)
-	first := c.Paths(topology.AS111, topology.AS211, t0)
+	first := c.Paths(topology.AS111, topology.AS211, testbed.Epoch)
 	if len(first) == 0 {
 		t.Fatal("no paths")
 	}
@@ -415,18 +405,19 @@ func TestCombinerCacheEarlierInstantRecomputes(t *testing.T) {
 	if got := c.Paths(topology.AS111, topology.AS211, exp.Add(time.Hour)); len(got) != 0 {
 		t.Fatalf("%d paths after expiry", len(got))
 	}
-	got := c.Paths(topology.AS111, topology.AS211, t0)
+	got := c.Paths(topology.AS111, topology.AS211, testbed.Epoch)
 	if len(got) == 0 {
 		t.Fatal("earlier query served the later, empty answer")
 	}
-	assertSamePaths(t, got, pathdb.NewCombiner(reg).Paths(topology.AS111, topology.AS211, t0))
+	assertSamePaths(t, got, pathdb.NewCombiner(reg).Paths(topology.AS111, topology.AS211, testbed.Epoch))
 }
 
 // TestCombinerConcurrentQueries queries every pair from several goroutines
 // while beaconing registers a second round of segments; run it under
 // -race. Afterwards every answer must equal a fresh combiner's.
 func TestCombinerConcurrentQueries(t *testing.T) {
-	topo, infra, reg := beaconed(t, 12*time.Hour)
+	w := newWorld(t)
+	topo, infra, reg := w.Topo, w.Infra, w.Registry
 	c := pathdb.NewCombiner(reg)
 	ases := topo.ASes()
 	var wg sync.WaitGroup
@@ -435,7 +426,7 @@ func TestCombinerConcurrentQueries(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := range 5 {
-				at := during.Add(time.Duration(g*5+i) * time.Minute)
+				at := testbed.Start.Add(time.Duration(g*5+i) * time.Minute)
 				for _, a := range ases {
 					for _, b := range ases {
 						c.Paths(a.IA, b.IA, at)
@@ -444,12 +435,12 @@ func TestCombinerConcurrentQueries(t *testing.T) {
 			}
 		}()
 	}
-	second := beacon.NewService(topo, infra, reg, 12*time.Hour).Run(t0.Add(time.Minute))
+	second := beacon.NewService(topo, infra, reg, 12*time.Hour).Run(testbed.Epoch.Add(time.Minute))
 	wg.Wait()
 	if second != nil {
 		t.Fatal(second)
 	}
-	at := during.Add(time.Hour)
+	at := testbed.Start.Add(time.Hour)
 	for _, a := range ases {
 		for _, b := range ases {
 			got := c.Paths(a.IA, b.IA, at)

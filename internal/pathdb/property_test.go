@@ -8,6 +8,7 @@ import (
 	"tango/internal/beacon"
 	"tango/internal/pathdb"
 	"tango/internal/segment"
+	"tango/internal/testbed"
 	"tango/internal/topology"
 )
 
@@ -29,12 +30,12 @@ func TestCombinationInvariantsOnRandomTopologies(t *testing.T) {
 				params.LeavesPerISD = 5
 			}
 			topo := topology.Generate(params, seed)
-			infra, err := beacon.NewInfra(topo, t0, t1)
+			infra, err := beacon.NewInfra(topo, testbed.Epoch, testbed.Epoch.Add(24*time.Hour))
 			if err != nil {
 				t.Fatal(err)
 			}
 			reg := pathdb.NewRegistry(infra.Store)
-			if err := beacon.NewService(topo, infra, reg, 12*time.Hour).Run(t0); err != nil {
+			if err := beacon.NewService(topo, infra, reg, 12*time.Hour).Run(testbed.Epoch); err != nil {
 				t.Fatal(err)
 			}
 			comb := pathdb.NewCombiner(reg)
@@ -47,11 +48,11 @@ func TestCombinationInvariantsOnRandomTopologies(t *testing.T) {
 					if src.IA == dst.IA {
 						continue
 					}
-					paths := comb.Paths(src.IA, dst.IA, during)
+					paths := comb.Paths(src.IA, dst.IA, testbed.Start)
 					// The second, cached answer must equal a fresh
 					// combiner's.
-					assertSamePaths(t, comb.Paths(src.IA, dst.IA, during),
-						pathdb.NewCombiner(reg).Paths(src.IA, dst.IA, during))
+					assertSamePaths(t, comb.Paths(src.IA, dst.IA, testbed.Start),
+						pathdb.NewCombiner(reg).Paths(src.IA, dst.IA, testbed.Start))
 					if len(paths) > 0 {
 						reachablePairs++
 					}
@@ -145,7 +146,7 @@ func assertPathValid(t *testing.T, topo *topology.Topology, infra *beacon.Infra,
 			t.Errorf("path %s: MTU %d exceeds link MTU %d", p, p.Meta.MTU, intf.Props.MTU)
 		}
 	}
-	if !p.Meta.Expiry.After(during) {
+	if !p.Meta.Expiry.After(testbed.Start) {
 		t.Errorf("path %s: expired at query time", p)
 	}
 }

@@ -10,18 +10,15 @@ import (
 	"runtime"
 	"sync"
 	"testing"
-	"time"
 
 	"tango/internal/addr"
-	"tango/internal/beacon"
-	"tango/internal/dataplane"
 	"tango/internal/netsim"
 	"tango/internal/pan/stripe"
-	"tango/internal/pathdb"
 	"tango/internal/segment"
 	"tango/internal/shttp"
 	"tango/internal/snet"
 	"tango/internal/squic"
+	"tango/internal/testbed"
 	"tango/internal/topology"
 )
 
@@ -61,34 +58,16 @@ func TestCopyResponseReusesRelayBuffer(t *testing.T) {
 	}
 }
 
-var (
-	t0     = time.Date(2022, 10, 10, 0, 0, 0, 0, time.UTC)
-	during = t0.Add(time.Hour)
-)
-
 // segmentServer serves 206 answers over squic from AS211 and returns a
 // client connection to it from AS111, with the world's clock. The body for
 // Range bytes=a-b is the pattern from a, of length b-a+1 adjusted by
 // skew(path): positive makes it overlong, negative short.
 func segmentServer(t *testing.T, skew func(path string) int) (*squic.Conn, *segment.Path, netsim.Clock) {
 	t.Helper()
-	topo := topology.Default()
-	infra, err := beacon.NewInfra(topo, t0, t0.Add(24*time.Hour))
-	if err != nil {
-		t.Fatal(err)
-	}
-	reg := pathdb.NewRegistry(infra.Store)
-	if err := beacon.NewService(topo, infra, reg, 12*time.Hour).Run(t0); err != nil {
-		t.Fatal(err)
-	}
-	clock := netsim.NewSimClock(during)
-	dw, err := dataplane.NewWorld(topo, infra.ForwardingKeys, clock, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(clock.AutoAdvance(150 * time.Microsecond))
+	w := testbed.New(t, testbed.AutoClock(t), nil, 1)
+	clock := w.Clock
 	socket := func(ia addr.IA, ip string, port uint16) *snet.Conn {
-		c, err := snet.NewDispatcher(dw.Router(ia), clock).Host(netip.MustParseAddr(ip), dw.Router(ia)).Listen(port)
+		c, err := w.Stack(ia, ip).Listen(port)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -118,7 +97,7 @@ func segmentServer(t *testing.T, skew func(path string) int) (*squic.Conn, *segm
 		w.Write(pattern(int64(first), last-first+1+skew(r.URL.Path)))
 	}))
 
-	paths := pathdb.NewCombiner(reg).Paths(topology.AS111, topology.AS211, during)
+	paths := w.Combiner.Paths(topology.AS111, topology.AS211, testbed.Start)
 	if len(paths) == 0 {
 		t.Fatal("no paths")
 	}

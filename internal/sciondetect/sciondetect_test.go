@@ -11,9 +11,8 @@ import (
 	"tango/internal/addr"
 	"tango/internal/dnssim"
 	"tango/internal/netsim"
+	"tango/internal/testbed"
 )
-
-var epoch = time.Date(2022, 10, 10, 0, 0, 0, 0, time.UTC)
 
 func scionAddr(s string) addr.Addr {
 	a, err := addr.ParseAddr(s)
@@ -56,8 +55,7 @@ func TestTXTPropertyRoundTrip(t *testing.T) {
 
 func detectorWorld(t *testing.T) (*netsim.SimClock, *Detector) {
 	t.Helper()
-	clock := netsim.NewSimClock(epoch)
-	t.Cleanup(clock.AutoAdvance(100 * time.Microsecond))
+	clock := testbed.AutoClock(t)
 	n := netsim.NewStreamNetwork(clock)
 	n.SetDefaultRoute(netsim.RouteProps{Latency: time.Millisecond})
 	zone := dnssim.NewZone()
@@ -117,7 +115,7 @@ func TestDetectCaches(t *testing.T) {
 }
 
 func TestStrictStore(t *testing.T) {
-	clock := netsim.NewSimClock(epoch)
+	clock := testbed.NewClock()
 	s := NewStrictStore(clock)
 	if s.Active("example.test") {
 		t.Fatal("empty store active")
@@ -136,7 +134,7 @@ func TestStrictStore(t *testing.T) {
 }
 
 func TestStrictStoreZeroMaxAgeClears(t *testing.T) {
-	clock := netsim.NewSimClock(epoch)
+	clock := testbed.NewClock()
 	s := NewStrictStore(clock)
 	s.Pin("a.test", time.Hour)
 	s.Pin("a.test", 0)
@@ -146,7 +144,7 @@ func TestStrictStoreZeroMaxAgeClears(t *testing.T) {
 }
 
 func TestStrictStorePersistence(t *testing.T) {
-	clock := netsim.NewSimClock(epoch)
+	clock := testbed.NewClock()
 	s := NewStrictStore(clock)
 	s.Pin("keep.test", time.Hour)
 	s.Pin("drop.test", time.Minute)

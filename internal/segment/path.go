@@ -61,19 +61,6 @@ type Metadata struct {
 	Expiry time.Time
 }
 
-// ISDs returns the deduplicated set of traversed ISDs in travel order.
-func (m *Metadata) ISDs() []addr.ISD {
-	var out []addr.ISD
-	seen := make(map[addr.ISD]bool)
-	for _, ia := range m.ASes {
-		if !seen[ia.ISD] {
-			seen[ia.ISD] = true
-			out = append(out, ia.ISD)
-		}
-	}
-	return out
-}
-
 // Path is a complete forwarding path between two SCION ASes together with
 // its metadata. Paths are immutable once built: those from pathdb's
 // combiner are shared by every caller, with one memoized fingerprint and

@@ -122,16 +122,6 @@ func TestPathString(t *testing.T) {
 	}
 }
 
-func TestMetadataISDs(t *testing.T) {
-	m := Metadata{ASes: []addr.IA{
-		addr.MustIA(1, 1), addr.MustIA(1, 2), addr.MustIA(2, 1), addr.MustIA(2, 2),
-	}}
-	isds := m.ISDs()
-	if len(isds) != 2 || isds[0] != 1 || isds[1] != 2 {
-		t.Fatalf("ISDs = %v", isds)
-	}
-}
-
 func TestHopCount(t *testing.T) {
 	if got := samplePath().HopCount(); got != 3 {
 		t.Fatalf("HopCount = %d", got)

@@ -12,56 +12,19 @@ import (
 	"time"
 
 	"tango/internal/addr"
-	"tango/internal/beacon"
-	"tango/internal/dataplane"
-	"tango/internal/netsim"
-	"tango/internal/pathdb"
 	"tango/internal/shttp"
 	"tango/internal/snet"
 	"tango/internal/squic"
+	"tango/internal/testbed"
 	"tango/internal/topology"
 )
 
-var (
-	t0     = time.Date(2022, 10, 10, 0, 0, 0, 0, time.UTC)
-	t1     = t0.Add(24 * time.Hour)
-	during = t0.Add(time.Hour)
-)
+// newWorld is the testbed world on an auto-advanced clock.
+func newWorld(t testing.TB) *testbed.World { return testbed.New(t, testbed.AutoClock(t), nil, 1) }
 
-type world struct {
-	clock *netsim.SimClock
-	comb  *pathdb.Combiner
-	dw    *dataplane.World
-	disp  map[addr.IA]*snet.Dispatcher
-}
-
-func newWorld(t testing.TB) *world {
+func socket(t testing.TB, w *testbed.World, ia addr.IA, ip string, port uint16) *snet.Conn {
 	t.Helper()
-	topo := topology.Default()
-	infra, err := beacon.NewInfra(topo, t0, t1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	reg := pathdb.NewRegistry(infra.Store)
-	if err := beacon.NewService(topo, infra, reg, 12*time.Hour).Run(t0); err != nil {
-		t.Fatal(err)
-	}
-	clock := netsim.NewSimClock(during)
-	dw, err := dataplane.NewWorld(topo, infra.ForwardingKeys, clock, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	disp := make(map[addr.IA]*snet.Dispatcher)
-	for _, as := range topo.ASes() {
-		disp[as.IA] = snet.NewDispatcher(dw.Router(as.IA), clock)
-	}
-	t.Cleanup(clock.AutoAdvance(150 * time.Microsecond))
-	return &world{clock: clock, comb: pathdb.NewCombiner(reg), dw: dw, disp: disp}
-}
-
-func (w *world) socket(t testing.TB, ia addr.IA, ip string, port uint16) *snet.Conn {
-	t.Helper()
-	c, err := w.disp[ia].Host(netip.MustParseAddr(ip), w.dw.Router(ia)).Listen(port)
+	c, err := w.Stack(ia, ip).Listen(port)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -70,7 +33,7 @@ func (w *world) socket(t testing.TB, ia addr.IA, ip string, port uint16) *snet.C
 
 // startServer serves handler over squic at 211 and returns a ready transport
 // dialing it.
-func startServer(t testing.TB, w *world, handler http.Handler) *shttp.Transport {
+func startServer(t testing.TB, w *testbed.World, handler http.Handler) *shttp.Transport {
 	t.Helper()
 	id, err := squic.NewIdentity("www.test.scion")
 	if err != nil {
@@ -78,8 +41,8 @@ func startServer(t testing.TB, w *world, handler http.Handler) *shttp.Transport 
 	}
 	pool := squic.NewCertPool()
 	pool.AddIdentity(id)
-	sock := w.socket(t, topology.AS211, "10.0.0.2", 443)
-	lis, err := squic.Listen(sock, &squic.Config{Clock: w.clock, Identity: id})
+	sock := socket(t, w, topology.AS211, "10.0.0.2", 443)
+	lis, err := squic.Listen(sock, &squic.Config{Clock: w.Clock, Identity: id})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -88,12 +51,12 @@ func startServer(t testing.TB, w *world, handler http.Handler) *shttp.Transport 
 
 	remote := addr.UDPAddr{Addr: addr.Addr{IA: topology.AS211, Host: netip.MustParseAddr("10.0.0.2")}, Port: 443}
 	tr := shttp.NewTransport(func(ctx context.Context, authority string) (*squic.Conn, error) {
-		paths := w.comb.Paths(topology.AS111, topology.AS211, during)
+		paths := w.Combiner.Paths(topology.AS111, topology.AS211, testbed.Start)
 		if len(paths) == 0 {
 			return nil, fmt.Errorf("no paths")
 		}
-		sock := w.socket(t, topology.AS111, "10.0.0.1", 0)
-		return squic.Dial(sock, remote, paths[0], "www.test.scion", &squic.Config{Clock: w.clock, Pool: pool})
+		sock := socket(t, w, topology.AS111, "10.0.0.1", 0)
+		return squic.Dial(sock, remote, paths[0], "www.test.scion", &squic.Config{Clock: w.Clock, Pool: pool})
 	})
 	t.Cleanup(tr.CloseIdleConnections)
 	return tr
@@ -128,8 +91,8 @@ func TestHTTPConnReuse(t *testing.T) {
 	id, _ := squic.NewIdentity("www.test.scion")
 	pool := squic.NewCertPool()
 	pool.AddIdentity(id)
-	sock := w.socket(t, topology.AS211, "10.0.0.2", 443)
-	lis, err := squic.Listen(sock, &squic.Config{Clock: w.clock, Identity: id})
+	sock := socket(t, w, topology.AS211, "10.0.0.2", 443)
+	lis, err := squic.Listen(sock, &squic.Config{Clock: w.Clock, Identity: id})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -140,9 +103,9 @@ func TestHTTPConnReuse(t *testing.T) {
 	remote := addr.UDPAddr{Addr: addr.Addr{IA: topology.AS211, Host: netip.MustParseAddr("10.0.0.2")}, Port: 443}
 	tr := shttp.NewTransport(func(ctx context.Context, authority string) (*squic.Conn, error) {
 		dials.Add(1)
-		paths := w.comb.Paths(topology.AS111, topology.AS211, during)
-		sock := w.socket(t, topology.AS111, "10.0.0.1", 0)
-		return squic.Dial(sock, remote, paths[0], "www.test.scion", &squic.Config{Clock: w.clock, Pool: pool})
+		paths := w.Combiner.Paths(topology.AS111, topology.AS211, testbed.Start)
+		sock := socket(t, w, topology.AS111, "10.0.0.1", 0)
+		return squic.Dial(sock, remote, paths[0], "www.test.scion", &squic.Config{Clock: w.Clock, Pool: pool})
 	})
 	defer tr.CloseIdleConnections()
 	client := &http.Client{Transport: tr}
@@ -256,16 +219,16 @@ func TestHTTPRequestLatencyIsPathRTT(t *testing.T) {
 	io.Copy(io.Discard, resp.Body)
 	resp.Body.Close()
 
-	paths := w.comb.Paths(topology.AS111, topology.AS211, during)
+	paths := w.Combiner.Paths(topology.AS111, topology.AS211, testbed.Start)
 	rtt := 2 * paths[0].Meta.Latency
-	start := w.clock.Now()
+	start := w.Clock.Now()
 	resp, err = client.Get("http://www.test.scion/timed")
 	if err != nil {
 		t.Fatal(err)
 	}
 	io.Copy(io.Discard, resp.Body)
 	resp.Body.Close()
-	elapsed := w.clock.Since(start)
+	elapsed := w.Clock.Since(start)
 	// One RTT for request/response on the warm stream (plus µs noise).
 	if elapsed < rtt || elapsed > rtt+5*time.Millisecond {
 		t.Fatalf("request took %v, want ~%v", elapsed, rtt)

@@ -40,8 +40,8 @@ type Datagram struct {
 // Dispatcher demultiplexes an AS's inbound traffic to its hosts; it is the
 // AS-internal delivery fabric between the border router and host stacks.
 type Dispatcher struct {
-	ia    addr.IA
-	clock netsim.Clock
+	router *dataplane.Router
+	clock  netsim.Clock
 
 	mu    sync.RWMutex
 	hosts map[netip.Addr]*Stack
@@ -50,21 +50,21 @@ type Dispatcher struct {
 // NewDispatcher creates the dispatcher for router's AS and installs it as
 // the router's delivery handler.
 func NewDispatcher(router *dataplane.Router, clock netsim.Clock) *Dispatcher {
-	d := &Dispatcher{ia: router.IA(), clock: clock, hosts: make(map[netip.Addr]*Stack)}
+	d := &Dispatcher{router: router, clock: clock, hosts: make(map[netip.Addr]*Stack)}
 	router.SetDeliveryHandler(d.deliver)
 	return d
 }
 
 // Host returns (creating if needed) the stack for a host IP in this AS.
-func (d *Dispatcher) Host(ip netip.Addr, router *dataplane.Router) *Stack {
+func (d *Dispatcher) Host(ip netip.Addr) *Stack {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	if s, ok := d.hosts[ip]; ok {
 		return s
 	}
 	s := &Stack{
-		local:  addr.Addr{IA: d.ia, Host: ip},
-		router: router,
+		local:  addr.Addr{IA: d.router.IA(), Host: ip},
+		router: d.router,
 		clock:  d.clock,
 		conns:  make(map[uint16]*Conn),
 	}

@@ -9,63 +9,20 @@ import (
 	"time"
 
 	"tango/internal/addr"
-	"tango/internal/beacon"
-	"tango/internal/dataplane"
 	"tango/internal/netsim"
-	"tango/internal/pathdb"
 	"tango/internal/segment"
 	"tango/internal/snet"
+	"tango/internal/testbed"
 	"tango/internal/topology"
 )
 
-var (
-	t0     = time.Date(2022, 10, 10, 0, 0, 0, 0, time.UTC)
-	t1     = t0.Add(24 * time.Hour)
-	during = t0.Add(time.Hour)
-)
-
-type world struct {
-	clock *netsim.SimClock
-	comb  *pathdb.Combiner
-	world *dataplane.World
-	disp  map[addr.IA]*snet.Dispatcher
-	stop  func()
-}
-
-func newWorld(t *testing.T) *world {
-	t.Helper()
-	topo := topology.Default()
-	infra, err := beacon.NewInfra(topo, t0, t1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	reg := pathdb.NewRegistry(infra.Store)
-	if err := beacon.NewService(topo, infra, reg, 12*time.Hour).Run(t0); err != nil {
-		t.Fatal(err)
-	}
-	clock := netsim.NewSimClock(during)
-	dw, err := dataplane.NewWorld(topo, infra.ForwardingKeys, clock, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	disp := make(map[addr.IA]*snet.Dispatcher)
-	for _, as := range topo.ASes() {
-		disp[as.IA] = snet.NewDispatcher(dw.Router(as.IA), clock)
-	}
-	stop := clock.AutoAdvance(100 * time.Microsecond)
-	t.Cleanup(stop)
-	return &world{clock: clock, comb: pathdb.NewCombiner(reg), world: dw, disp: disp, stop: stop}
-}
-
-func (w *world) host(t *testing.T, ia addr.IA, ip string) *snet.Stack {
-	t.Helper()
-	return w.disp[ia].Host(netip.MustParseAddr(ip), w.world.Router(ia))
-}
+// newWorld is the testbed world on an auto-advanced clock.
+func newWorld(t *testing.T) *testbed.World { return testbed.New(t, testbed.AutoClock(t), nil, 1) }
 
 func TestDatagramRoundTrip(t *testing.T) {
 	w := newWorld(t)
-	client := w.host(t, topology.AS111, "10.0.0.1")
-	server := w.host(t, topology.AS211, "10.0.0.2")
+	client := w.Stack(topology.AS111, "10.0.0.1")
+	server := w.Stack(topology.AS211, "10.0.0.2")
 
 	sconn, err := server.Listen(8000)
 	if err != nil {
@@ -87,13 +44,13 @@ func TestDatagramRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer cconn.Close()
-	paths := w.comb.Paths(topology.AS111, topology.AS211, during)
+	paths := w.Combiner.Paths(topology.AS111, topology.AS211, testbed.Start)
 	if len(paths) == 0 {
 		t.Fatal("no paths")
 	}
 	dst := addr.UDPAddr{Addr: addr.Addr{IA: topology.AS211, Host: netip.MustParseAddr("10.0.0.2")}, Port: 8000}
 
-	start := w.clock.Now()
+	start := w.Clock.Now()
 	if err := cconn.WriteTo([]byte("ping"), dst, paths[0]); err != nil {
 		t.Fatal(err)
 	}
@@ -104,7 +61,7 @@ func TestDatagramRoundTrip(t *testing.T) {
 	if string(dg.Payload) != "echo:ping" {
 		t.Fatalf("payload %q", dg.Payload)
 	}
-	rtt := w.clock.Since(start)
+	rtt := w.Clock.Since(start)
 	want := 2 * paths[0].Meta.Latency
 	if rtt < want || rtt > want+time.Millisecond {
 		t.Fatalf("RTT %v, want ~%v", rtt, want)
@@ -116,8 +73,8 @@ func TestDatagramRoundTrip(t *testing.T) {
 
 func TestASLocalDatagram(t *testing.T) {
 	w := newWorld(t)
-	a := w.host(t, topology.AS111, "10.0.0.1")
-	b := w.host(t, topology.AS111, "10.0.0.9")
+	a := w.Stack(topology.AS111, "10.0.0.1")
+	b := w.Stack(topology.AS111, "10.0.0.9")
 	bc, err := b.Listen(53)
 	if err != nil {
 		t.Fatal(err)
@@ -146,26 +103,26 @@ func TestASLocalDatagram(t *testing.T) {
 
 func TestReadDeadline(t *testing.T) {
 	w := newWorld(t)
-	s := w.host(t, topology.AS111, "10.0.0.1")
+	s := w.Stack(topology.AS111, "10.0.0.1")
 	c, err := s.Listen(0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer c.Close()
-	c.SetReadDeadline(w.clock.Now().Add(5 * time.Millisecond))
-	start := w.clock.Now()
+	c.SetReadDeadline(w.Clock.Now().Add(5 * time.Millisecond))
+	start := w.Clock.Now()
 	_, err = c.ReadFrom()
 	if err != snet.ErrDeadlineExceeded {
 		t.Fatalf("err = %v", err)
 	}
-	if got := w.clock.Since(start); got != 5*time.Millisecond {
+	if got := w.Clock.Since(start); got != 5*time.Millisecond {
 		t.Fatalf("deadline fired after %v", got)
 	}
 }
 
 func TestPortAllocation(t *testing.T) {
 	w := newWorld(t)
-	s := w.host(t, topology.AS111, "10.0.0.1")
+	s := w.Stack(topology.AS111, "10.0.0.1")
 	a, err := s.Listen(1000)
 	if err != nil {
 		t.Fatal(err)
@@ -192,13 +149,13 @@ func TestPortAllocation(t *testing.T) {
 
 func TestWriteToWrongSourcePath(t *testing.T) {
 	w := newWorld(t)
-	s := w.host(t, topology.AS112, "10.0.0.1")
+	s := w.Stack(topology.AS112, "10.0.0.1")
 	c, err := s.Listen(0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer c.Close()
-	paths := w.comb.Paths(topology.AS111, topology.AS211, during) // wrong src AS
+	paths := w.Combiner.Paths(topology.AS111, topology.AS211, testbed.Start) // wrong src AS
 	dst := addr.UDPAddr{Addr: addr.Addr{IA: topology.AS211, Host: netip.MustParseAddr("10.0.0.2")}, Port: 1}
 	if err := c.WriteTo([]byte("x"), dst, paths[0]); err == nil {
 		t.Fatal("foreign-source path accepted")
@@ -207,7 +164,7 @@ func TestWriteToWrongSourcePath(t *testing.T) {
 
 func TestCloseUnblocksRead(t *testing.T) {
 	w := newWorld(t)
-	s := w.host(t, topology.AS111, "10.0.0.1")
+	s := w.Stack(topology.AS111, "10.0.0.1")
 	c, err := s.Listen(0)
 	if err != nil {
 		t.Fatal(err)
@@ -233,15 +190,15 @@ func TestCloseUnblocksRead(t *testing.T) {
 
 func TestMaxPayload(t *testing.T) {
 	w := newWorld(t)
-	paths := w.comb.Paths(topology.AS111, topology.AS211, during)
+	paths := w.Combiner.Paths(topology.AS111, topology.AS211, testbed.Start)
 	p := paths[0]
 	max := snet.MaxPayload(p)
 	if max <= 0 || max >= p.Meta.MTU {
 		t.Fatalf("MaxPayload = %d for MTU %d", max, p.Meta.MTU)
 	}
 	// A payload of exactly MaxPayload must traverse; one byte more must not.
-	client := w.host(t, topology.AS111, "10.0.0.1")
-	server := w.host(t, topology.AS211, "10.0.0.2")
+	client := w.Stack(topology.AS111, "10.0.0.1")
+	server := w.Stack(topology.AS211, "10.0.0.2")
 	sc, err := server.Listen(9000)
 	if err != nil {
 		t.Fatal(err)
@@ -262,7 +219,7 @@ func TestMaxPayload(t *testing.T) {
 	if err := cc.WriteTo(make([]byte, max+1), dst, p); err != nil {
 		t.Fatal(err) // accepted locally...
 	}
-	sc.SetReadDeadline(w.clock.Now().Add(500 * time.Millisecond))
+	sc.SetReadDeadline(w.Clock.Now().Add(500 * time.Millisecond))
 	if _, err := sc.ReadFrom(); err == nil {
 		t.Fatal("...but must be dropped by the first link") // nothing arrives
 	}
@@ -277,8 +234,8 @@ func TestWriteToDoesNotRetainPayload(t *testing.T) {
 	for _, handler := range []bool{false, true} {
 		t.Run(fmt.Sprintf("handler=%v", handler), func(t *testing.T) {
 			w := newWorld(t)
-			a := w.host(t, topology.AS111, "10.0.0.1")
-			b := w.host(t, topology.AS111, "10.0.0.9")
+			a := w.Stack(topology.AS111, "10.0.0.1")
+			b := w.Stack(topology.AS111, "10.0.0.9")
 			bc, err := b.Listen(53)
 			if err != nil {
 				t.Fatal(err)
@@ -321,8 +278,8 @@ func TestWriteToDoesNotRetainPayload(t *testing.T) {
 // own.
 func TestReplyPathMemoised(t *testing.T) {
 	w := newWorld(t)
-	client := w.host(t, topology.AS111, "10.0.0.1")
-	server := w.host(t, topology.AS211, "10.0.0.2")
+	client := w.Stack(topology.AS111, "10.0.0.1")
+	server := w.Stack(topology.AS211, "10.0.0.2")
 	sc, err := server.Listen(8000)
 	if err != nil {
 		t.Fatal(err)
@@ -333,7 +290,7 @@ func TestReplyPathMemoised(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer cc.Close()
-	paths := w.comb.Paths(topology.AS111, topology.AS211, during)
+	paths := w.Combiner.Paths(topology.AS111, topology.AS211, testbed.Start)
 	if len(paths) < 2 {
 		t.Fatalf("%d paths, want 2", len(paths))
 	}
@@ -365,9 +322,10 @@ func TestReplyPathMemoised(t *testing.T) {
 	}
 }
 
-// pairWorld is a two-AS world — the core ASes of ISDs 1 and 2 on a single
-// core link — stepped by hand: no auto-advancer runs, so a test can count
-// every allocation a datagram costs, timers and links included.
+// pairWorld is the testbed world stepped by hand: no auto-advancer runs,
+// so a test can count every allocation a datagram costs, timers and links
+// included. Its datagrams cross the core link between the core ASes of
+// ISDs 1 and 2.
 type pairWorld struct {
 	clock        *netsim.SimClock
 	path         *segment.Path // src to dst, two hops
@@ -378,31 +336,19 @@ type pairWorld struct {
 
 func newPairWorld(t *testing.T) *pairWorld {
 	t.Helper()
-	src, dst := addr.MustIA(1, 0xff00_0000_0110), addr.MustIA(2, 0xff00_0000_0210)
-	topo := topology.New()
-	topo.AddAS(src, true)
-	topo.AddAS(dst, true)
-	topo.Connect(src, dst, topology.Core, topology.LinkProps{Latency: time.Millisecond})
-	infra, err := beacon.NewInfra(topo, t0, t1)
-	if err != nil {
-		t.Fatal(err)
+	tb := testbed.New(t, testbed.NewClock(), nil, 1)
+	w := &pairWorld{clock: tb.Clock, srcIA: topology.Core110, dstIA: topology.Core210, dstHost: netip.MustParseAddr("10.0.0.2")}
+	for _, p := range tb.Combiner.Paths(w.srcIA, w.dstIA, testbed.Start) {
+		if len(p.Hops) == 2 {
+			w.path = p
+			break
+		}
 	}
-	reg := pathdb.NewRegistry(infra.Store)
-	if err := beacon.NewService(topo, infra, reg, 12*time.Hour).Run(t0); err != nil {
-		t.Fatal(err)
+	if w.path == nil {
+		t.Fatalf("want a two-hop path from %s to %s", w.srcIA, w.dstIA)
 	}
-	paths := pathdb.NewCombiner(reg).Paths(src, dst, during)
-	if len(paths) == 0 || len(paths[0].Hops) != 2 {
-		t.Fatalf("want a two-hop path from %s to %s, have %v", src, dst, paths)
-	}
-	clock := netsim.NewSimClock(during)
-	dw, err := dataplane.NewWorld(topo, infra.ForwardingKeys, clock, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	w := &pairWorld{clock: clock, path: paths[0], srcIA: src, dstIA: dst, dstHost: netip.MustParseAddr("10.0.0.2")}
-	w.src = snet.NewDispatcher(dw.Router(src), clock).Host(netip.MustParseAddr("10.0.0.1"), dw.Router(src))
-	w.dst = snet.NewDispatcher(dw.Router(dst), clock).Host(w.dstHost, dw.Router(dst))
+	w.src = tb.Stack(w.srcIA, "10.0.0.1")
+	w.dst = tb.Stack(w.dstIA, w.dstHost.String())
 	return w
 }
 

@@ -9,6 +9,7 @@ import (
 
 	"tango/internal/addr"
 	"tango/internal/squic"
+	"tango/internal/testbed"
 	"tango/internal/topology"
 )
 
@@ -18,25 +19,25 @@ import (
 func TestDialContextCancelAbortsHandshake(t *testing.T) {
 	w := newTestWorld(t, nil)
 	// No listener on the target port: the handshake black-holes.
-	paths := w.comb.Paths(topology.AS111, topology.AS211, during)
+	paths := w.Combiner.Paths(topology.AS111, topology.AS211, testbed.Start)
 	if len(paths) == 0 {
 		t.Fatal("no paths")
 	}
-	clientSock := w.socket(t, topology.AS111, "10.0.0.1", 0)
+	clientSock := socket(t, w, topology.AS111, "10.0.0.1", 0)
 	remote := addr.UDPAddr{Addr: addr.Addr{IA: topology.AS211, Host: netip.MustParseAddr("10.0.0.2")}, Port: 9999}
 
 	ctx, cancel := context.WithCancel(context.Background())
-	w.clock.AfterFunc(300*time.Millisecond, func() { cancel() })
-	start := w.clock.Now()
+	w.Clock.AfterFunc(300*time.Millisecond, func() { cancel() })
+	start := w.Clock.Now()
 	_, err := squic.DialContext(ctx, clientSock, remote, paths[0], "server.test",
-		&squic.Config{Clock: w.clock, Pool: squic.NewCertPool(), HandshakeTimeout: 10 * time.Second})
+		&squic.Config{Clock: w.Clock, Pool: squic.NewCertPool(), HandshakeTimeout: 10 * time.Second})
 	if err == nil {
 		t.Fatal("dial into a black hole succeeded")
 	}
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
-	if took := w.clock.Since(start); took > 5*time.Second {
+	if took := w.Clock.Since(start); took > 5*time.Second {
 		t.Fatalf("cancel took %v of virtual time — handshake ran to timeout instead of aborting", took)
 	}
 }
@@ -52,24 +53,24 @@ func TestServerReapsUnconfirmedConns(t *testing.T) {
 	}
 	pool := squic.NewCertPool()
 	pool.AddIdentity(id)
-	serverSock := w.socket(t, topology.AS211, "10.0.0.2", 443)
-	lis, err := squic.Listen(serverSock, &squic.Config{Clock: w.clock, Identity: id, HandshakeTimeout: 2 * time.Second})
+	serverSock := socket(t, w, topology.AS211, "10.0.0.2", 443)
+	lis, err := squic.Listen(serverSock, &squic.Config{Clock: w.Clock, Identity: id, HandshakeTimeout: 2 * time.Second})
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { lis.Close() })
 
-	paths := w.comb.Paths(topology.AS111, topology.AS211, during)
-	clientSock := w.socket(t, topology.AS111, "10.0.0.1", 0)
+	paths := w.Combiner.Paths(topology.AS111, topology.AS211, testbed.Start)
+	clientSock := socket(t, w, topology.AS111, "10.0.0.1", 0)
 	remote := addr.UDPAddr{Addr: addr.Addr{IA: topology.AS211, Host: netip.MustParseAddr("10.0.0.2")}, Port: 443}
 
 	// Abandon the dial while the Initial is still in flight (one-way
 	// latency to ISD 2 far exceeds 20ms): the server will answer a client
 	// that no longer exists.
 	ctx, cancel := context.WithCancel(context.Background())
-	w.clock.AfterFunc(20*time.Millisecond, func() { cancel() })
+	w.Clock.AfterFunc(20*time.Millisecond, func() { cancel() })
 	if _, err := squic.DialContext(ctx, clientSock, remote, paths[0], "server.test",
-		&squic.Config{Clock: w.clock, Pool: pool}); !errors.Is(err, context.Canceled) {
+		&squic.Config{Clock: w.Clock, Pool: pool}); !errors.Is(err, context.Canceled) {
 		t.Fatalf("abandoned dial: err = %v, want context.Canceled", err)
 	}
 
@@ -78,16 +79,16 @@ func TestServerReapsUnconfirmedConns(t *testing.T) {
 	deadline := time.Now().Add(5 * time.Second)
 	//lint:allow-wallclock wall-clock deadline bounds a real-time polling loop
 	for lis.ConnCount() == 0 && time.Now().Before(deadline) {
-		w.clock.Sleep(100 * time.Millisecond)
+		w.Clock.Sleep(100 * time.Millisecond)
 	}
 	if n := lis.ConnCount(); n != 1 {
 		t.Fatalf("server tracks %d conns after abandoned Initial, want 1", n)
 	}
 	// ...and reaps it once the handshake is never confirmed.
-	w.clock.Sleep(3 * time.Second)
+	w.Clock.Sleep(3 * time.Second)
 	//lint:allow-wallclock wall-clock deadline bounds a real-time polling loop
 	for lis.ConnCount() > 0 && time.Now().Before(deadline) {
-		w.clock.Sleep(100 * time.Millisecond)
+		w.Clock.Sleep(100 * time.Millisecond)
 	}
 	if n := lis.ConnCount(); n != 0 {
 		t.Fatalf("server still tracks %d unconfirmed conns after the confirm timeout", n)

@@ -8,6 +8,7 @@ import (
 	"tango/internal/netsim"
 	"tango/internal/segment"
 	"tango/internal/snet"
+	"tango/internal/testbed"
 )
 
 // discardPconn swallows writes, recording their virtual timestamps — the
@@ -52,7 +53,7 @@ func deadConn(t testing.TB, clock netsim.Clock) (*Conn, *discardPconn) {
 // gap stays positive, the gaps grow monotonically to the clamp, and they
 // never exceed it.
 func TestPTOBackoffCappedNoOverflow(t *testing.T) {
-	clock := netsim.NewSimClock(time.Date(2022, 10, 10, 0, 0, 0, 0, time.UTC))
+	clock := testbed.NewClock()
 	c, pconn := deadConn(t, clock)
 
 	c.mu.Lock()
@@ -111,7 +112,7 @@ func TestPTOBackoffCappedNoOverflow(t *testing.T) {
 // burst's oldest samples plus the newest one (the freshest estimate always
 // arrives), so a between-flush burst of 65 reaches the observer as 8.
 func TestRTTSampleFloorAndObserver(t *testing.T) {
-	clock := netsim.NewSimClock(time.Date(2022, 10, 10, 0, 0, 0, 0, time.UTC))
+	clock := testbed.NewClock()
 	c, _ := deadConn(t, clock)
 	var seen []time.Duration
 	c.OnRTTSample(func(rtt time.Duration) { seen = append(seen, rtt) })
@@ -156,7 +157,7 @@ func TestRTTSampleFloorAndObserver(t *testing.T) {
 // the final slot (coalesce-on-full must not let the freshest measurement
 // vanish).
 func TestRTTSampleBatchObserver(t *testing.T) {
-	clock := netsim.NewSimClock(time.Date(2022, 10, 10, 0, 0, 0, 0, time.UTC))
+	clock := testbed.NewClock()
 	c, _ := deadConn(t, clock)
 	perSample := 0
 	c.OnRTTSample(func(time.Duration) { perSample++ })

@@ -10,65 +10,24 @@ import (
 	"time"
 
 	"tango/internal/addr"
-	"tango/internal/beacon"
-	"tango/internal/dataplane"
 	"tango/internal/netsim"
-	"tango/internal/pathdb"
 	"tango/internal/segment"
 	"tango/internal/snet"
 	"tango/internal/squic"
+	"tango/internal/testbed"
 	"tango/internal/topology"
 )
 
-var (
-	t0     = time.Date(2022, 10, 10, 0, 0, 0, 0, time.UTC)
-	t1     = t0.Add(24 * time.Hour)
-	during = t0.Add(time.Hour)
-)
-
-// testWorld is a fully beaconed SCION world with host stacks and a virtual
-// clock, the standard substrate for transport tests.
-type testWorld struct {
-	topo  *topology.Topology
-	clock *netsim.SimClock
-	comb  *pathdb.Combiner
-	dw    *dataplane.World
-	disp  map[addr.IA]*snet.Dispatcher
+// newTestWorld is the testbed world on an auto-advanced clock; customize
+// lets callers mutate the topology (e.g. add loss) before links are
+// instantiated.
+func newTestWorld(t testing.TB, customize func(*topology.Topology)) *testbed.World {
+	return testbed.New(t, testbed.AutoClock(t), customize, 1)
 }
 
-// newTestWorld builds the world; customize lets callers mutate the topology
-// (e.g. add loss) before links are instantiated.
-func newTestWorld(t testing.TB, customize func(*topology.Topology)) *testWorld {
+func socket(t testing.TB, w *testbed.World, ia addr.IA, ip string, port uint16) *snet.Conn {
 	t.Helper()
-	topo := topology.Default()
-	if customize != nil {
-		customize(topo)
-	}
-	infra, err := beacon.NewInfra(topo, t0, t1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	reg := pathdb.NewRegistry(infra.Store)
-	if err := beacon.NewService(topo, infra, reg, 12*time.Hour).Run(t0); err != nil {
-		t.Fatal(err)
-	}
-	clock := netsim.NewSimClock(during)
-	dw, err := dataplane.NewWorld(topo, infra.ForwardingKeys, clock, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	disp := make(map[addr.IA]*snet.Dispatcher)
-	for _, as := range topo.ASes() {
-		disp[as.IA] = snet.NewDispatcher(dw.Router(as.IA), clock)
-	}
-	stop := clock.AutoAdvance(150 * time.Microsecond)
-	t.Cleanup(stop)
-	return &testWorld{topo: topo, clock: clock, comb: pathdb.NewCombiner(reg), dw: dw, disp: disp}
-}
-
-func (w *testWorld) socket(t testing.TB, ia addr.IA, ip string, port uint16) *snet.Conn {
-	t.Helper()
-	c, err := w.disp[ia].Host(netip.MustParseAddr(ip), w.dw.Router(ia)).Listen(port)
+	c, err := w.Stack(ia, ip).Listen(port)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -78,7 +37,7 @@ func (w *testWorld) socket(t testing.TB, ia addr.IA, ip string, port uint16) *sn
 
 // dialPair establishes a squic client/server pair between 111 and 211 (or
 // the given IAs) and returns client conn + accepted server conn.
-func dialPair(t testing.TB, w *testWorld, srcIA, dstIA addr.IA) (*squic.Conn, *squic.Conn, *segment.Path) {
+func dialPair(t testing.TB, w *testbed.World, srcIA, dstIA addr.IA) (*squic.Conn, *squic.Conn, *segment.Path) {
 	t.Helper()
 	id, err := squic.NewIdentity("server.test")
 	if err != nil {
@@ -87,18 +46,18 @@ func dialPair(t testing.TB, w *testWorld, srcIA, dstIA addr.IA) (*squic.Conn, *s
 	pool := squic.NewCertPool()
 	pool.AddIdentity(id)
 
-	serverSock := w.socket(t, dstIA, "10.0.0.2", 443)
-	lis, err := squic.Listen(serverSock, &squic.Config{Clock: w.clock, Identity: id})
+	serverSock := socket(t, w, dstIA, "10.0.0.2", 443)
+	lis, err := squic.Listen(serverSock, &squic.Config{Clock: w.Clock, Identity: id})
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { lis.Close() })
 
-	paths := w.comb.Paths(srcIA, dstIA, during)
+	paths := w.Combiner.Paths(srcIA, dstIA, testbed.Start)
 	if len(paths) == 0 {
 		t.Fatal("no paths")
 	}
-	clientSock := w.socket(t, srcIA, "10.0.0.1", 0)
+	clientSock := socket(t, w, srcIA, "10.0.0.1", 0)
 	remote := addr.UDPAddr{Addr: addr.Addr{IA: dstIA, Host: netip.MustParseAddr("10.0.0.2")}, Port: 443}
 
 	connCh := make(chan *squic.Conn, 1)
@@ -108,7 +67,7 @@ func dialPair(t testing.TB, w *testWorld, srcIA, dstIA addr.IA) (*squic.Conn, *s
 			connCh <- c
 		}
 	}()
-	client, err := squic.Dial(clientSock, remote, paths[0], "server.test", &squic.Config{Clock: w.clock, Pool: pool})
+	client, err := squic.Dial(clientSock, remote, paths[0], "server.test", &squic.Config{Clock: w.Clock, Pool: pool})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -155,29 +114,29 @@ func TestHandshakeAndEcho(t *testing.T) {
 
 func TestHandshakeTakesOneRTT(t *testing.T) {
 	w := newTestWorld(t, nil)
-	paths := w.comb.Paths(topology.AS111, topology.AS211, during)
+	paths := w.Combiner.Paths(topology.AS111, topology.AS211, testbed.Start)
 	rtt := 2 * paths[0].Meta.Latency
 
 	id, _ := squic.NewIdentity("server.test")
 	pool := squic.NewCertPool()
 	pool.AddIdentity(id)
-	serverSock := w.socket(t, topology.AS211, "10.0.0.2", 443)
-	lis, err := squic.Listen(serverSock, &squic.Config{Clock: w.clock, Identity: id})
+	serverSock := socket(t, w, topology.AS211, "10.0.0.2", 443)
+	lis, err := squic.Listen(serverSock, &squic.Config{Clock: w.Clock, Identity: id})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer lis.Close()
 	go lis.Accept()
 
-	clientSock := w.socket(t, topology.AS111, "10.0.0.1", 0)
+	clientSock := socket(t, w, topology.AS111, "10.0.0.1", 0)
 	remote := addr.UDPAddr{Addr: addr.Addr{IA: topology.AS211, Host: netip.MustParseAddr("10.0.0.2")}, Port: 443}
-	start := w.clock.Now()
-	client, err := squic.Dial(clientSock, remote, paths[0], "server.test", &squic.Config{Clock: w.clock, Pool: pool})
+	start := w.Clock.Now()
+	client, err := squic.Dial(clientSock, remote, paths[0], "server.test", &squic.Config{Clock: w.Clock, Pool: pool})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer client.Close()
-	elapsed := w.clock.Since(start)
+	elapsed := w.Clock.Since(start)
 	if elapsed < rtt || elapsed > rtt+5*time.Millisecond {
 		t.Fatalf("handshake took %v, want ~1 RTT (%v)", elapsed, rtt)
 	}
@@ -350,18 +309,18 @@ func TestManyConcurrentStreams(t *testing.T) {
 func TestDialUnknownServerKey(t *testing.T) {
 	w := newTestWorld(t, nil)
 	id, _ := squic.NewIdentity("server.test")
-	serverSock := w.socket(t, topology.AS211, "10.0.0.2", 443)
-	lis, err := squic.Listen(serverSock, &squic.Config{Clock: w.clock, Identity: id})
+	serverSock := socket(t, w, topology.AS211, "10.0.0.2", 443)
+	lis, err := squic.Listen(serverSock, &squic.Config{Clock: w.Clock, Identity: id})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer lis.Close()
 
-	paths := w.comb.Paths(topology.AS111, topology.AS211, during)
-	clientSock := w.socket(t, topology.AS111, "10.0.0.1", 0)
+	paths := w.Combiner.Paths(topology.AS111, topology.AS211, testbed.Start)
+	clientSock := socket(t, w, topology.AS111, "10.0.0.1", 0)
 	remote := addr.UDPAddr{Addr: addr.Addr{IA: topology.AS211, Host: netip.MustParseAddr("10.0.0.2")}, Port: 443}
 	// Empty pool: the client must reject the handshake.
-	_, err = squic.Dial(clientSock, remote, paths[0], "server.test", &squic.Config{Clock: w.clock, Pool: squic.NewCertPool()})
+	_, err = squic.Dial(clientSock, remote, paths[0], "server.test", &squic.Config{Clock: w.Clock, Pool: squic.NewCertPool()})
 	if err == nil {
 		t.Fatal("dial succeeded without trusted key")
 	}
@@ -374,27 +333,27 @@ func TestDialWrongIdentity(t *testing.T) {
 	pool := squic.NewCertPool()
 	pool.AddIdentity(realID)
 
-	serverSock := w.socket(t, topology.AS211, "10.0.0.2", 443)
-	lis, err := squic.Listen(serverSock, &squic.Config{Clock: w.clock, Identity: imposter})
+	serverSock := socket(t, w, topology.AS211, "10.0.0.2", 443)
+	lis, err := squic.Listen(serverSock, &squic.Config{Clock: w.Clock, Identity: imposter})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer lis.Close()
-	paths := w.comb.Paths(topology.AS111, topology.AS211, during)
-	clientSock := w.socket(t, topology.AS111, "10.0.0.1", 0)
+	paths := w.Combiner.Paths(topology.AS111, topology.AS211, testbed.Start)
+	clientSock := socket(t, w, topology.AS111, "10.0.0.1", 0)
 	remote := addr.UDPAddr{Addr: addr.Addr{IA: topology.AS211, Host: netip.MustParseAddr("10.0.0.2")}, Port: 443}
-	if _, err := squic.Dial(clientSock, remote, paths[0], "server.test", &squic.Config{Clock: w.clock, Pool: pool}); err == nil {
+	if _, err := squic.Dial(clientSock, remote, paths[0], "server.test", &squic.Config{Clock: w.Clock, Pool: pool}); err == nil {
 		t.Fatal("dial accepted an imposter")
 	}
 }
 
 func TestDialTimeoutNoServer(t *testing.T) {
 	w := newTestWorld(t, nil)
-	paths := w.comb.Paths(topology.AS111, topology.AS211, during)
-	clientSock := w.socket(t, topology.AS111, "10.0.0.1", 0)
+	paths := w.Combiner.Paths(topology.AS111, topology.AS211, testbed.Start)
+	clientSock := socket(t, w, topology.AS111, "10.0.0.1", 0)
 	remote := addr.UDPAddr{Addr: addr.Addr{IA: topology.AS211, Host: netip.MustParseAddr("10.0.0.9")}, Port: 443}
 	_, err := squic.Dial(clientSock, remote, paths[0], "server.test", &squic.Config{
-		Clock: w.clock, Pool: squic.NewCertPool(), HandshakeTimeout: 2 * time.Second,
+		Clock: w.Clock, Pool: squic.NewCertPool(), HandshakeTimeout: 2 * time.Second,
 	})
 	if err == nil {
 		t.Fatal("dial to nowhere succeeded")
@@ -423,7 +382,7 @@ func TestConnCloseUnblocksPeer(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Give the data time to arrive, then abort the whole connection.
-	w.clock.Sleep(100 * time.Millisecond)
+	w.Clock.Sleep(100 * time.Millisecond)
 	client.Close()
 	select {
 	case err := <-readErr:
@@ -443,7 +402,7 @@ func TestStreamDeadlines(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s.SetReadDeadline(w.clock.Now().Add(10 * time.Millisecond))
+	s.SetReadDeadline(w.Clock.Now().Add(10 * time.Millisecond))
 	_, err = s.Read(make([]byte, 1))
 	if nerr, ok := err.(interface{ Timeout() bool }); !ok || !nerr.Timeout() {
 		t.Fatalf("read err = %v, want timeout", err)
@@ -499,10 +458,10 @@ func TestRTTMatchesPathLatency(t *testing.T) {
 	// Warm up the stream.
 	s.Write([]byte{1})
 	io.ReadFull(s, make([]byte, 1))
-	start := w.clock.Now()
+	start := w.Clock.Now()
 	s.Write([]byte{2})
 	io.ReadFull(s, make([]byte, 1))
-	rtt := w.clock.Since(start)
+	rtt := w.Clock.Since(start)
 	want := 2 * path.Meta.Latency
 	if rtt < want || rtt > want+5*time.Millisecond {
 		t.Fatalf("echo RTT %v, want ~%v", rtt, want)
@@ -643,7 +602,7 @@ func TestTransferReturnsEveryLease(t *testing.T) {
 	}
 	client.Close()
 	server.Close()
-	w.clock.Sleep(5 * time.Second) // the CLOSEs and any stragglers arrive or drop
+	w.Clock.Sleep(5 * time.Second) // the CLOSEs and any stragglers arrive or drop
 	after := netsim.ReadPoolStats()
 	gets, puts := after.Gets-before.Gets, after.Puts-before.Puts
 	if gets == 0 || gets != puts {

@@ -13,6 +13,7 @@ import (
 	"tango/internal/netsim"
 	"tango/internal/pan"
 	"tango/internal/segment"
+	"tango/internal/testbed"
 	"tango/internal/topology"
 	"tango/internal/webserver"
 )
@@ -38,9 +39,7 @@ func gossipPath(i int) *segment.Path {
 // telemetry — while a malformed peer in the same round errors without
 // poisoning the import.
 func TestGossipExchange(t *testing.T) {
-	clock := netsim.NewSimClock(time.Date(2022, 10, 10, 0, 0, 0, 0, time.UTC))
-	stop := clock.AutoAdvance(200 * time.Microsecond)
-	t.Cleanup(stop)
+	clock := testbed.AutoClock(t)
 	legacy := netsim.NewStreamNetwork(clock)
 	legacy.SetDefaultRoute(netsim.RouteProps{Latency: time.Millisecond})
 
@@ -109,9 +108,7 @@ func TestGossipExchange(t *testing.T) {
 // TestFetchSnapshotURLForms: bare host:port, base URL, and full snapshot URL
 // all resolve to the well-known path.
 func TestFetchSnapshotURLForms(t *testing.T) {
-	clock := netsim.NewSimClock(time.Date(2022, 10, 10, 0, 0, 0, 0, time.UTC))
-	stop := clock.AutoAdvance(200 * time.Microsecond)
-	t.Cleanup(stop)
+	clock := testbed.AutoClock(t)
 	legacy := netsim.NewStreamNetwork(clock)
 	legacy.SetDefaultRoute(netsim.RouteProps{Latency: 0})
 

@@ -12,22 +12,14 @@ import (
 	"time"
 
 	"tango/internal/addr"
-	"tango/internal/beacon"
 	"tango/internal/browser"
-	"tango/internal/dataplane"
 	"tango/internal/netsim"
 	"tango/internal/pan"
-	"tango/internal/pathdb"
 	"tango/internal/shttp"
-	"tango/internal/snet"
 	"tango/internal/squic"
+	"tango/internal/testbed"
 	"tango/internal/topology"
 	"tango/internal/webserver"
-)
-
-var (
-	t0 = time.Date(2022, 10, 10, 0, 0, 0, 0, time.UTC)
-	t1 = t0.Add(24 * time.Hour)
 )
 
 func TestSiteServesContent(t *testing.T) {
@@ -103,9 +95,7 @@ func TestStandardSite(t *testing.T) {
 }
 
 func TestServeIPRoundTrip(t *testing.T) {
-	clock := netsim.NewSimClock(t0)
-	t.Cleanup(clock.AutoAdvance(0))
-	legacy := netsim.NewStreamNetwork(clock)
+	legacy := netsim.NewStreamNetwork(testbed.AutoClock(t))
 	legacy.SetDefaultRoute(netsim.RouteProps{Latency: time.Millisecond})
 	site := webserver.NewSite()
 	site.Add("/hello", "text/plain", []byte("over ip"))
@@ -129,34 +119,10 @@ func TestServeIPRoundTrip(t *testing.T) {
 	}
 }
 
-// scionWorld builds the minimal SCION substrate for server tests.
-func scionWorld(t *testing.T) (*netsim.SimClock, *pathdb.Combiner, *dataplane.World, map[addr.IA]*snet.Dispatcher, *squic.CertPool) {
-	t.Helper()
-	topo := topology.Default()
-	infra, err := beacon.NewInfra(topo, t0, t1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	reg := pathdb.NewRegistry(infra.Store)
-	if err := beacon.NewService(topo, infra, reg, 12*time.Hour).Run(t0); err != nil {
-		t.Fatal(err)
-	}
-	clock := netsim.NewSimClock(t0.Add(time.Hour))
-	dw, err := dataplane.NewWorld(topo, infra.ForwardingKeys, clock, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	disp := make(map[addr.IA]*snet.Dispatcher)
-	for _, as := range topo.ASes() {
-		disp[as.IA] = snet.NewDispatcher(dw.Router(as.IA), clock)
-	}
-	t.Cleanup(clock.AutoAdvance(0))
-	return clock, pathdb.NewCombiner(reg), dw, disp, squic.NewCertPool()
-}
-
 func TestServeSCIONWithStrictHeader(t *testing.T) {
-	clock, comb, dw, disp, pool := scionWorld(t)
-	host := pan.NewHost(disp[topology.AS211].Host(netip.MustParseAddr("10.0.0.2"), dw.Router(topology.AS211)), comb, pool)
+	w := testbed.New(t, testbed.AutoClock(t), nil, 1)
+	pool := squic.NewCertPool()
+	host := pan.NewHost(w.Stack(topology.AS211, "10.0.0.2"), w.Combiner, pool)
 	id, err := squic.NewIdentity("srv.test")
 	if err != nil {
 		t.Fatal(err)
@@ -170,7 +136,7 @@ func TestServeSCIONWithStrictHeader(t *testing.T) {
 	}
 	defer srv.Close()
 
-	client := pan.NewHost(disp[topology.AS111].Host(netip.MustParseAddr("10.0.0.1"), dw.Router(topology.AS111)), comb, pool)
+	client := pan.NewHost(w.Stack(topology.AS111, "10.0.0.1"), w.Combiner, pool)
 	remote := addr.UDPAddr{Addr: addr.Addr{IA: topology.AS211, Host: netip.MustParseAddr("10.0.0.2")}, Port: 443}
 	dialer := client.NewDialer(pan.DialOptions{ServerName: "srv.test"})
 	defer dialer.Close()
@@ -192,13 +158,10 @@ func TestServeSCIONWithStrictHeader(t *testing.T) {
 	if !ok || age != 30*time.Minute {
 		t.Fatalf("strict header %q", resp.Header.Get(shttp.HeaderStrictSCION))
 	}
-	_ = clock
 }
 
 func TestReverseProxyPreservesHost(t *testing.T) {
-	clock := netsim.NewSimClock(t0)
-	t.Cleanup(clock.AutoAdvance(0))
-	legacy := netsim.NewStreamNetwork(clock)
+	legacy := netsim.NewStreamNetwork(testbed.AutoClock(t))
 	legacy.SetDefaultRoute(netsim.RouteProps{Latency: time.Millisecond})
 
 	// Origin that echoes the Host header.
@@ -236,7 +199,7 @@ func TestReverseProxyPreservesHost(t *testing.T) {
 // TestReverseProxyUsesRelayPool: the reverse proxy copies bodies through
 // the shared relay buffers instead of allocating a buffer per response.
 func TestReverseProxyUsesRelayPool(t *testing.T) {
-	legacy := netsim.NewStreamNetwork(netsim.NewSimClock(t0))
+	legacy := netsim.NewStreamNetwork(testbed.NewClock())
 	rp, ok := webserver.NewReverseProxy(legacy, "rp", "10.1.1.1:80").(*httputil.ReverseProxy)
 	if !ok || rp.BufferPool != (shttp.RelayBufferPool{}) {
 		t.Fatalf("reverse proxy %T does not copy through shttp.RelayBufferPool", rp)
