@@ -12,7 +12,7 @@ import (
 // and one simulated link per topology link, all on a shared clock.
 type World struct {
 	Topo       *topology.Topology
-	Clock      netsim.Clock
+	Clock      *netsim.SimClock
 	routers    map[addr.IA]*Router
 	links      []*netsim.Link
 	linkByPair map[[2]addr.IA]*netsim.Link
@@ -22,7 +22,7 @@ type World struct {
 // AS, as produced by beacon.NewInfra). Loss configured in the topology's
 // link props is applied; seeds derive deterministically from baseSeed and
 // the link index.
-func NewWorld(topo *topology.Topology, keys map[addr.IA][]byte, clock netsim.Clock, baseSeed int64) (*World, error) {
+func NewWorld(topo *topology.Topology, keys map[addr.IA][]byte, clock *netsim.SimClock, baseSeed int64) (*World, error) {
 	w := &World{
 		Topo:       topo,
 		Clock:      clock,

@@ -1,7 +1,10 @@
 // Package netsim provides the simulated network substrate every other layer
 // of this repository runs on: a pluggable clock (real or virtual), lossy
 // latency/bandwidth-shaped datagram links, and latency-shaped in-memory
-// stream connections that model the legacy BGP/IP path.
+// stream connections that model the legacy BGP/IP path. Links and streams
+// run on the virtual clock, where each direction is a FIFO queue: a packet
+// in flight is a slot in its direction's ring, and the clock fires the
+// heads of the rings and its timers in one (deadline, seq) order.
 //
 // netsim is deliberately SCION-agnostic: the SCION data plane
 // (internal/dataplane) builds border routers on top of netsim links, and the
@@ -11,7 +14,7 @@
 package netsim
 
 import (
-	"container/heap"
+	"math"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -35,24 +38,6 @@ type Clock interface {
 	Since(t time.Time) time.Duration
 }
 
-// DeliveryScheduler is an optional Clock capability used by the packet
-// plane: schedule a one-shot packet delivery with no cancel handle. Links
-// deliver millions of packets and never cancel them, so the cancel closure
-// AfterFunc must construct is pure garbage on that path; implementations can
-// also recycle their timer records since no reference escapes. Both clocks
-// in this package implement it; custom Clocks fall back to AfterFunc.
-//
-// recv reports mayWake: false promises that the call made no goroutine
-// runnable (it only counted, cached, or scheduled further deliveries), so a
-// SimClock's auto-advancer may move on to the next timer without waiting for
-// reactions. Return true whenever the call might have woken anyone — sent on
-// a channel, released a lock or condition a goroutine waits on, or ran code
-// that could. RealClock ignores the result.
-type DeliveryScheduler interface {
-	//lint:lease sink
-	ScheduleDelivery(d time.Duration, recv func([]byte) (mayWake bool), buf []byte)
-}
-
 // RealClock is the production Clock backed by package time.
 type RealClock struct{}
 
@@ -74,55 +59,78 @@ func (RealClock) AfterFunc(d time.Duration, f func()) func() bool {
 // Since implements Clock.
 func (RealClock) Since(t time.Time) time.Duration { return time.Since(t) } //lint:allow-wallclock RealClock is the wall-clock boundary
 
-// ScheduleDelivery implements DeliveryScheduler.
-//
-//lint:lease sink
-func (RealClock) ScheduleDelivery(d time.Duration, recv func([]byte) bool, buf []byte) {
-	time.AfterFunc(d, func() { recv(buf) }) //lint:allow-wallclock RealClock is the wall-clock boundary
+// event is one node of a SimClock's heap: an app timer (AfterFunc, Sleep,
+// After), or a delivery queue keyed by its head entry.
+type event struct {
+	at    int64  // deadline, ns since the clock's epoch
+	seq   uint64 // tie-break so equal deadlines fire in schedule order
+	index int    // heap index, -1 once removed
+	fn    func() // an app timer's callback
+	q     *queue // the queue this node keys; nil for an app timer
 }
 
-// simTimer is one pending virtual-clock timer. Delivery timers (see
-// ScheduleDelivery) carry recv+buf directly instead of a closure and are
-// recycled through simTimerPool after firing; only timers with no
-// outstanding cancel handle may be pooled.
-type simTimer struct {
-	deadline time.Time
-	seq      uint64 // tie-break so equal deadlines fire in schedule order
-	fn       func()
-	recv     func([]byte) bool
-	buf      []byte
-	pooled   bool // no cancel handle exists; recycle after firing
-	index    int  // heap index, -1 once removed
+// entry is one packet, stream chunk or stream EOF in flight on a queue.
+type entry struct {
+	at  int64
+	seq uint64
+	buf []byte
 }
 
-var simTimerPool = sync.Pool{New: func() any { return new(simTimer) }}
-
-type timerHeap []*simTimer
-
-func (h timerHeap) Len() int { return len(h) }
-func (h timerHeap) Less(i, j int) bool {
-	if !h[i].deadline.Equal(h[j].deadline) {
-		return h[i].deadline.Before(h[j].deadline)
-	}
-	return h[i].seq < h[j].seq
+// queue is one FIFO delivery direction, a link's or a stream's, sorted by
+// (at, seq) (see SimClock). The clock's lock guards it.
+type queue struct {
+	ev       event   // its heap node while n > 0, keyed by ring[head]
+	ring     []entry // circular; len is zero or a power of two
+	head, n  int
+	nextFree int64                           // when the transmitter frees up
+	recv     func(buf []byte) (mayWake bool) // runs each entry on arrival
 }
-func (h timerHeap) Swap(i, j int) {
+
+// eventHeap is a binary min-heap on (at, seq).
+type eventHeap []*event
+
+func (h eventHeap) less(i, j int) bool {
+	return h[i].at < h[j].at || h[i].at == h[j].at && h[i].seq < h[j].seq
+}
+
+func (h eventHeap) swap(i, j int) {
 	h[i], h[j] = h[j], h[i]
 	h[i].index, h[j].index = i, j
 }
-func (h *timerHeap) Push(x any) {
-	t := x.(*simTimer)
-	t.index = len(*h)
-	*h = append(*h, t)
+
+// fix restores the heap order after h[i]'s key changed.
+func (h eventHeap) fix(i int) {
+	for ; i > 0 && h.less(i, (i-1)/2); i = (i - 1) / 2 {
+		h.swap(i, (i-1)/2)
+	}
+	for {
+		j := 2*i + 1
+		if j+1 < len(h) && h.less(j+1, j) {
+			j++
+		}
+		if j >= len(h) || !h.less(j, i) {
+			return
+		}
+		h.swap(i, j)
+		i = j
+	}
 }
-func (h *timerHeap) Pop() any {
+
+func (h *eventHeap) push(e *event) {
+	e.index = len(*h)
+	*h = append(*h, e)
+	h.fix(e.index)
+}
+
+func (h *eventHeap) remove(i int) {
 	old := *h
-	n := len(old)
-	t := old[n-1]
-	old[n-1] = nil
-	t.index = -1
-	*h = old[:n-1]
-	return t
+	n := len(old) - 1
+	old.swap(i, n)
+	old[n].index = -1
+	old[n] = nil
+	if *h = old[:n]; i < n {
+		h.fix(i)
+	}
 }
 
 // SimClock is a virtual clock. Time only moves when Advance, AdvanceToNext,
@@ -131,26 +139,48 @@ func (h *timerHeap) Pop() any {
 // compute time contributes zero. This is what makes the page-load-time
 // experiments deterministic and fast.
 //
+// Pending work is of two kinds. An app timer (AfterFunc, Sleep, After) is
+// one heap node. A packet on a Link, or a chunk on a stream connection, is
+// not: it is an entry in its direction's queue, a ring the clock's lock
+// guards, and the heap holds one node per non-empty direction, keyed by its
+// head entry. A send onto a non-empty queue touches no heap; firing a head
+// delivers it and re-keys the direction by its next entry. Every entry,
+// timer or queued, draws its seq from the one counter at send time, and a
+// direction's deadlines never decrease (see Link.SetProps), so each queue
+// is sorted by (deadline, seq) and merging the heads fires everything in
+// the global (deadline, seq) order one heap of all of them would.
+//
 // The zero value is not usable; construct with NewSimClock.
 type SimClock struct {
-	mu       sync.Mutex
-	now      time.Time
-	timers   timerHeap
+	epoch time.Time
+
+	mu       sync.Mutex //lint:lockorder simclock
+	now      int64      // ns since epoch
+	events   eventHeap
 	seq      uint64
+	pending  int           // app timers plus queued entries
 	activity atomic.Uint64 // bumped on every schedule/fire, used by AutoAdvance
 	wakes    atomic.Uint64 // bumped by every fired timer that may have woken a goroutine
 }
 
 // NewSimClock returns a SimClock starting at the given epoch.
 func NewSimClock(epoch time.Time) *SimClock {
-	return &SimClock{now: epoch}
+	return &SimClock{epoch: epoch}
 }
 
 // Now implements Clock.
 func (c *SimClock) Now() time.Time {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return c.now
+	return c.epoch.Add(time.Duration(c.now))
+}
+
+// after returns now+d, saturating instead of wrapping. Called with c.mu held.
+func (c *SimClock) after(d time.Duration) int64 {
+	if at := c.now + int64(d); d <= 0 || at > c.now {
+		return at
+	}
+	return math.MaxInt64
 }
 
 // Sleep implements Clock. It blocks until virtual time has advanced past
@@ -158,14 +188,14 @@ func (c *SimClock) Now() time.Time {
 // auto-advancer) to move the clock.
 func (c *SimClock) Sleep(d time.Duration) {
 	done := make(chan struct{})
-	c.AfterFunc(d, func() { close(done) })
+	c.schedule(d, func() { close(done) })
 	<-done
 }
 
 // After implements Clock.
 func (c *SimClock) After(d time.Duration) <-chan time.Time {
 	ch := make(chan time.Time, 1)
-	c.AfterFunc(d, func() { ch <- c.Now() })
+	c.schedule(d, func() { ch <- c.Now() })
 	return ch
 }
 
@@ -173,42 +203,68 @@ func (c *SimClock) After(d time.Duration) <-chan time.Time {
 // at the current virtual instant on the next advance — never synchronously,
 // so callers may schedule while holding locks their callbacks take.
 func (c *SimClock) AfterFunc(d time.Duration, f func()) func() bool {
-	c.mu.Lock()
-	c.activity.Add(1)
-	t := &simTimer{deadline: c.now.Add(d), seq: c.seq, fn: f}
-	c.seq++
-	heap.Push(&c.timers, t)
-	c.mu.Unlock()
+	e := c.schedule(d, f)
 	return func() bool {
 		c.mu.Lock()
 		defer c.mu.Unlock()
 		c.activity.Add(1)
-		if t.index < 0 {
+		if e.index < 0 {
 			return false
 		}
-		heap.Remove(&c.timers, t.index)
+		c.events.remove(e.index)
+		c.pending--
 		return true
 	}
 }
 
-// ScheduleDelivery implements DeliveryScheduler: like AfterFunc but with the
-// callback's argument stored on the (pooled) timer record, so the packet hot
-// path schedules deliveries with zero allocations in steady state.
-//
-//lint:lease sink
-func (c *SimClock) ScheduleDelivery(d time.Duration, recv func([]byte) bool, buf []byte) {
-	t := simTimerPool.Get().(*simTimer)
-	t.fn = nil
-	t.recv = recv
-	t.buf = buf
-	t.pooled = true
+// schedule adds an app timer running f at now+d. A non-positive d keeps
+// its raw deadline, so it sorts with the timers it was scheduled among.
+func (c *SimClock) schedule(d time.Duration, f func()) *event {
 	c.mu.Lock()
 	c.activity.Add(1)
-	t.deadline = c.now.Add(d)
-	t.seq = c.seq
+	e := &event{at: c.after(d), seq: c.seq, fn: f}
 	c.seq++
-	heap.Push(&c.timers, t)
+	c.pending++
+	c.events.push(e)
 	c.mu.Unlock()
+	return e
+}
+
+// send puts buf on q's wire: it starts once q's transmitter frees up (or
+// now), takes len(buf)·8/bandwidth to serialise (nothing when bandwidth is
+// zero), and arrives latency later. Its deadline is clamped to q's tail,
+// so q stays sorted even if latency fell since the last send.
+func (c *SimClock) send(q *queue, bandwidth int64, latency time.Duration, buf []byte) {
+	var tx int64
+	if bandwidth > 0 {
+		tx = int64(len(buf)) * 8 * int64(time.Second) / bandwidth
+	}
+	c.mu.Lock()
+	c.activity.Add(1)
+	q.nextFree = max(q.nextFree, c.now) + tx
+	at := q.nextFree + int64(latency)
+	if q.n == len(q.ring) {
+		q.grow()
+	}
+	mask := len(q.ring) - 1
+	if q.n > 0 {
+		at = max(at, q.ring[(q.head+q.n-1)&mask].at)
+	} else {
+		q.ev = event{at: at, seq: c.seq, q: q}
+		c.events.push(&q.ev)
+	}
+	q.ring[(q.head+q.n)&mask] = entry{at: at, seq: c.seq, buf: buf}
+	q.n++
+	c.seq++
+	c.pending++
+	c.mu.Unlock()
+}
+
+// grow doubles q's full ring, keeping its entries in order.
+func (q *queue) grow() {
+	ring := make([]entry, max(4, 2*len(q.ring)))
+	copy(ring[copy(ring, q.ring[q.head:]):], q.ring[:q.head])
+	q.ring, q.head = ring, 0
 }
 
 // Since implements Clock.
@@ -218,7 +274,7 @@ func (c *SimClock) Since(t time.Time) time.Duration { return c.Now().Sub(t) }
 // falls within the window, in deadline order.
 func (c *SimClock) Advance(d time.Duration) {
 	c.mu.Lock()
-	target := c.now.Add(d)
+	target := c.after(d)
 	c.mu.Unlock()
 	c.advanceTo(target)
 }
@@ -227,21 +283,22 @@ func (c *SimClock) Advance(d time.Duration) {
 // fires every timer due at that instant. It reports whether any timer fired.
 func (c *SimClock) AdvanceToNext() bool {
 	c.mu.Lock()
-	if len(c.timers) == 0 {
+	if len(c.events) == 0 {
 		c.mu.Unlock()
 		return false
 	}
-	target := c.timers[0].deadline
+	target := c.events[0].at
 	c.mu.Unlock()
 	c.advanceTo(target)
 	return true
 }
 
-// PendingTimers returns the number of timers not yet fired.
+// PendingTimers returns the number of timers not yet fired: app timers, and
+// the packets and stream chunks in flight.
 func (c *SimClock) PendingTimers() int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return len(c.timers)
+	return c.pending
 }
 
 // advanceTo moves the clock to target (if later than now), firing due timers
@@ -249,36 +306,44 @@ func (c *SimClock) PendingTimers() int {
 // chain of zero-delay work completes before time moves again; callbacks that
 // need to block must spawn their own goroutines.
 //
-// Every fired callback that may have woken a goroutine — any AfterFunc
-// callback, and any delivery whose receiver returned true — bumps c.wakes as
-// soon as it returns. A shared counter rather than a result keeps this exact
-// when several goroutines advance the same clock at once: the auto-advancer
-// sees wakes caused by anyone's advance, not only its own.
-func (c *SimClock) advanceTo(target time.Time) {
+// Every fired callback that may have woken a goroutine — any app timer, and
+// any delivery whose receiver returned true — bumps c.wakes as soon as it
+// returns. A shared counter rather than a result keeps this exact when
+// several goroutines advance the same clock at once: the auto-advancer sees
+// wakes caused by anyone's advance, not only its own.
+func (c *SimClock) advanceTo(target int64) {
 	for {
 		c.mu.Lock()
-		if target.After(c.now) && (len(c.timers) == 0 || c.timers[0].deadline.After(target)) {
-			c.now = target
-		}
-		if len(c.timers) == 0 || c.timers[0].deadline.After(target) {
+		if len(c.events) == 0 || c.events[0].at > target {
+			c.now = max(c.now, target)
 			c.mu.Unlock()
 			return
 		}
-		t := heap.Pop(&c.timers).(*simTimer)
-		if t.deadline.After(c.now) {
-			c.now = t.deadline
-		}
+		e := c.events[0]
+		c.now = max(c.now, e.at)
 		c.activity.Add(1)
-		c.mu.Unlock()
-		fn, recv, buf := t.fn, t.recv, t.buf
-		if t.pooled {
-			*t = simTimer{}
-			simTimerPool.Put(t)
-		}
-		if recv == nil {
-			fn()
+		c.pending--
+		q := e.q
+		if q == nil {
+			c.events.remove(0)
+			c.mu.Unlock()
+			e.fn()
 			c.wakes.Add(1)
-		} else if recv(buf) {
+			continue
+		}
+		buf := q.ring[q.head].buf
+		q.ring[q.head] = entry{}
+		q.head = (q.head + 1) & (len(q.ring) - 1)
+		if q.n--; q.n > 0 {
+			next := &q.ring[q.head]
+			e.at, e.seq = next.at, next.seq
+			c.events.fix(0)
+		} else {
+			c.events.remove(0)
+		}
+		recv := q.recv
+		c.mu.Unlock()
+		if recv(buf) {
 			c.wakes.Add(1)
 		}
 	}
@@ -299,7 +364,7 @@ func (c *SimClock) advanceTo(target time.Time) {
 // to that cascade. The advancer therefore waits out a window only after an
 // instant that may have woken one: any AfterFunc timer (Sleep, After,
 // protocol timeouts), or a delivery whose receiver reported mayWake (see
-// DeliveryScheduler). An instant whose deliveries all returned false — a
+// Link.Attach). An instant whose deliveries all returned false — a
 // router forwarding a packet onto its next link — left the set of runnable
 // goroutines as the previous window found it, empty, so the advancer moves
 // straight on to the next timer.

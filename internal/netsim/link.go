@@ -10,8 +10,6 @@ import (
 type LinkProps struct {
 	// Latency is the one-way propagation delay.
 	Latency time.Duration
-	// Jitter adds a uniform random delay in [0, Jitter) per packet.
-	Jitter time.Duration
 	// Bandwidth in bits per second; zero means unlimited. Packets are
 	// serialized FIFO per direction, modelling transmission delay and
 	// queueing.
@@ -35,25 +33,28 @@ type LinkStats struct {
 // receivers. Ends are numbered 0 and 1. Sends never block: delivery is
 // scheduled on the link's clock after serialization + propagation delay, and
 // lossy links silently drop.
+//
+// Each direction is a FIFO queue on the clock (see SimClock): a packet in
+// flight is an entry in its direction's ring, not a timer of its own, and
+// packets arrive in the order they were sent.
 type Link struct {
-	clock Clock
-	sched DeliveryScheduler // clock's allocation-free scheduling capability, if any
-	props LinkProps
+	clock *SimClock
 
-	mu       sync.Mutex
-	rng      *rand.Rand
-	ends     [2]func([]byte) bool
-	nextFree [2]time.Time // when the transmitter in each direction frees up
-	stats    [2]LinkStats
+	mu    sync.Mutex //lint:lockorder netsimlink before simclock
+	props LinkProps
+	rng   *rand.Rand
+	stats [2]LinkStats
+	// dirs[from] queues the packets in flight from end from to the other
+	// end. Attach writes a direction's recv holding both mu and the
+	// clock's lock, so Send reads it under mu.
+	dirs [2]queue
 }
 
-// NewLink creates a link with the given properties. The seed drives loss and
-// jitter so scenarios are reproducible.
-func NewLink(clock Clock, props LinkProps, seed int64) *Link {
-	sched, _ := clock.(DeliveryScheduler)
+// NewLink creates a link with the given properties. The seed drives loss so
+// scenarios are reproducible.
+func NewLink(clock *SimClock, props LinkProps, seed int64) *Link {
 	return &Link{
 		clock: clock,
-		sched: sched,
 		props: props,
 		rng:   rand.New(rand.NewSource(seed)),
 	}
@@ -69,7 +70,9 @@ func (l *Link) Props() LinkProps {
 // SetProps replaces the link's properties, taking effect for every packet
 // sent afterwards (in-flight packets keep their scheduled delivery). It is
 // the simulation's lever for mid-run network events: a link failure is
-// LossRate 1, a reroute is a latency change.
+// LossRate 1, a reroute is a latency change. A direction stays FIFO: if a
+// lower latency would deliver a new packet before one already in flight,
+// the new packet is held until that one's delivery instead.
 func (l *Link) SetProps(props LinkProps) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
@@ -77,18 +80,22 @@ func (l *Link) SetProps(props LinkProps) {
 }
 
 // Attach registers the receiver for packets arriving at the given end (0 or
-// 1). Attach must be called for both ends before traffic flows toward them.
+// 1). Attach must be called for both ends before traffic flows toward them;
+// a later Attach also redirects the packets already in flight.
 //
 // recv runs synchronously on the goroutine that fires the delivery and
 // reports mayWake: it must return true whenever handling the packet may have
-// made a goroutine runnable, and may return false only when it did nothing
-// of the kind (a router forwarding the packet onward, or dropping it). A
-// SimClock's auto-advancer skips its quiescence window after an instant in
-// which every delivery returned false; see DeliveryScheduler.
+// made a goroutine runnable — sent on a channel, released a lock or
+// condition a goroutine waits on, or ran code that could — and may return
+// false only when it did nothing of the kind (a router forwarding the packet
+// onward, or dropping it). A SimClock's auto-advancer skips its quiescence
+// window after an instant in which every delivery returned false.
 func (l *Link) Attach(end int, recv func(pkt []byte) (mayWake bool)) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	l.ends[end] = recv
+	l.clock.mu.Lock()
+	l.dirs[1-end].recv = recv
+	l.clock.mu.Unlock()
 }
 
 // Send transmits pkt from the given end toward the other. It reports whether
@@ -111,50 +118,24 @@ func (l *Link) Send(from int, pkt []byte) bool {
 //
 //lint:lease sink
 func (l *Link) SendOwned(from int, pkt []byte) bool {
-	to := 1 - from
 	l.mu.Lock()
-	recv := l.ends[to]
-	if recv == nil {
+	switch st := &l.stats[from]; {
+	case l.dirs[from].recv == nil:
+	case l.props.MTU > 0 && len(pkt) > l.props.MTU:
+		st.TooBig++
+	case l.props.LossRate > 0 && l.rng.Float64() < l.props.LossRate:
+		st.Lost++
+	default:
+		st.Delivered++
+		st.Bytes += uint64(len(pkt))
+		bw, lat := l.props.Bandwidth, l.props.Latency
 		l.mu.Unlock()
-		PutBuf(pkt)
-		return false
+		l.clock.send(&l.dirs[from], bw, lat, pkt)
+		return true
 	}
-	if l.props.MTU > 0 && len(pkt) > l.props.MTU {
-		l.stats[from].TooBig++
-		l.mu.Unlock()
-		PutBuf(pkt)
-		return false
-	}
-	if l.props.LossRate > 0 && l.rng.Float64() < l.props.LossRate {
-		l.stats[from].Lost++
-		l.mu.Unlock()
-		PutBuf(pkt)
-		return false
-	}
-	now := l.clock.Now()
-	start := now
-	if l.nextFree[from].After(start) {
-		start = l.nextFree[from]
-	}
-	var tx time.Duration
-	if l.props.Bandwidth > 0 {
-		tx = time.Duration(int64(len(pkt)) * 8 * int64(time.Second) / l.props.Bandwidth)
-	}
-	l.nextFree[from] = start.Add(tx)
-	delay := start.Sub(now) + tx + l.props.Latency
-	if l.props.Jitter > 0 {
-		delay += time.Duration(l.rng.Int63n(int64(l.props.Jitter)))
-	}
-	l.stats[from].Delivered++
-	l.stats[from].Bytes += uint64(len(pkt))
 	l.mu.Unlock()
-
-	if l.sched != nil {
-		l.sched.ScheduleDelivery(delay, recv, pkt)
-	} else {
-		l.clock.AfterFunc(delay, func() { recv(pkt) })
-	}
-	return true
+	PutBuf(pkt)
+	return false
 }
 
 // Stats returns a snapshot of the transmit statistics for the given end.

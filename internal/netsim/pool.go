@@ -1,6 +1,7 @@
 package netsim
 
 import (
+	"slices"
 	"sync"
 	"sync/atomic"
 )
@@ -77,14 +78,8 @@ func ReadPoolStats() PoolStats {
 //
 //lint:lease source
 func GetBuf(n int) []byte {
-	ci := -1
-	for i, cl := range bufClasses {
-		if n <= cl {
-			ci = i
-			break
-		}
-	}
-	if ci < 0 {
+	ci, _ := slices.BinarySearch(bufClasses[:], n) // the smallest class >= n
+	if ci == len(bufClasses) {
 		return make([]byte, n)
 	}
 	c := &bufPool[ci]
@@ -108,14 +103,8 @@ func GetBuf(n int) []byte {
 //
 //lint:lease sink
 func PutBuf(b []byte) {
-	ci := -1
-	for i, cl := range bufClasses {
-		if cap(b) == cl {
-			ci = i
-			break
-		}
-	}
-	if ci < 0 {
+	ci, ok := slices.BinarySearch(bufClasses[:], cap(b))
+	if !ok {
 		dropsForeign.Add(1)
 		//lint:allow-lease non-class buffers are dropped to the GC; that is their release
 		return

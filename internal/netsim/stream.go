@@ -2,11 +2,11 @@ package netsim
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"io"
 	"net"
 	"sync"
+	"sync/atomic"
 	"time"
 )
 
@@ -15,7 +15,7 @@ import (
 // fixed route with configured one-way latency — there is no path choice,
 // which is exactly the asymmetry the paper's Figure 5 exploits.
 type StreamNetwork struct {
-	clock Clock
+	clock *SimClock
 
 	mu        sync.Mutex
 	listeners map[string]*StreamListener // key "host:port"
@@ -32,7 +32,7 @@ type RouteProps struct {
 }
 
 // NewStreamNetwork creates an empty legacy-IP network on the given clock.
-func NewStreamNetwork(clock Clock) *StreamNetwork {
+func NewStreamNetwork(clock *SimClock) *StreamNetwork {
 	return &StreamNetwork{
 		clock:     clock,
 		listeners: make(map[string]*StreamListener),
@@ -55,16 +55,6 @@ func (n *StreamNetwork) SetRoute(a, b string, p RouteProps) {
 	n.routes[routeKey(a, b)] = p
 }
 
-// Route returns the route properties between two hosts.
-func (n *StreamNetwork) Route(a, b string) RouteProps {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	if p, ok := n.routes[routeKey(a, b)]; ok {
-		return p
-	}
-	return n.def
-}
-
 func routeKey(a, b string) [2]string {
 	if a > b {
 		a, b = b, a
@@ -75,8 +65,7 @@ func routeKey(a, b string) [2]string {
 // Listen opens a listener at "host:port". The host name identifies the
 // machine for routing purposes.
 func (n *StreamNetwork) Listen(hostport string) (*StreamListener, error) {
-	host, _, err := net.SplitHostPort(hostport)
-	if err != nil {
+	if _, _, err := net.SplitHostPort(hostport); err != nil {
 		return nil, fmt.Errorf("netsim listen %q: %w", hostport, err)
 	}
 	n.mu.Lock()
@@ -87,7 +76,6 @@ func (n *StreamNetwork) Listen(hostport string) (*StreamListener, error) {
 	l := &StreamListener{
 		net:    n,
 		addr:   simAddr{network: "sim+tcp", addr: hostport},
-		host:   host,
 		accept: make(chan *streamConn, 16),
 		done:   make(chan struct{}),
 	}
@@ -104,11 +92,14 @@ func (n *StreamNetwork) Dial(ctx context.Context, fromHost, hostport string) (ne
 	}
 	n.mu.Lock()
 	l := n.listeners[hostport]
+	route, ok := n.routes[routeKey(fromHost, toHost)]
+	if !ok {
+		route = n.def
+	}
 	n.mu.Unlock()
 	if l == nil {
 		return nil, fmt.Errorf("netsim dial %q: connection refused", hostport)
 	}
-	route := n.Route(fromHost, toHost)
 
 	client, server := newStreamPair(n.clock, route,
 		simAddr{"sim+tcp", fromHost + ":0"}, simAddr{"sim+tcp", hostport})
@@ -138,7 +129,6 @@ func (n *StreamNetwork) Dial(ctx context.Context, fromHost, hostport string) (ne
 type StreamListener struct {
 	net    *StreamNetwork
 	addr   simAddr
-	host   string
 	accept chan *streamConn
 	done   chan struct{}
 	once   sync.Once
@@ -177,109 +167,91 @@ func (a simAddr) Network() string { return a.network }
 func (a simAddr) String() string  { return a.addr }
 
 // newStreamPair builds two connected latency-shaped stream endpoints.
-func newStreamPair(clock Clock, route RouteProps, aAddr, bAddr simAddr) (a, b *streamConn) {
+func newStreamPair(clock *SimClock, route RouteProps, aAddr, bAddr simAddr) (a, b *streamConn) {
 	ab := newDelayBuffer(clock, route)
 	ba := newDelayBuffer(clock, route)
-	a = &streamConn{clock: clock, rd: ba, wr: ab, local: aAddr, remote: bAddr}
-	b = &streamConn{clock: clock, rd: ab, wr: ba, local: bAddr, remote: aAddr}
+	a = &streamConn{rd: ba, wr: ab, local: aAddr, remote: bAddr}
+	b = &streamConn{rd: ab, wr: ba, local: bAddr, remote: aAddr}
 	return a, b
 }
 
 // delayBuffer is a unidirectional byte channel whose writes become readable
-// only after the route latency has elapsed on the clock.
+// only after the route latency has elapsed on the clock. The writes in
+// flight, and the EOF behind them, are entries of a queue on the clock,
+// sent the way a Link sends a packet.
 type delayBuffer struct {
-	clock Clock
+	clock *SimClock
 	route RouteProps
 
-	mu   sync.Mutex
+	mu   sync.Mutex //lint:lockorder netsimstream before simclock
 	cond *sync.Cond
 	// chunks queues the delivered writes, oldest first, each a copy the
 	// buffer owns until a read has consumed all of it: chunks[head][off:]
 	// is the next unread byte. Once drained, the queue restarts at the
 	// array's front.
-	chunks   [][]byte
-	head     int
-	off      int
-	eofAt    bool // EOF delivered (all data before it already arrived)
-	closed   bool // writer closed; EOF scheduled
-	expired  bool // read deadline exceeded; readers fail until cleared
-	nextFree time.Time
+	chunks  [][]byte
+	head    int
+	off     int
+	eofAt   bool // EOF delivered (all data before it already arrived)
+	closed  bool // writer closed; EOF sent
+	expired bool // read deadline exceeded; readers fail until cleared
+	// wire holds the writes in flight, then a nil entry for the EOF. It is
+	// guarded by the clock's lock; a send holds mu too, so nothing follows
+	// the EOF.
+	wire queue
 }
 
-func newDelayBuffer(clock Clock, route RouteProps) *delayBuffer {
+func newDelayBuffer(clock *SimClock, route RouteProps) *delayBuffer {
 	d := &delayBuffer{clock: clock, route: route}
 	d.cond = sync.NewCond(&d.mu)
+	d.wire.recv = d.arrive
 	return d
 }
 
-// write schedules len(p) bytes for delivery after latency (+ serialization).
+// write sends a copy of p for delivery after latency (+ serialization).
 func (d *delayBuffer) write(p []byte) (int, error) {
 	d.mu.Lock()
+	defer d.mu.Unlock()
 	if d.closed {
-		d.mu.Unlock()
 		return 0, net.ErrClosed
 	}
-	now := d.clock.Now()
-	start := now
-	if d.nextFree.After(start) {
-		start = d.nextFree
-	}
-	var tx time.Duration
-	if d.route.Bandwidth > 0 {
-		tx = time.Duration(int64(len(p)) * 8 * int64(time.Second) / d.route.Bandwidth)
-	}
-	d.nextFree = start.Add(tx)
-	delay := start.Sub(now) + tx + d.route.Latency
-	d.mu.Unlock()
-
-	buf := make([]byte, len(p))
+	buf := make([]byte, len(p)) // never nil, so never mistaken for the EOF
 	copy(buf, p)
-	d.clock.AfterFunc(delay, func() {
-		d.mu.Lock()
-		d.deliver(buf)
-		d.cond.Broadcast()
-		d.mu.Unlock()
-	})
+	d.clock.send(&d.wire, d.route.Bandwidth, d.route.Latency, buf)
 	return len(p), nil
 }
 
-// deliver queues one arrived write; an empty one queues nothing, so a read
-// never returns (0, nil). Called with mu held.
-func (d *delayBuffer) deliver(b []byte) {
-	if len(b) == 0 {
-		return
+// arrive receives one entry off the wire: the EOF (nil), or a write. An
+// empty write queues nothing, so a read never returns (0, nil).
+func (d *delayBuffer) arrive(b []byte) (mayWake bool) {
+	d.mu.Lock()
+	if b == nil {
+		d.eofAt = true
+	} else if len(b) > 0 {
+		if d.head > 0 && len(d.chunks) == cap(d.chunks) {
+			// Slide the unread chunks to the front rather than grow the
+			// array under a reader that never quite drains it.
+			n := copy(d.chunks, d.chunks[d.head:])
+			clear(d.chunks[n:])
+			d.chunks = d.chunks[:n]
+			d.head = 0
+		}
+		d.chunks = append(d.chunks, b)
 	}
-	if d.head > 0 && len(d.chunks) == cap(d.chunks) {
-		// Slide the unread chunks to the front rather than grow the array
-		// under a reader that never quite drains it.
-		n := copy(d.chunks, d.chunks[d.head:])
-		clear(d.chunks[n:])
-		d.chunks = d.chunks[:n]
-		d.head = 0
-	}
-	d.chunks = append(d.chunks, b)
+	d.cond.Broadcast()
+	d.mu.Unlock()
+	return true
 }
 
-// closeWrite schedules EOF after all in-flight data.
+// closeWrite sends EOF behind all in-flight data.
 func (d *delayBuffer) closeWrite() {
 	d.mu.Lock()
+	defer d.mu.Unlock()
 	if d.closed {
-		d.mu.Unlock()
 		return
 	}
 	d.closed = true
-	now := d.clock.Now()
-	delay := d.route.Latency
-	if d.nextFree.After(now) {
-		delay += d.nextFree.Sub(now)
-	}
-	d.mu.Unlock()
-	d.clock.AfterFunc(delay, func() {
-		d.mu.Lock()
-		d.eofAt = true
-		d.cond.Broadcast()
-		d.mu.Unlock()
-	})
+	d.clock.send(&d.wire, 0, d.route.Latency, nil)
 }
 
 // read blocks until data, EOF, or the deadline watcher interrupts.
@@ -332,39 +304,32 @@ func (*timeoutError) Temporary() bool { return true }
 
 // streamConn is a latency-shaped net.Conn over a pair of delayBuffers.
 type streamConn struct {
-	clock  Clock
 	rd     *delayBuffer
 	wr     *delayBuffer
 	local  simAddr
 	remote simAddr
 
-	mu           sync.Mutex
-	closed       bool
-	cancelRead   func() bool
-	writeExpired bool
+	closed       atomic.Bool
+	writeExpired atomic.Bool
+
+	mu         sync.Mutex // guards cancelRead
+	cancelRead func() bool
 }
 
 // Read implements net.Conn.
 func (c *streamConn) Read(p []byte) (int, error) {
-	c.mu.Lock()
-	if c.closed {
-		c.mu.Unlock()
+	if c.closed.Load() {
 		return 0, net.ErrClosed
 	}
-	c.mu.Unlock()
 	return c.rd.read(p)
 }
 
 // Write implements net.Conn.
 func (c *streamConn) Write(p []byte) (int, error) {
-	c.mu.Lock()
-	if c.closed {
-		c.mu.Unlock()
+	if c.closed.Load() {
 		return 0, net.ErrClosed
 	}
-	expired := c.writeExpired
-	c.mu.Unlock()
-	if expired {
+	if c.writeExpired.Load() {
 		return 0, errDeadline
 	}
 	return c.wr.write(p)
@@ -373,13 +338,9 @@ func (c *streamConn) Write(p []byte) (int, error) {
 // Close implements net.Conn: it half-closes our write side (peer sees EOF
 // after in-flight data) and unblocks local readers.
 func (c *streamConn) Close() error {
-	c.mu.Lock()
-	if c.closed {
-		c.mu.Unlock()
+	if c.closed.Swap(true) {
 		return nil
 	}
-	c.closed = true
-	c.mu.Unlock()
 	c.wr.closeWrite()
 	// Unblock any local reader with EOF semantics.
 	c.rd.mu.Lock()
@@ -415,27 +376,22 @@ func (c *streamConn) SetReadDeadline(t time.Time) error {
 	if t.IsZero() {
 		return nil
 	}
-	d := t.Sub(c.clock.Now())
+	d := t.Sub(c.rd.clock.Now())
 	if d <= 0 {
 		c.rd.setExpired(true)
 		return nil
 	}
 	rd := c.rd
-	c.cancelRead = c.clock.AfterFunc(d, func() { rd.setExpired(true) })
+	c.cancelRead = c.rd.clock.AfterFunc(d, func() { rd.setExpired(true) })
 	return nil
 }
 
 // SetWriteDeadline implements net.Conn. Writes never block in the simulator,
 // so this only matters for already-expired deadlines.
 func (c *streamConn) SetWriteDeadline(t time.Time) error {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.writeExpired = !t.IsZero() && !t.After(c.clock.Now())
+	c.writeExpired.Store(!t.IsZero() && !t.After(c.rd.clock.Now()))
 	return nil
 }
 
 var _ net.Conn = (*streamConn)(nil)
 var _ net.Listener = (*StreamListener)(nil)
-
-// ErrUseOfClosedConn mirrors the stdlib sentinel for callers that need it.
-var ErrUseOfClosedConn = errors.New("use of closed netsim connection")

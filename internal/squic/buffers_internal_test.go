@@ -195,6 +195,93 @@ func TestReceivePathOwnsNoWireBytes(t *testing.T) {
 	}
 }
 
+// TestTransferSurvivesReordering delivers a transfer's datagrams, both
+// ways, in a seeded permuted order, holding a random share back for later
+// rounds so that they arrive after datagrams sent after them. The network
+// loses and duplicates nothing; loss detection may still declare a late
+// packet lost and resend its data. The stream must read back exactly the
+// bytes written, and the schedule must really have reordered the data.
+func TestTransferSurvivesReordering(t *testing.T) {
+	for seed := int64(1); seed <= 4; seed++ {
+		t.Run(fmt.Sprint("seed", seed), func(t *testing.T) {
+			rng := rand.New(rand.NewSource(seed))
+			clock := &stepClock{now: time.Date(2022, 10, 10, 0, 0, 0, 0, time.UTC)}
+			client, server, toServer, toClient := connPair(t, clock)
+			payload := make([]byte, 200_000+rng.Intn(1000))
+			rng.Read(payload)
+			s, err := client.OpenStream()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := s.Write(payload); err != nil {
+				t.Fatal(err)
+			}
+			s.CloseWrite()
+
+			// permuted appends the newly sent datagrams to held, shuffles
+			// it, and splits it into a prefix to deliver now and the rest
+			// to hold back.
+			permuted := func(held, sent [][]byte) (now, later [][]byte) {
+				held = append(held, sent...)
+				rng.Shuffle(len(held), func(i, j int) { held[i], held[j] = held[j], held[i] })
+				k := 0
+				if len(held) > 0 {
+					k = 1 + rng.Intn(len(held))
+				}
+				return held[:k], append([][]byte(nil), held[k:]...)
+			}
+			var (
+				got          []byte
+				rs           *Stream
+				eof          bool
+				heldS, heldC [][]byte
+				maxPN        uint64
+				overtaken    int
+			)
+			for round := 0; !eof; round++ {
+				if round == 3000 {
+					t.Fatalf("transfer stalled: %d of %d bytes", len(got), len(payload))
+				}
+				var now [][]byte
+				now, heldS = permuted(heldS, toServer.take())
+				for _, p := range now {
+					hdr, _, err := parseHeader(p)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if hdr.pktNum < maxPN {
+						overtaken++
+					}
+					maxPN = max(maxPN, hdr.pktNum)
+					deliver(server, p)
+				}
+				if rs == nil && len(server.acceptQ) > 0 {
+					if rs, err = server.AcceptStream(); err != nil {
+						t.Fatal(err)
+					}
+				}
+				if rs != nil {
+					got, eof = readAvailable(rs, got)
+				}
+				now, heldC = permuted(heldC, toClient.take())
+				for _, p := range now {
+					deliver(client, p)
+				}
+				clock.now = clock.now.Add(10 * time.Millisecond)
+				if len(toServer.pkts) == 0 && len(heldS) == 0 {
+					expirePTO(client)
+				}
+			}
+			if !bytes.Equal(got, payload) {
+				t.Fatalf("read %d bytes differing from the %d written", len(got), len(payload))
+			}
+			if overtaken == 0 {
+				t.Fatal("no datagram arrived after a later one: the schedule did not reorder")
+			}
+		})
+	}
+}
+
 // TestFreeFramesDroppedWithHistory: once the last packet of a transfer is
 // acked and the history empties, no send block stays pinned — not by the
 // history, nor by a queue slot a retransmission popped, nor by the packet

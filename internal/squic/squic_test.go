@@ -469,17 +469,18 @@ func TestRTTMatchesPathLatency(t *testing.T) {
 }
 
 func TestTransferOverReorderingPath(t *testing.T) {
-	// Heavy jitter reorders packets aggressively; stream reassembly and
-	// loss recovery must still deliver exact bytes.
+	// A 64 KiB transfer between the peering-rich pair over links whose
+	// latencies are all 2 ms must deliver exact bytes. Despite its name
+	// nothing here reorders: every link direction is FIFO. Reordering is
+	// covered by TestTransferSurvivesReordering, which permutes the
+	// datagrams between two connections directly.
 	w := newTestWorld(t, func(topo *topology.Topology) {
 		for _, as := range topo.ASes() {
 			for _, intf := range as.Interfaces {
 				intf.Props.Latency = 2 * time.Millisecond
-				// Jitter handled via link construction: widen below.
 			}
 		}
 	})
-	// Rebuild links with jitter by sending over the peering-rich pair.
 	client, server, _ := dialPair(t, w, topology.AS111, topology.AS121)
 	const size = 64 << 10
 	done := make(chan []byte, 1)
