@@ -94,11 +94,19 @@ func (r *Router) AttachInterface(id addr.IfID, link *netsim.Link, end int) {
 	link.Attach(end, func(buf []byte) bool { return r.handleFromWire(id, buf) })
 }
 
-// SetDeliveryHandler registers the local host stack.
+// SetDeliveryHandler registers the local host stack, replacing any handler
+// registered before.
 func (r *Router) SetDeliveryHandler(h DeliveryHandler) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	r.deliver = h
+}
+
+// HasDeliveryHandler reports whether a local host stack is registered.
+func (r *Router) HasDeliveryHandler() bool {
+	r.mu.RLock()
+	defer r.mu.RUnlock()
+	return r.deliver != nil
 }
 
 // InvalidateMACCache drops every cached hop-validation verdict, forcing full

@@ -3,8 +3,8 @@
 // does not vendor) plus four analyzers that mechanically enforce invariants
 // the hot paths rely on and that previously lived only in prose:
 //
-//   - lockorder: the declared mutex acquisition order (monitor → wheel
-//     in pan, striped-fetch → dialer, fetch → status in stripe) is
+//   - lockorder: the declared mutex acquisition order (striped-fetch →
+//     dialer in pan, fetch → status in stripe, link → clock in netsim) is
 //     never inverted on any static call path.
 //   - buflease: every netsim.GetBuf lease reaches exactly one ownership
 //     sink (PutBuf, Link.SendOwned, or an annotated transfer function) on

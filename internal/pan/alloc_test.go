@@ -116,11 +116,12 @@ func BenchmarkMonitorIngestContended(b *testing.B) {
 	b.ReportMetric(float64(st.Applied)/float64(st.Batches), "samples/batch")
 }
 
-// scaleMonitor is a proxy-scale monitor on the real clock: originsPerAS
-// origins tracked in each of 1024 destination ASes, 3 paths per AS through
-// 64 shared transit ASes, every path's series warmed by one sample. It
-// returns the monitor and its 3072 paths.
-func scaleMonitor(tb testing.TB, originsPerAS int) (*pan.Monitor, []*segment.Path) {
+// scaleMonitor is a proxy-scale monitor on clock: originsPerAS origins
+// tracked in each of 1024 destination ASes, 3 paths per AS through 64
+// shared transit ASes, every path's series warmed by one sample. Its probe,
+// unless opts sets one, succeeds at once with a 1 ms RTT. It returns the
+// monitor and its 3072 paths.
+func scaleMonitor(tb testing.TB, clock netsim.Clock, originsPerAS int, opts pan.MonitorOptions) (*pan.Monitor, []*segment.Path) {
 	const ases, pathsPerAS = 1024, 3
 	byIA := make(map[addr.IA][]*segment.Path, ases)
 	all := make([]*segment.Path, 0, ases*pathsPerAS)
@@ -142,11 +143,12 @@ func scaleMonitor(tb testing.TB, originsPerAS int) (*pan.Monitor, []*segment.Pat
 			all = append(all, p)
 		}
 	}
-	m := pan.NewMonitor(netsim.RealClock{}, func(ia addr.IA) []*segment.Path { return byIA[ia] }, pan.MonitorOptions{
-		Probe: func(addr.UDPAddr, string, *segment.Path, time.Duration) (time.Duration, error) {
+	if opts.Probe == nil {
+		opts.Probe = func(addr.UDPAddr, string, *segment.Path, time.Duration) (time.Duration, error) {
 			return time.Millisecond, nil
-		},
-	})
+		}
+	}
+	m := pan.NewMonitor(clock, func(ia addr.IA) []*segment.Path { return byIA[ia] }, opts)
 	host := netip.MustParseAddr("10.3.0.1")
 	for a := range ases {
 		dst := all[a*pathsPerAS].Dst
@@ -161,12 +163,12 @@ func scaleMonitor(tb testing.TB, originsPerAS int) (*pan.Monitor, []*segment.Pat
 }
 
 // BenchmarkMonitorScale ingests passive samples from parallel goroutines
-// into a monitor tracking ~100k origins while its probe wheel runs: ns/op
+// into a monitor tracking ~100k origins while its probe timers run: ns/op
 // is the per-sample cost on the squic ack hot path (target ≤1µs) behind
 // one lock. Setup, the 100k Tracks, happens off the timer.
 func BenchmarkMonitorScale(b *testing.B) {
 	const originsPerAS = 98
-	m, all := scaleMonitor(b, originsPerAS)
+	m, all := scaleMonitor(b, netsim.RealClock{}, originsPerAS, pan.MonitorOptions{})
 	m.Start()
 	defer m.Stop()
 	var seed atomic.Int64
@@ -186,12 +188,42 @@ func BenchmarkMonitorScale(b *testing.B) {
 	b.ReportMetric(float64(m.TrackedPaths()), "paths")
 }
 
+// BenchmarkMonitorSchedule runs the probe schedule of scaleMonitor's 3072
+// paths, each on its own clock timer, on a virtual clock with no budget
+// floor: one op is 1 ms of virtual time, then a few yields so the probe
+// goroutines it launched run. ns/op is the scheduler's host cost per
+// virtual millisecond at proxy scale; probes/op is how many probes that
+// millisecond sent.
+func BenchmarkMonitorSchedule(b *testing.B) {
+	clock := testbed.NewClock()
+	var probes atomic.Int64
+	m, _ := scaleMonitor(b, clock, 1, pan.MonitorOptions{
+		ProbeBudget: -1,
+		Probe: func(addr.UDPAddr, string, *segment.Path, time.Duration) (time.Duration, error) {
+			probes.Add(1)
+			return time.Millisecond, nil
+		},
+	})
+	m.Start()
+	defer m.Stop()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for range b.N {
+		clock.Advance(time.Millisecond)
+		for range 4 {
+			runtime.Gosched()
+		}
+	}
+	b.StopTimer()
+	b.ReportMetric(float64(probes.Load())/float64(b.N), "probes/op")
+}
+
 // TestMonitorScaleAllocs: BenchmarkMonitorScale's op, one Observe on a
 // proxy-scale monitor, allocates nothing in the steady state. An Observe
 // touches one path's series and its links, never the origin table, so two
 // origins per AS measure the same as the benchmark's 98.
 func TestMonitorScaleAllocs(t *testing.T) {
-	m, all := scaleMonitor(t, 2)
+	m, all := scaleMonitor(t, netsim.RealClock{}, 2, pan.MonitorOptions{})
 	i := 7919
 	if n := testing.AllocsPerRun(100, func() {
 		m.Observe(all[i%len(all)], time.Duration(16+i%8)*time.Millisecond)

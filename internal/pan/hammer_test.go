@@ -50,7 +50,7 @@ func TestMonitorSuiteAcrossShardCounts(t *testing.T) {
 
 // TestMonitorShardHammer runs every mutating and reading entry point of the
 // monitor concurrently across eight destinations — the -race workout for
-// the monitor/wheel lock structure. Assertions are
+// the monitor lock and its per-path probe timers. Assertions are
 // deliberately thin (the race detector is the judge); what must hold at the
 // end is the refcount invariant: all trackers gone → no targets, nothing on
 // the schedule.

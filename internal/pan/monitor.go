@@ -200,8 +200,8 @@ type monEntry struct {
 	samples    int
 	passive    int // how many of samples came from Observe
 	lastSample time.Time
-	// lastPassive is when Observe last fed this path; the wheel fire skips
-	// the active probe while it is younger than the effective interval.
+	// lastPassive is when Observe last fed this path; fire skips the
+	// active probe while it is younger than the effective interval.
 	lastPassive time.Time
 	down        bool
 	failures    int
@@ -219,12 +219,13 @@ type monEntry struct {
 	probeTotal   int
 
 	interval time.Duration
-	seq      uint64 // reschedule counter, varies the jitter
-	// sched is the entry's pending timing-wheel deadline (nil = none). Fire
-	// validates node identity against this field, so a stale node — from a
-	// pruned entry, a cancelled reschedule, or a Stop→Start cycle — can
-	// only ever no-op.
-	sched *wheelNode
+	// seq counts reschedules: it varies the jitter, and each armed timer
+	// carries the value it was armed at, so a timer left over from a
+	// pruned entry, a cancelled reschedule or a Stop→Start cycle fails
+	// fire's (entry, seq) check and only ever no-ops.
+	seq uint64
+	// sched cancels the entry's pending probe timer (nil = none armed).
+	sched func() bool
 }
 
 // Monitor is the shared telemetry plane below the selectors: ONE monitor per
@@ -238,9 +239,8 @@ type monEntry struct {
 // never emits synchronized probe bursts) and a churn-adaptive interval —
 // high EWMA RTT deviation shortens the interval toward MinInterval, a flat
 // series stretches it toward MaxInterval — under a global probes/sec budget.
-// Deadlines live on a shared timing wheel (ONE armed clock timer per
-// monitor), not on per-path timers, so scheduling stays O(1) per reschedule
-// at 100k+ tracked paths.
+// Each path's deadline is its own clock timer, armed and cancelled under
+// the monitor's lock.
 //
 // All state — tracking, telemetry, the schedule, in-flight marks, the link
 // series and their cached aggregate, imported priors, and the ingest
@@ -269,9 +269,7 @@ type Monitor struct {
 	paths func(addr.IA) []*segment.Path
 	opts  MonitorOptions
 
-	wheel *probeWheel
-
-	mu      sync.Mutex //lint:lockorder panmon before panwheel
+	mu      sync.Mutex //lint:lockorder panmon before simclock
 	targets map[target]*monTarget
 	entries map[string]*monEntry // path fingerprint → state
 	// byTarget indexes each target's entries so Track/Untrack and path-set
@@ -373,7 +371,7 @@ func NewMonitor(clock netsim.Clock, paths func(addr.IA) []*segment.Path, opts Mo
 	if opts.ProbeBudget == 0 {
 		opts.ProbeBudget = DefaultProbeBudget
 	}
-	m := &Monitor{
+	return &Monitor{
 		clock:    clock,
 		paths:    paths,
 		opts:     opts,
@@ -388,15 +386,6 @@ func NewMonitor(clock netsim.Clock, paths func(addr.IA) []*segment.Path, opts Mo
 		// its own buffer.
 		reportBufs: make(chan *[]SampleReport, 16),
 	}
-	// Wheel granularity: fine enough relative to MinInterval (1/16th) that
-	// slot quantization never visibly coarsens the phase jitter, coarse
-	// enough that a tick amortizes many deadlines.
-	slotW := opts.MinInterval / 16
-	if slotW < time.Millisecond {
-		slotW = time.Millisecond
-	}
-	m.wheel = newProbeWheel(clock, slotW, m.wheelFire)
-	return m
 }
 
 // NewMonitor builds the host's telemetry plane whose default probe is a
@@ -560,7 +549,7 @@ func entrySchedulable(e *monEntry) bool {
 // zero. Long-stale retired entries are pruned by pruneLocked.
 func (m *Monitor) retireEntryLocked(e *monEntry) {
 	if e.sched != nil {
-		m.wheel.cancel(e.sched)
+		e.sched()
 		e.sched = nil
 	}
 }
@@ -725,21 +714,16 @@ func (m *Monitor) Start() {
 }
 
 // Stop cancels the probe schedule. Probes already in flight drain without
-// reporting or rescheduling. Wheel nodes already collected by a tick in
-// flight are fenced by the started flag and the per-entry node identity
-// check, so a deadline can neither fire after Stop nor strand its entry
-// out of a later Start's schedule.
+// reporting or rescheduling. A timer already firing when Stop runs is
+// fenced by fire's (entry, seq) check, so a deadline can neither fire
+// after Stop nor strand its entry out of a later Start's schedule.
 func (m *Monitor) Stop() {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	m.started = false
 	for _, e := range m.entries {
-		if e.sched != nil {
-			m.wheel.cancel(e.sched)
-			e.sched = nil
-		}
+		m.retireEntryLocked(e)
 	}
-	m.wheel.disarm()
 }
 
 // jitterHash folds a fingerprint and a sequence number into a uniform
@@ -776,7 +760,7 @@ func (m *Monitor) effectiveInterval(e *monEntry) time.Duration {
 	return iv
 }
 
-// scheduleLocked arms the entry's next probe on the timing wheel. The first
+// scheduleLocked arms the entry's next probe timer on the clock. The first
 // deadline spreads paths uniformly across one interval (phase =
 // hash(fingerprint)); later deadlines are the churn-adapted interval ±15%
 // deterministic jitter, so phases never re-synchronize into bursts. Caller
@@ -795,31 +779,24 @@ func (m *Monitor) scheduleLocked(fp string, e *monEntry, first bool) {
 		d = iv*85/100 + time.Duration(jitterHash(fp, e.seq))*(iv*30/100)/1000
 	}
 	e.seq++
-	n := &wheelNode{fp: fp}
-	e.sched = n
-	m.wheel.schedule(n, d)
+	seq := e.seq
+	e.sched = m.clock.AfterFunc(d, func() { m.fire(fp, e, seq) })
 }
 
-// wheelFire runs inside the wheel tick (a clock timer callback) once per
-// due deadline and must not block: it hands the probe to a goroutine. The
-// node-identity check against e.sched drops stale deadlines — an entry
-// rescheduled, retired, pruned, or cycled through Stop→Start since this
-// node was armed.
-func (m *Monitor) wheelFire(n *wheelNode) {
+// fire runs inside a clock timer callback once the entry's deadline is due
+// and must not block: it hands the probe to a goroutine. The (entry, seq)
+// check drops stale timers — an entry rescheduled, retired, pruned, or
+// cycled through Stop→Start since this timer was armed.
+func (m *Monitor) fire(fp string, e *monEntry, seq uint64) {
 	m.mu.Lock()
-	e := m.entries[n.fp]
-	if e == nil || e.sched != n {
+	if m.entries[fp] != e || e.sched == nil || e.seq != seq {
 		m.mu.Unlock()
 		return
 	}
 	e.sched = nil
-	if !m.started {
-		m.mu.Unlock()
-		return
-	}
-	if m.inflight[n.fp] {
+	if m.inflight[fp] {
 		// A manual round still has this path in flight; retry next interval.
-		m.scheduleLocked(n.fp, e, false)
+		m.scheduleLocked(fp, e, false)
 		m.mu.Unlock()
 		return
 	}
@@ -830,13 +807,13 @@ func (m *Monitor) wheelFire(n *wheelNode) {
 		// than re-arming the deadline from Observe on every ack sample)
 		// keeps the passive hot path free of scheduler churn; once traffic
 		// stops, the very next deadline probes again.
-		m.scheduleLocked(n.fp, e, false)
+		m.scheduleLocked(fp, e, false)
 		m.mu.Unlock()
 		return
 	}
-	m.inflight[n.fp] = true
+	m.inflight[fp] = true
 	m.mu.Unlock()
-	go m.probeEntry(n.fp, true)
+	go m.probeEntry(fp, true)
 }
 
 // probeEntry measures one path, ingests the outcome, reschedules, and fans

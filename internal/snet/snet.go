@@ -48,8 +48,13 @@ type Dispatcher struct {
 }
 
 // NewDispatcher creates the dispatcher for router's AS and installs it as
-// the router's delivery handler.
+// the router's delivery handler. An AS has one dispatcher: it panics if
+// router already has a delivery handler, since replacing it would silently
+// orphan the stacks of the dispatcher installed first.
 func NewDispatcher(router *dataplane.Router, clock netsim.Clock) *Dispatcher {
+	if router.HasDeliveryHandler() {
+		panic(fmt.Sprintf("snet: router of %s already has a delivery handler", router.IA()))
+	}
 	d := &Dispatcher{router: router, clock: clock, hosts: make(map[netip.Addr]*Stack)}
 	router.SetDeliveryHandler(d.deliver)
 	return d

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"net/netip"
 	"slices"
+	"strings"
 	"testing"
 	"time"
 
@@ -98,6 +99,55 @@ func TestASLocalDatagram(t *testing.T) {
 	}
 	if len(dg.ReplyPath.Hops) != 0 {
 		t.Fatal("AS-local reply path should be empty")
+	}
+}
+
+// TestSecondDispatcherPanics: an AS has one dispatcher. A second
+// NewDispatcher on a router that already delivers to one panics, naming the
+// AS, instead of replacing the handler and orphaning the first dispatcher's
+// stacks — which keep receiving.
+func TestSecondDispatcherPanics(t *testing.T) {
+	w := newWorld(t)
+	server := w.Stack(topology.AS211, "10.0.0.2")
+	func() {
+		defer func() {
+			r := recover()
+			if r == nil {
+				t.Error("second NewDispatcher on AS211's router did not panic")
+				return
+			}
+			if msg := fmt.Sprint(r); !strings.Contains(msg, topology.AS211.String()) {
+				t.Errorf("panic %q does not name the router's IA %s", msg, topology.AS211)
+			}
+		}()
+		snet.NewDispatcher(w.DW.Router(topology.AS211), w.Clock)
+	}()
+
+	sconn, err := server.Listen(8000)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sconn.Close()
+	cconn, err := w.Stack(topology.AS111, "10.0.0.1").Listen(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cconn.Close()
+	paths := w.Combiner.Paths(topology.AS111, topology.AS211, testbed.Start)
+	if len(paths) == 0 {
+		t.Fatal("no paths")
+	}
+	dst := addr.UDPAddr{Addr: addr.Addr{IA: topology.AS211, Host: netip.MustParseAddr("10.0.0.2")}, Port: 8000}
+	if err := cconn.WriteTo([]byte("still here"), dst, paths[0]); err != nil {
+		t.Fatal(err)
+	}
+	sconn.SetReadDeadline(w.Clock.Now().Add(time.Second))
+	dg, err := sconn.ReadFrom()
+	if err != nil {
+		t.Fatalf("first dispatcher's socket: %v", err)
+	}
+	if string(dg.Payload) != "still here" {
+		t.Fatalf("payload %q", dg.Payload)
 	}
 }
 
