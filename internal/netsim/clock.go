@@ -31,11 +31,19 @@ type Clock interface {
 	Sleep(d time.Duration)
 	// After returns a channel that delivers the clock time after d.
 	After(d time.Duration) <-chan time.Time
-	// AfterFunc schedules f to run after d and returns a cancel function
-	// that reports whether the call was stopped before f ran.
-	AfterFunc(d time.Duration, f func()) (cancel func() bool)
+	// AfterFunc schedules f to run after d. The returned Timer's Stop
+	// cancels the call.
+	AfterFunc(d time.Duration, f func()) Timer
 	// Since returns the clock time elapsed since t.
 	Since(t time.Time) time.Duration
+}
+
+// Timer is a call scheduled with Clock.AfterFunc: a *time.Timer on the
+// RealClock, the timer's heap node on a SimClock.
+type Timer interface {
+	// Stop cancels the call and reports whether it stopped it before it
+	// ran.
+	Stop() bool
 }
 
 // RealClock is the production Clock backed by package time.
@@ -51,22 +59,25 @@ func (RealClock) Sleep(d time.Duration) { time.Sleep(d) } //lint:allow-wallclock
 func (RealClock) After(d time.Duration) <-chan time.Time { return time.After(d) } //lint:allow-wallclock RealClock is the wall-clock boundary
 
 // AfterFunc implements Clock.
-func (RealClock) AfterFunc(d time.Duration, f func()) func() bool {
-	t := time.AfterFunc(d, f) //lint:allow-wallclock RealClock is the wall-clock boundary
-	return t.Stop
+func (RealClock) AfterFunc(d time.Duration, f func()) Timer {
+	return time.AfterFunc(d, f) //lint:allow-wallclock RealClock is the wall-clock boundary
 }
 
 // Since implements Clock.
 func (RealClock) Since(t time.Time) time.Duration { return time.Since(t) } //lint:allow-wallclock RealClock is the wall-clock boundary
 
 // event is one node of a SimClock's heap: an app timer (AfterFunc, Sleep,
-// After), or a delivery queue keyed by its head entry.
+// After), or a delivery queue keyed by its head entry. An app timer is its
+// own Timer.
 type event struct {
-	at    int64  // deadline, ns since the clock's epoch
-	seq   uint64 // tie-break so equal deadlines fire in schedule order
-	index int    // heap index, -1 once removed
-	fn    func() // an app timer's callback
-	q     *queue // the queue this node keys; nil for an app timer
+	at    int64          // deadline, ns since the clock's epoch
+	seq   uint64         // tie-break so equal deadlines fire in schedule order
+	index int            // heap index, -1 once removed
+	fn    func()         // an AfterFunc timer's callback
+	ch    chan time.Time // an After timer's channel, sent the fire time
+	done  chan struct{}  // a Sleep timer's channel, closed on firing
+	c     *SimClock      // an app timer's clock
+	q     *queue         // the queue this node keys; nil for an app timer
 }
 
 // entry is one packet, stream chunk or stream EOF in flight on a queue.
@@ -188,46 +199,51 @@ func (c *SimClock) after(d time.Duration) int64 {
 // auto-advancer) to move the clock.
 func (c *SimClock) Sleep(d time.Duration) {
 	done := make(chan struct{})
-	c.schedule(d, func() { close(done) })
+	c.schedule(&event{done: done}, d)
 	<-done
 }
 
 // After implements Clock.
 func (c *SimClock) After(d time.Duration) <-chan time.Time {
 	ch := make(chan time.Time, 1)
-	c.schedule(d, func() { ch <- c.Now() })
+	c.schedule(&event{ch: ch}, d)
 	return ch
 }
 
 // AfterFunc implements Clock. Timers scheduled with non-positive delay fire
 // at the current virtual instant on the next advance — never synchronously,
 // so callers may schedule while holding locks their callbacks take.
-func (c *SimClock) AfterFunc(d time.Duration, f func()) func() bool {
-	e := c.schedule(d, f)
-	return func() bool {
-		c.mu.Lock()
-		defer c.mu.Unlock()
-		c.activity.Add(1)
-		if e.index < 0 {
-			return false
-		}
-		c.events.remove(e.index)
-		c.pending--
-		return true
-	}
+func (c *SimClock) AfterFunc(d time.Duration, f func()) Timer {
+	e := &event{fn: f}
+	c.schedule(e, d)
+	return e
 }
 
-// schedule adds an app timer running f at now+d. A non-positive d keeps
-// its raw deadline, so it sorts with the timers it was scheduled among.
-func (c *SimClock) schedule(d time.Duration, f func()) *event {
+// Stop implements Timer for an app timer.
+func (e *event) Stop() bool {
+	c := e.c
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	c.activity.Add(1)
+	if e.index < 0 {
+		return false
+	}
+	c.events.remove(e.index)
+	c.pending--
+	return true
+}
+
+// schedule puts the app timer e on the heap at now+d. A non-positive d
+// keeps its raw deadline, so it sorts with the timers it was scheduled
+// among.
+func (c *SimClock) schedule(e *event, d time.Duration) {
 	c.mu.Lock()
 	c.activity.Add(1)
-	e := &event{at: c.after(d), seq: c.seq, fn: f}
+	e.at, e.seq, e.c = c.after(d), c.seq, c
 	c.seq++
 	c.pending++
 	c.events.push(e)
 	c.mu.Unlock()
-	return e
 }
 
 // send puts buf on q's wire: it starts once q's transmitter frees up (or
@@ -326,8 +342,16 @@ func (c *SimClock) advanceTo(target int64) {
 		q := e.q
 		if q == nil {
 			c.events.remove(0)
+			now := c.now
 			c.mu.Unlock()
-			e.fn()
+			switch {
+			case e.fn != nil:
+				e.fn()
+			case e.done != nil:
+				close(e.done)
+			default:
+				e.ch <- c.epoch.Add(time.Duration(now))
+			}
 			c.wakes.Add(1)
 			continue
 		}

@@ -54,16 +54,28 @@ func TestSimClockEqualDeadlinesFIFO(t *testing.T) {
 func TestSimClockCancel(t *testing.T) {
 	c := NewSimClock(epoch)
 	fired := false
-	cancel := c.AfterFunc(time.Millisecond, func() { fired = true })
-	if !cancel() {
-		t.Fatal("first cancel should succeed")
+	timer := c.AfterFunc(time.Millisecond, func() { fired = true })
+	if !timer.Stop() {
+		t.Fatal("first Stop should succeed")
 	}
-	if cancel() {
-		t.Fatal("second cancel should report already stopped")
+	if timer.Stop() {
+		t.Fatal("second Stop should report already stopped")
 	}
 	c.Advance(time.Second)
 	if fired {
 		t.Fatal("cancelled timer fired")
+	}
+}
+
+// TestSimClockAfterFuncAllocs: an AfterFunc timer is its heap node and
+// nothing else; the node is the Timer it returns.
+func TestSimClockAfterFuncAllocs(t *testing.T) {
+	c := NewSimClock(epoch)
+	f := func() {}
+	if n := testing.AllocsPerRun(100, func() {
+		c.AfterFunc(time.Second, f).Stop()
+	}); n != 1 {
+		t.Fatalf("AfterFunc allocated %v times, want 1 (its event)", n)
 	}
 }
 

@@ -48,7 +48,7 @@ func TestQueuesFireInGlobalDeadlineOrder(t *testing.T) {
 		pending  []pendingItem
 		seq      int
 		nextFree [4][2]time.Duration // the reference's transmitters
-		cancels  = map[int]func() bool{}
+		timers   = map[int]Timer{}
 		sent     int
 	)
 	sizes := []int{100, 1250}
@@ -70,14 +70,14 @@ func TestQueuesFireInGlobalDeadlineOrder(t *testing.T) {
 		for k := rng.Intn(3); k > 0; k-- {
 			id := -1 - seq
 			d := delays[rng.Intn(len(delays))]
-			cancels[id] = c.AfterFunc(d, func() { fired = append(fired, id) })
+			timers[id] = c.AfterFunc(d, func() { fired = append(fired, id) })
 			pending = append(pending, pendingItem{now + d, seq, id})
 			seq++
 		}
 		if rng.Intn(4) == 0 && len(pending) > 0 {
 			i := rng.Intn(len(pending))
 			if it := pending[i]; it.id < 0 {
-				if !cancels[it.id]() {
+				if !timers[it.id].Stop() {
 					t.Fatalf("cancelling pending timer %d failed", it.id)
 				}
 				pending = slices.Delete(pending, i, i+1)
@@ -200,10 +200,10 @@ func TestLinkLoweredLatencyKeepsFIFO(t *testing.T) {
 
 // TestPendingTimersCountsEverythingInFlight checks that PendingTimers counts
 // app timers, packets in flight on a link and stream chunks (with the EOF
-// behind them) alike, and that an After timer costs no cancel handle.
+// behind them) alike, and that an After timer is its channel and its event.
 func TestPendingTimersCountsEverythingInFlight(t *testing.T) {
 	c := NewSimClock(epoch)
-	cancel := c.AfterFunc(time.Second, func() {})
+	timer := c.AfterFunc(time.Second, func() {})
 	c.After(time.Second)
 	l := NewLink(c, LinkProps{Latency: time.Millisecond}, 1)
 	l.Attach(1, func(p []byte) bool { PutBuf(p); return false })
@@ -217,7 +217,7 @@ func TestPendingTimersCountsEverythingInFlight(t *testing.T) {
 	if got := c.PendingTimers(); got != 2+3+3 {
 		t.Fatalf("PendingTimers = %d, want 2 timers + 3 packets + 2 chunks and an EOF", got)
 	}
-	cancel()
+	timer.Stop()
 	if got := c.PendingTimers(); got != 7 {
 		t.Fatalf("PendingTimers = %d after a cancel, want 7", got)
 	}
@@ -225,9 +225,9 @@ func TestPendingTimersCountsEverythingInFlight(t *testing.T) {
 	if got := c.PendingTimers(); got != 1 {
 		t.Fatalf("PendingTimers = %d once the link and stream drained, want 1", got)
 	}
-	// An After is its channel (two objects: time.Time holds a pointer), its
-	// callback and its timer: no cancel handle.
-	if n := testing.AllocsPerRun(100, func() { c.After(time.Second) }); n > 4 {
-		t.Fatalf("After allocated %v times, want <= 4", n)
+	// An After is its channel (two objects: time.Time holds a pointer) and
+	// its timer, which keeps the channel: no callback, no cancel handle.
+	if n := testing.AllocsPerRun(100, func() { c.After(time.Second) }); n > 3 {
+		t.Fatalf("After allocated %v times, want <= 3", n)
 	}
 }

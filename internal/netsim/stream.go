@@ -106,10 +106,10 @@ func (n *StreamNetwork) Dial(ctx context.Context, fromHost, hostport string) (ne
 
 	// Connection establishment costs one RTT (SYN + SYN-ACK), like TCP.
 	ready := make(chan struct{})
-	stop := n.clock.AfterFunc(2*route.Latency, func() { close(ready) })
+	t := n.clock.AfterFunc(2*route.Latency, func() { close(ready) })
 	select {
 	case <-ctx.Done():
-		stop()
+		t.Stop()
 		return nil, ctx.Err()
 	case <-ready:
 	}
@@ -185,16 +185,19 @@ type delayBuffer struct {
 
 	mu   sync.Mutex //lint:lockorder netsimstream before simclock
 	cond *sync.Cond
-	// chunks queues the delivered writes, oldest first, each a copy the
-	// buffer owns until a read has consumed all of it: chunks[head][off:]
-	// is the next unread byte. Once drained, the queue restarts at the
-	// array's front.
+	// chunks queues the delivered writes, oldest first, each a pool lease
+	// the buffer owns until a read has consumed all of it:
+	// chunks[head][off:] is the next unread byte. Once drained, the queue
+	// restarts at the array's front.
 	chunks  [][]byte
 	head    int
 	off     int
 	eofAt   bool // EOF delivered (all data before it already arrived)
 	closed  bool // writer closed; EOF sent
 	expired bool // read deadline exceeded; readers fail until cleared
+	// released is set once the reading end closed: its unread chunks went
+	// back to the pool, and so does every chunk that arrives after.
+	released bool
 	// wire holds the writes in flight, then a nil entry for the EOF. It is
 	// guarded by the clock's lock; a send holds mu too, so nothing follows
 	// the EOF.
@@ -208,26 +211,33 @@ func newDelayBuffer(clock *SimClock, route RouteProps) *delayBuffer {
 	return d
 }
 
-// write sends a copy of p for delivery after latency (+ serialization).
+// write sends a leased copy of p for delivery after latency
+// (+ serialization); the reader returns the lease once it has read it all.
+// An empty write sends nothing, so a read never returns (0, nil).
 func (d *delayBuffer) write(p []byte) (int, error) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	if d.closed {
 		return 0, net.ErrClosed
 	}
-	buf := make([]byte, len(p)) // never nil, so never mistaken for the EOF
+	if len(p) == 0 {
+		return 0, nil
+	}
+	buf := GetBuf(len(p)) // never nil, so never mistaken for the EOF
 	copy(buf, p)
 	d.clock.send(&d.wire, d.route.Bandwidth, d.route.Latency, buf)
 	return len(p), nil
 }
 
-// arrive receives one entry off the wire: the EOF (nil), or a write. An
-// empty write queues nothing, so a read never returns (0, nil).
+// arrive receives one entry off the wire: the EOF (nil), or a write, which
+// goes straight back to the pool if the reading end has closed.
 func (d *delayBuffer) arrive(b []byte) (mayWake bool) {
 	d.mu.Lock()
 	if b == nil {
 		d.eofAt = true
-	} else if len(b) > 0 {
+	} else if d.released {
+		PutBuf(b)
+	} else {
 		if d.head > 0 && len(d.chunks) == cap(d.chunks) {
 			// Slide the unread chunks to the front rather than grow the
 			// array under a reader that never quite drains it.
@@ -274,6 +284,7 @@ func (d *delayBuffer) read(p []byte) (int, error) {
 		n += k
 		d.off += k
 		if d.off == len(c) {
+			PutBuf(c)
 			d.chunks[d.head] = nil
 			d.head++
 			d.off = 0
@@ -284,6 +295,22 @@ func (d *delayBuffer) read(p []byte) (int, error) {
 		d.head = 0
 	}
 	return n, nil
+}
+
+// release closes the reading end: it returns the unread chunks to the
+// pool, sends every later arrival back too, and unblocks local readers
+// with EOF semantics.
+func (d *delayBuffer) release() {
+	d.mu.Lock()
+	for _, c := range d.chunks[d.head:] {
+		PutBuf(c)
+	}
+	clear(d.chunks)
+	d.chunks, d.head, d.off = d.chunks[:0], 0, 0
+	d.released = true
+	d.eofAt = true
+	d.cond.Broadcast()
+	d.mu.Unlock()
 }
 
 // setExpired flips the read-deadline flag and wakes blocked readers.
@@ -312,8 +339,8 @@ type streamConn struct {
 	closed       atomic.Bool
 	writeExpired atomic.Bool
 
-	mu         sync.Mutex // guards cancelRead
-	cancelRead func() bool
+	mu        sync.Mutex // guards readTimer
+	readTimer Timer
 }
 
 // Read implements net.Conn.
@@ -342,11 +369,7 @@ func (c *streamConn) Close() error {
 		return nil
 	}
 	c.wr.closeWrite()
-	// Unblock any local reader with EOF semantics.
-	c.rd.mu.Lock()
-	c.rd.eofAt = true
-	c.rd.cond.Broadcast()
-	c.rd.mu.Unlock()
+	c.rd.release()
 	return nil
 }
 
@@ -368,9 +391,9 @@ func (c *streamConn) SetDeadline(t time.Time) error {
 func (c *streamConn) SetReadDeadline(t time.Time) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if c.cancelRead != nil {
-		c.cancelRead()
-		c.cancelRead = nil
+	if c.readTimer != nil {
+		c.readTimer.Stop()
+		c.readTimer = nil
 	}
 	c.rd.setExpired(false)
 	if t.IsZero() {
@@ -382,7 +405,7 @@ func (c *streamConn) SetReadDeadline(t time.Time) error {
 		return nil
 	}
 	rd := c.rd
-	c.cancelRead = c.rd.clock.AfterFunc(d, func() { rd.setExpired(true) })
+	c.readTimer = c.rd.clock.AfterFunc(d, func() { rd.setExpired(true) })
 	return nil
 }
 

@@ -425,16 +425,16 @@ func TestStreamEOFAfterEveryChunk(t *testing.T) {
 			}
 		})
 	}
-	// The reader's own Close marks EOF at once; chunks already delivered
-	// are still drained first.
+	// The reader's own Close marks EOF at once: the chunks it had not read
+	// went back to the pool, so a reader still inside the buffer sees EOF.
 	c, a, b := manualPair()
 	a.Write(patterned(0, 4))
 	a.Write(patterned(4, 4))
 	c.Advance(time.Millisecond)
 	b.Close()
 	got, err := io.ReadAll(readerFunc(b.rd.read))
-	if err != nil || !bytes.Equal(got, patterned(0, 8)) {
-		t.Fatalf("drain after local Close = %v, %v", got, err)
+	if err != nil || len(got) != 0 {
+		t.Fatalf("read after local Close = %v, %v; want EOF", got, err)
 	}
 }
 
@@ -457,5 +457,60 @@ func TestStreamReadDeliveredAllocs(t *testing.T) {
 		}
 	}); n != 0 {
 		t.Fatalf("Read of delivered data: %v allocs/op, want 0", n)
+	}
+}
+
+// TestStreamLeasesComeBack: every stream chunk is a pool lease, and each
+// one comes back. A non-empty write takes exactly one lease and an empty
+// write none; a read returns each chunk it finishes, the reader's Close
+// returns the chunks it left unread, and a chunk that arrives after that
+// Close goes straight back.
+func TestStreamLeasesComeBack(t *testing.T) {
+	sizes := []int{0, 1, 200, 1500, 4096, 70000}
+	c, a, b := manualPair()
+	before := ReadPoolStats()
+	for _, n := range sizes {
+		if _, err := a.Write(patterned(0, n)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	c.Advance(time.Millisecond)
+	// Consume the 1- and 200-byte chunks and part of the 1500-byte one.
+	if _, err := io.ReadFull(b, make([]byte, 1000)); err != nil {
+		t.Fatal(err)
+	}
+	b.Close()
+	for _, n := range sizes {
+		a.Write(patterned(0, n))
+	}
+	a.Close()
+	for c.AdvanceToNext() {
+	}
+	d := ReadPoolStats()
+	gets, puts := d.Gets-before.Gets, d.Puts-before.Puts
+	if want := uint64(2 * (len(sizes) - 1)); gets != want {
+		t.Errorf("%d leases taken for %d non-empty writes", gets, want)
+	}
+	if gets != puts {
+		t.Errorf("%d leases taken, %d returned", gets, puts)
+	}
+}
+
+// TestStreamRoundTripAllocs: in the steady state a 4 KiB write, its
+// delivery and its read allocate nothing: the chunk is a lease the read
+// returns for the next write to take.
+func TestStreamRoundTripAllocs(t *testing.T) {
+	c, a, b := manualPair()
+	w, p := patterned(0, 4096), make([]byte, 4096)
+	if n := testing.AllocsPerRun(100, func() {
+		if _, err := a.Write(w); err != nil {
+			t.Fatal(err)
+		}
+		c.Advance(time.Millisecond)
+		if _, err := io.ReadFull(b, p); err != nil {
+			t.Fatal(err)
+		}
+	}); n != 0 {
+		t.Fatalf("4 KiB write, deliver and read: %v allocs/op, want 0", n)
 	}
 }

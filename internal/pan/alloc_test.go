@@ -188,34 +188,68 @@ func BenchmarkMonitorScale(b *testing.B) {
 	b.ReportMetric(float64(m.TrackedPaths()), "paths")
 }
 
-// BenchmarkMonitorSchedule runs the probe schedule of scaleMonitor's 3072
-// paths, each on its own clock timer, on a virtual clock with no budget
-// floor: one op is 1 ms of virtual time, then a few yields so the probe
-// goroutines it launched run. ns/op is the scheduler's host cost per
-// virtual millisecond at proxy scale; probes/op is how many probes that
-// millisecond sent.
-func BenchmarkMonitorSchedule(b *testing.B) {
+// monitorSchedule returns BenchmarkMonitorSchedule's op and a count of
+// the probes sent so far: scaleMonitor's 3072 paths, each on its own clock
+// timer, on a virtual clock with no budget floor. One op is 1 ms of
+// virtual time, then a few yields so the probe goroutines it launched run.
+func monitorSchedule(tb testing.TB) (op func(), probes func() int64) {
 	clock := testbed.NewClock()
-	var probes atomic.Int64
-	m, _ := scaleMonitor(b, clock, 1, pan.MonitorOptions{
+	var n atomic.Int64
+	m, _ := scaleMonitor(tb, clock, 1, pan.MonitorOptions{
 		ProbeBudget: -1,
 		Probe: func(addr.UDPAddr, string, *segment.Path, time.Duration) (time.Duration, error) {
-			probes.Add(1)
+			n.Add(1)
 			return time.Millisecond, nil
 		},
 	})
 	m.Start()
-	defer m.Stop()
-	b.ReportAllocs()
-	b.ResetTimer()
-	for range b.N {
+	tb.Cleanup(m.Stop)
+	return func() {
 		clock.Advance(time.Millisecond)
 		for range 4 {
 			runtime.Gosched()
 		}
+	}, n.Load
+}
+
+// BenchmarkMonitorSchedule runs the probe schedule of monitorSchedule.
+// ns/op is the scheduler's host cost per virtual millisecond at proxy
+// scale; probes/op is how many probes that millisecond sent.
+func BenchmarkMonitorSchedule(b *testing.B) {
+	op, probes := monitorSchedule(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for range b.N {
+		op()
 	}
 	b.StopTimer()
-	b.ReportMetric(float64(probes.Load())/float64(b.N), "probes/op")
+	b.ReportMetric(float64(probes())/float64(b.N), "probes/op")
+}
+
+// TestMonitorScheduleAllocsPerProbe: a scheduled probe costs four
+// allocations, counted over 20 s of monitorSchedule's virtual time once
+// every path has probed: its timer, the timer's callback, the probe
+// goroutine and the snapshot of the path's targets its outcome is synced
+// to. A timer that wraps its heap node in a cancel closure reads five.
+func TestMonitorScheduleAllocsPerProbe(t *testing.T) {
+	op, probes := monitorSchedule(t)
+	for range 5000 {
+		op()
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	p0 := probes()
+	for range 20000 {
+		op()
+	}
+	runtime.ReadMemStats(&after)
+	sent := probes() - p0
+	if sent == 0 {
+		t.Fatal("no probes sent")
+	}
+	if per := float64(after.Mallocs-before.Mallocs) / float64(sent); per > 4.5 {
+		t.Errorf("%.2f allocs per scheduled probe over %d probes, want 4", per, sent)
+	}
 }
 
 // TestMonitorScaleAllocs: BenchmarkMonitorScale's op, one Observe on a

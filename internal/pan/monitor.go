@@ -224,8 +224,8 @@ type monEntry struct {
 	// pruned entry, a cancelled reschedule or a Stop→Start cycle fails
 	// fire's (entry, seq) check and only ever no-ops.
 	seq uint64
-	// sched cancels the entry's pending probe timer (nil = none armed).
-	sched func() bool
+	// sched is the entry's pending probe timer (nil = none armed).
+	sched netsim.Timer
 }
 
 // Monitor is the shared telemetry plane below the selectors: ONE monitor per
@@ -549,7 +549,7 @@ func entrySchedulable(e *monEntry) bool {
 // zero. Long-stale retired entries are pruned by pruneLocked.
 func (m *Monitor) retireEntryLocked(e *monEntry) {
 	if e.sched != nil {
-		e.sched()
+		e.sched.Stop()
 		e.sched = nil
 	}
 }

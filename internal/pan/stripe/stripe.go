@@ -318,7 +318,7 @@ type attempt struct {
 	pipe   *Pipeline
 	start  time.Time
 	cancel context.CancelFunc
-	timer  func() bool // cancels the RTO timer
+	timer  netsim.Timer // the RTO timer
 }
 
 // completion is the single event every attempt eventually produces.
@@ -490,7 +490,7 @@ func (f *fetcher) start(p *Pipeline, seg Segment) {
 	go func() {
 		select {
 		case ev := <-resCh:
-			a.timer()
+			a.timer.Stop()
 			f.send(ev)
 		case <-timeout:
 			f.send(completion{a: a, timedOut: true})
@@ -625,7 +625,7 @@ func (f *fetcher) reapZombies(idx int) {
 // outstanding set. Its eventual event arrives as non-current and is ignored.
 func (f *fetcher) cancelAttempt(a *attempt) {
 	a.cancel()
-	a.timer()
+	a.timer.Stop()
 	delete(f.outstanding, a.seg.Index)
 	a.pipe.inflight--
 	f.inflight--
@@ -637,7 +637,7 @@ func (f *fetcher) cancelAttempt(a *attempt) {
 func (f *fetcher) shutdown() {
 	for _, a := range f.outstanding {
 		a.cancel()
-		a.timer()
+		a.timer.Stop()
 	}
 	for _, zs := range f.zombies {
 		for _, z := range zs {

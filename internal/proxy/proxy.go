@@ -23,6 +23,7 @@ import (
 	"net/netip"
 	"sort"
 	"strconv"
+	"strings"
 	"sync"
 	"time"
 
@@ -42,6 +43,15 @@ const (
 	HeaderVia       = "X-Skip-Via"       // "scion", "ip", or "fallback"
 	HeaderPath      = "X-Skip-Path"      // path fingerprint
 	HeaderCompliant = "X-Skip-Compliant" // "true"/"false"
+)
+
+// The annotation values, prebuilt: a response header takes these slices as
+// they are. Each is full to capacity, so appending to one copies it.
+var (
+	viaValues = map[Via][]string{
+		ViaSCION: {string(ViaSCION)}, ViaIP: {string(ViaIP)}, ViaFallback: {string(ViaFallback)},
+	}
+	compliantValues = map[bool][]string{false: {"false"}, true: {"true"}}
 )
 
 // Config assembles a proxy. Every option is fixed once New returns; the
@@ -503,11 +513,7 @@ func (p *Proxy) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 			warm := warmBefore && liveAfter && genAfter == genBefore
 			sel, _ := p.dialer.Cached(remote, hostOnly(host))
 			p.observeFirstByte(hostOnly(host), remote, sel.Path, ttfb, warm, passiveBefore)
-			w.Header().Set(HeaderVia, string(ViaSCION))
-			if sel.Path != nil {
-				w.Header().Set(HeaderPath, sel.Path.Fingerprint())
-			}
-			w.Header().Set(HeaderCompliant, strconv.FormatBool(sel.Compliant))
+			p.annotate(w, sel)
 			n := copyResponse(w, resp)
 			p.stats.Record(RequestRecord{
 				Host: host, Via: ViaSCION, Compliant: sel.Compliant,
@@ -565,7 +571,7 @@ func (p *Proxy) forwardLegacy(w http.ResponseWriter, r *http.Request, start time
 		p.stats.Record(RequestRecord{Host: r.Host, Via: ViaError, Status: http.StatusBadGateway})
 		return
 	}
-	w.Header().Set(HeaderVia, string(via))
+	w.Header()[HeaderVia] = viaValues[via]
 	n := copyResponse(w, resp)
 	p.stats.Record(RequestRecord{
 		Host: r.Host, Via: via, Duration: clock.Since(start), Bytes: n, Status: resp.StatusCode,
@@ -617,24 +623,50 @@ func fingerprintOf(sel pan.Selection) string {
 	return sel.Path.Fingerprint()
 }
 
+// authorityOf is the request's host:port: port 80 unless the URL names a
+// valid port, and an IPv6 host in brackets.
 func authorityOf(r *http.Request) string {
-	host := hostOnly(r.URL.Host)
-	port := portOf(r.URL.Host, 80)
-	return fmt.Sprintf("%s:%d", host, port)
+	return net.JoinHostPort(hostOnly(r.URL.Host), strconv.Itoa(int(portOf(r.URL.Host, 80))))
+}
+
+// splitAuthority splits "host", "host:port", "[v6]" or "[v6]:port" into
+// its host, without brackets, and its port, "" when there is none. An
+// unbracketed IPv6 address, or a bracket with junk after it, is all host.
+// Unlike net.SplitHostPort it accepts a missing port, so the port-less
+// hosts most requests carry cost no error value.
+func splitAuthority(hostport string) (host, port string) {
+	if hostport != "" && hostport[0] == '[' {
+		end := strings.IndexByte(hostport, ']')
+		if end < 0 {
+			return hostport, ""
+		}
+		switch rest := hostport[end+1:]; {
+		case rest == "":
+			return hostport[1:end], ""
+		case rest[0] == ':':
+			return hostport[1:end], rest[1:]
+		}
+		return hostport, ""
+	}
+	i := strings.IndexByte(hostport, ':')
+	if i < 0 || strings.IndexByte(hostport[i+1:], ':') >= 0 {
+		return hostport, ""
+	}
+	return hostport[:i], hostport[i+1:]
 }
 
 func hostOnly(hostport string) string {
-	if h, _, err := net.SplitHostPort(hostport); err == nil {
-		return h
-	}
-	return hostport
+	host, _ := splitAuthority(hostport)
+	return host
 }
 
 func portOf(hostport string, def uint16) uint16 {
-	if _, ps, err := net.SplitHostPort(hostport); err == nil {
-		if v, err := strconv.ParseUint(ps, 10, 16); err == nil {
-			return uint16(v)
-		}
+	_, ps := splitAuthority(hostport)
+	if ps == "" {
+		return def // before ParseUint, whose error would allocate
+	}
+	if v, err := strconv.ParseUint(ps, 10, 16); err == nil {
+		return uint16(v)
 	}
 	return def
 }
@@ -656,14 +688,18 @@ func (p *Proxy) dialLegacy(ctx context.Context, network, authority string) (net.
 		}
 		target = addrs[0]
 	}
-	return p.cfg.Legacy.Dial(ctx, p.cfg.LegacyHost, fmt.Sprintf("%s:%d", target, port))
+	return p.cfg.Legacy.Dial(ctx, p.cfg.LegacyHost, netip.AddrPortFrom(target, port).String())
 }
 
-// copyResponse relays a backend response to the client.
+// copyResponse relays a backend response to the client. A header the
+// response writer does not have yet takes the backend's value slice whole.
 func copyResponse(w http.ResponseWriter, resp *http.Response) int64 {
+	h := w.Header()
 	for k, vv := range resp.Header {
-		for _, v := range vv {
-			w.Header().Add(k, v)
+		if old, ok := h[k]; ok {
+			h[k] = append(old, vv...)
+		} else {
+			h[k] = vv
 		}
 	}
 	w.WriteHeader(resp.StatusCode)

@@ -63,11 +63,12 @@ func stripeFetch(tmpl *http.Request) stripe.FetchFunc {
 
 // annotate writes the SCION annotation headers for a selection.
 func (p *Proxy) annotate(w http.ResponseWriter, sel pan.Selection) {
-	w.Header().Set(HeaderVia, string(ViaSCION))
+	h := w.Header()
+	h[HeaderVia] = viaValues[ViaSCION]
 	if sel.Path != nil {
-		w.Header().Set(HeaderPath, sel.Path.Fingerprint())
+		h.Set(HeaderPath, sel.Path.Fingerprint())
 	}
-	w.Header().Set(HeaderCompliant, fmt.Sprintf("%t", sel.Compliant))
+	h[HeaderCompliant] = compliantValues[sel.Compliant]
 }
 
 // serveStriped attempts a striped download: a Range probe for the first

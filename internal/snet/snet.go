@@ -188,7 +188,7 @@ type Conn struct {
 	done     chan struct{}
 	closed   bool
 	deadline chan struct{} // closed when the read deadline passes
-	cancelDl func() bool
+	dlTimer  netsim.Timer
 	// replyPaths memoises the reply paths of recently seen inbound paths,
 	// replaced round robin from replyNext: a socket hears from few paths at
 	// a time, so most datagrams reuse a path instead of reversing a fresh
@@ -346,9 +346,9 @@ func (*timeoutError) Temporary() bool { return true }
 func (c *Conn) SetReadDeadline(t time.Time) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if c.cancelDl != nil {
-		c.cancelDl()
-		c.cancelDl = nil
+	if c.dlTimer != nil {
+		c.dlTimer.Stop()
+		c.dlTimer = nil
 	}
 	if t.IsZero() {
 		c.deadline = nil
@@ -361,7 +361,7 @@ func (c *Conn) SetReadDeadline(t time.Time) error {
 		close(ch)
 		return nil
 	}
-	c.cancelDl = c.stack.clock.AfterFunc(d, func() { close(ch) })
+	c.dlTimer = c.stack.clock.AfterFunc(d, func() { close(ch) })
 	return nil
 }
 
@@ -374,9 +374,9 @@ func (c *Conn) Close() error {
 	}
 	c.closed = true
 	close(c.done)
-	if c.cancelDl != nil {
-		c.cancelDl()
-		c.cancelDl = nil
+	if c.dlTimer != nil {
+		c.dlTimer.Stop()
+		c.dlTimer = nil
 	}
 	c.mu.Unlock()
 	c.stack.mu.Lock()

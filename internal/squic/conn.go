@@ -156,8 +156,8 @@ type Conn struct {
 	// Client handshake state.
 	ephPriv    *ecdh.PrivateKey
 	initialBuf []byte
-	hsRetrans  func() bool
-	hsTimeout  func() bool
+	hsRetrans  netsim.Timer
+	hsTimeout  netsim.Timer
 
 	// Server handshake state.
 	helloBuf []byte
@@ -198,7 +198,7 @@ type Conn struct {
 	// rttScratch is the flush-side buffer, claimed under mu and returned
 	// after delivery, so the steady-state flush path allocates nothing.
 	rttScratch []time.Duration
-	ptoCancel  func() bool
+	ptoTimer   netsim.Timer
 	// ptoDeadline is the logical PTO expiry. Acks push it forward WITHOUT
 	// re-creating the timer (per-ack timer churn dominated the pooled-conn
 	// hot path); a timer that fires before the deadline simply re-arms for
@@ -405,14 +405,14 @@ func (c *Conn) teardownIf(guard func() bool, code uint64, reason string, cause e
 	if notify && c.keys != nil {
 		c.sendPacketLocked([]frame{{kind: ftClose, val: code, data: []byte(reason)}}, false)
 	}
-	if c.ptoCancel != nil {
-		c.ptoCancel()
+	if c.ptoTimer != nil {
+		c.ptoTimer.Stop()
 	}
 	if c.hsRetrans != nil {
-		c.hsRetrans()
+		c.hsRetrans.Stop()
 	}
 	if c.hsTimeout != nil {
-		c.hsTimeout()
+		c.hsTimeout.Stop()
 	}
 	for _, s := range c.streams {
 		s.failLocked(cause)
@@ -613,11 +613,11 @@ func (c *Conn) handleHello(body []byte) {
 	c.keys = keys
 	c.established = true
 	if c.hsRetrans != nil {
-		c.hsRetrans()
+		c.hsRetrans.Stop()
 		c.hsRetrans = nil
 	}
 	if c.hsTimeout != nil {
-		c.hsTimeout()
+		c.hsTimeout.Stop()
 		c.hsTimeout = nil
 	}
 	c.hsCond.Broadcast()
@@ -1034,9 +1034,9 @@ func (c *Conn) ptoLocked() time.Duration {
 
 func (c *Conn) armPTOLocked() {
 	if len(c.sent) == 0 || c.closed {
-		if c.ptoCancel != nil {
-			c.ptoCancel()
-			c.ptoCancel = nil
+		if c.ptoTimer != nil {
+			c.ptoTimer.Stop()
+			c.ptoTimer = nil
 		}
 		c.ptoDeadline = time.Time{}
 		return
@@ -1046,8 +1046,8 @@ func (c *Conn) armPTOLocked() {
 	// for the remainder in onPTO, so the common ack path never touches the
 	// clock's timer heap.
 	c.ptoDeadline = c.clock.Now().Add(c.ptoLocked())
-	if c.ptoCancel == nil {
-		c.ptoCancel = c.clock.AfterFunc(c.ptoLocked(), c.firePTO)
+	if c.ptoTimer == nil {
+		c.ptoTimer = c.clock.AfterFunc(c.ptoLocked(), c.firePTO)
 	}
 }
 
@@ -1055,14 +1055,14 @@ func (c *Conn) armPTOLocked() {
 func (c *Conn) onPTO() {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.ptoCancel = nil // the timer that fired is spent
+	c.ptoTimer = nil // the timer that fired is spent
 	if c.closed || len(c.sent) == 0 {
 		return
 	}
 	if remaining := c.ptoDeadline.Sub(c.clock.Now()); remaining > 0 {
 		// Acks moved the deadline since this timer was created: not a
 		// timeout, just the lazy re-arm catching up.
-		c.ptoCancel = c.clock.AfterFunc(remaining, c.firePTO)
+		c.ptoTimer = c.clock.AfterFunc(remaining, c.firePTO)
 		return
 	}
 	if c.ptoBackoff < maxPTOBackoff {
@@ -1222,7 +1222,7 @@ func (c *Conn) sendPacketLocked(frames []frame, ackEliciting bool) {
 		}
 		c.sent = append(c.sent, sp)
 		c.inFlight += len(buf)
-		if c.ptoCancel == nil {
+		if c.ptoTimer == nil {
 			c.armPTOLocked()
 		}
 	}

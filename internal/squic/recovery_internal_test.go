@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"tango/internal/addr"
+	"tango/internal/netsim"
 	"tango/internal/segment"
 )
 
@@ -15,13 +16,16 @@ import (
 // harness fires PTOs itself, so both implementations see the same events.
 type stepClock struct{ now time.Time }
 
-func (c *stepClock) Now() time.Time                       { return c.now }
-func (c *stepClock) Sleep(time.Duration)                  {}
-func (c *stepClock) After(time.Duration) <-chan time.Time { return nil }
-func (c *stepClock) AfterFunc(time.Duration, func()) (cancel func() bool) {
-	return func() bool { return true }
-}
-func (c *stepClock) Since(t time.Time) time.Duration { return c.now.Sub(t) }
+func (c *stepClock) Now() time.Time                               { return c.now }
+func (c *stepClock) Sleep(time.Duration)                          {}
+func (c *stepClock) After(time.Duration) <-chan time.Time         { return nil }
+func (c *stepClock) AfterFunc(time.Duration, func()) netsim.Timer { return stoppedTimer{} }
+func (c *stepClock) Since(t time.Time) time.Duration              { return c.now.Sub(t) }
+
+// stoppedTimer is a stepClock timer: it never fires, so Stop always stops it.
+type stoppedTimer struct{}
+
+func (stoppedTimer) Stop() bool { return true }
 
 // refRecovery is the map-keyed ack and loss algorithm the packet-number
 // ordered history replaced, kept as the reference oracle: every ack scans

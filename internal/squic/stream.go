@@ -8,6 +8,8 @@ import (
 	"net"
 	"slices"
 	"time"
+
+	"tango/internal/netsim"
 )
 
 // Stream is a bidirectional, flow-controlled, reliable byte stream
@@ -47,7 +49,7 @@ type Stream struct {
 // deadline tracks one direction's I/O deadline on the connection's clock.
 type deadline struct {
 	expired bool
-	cancel  func() bool
+	timer   netsim.Timer
 }
 
 var errStreamClosed = errors.New("squic: stream closed")
@@ -268,9 +270,9 @@ func (s *Stream) SetWriteDeadline(t time.Time) error {
 }
 
 func (s *Stream) setDeadlineLocked(d *deadline, t time.Time, cond interface{ Broadcast() }) {
-	if d.cancel != nil {
-		d.cancel()
-		d.cancel = nil
+	if d.timer != nil {
+		d.timer.Stop()
+		d.timer = nil
 	}
 	d.expired = false
 	if t.IsZero() {
@@ -283,7 +285,7 @@ func (s *Stream) setDeadlineLocked(d *deadline, t time.Time, cond interface{ Bro
 		return
 	}
 	c := s.c
-	d.cancel = c.clock.AfterFunc(dur, func() {
+	d.timer = c.clock.AfterFunc(dur, func() {
 		c.mu.Lock()
 		d.expired = true
 		cond.Broadcast()

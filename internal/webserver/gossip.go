@@ -90,7 +90,7 @@ type Gossiper struct {
 	weight   float64
 
 	mu      sync.Mutex
-	cancel  func() bool
+	timer   netsim.Timer
 	gen     int // bumped on Stop/Start; stale rounds must not re-arm
 	rounds  int
 	applied int
@@ -147,7 +147,7 @@ func (g *Gossiper) RunOnce(ctx context.Context) (applied int, err error) {
 func (g *Gossiper) Start() {
 	g.mu.Lock()
 	defer g.mu.Unlock()
-	if g.cancel != nil {
+	if g.timer != nil {
 		return
 	}
 	g.gen++
@@ -160,12 +160,12 @@ func (g *Gossiper) Start() {
 // a bumped generation and does not re-arm, so two loops can never run at
 // once.
 func (g *Gossiper) armLocked(gen int) {
-	g.cancel = g.clock.AfterFunc(g.interval, func() {
+	g.timer = g.clock.AfterFunc(g.interval, func() {
 		go func() {
 			g.RunOnce(context.Background())
 			g.mu.Lock()
 			defer g.mu.Unlock()
-			if g.gen != gen || g.cancel == nil {
+			if g.gen != gen || g.timer == nil {
 				return // stopped (or restarted) while the round ran
 			}
 			g.armLocked(gen)
@@ -179,9 +179,9 @@ func (g *Gossiper) Stop() {
 	g.mu.Lock()
 	defer g.mu.Unlock()
 	g.gen++
-	if g.cancel != nil {
-		g.cancel()
-		g.cancel = nil
+	if g.timer != nil {
+		g.timer.Stop()
+		g.timer = nil
 	}
 }
 
