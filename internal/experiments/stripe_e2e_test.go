@@ -246,3 +246,34 @@ func TestStripedTransferSurvivesPathKill(t *testing.T) {
 		}
 	}
 }
+
+// TestStripedProbeRefusesOversizedTotal: an origin whose 206 to the probe
+// claims a 1 TiB resource is not striped (that would size a 1 TiB buffer):
+// the proxy re-requests the resource un-striped and relays what the origin
+// actually sends.
+func TestStripedProbeRefusesOversizedTotal(t *testing.T) {
+	const size = 256 << 10
+	var ranged, plain atomic.Int32
+	_, c := stripeWorld(t, 44, 20_000_000, size, stripeOpts, func(next http.Handler) http.Handler {
+		return http.HandlerFunc(func(rw http.ResponseWriter, r *http.Request) {
+			if r.Header.Get("Range") == "" {
+				plain.Add(1)
+				next.ServeHTTP(rw, r)
+				return
+			}
+			ranged.Add(1)
+			rw.Header().Set("Content-Range", "bytes 0-131071/1099511627776")
+			rw.WriteHeader(http.StatusPartialContent)
+			rw.Write(stripeBody(128 << 10))
+		})
+	})
+	if got := fetchBig(t, c); !bytes.Equal(got, stripeBody(size)) {
+		t.Fatalf("relayed %d bytes, want the origin's %d-byte resource", len(got), size)
+	}
+	if ranged.Load() != 1 || plain.Load() != 1 {
+		t.Fatalf("origin saw %d ranged and %d plain requests, want the probe and one plain GET", ranged.Load(), plain.Load())
+	}
+	if snap := c.Proxy.Stats().Snapshot(); snap.Striped != 0 {
+		t.Fatalf("striped count = %d, want 0", snap.Striped)
+	}
+}

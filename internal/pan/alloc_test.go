@@ -379,12 +379,13 @@ func BenchmarkServerObserve(b *testing.B) {
 	}
 }
 
-// TestServerObserveAllocs: BenchmarkServerObserve's op stays within its
-// budget of 9 allocs.
+// TestServerObserveAllocs: BenchmarkServerObserve's op allocates nothing:
+// the link view is refilled in place and the penalty reads each entry's
+// memoized links.
 func TestServerObserveAllocs(t *testing.T) {
 	op, samples := serverObserve(t)
-	if n := testing.AllocsPerRun(100, op); n > 9 {
-		t.Errorf("Observe+PickReverse: %v allocs/op, budget 9", n)
+	if n := testing.AllocsPerRun(100, op); n > 0 {
+		t.Errorf("Observe+PickReverse: %v allocs/op, budget 0", n)
 	}
 	if got := samples(); got != 102 {
 		t.Fatalf("server ingested %d of 102 samples", got)

@@ -46,16 +46,20 @@ func TestLinkStatsCached(t *testing.T) {
 		m.mu.Unlock()
 		t.Fatal("LinkStats did not populate the cache")
 	}
-	cacheHead := &m.linkCache[0]
+	// A rebuild refills the same slice, so a sentinel written into the
+	// cache is what shows whether the next call rebuilt it.
+	sharers := m.linkCache[0].Sharers
+	m.linkCache[0].Sharers = -1
 	m.mu.Unlock()
 
 	second := m.LinkStats()
-	m.mu.Lock()
-	rebuilt := &m.linkCache[0] != cacheHead
-	m.mu.Unlock()
-	if rebuilt {
+	if second[0].Sharers != -1 {
 		t.Fatal("LinkStats rebuilt the cache with no ingest in between")
 	}
+	m.mu.Lock()
+	m.linkCache[0].Sharers = sharers
+	m.mu.Unlock()
+	second[0].Sharers = sharers
 	if len(second) != len(first) || second[0] != first[0] {
 		t.Fatalf("cached snapshot diverged: %+v vs %+v", second, first)
 	}

@@ -162,9 +162,6 @@ func (m *Monitor) ingestLocked(e *monEntry, rtt time.Duration, err error, passiv
 	if excess < 0 {
 		excess = 0
 	}
-	if e.links == nil {
-		e.links = pathLinks(e.path)
-	}
 	e.excess.ingest(excess, now)
 	if passive {
 		return Outcome{Latency: rtt, Passive: true}

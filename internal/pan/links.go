@@ -1,7 +1,8 @@
 package pan
 
 import (
-	"sort"
+	"cmp"
+	"slices"
 	"time"
 
 	"tango/internal/addr"
@@ -26,7 +27,7 @@ type LinkStat struct {
 type linkKey struct{ a, b addr.IA }
 
 func canonicalLink(x, y addr.IA) linkKey {
-	if y.ISD < x.ISD || (y.ISD == x.ISD && y.AS < x.AS) {
+	if cmpIA(y, x) < 0 {
 		x, y = y, x
 	}
 	return linkKey{a: x, b: y}
@@ -41,6 +42,14 @@ func pathLinks(p *segment.Path) []linkKey {
 		}
 	}
 	return out
+}
+
+// linkKeys returns the entry's links, memoizing them on first use.
+func (e *monEntry) linkKeys() []linkKey {
+	if e.links == nil {
+		e.links = pathLinks(e.path)
+	}
+	return e.links
 }
 
 // excessSeries is the EWMA of one path's excess RTT, charged to each link
@@ -84,8 +93,9 @@ const staleSeriesAfter = 10
 // linkCacheLocked returns the memoized link snapshot (sorted slice + by-key
 // map), rebuilding it only when dirty (a sample was ingested or pruning ran
 // since) or older than MaxInterval (so series expiring purely by age still
-// drop out). The returned slice is the cache itself: callers must copy
-// before handing it out. Caller holds mu.
+// drop out). A rebuild refills the same slice and map, so both are the cache
+// itself and valid only while mu is held: callers copy before handing
+// anything out. Caller holds mu.
 func (m *Monitor) linkCacheLocked() ([]LinkStat, map[linkKey]LinkStat) {
 	now := m.clock.Now()
 	if !m.linkDirty && m.linkCache != nil && now.Sub(m.linkCacheAt) <= m.opts.MaxInterval {
@@ -97,7 +107,11 @@ func (m *Monitor) linkCacheLocked() ([]LinkStat, map[linkKey]LinkStat) {
 	// the paths crossing it (ties to the lower deviation), with the age of
 	// the youngest. Boolean-tomography logic: if ANY path crossing the link
 	// is clean, the link is exonerated and the congestion lives elsewhere.
-	byKey := make(map[linkKey]LinkStat)
+	if m.linkCacheMap == nil {
+		m.linkCacheMap = make(map[linkKey]LinkStat)
+	}
+	byKey := m.linkCacheMap
+	clear(byKey)
 	for _, e := range m.entries {
 		s := &e.excess
 		s.expire(now, horizon)
@@ -105,7 +119,7 @@ func (m *Monitor) linkCacheLocked() ([]LinkStat, map[linkKey]LinkStat) {
 			continue
 		}
 		age := now.Sub(s.last)
-		for _, lk := range e.links {
+		for _, lk := range e.linkKeys() {
 			st, ok := byKey[lk]
 			if !ok {
 				st = LinkStat{A: lk.a, B: lk.b, Congestion: s.mean, Dev: s.dev, Age: age}
@@ -123,18 +137,20 @@ func (m *Monitor) linkCacheLocked() ([]LinkStat, map[linkKey]LinkStat) {
 			delete(m.priors, lk)
 		}
 	}
-	out := make([]LinkStat, 0, len(byKey))
+	out := m.linkCache[:0]
 	for _, st := range byKey {
 		out = append(out, st)
 	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].A != out[j].A {
-			return out[i].A.ISD < out[j].A.ISD || (out[i].A.ISD == out[j].A.ISD && out[i].A.AS < out[j].A.AS)
-		}
-		return out[i].B.ISD < out[j].B.ISD || (out[i].B.ISD == out[j].B.ISD && out[i].B.AS < out[j].B.AS)
+	slices.SortFunc(out, func(x, y LinkStat) int {
+		return cmp.Or(cmpIA(x.A, y.A), cmpIA(x.B, y.B))
 	})
-	m.linkCache, m.linkCacheMap, m.linkCacheAt = out, byKey, now
+	m.linkCache, m.linkCacheAt = out, now
 	return out, byKey
+}
+
+// cmpIA orders ISD-AS numbers by ISD, then AS.
+func cmpIA(x, y addr.IA) int {
+	return cmp.Or(cmp.Compare(x.ISD, y.ISD), cmp.Compare(x.AS, y.AS))
 }
 
 // LinkStats exports the per-link congestion estimates measured LOCALLY,
@@ -168,11 +184,18 @@ func (m *Monitor) PathPenalty(p *segment.Path) time.Duration {
 }
 
 // penaltyLocked is PathPenalty against an already fetched link snapshot.
+// A path the monitor holds an entry for uses the entry's memoized links.
 // Caller holds mu.
 func (m *Monitor) penaltyLocked(p *segment.Path, byKey map[linkKey]LinkStat, now time.Time) time.Duration {
 	horizon := time.Duration(staleSeriesAfter) * m.opts.MaxInterval
+	var links []linkKey
+	if e := m.entries[p.Fingerprint()]; e != nil {
+		links = e.linkKeys()
+	} else {
+		links = pathLinks(p)
+	}
 	var sum time.Duration
-	for _, lk := range pathLinks(p) {
+	for _, lk := range links {
 		if st, ok := byKey[lk]; ok {
 			sum += st.Congestion + 2*st.Dev
 			continue

@@ -121,8 +121,8 @@ type monEntry struct {
 	// activeTargets counts the targets with activeRefs > 0: the entry is
 	// schedulable exactly while it is positive.
 	activeTargets int
-	// links memoizes pathLinks(path), set by the first successful sample —
-	// the hop sequence is fixed for a fingerprint.
+	// links memoizes pathLinks(path), set by linkKeys on first use — the
+	// hop sequence is fixed for a fingerprint.
 	links []linkKey
 	// excess is the path's excess-RTT series. Every link in links takes the
 	// same sample, so one series stands for the path on each of them.

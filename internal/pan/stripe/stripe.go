@@ -41,10 +41,12 @@ type Segment struct {
 	Length int
 }
 
-// FetchFunc retrieves one segment over the pipeline's connection, returning
-// exactly seg.Length bytes. It MUST honor ctx cancellation — the scheduler
-// cancels attempts it has timed out or reassigned.
-type FetchFunc func(ctx context.Context, p *Pipeline, seg Segment) ([]byte, error)
+// FetchFunc reads one segment over the pipeline's connection into dst (of
+// seg.Length bytes) and returns how many bytes the response held: any other
+// count than seg.Length is a protocol error. It MUST honor ctx cancellation
+// — the scheduler cancels attempts it has timed out or reassigned, and
+// Fetch waits for every attempt to return.
+type FetchFunc func(ctx context.Context, p *Pipeline, seg Segment, dst []byte) (int, error)
 
 // Defaults.
 const (
@@ -294,10 +296,9 @@ func (p *Pipeline) addBytes(n int64) {
 	p.bytes += n
 }
 
-// Result is a completed striped fetch.
+// Result accounts for a completed striped fetch; the bytes themselves are
+// in the caller's buffer.
 type Result struct {
-	// Data is the reassembled byte range, in order, with no gaps.
-	Data []byte
 	// PerPath maps path fingerprints to the bytes each path delivered — the
 	// per-path byte split surfaced in proxy stats.
 	PerPath map[string]int64
@@ -319,16 +320,24 @@ type attempt struct {
 	start  time.Time
 	cancel context.CancelFunc
 	timer  netsim.Timer // the RTO timer
+	buf    []byte       // the segment's slot if owner, else a private buffer
+	owner  bool
 }
 
 // completion is the single event every attempt eventually produces.
 type completion struct {
 	a        *attempt
-	data     []byte
+	n        int
 	err      error
 	rtt      time.Duration
 	timedOut bool
 }
+
+// slotState is the scheduler's view of one segment's slot in the caller's
+// buffer. The segment's first attempt owns the slot and reads straight into
+// it; every later attempt reads into a private buffer, so two writers never
+// share a slot.
+type slotState struct{ done, owned bool }
 
 // fetcher is the scheduler state for one Fetch call.
 type fetcher struct {
@@ -337,7 +346,7 @@ type fetcher struct {
 	pipes []*Pipeline
 
 	segs        []Segment
-	done        []bool
+	slots       []slotState
 	pending     []int // segment indices awaiting (re-)dispatch, FIFO
 	outstanding map[int]*attempt
 	// zombies are timed-out attempts left running (Karn-style): the request
@@ -350,7 +359,12 @@ type fetcher struct {
 	closed    chan struct{} // gates attempt sends after Fetch returns
 	inflight  int
 	remaining int
-	base      int64 // offset of the fetched range's first byte
+	base      int64  // offset of the fetched range's first byte
+	dst       []byte // the caller's buffer for the range
+	// deferred are the winners that are not their slot's owner: shutdown
+	// copies them in once every attempt, the owner too, has returned.
+	deferred []*attempt
+	attempts sync.WaitGroup // every attempt's goroutines
 
 	result Result
 }
@@ -365,18 +379,16 @@ func (f *fetcher) send(ev completion) {
 	}
 }
 
-// Fetch retrieves the byte range [off, off+length) striped across the given
-// pipelines and returns it reassembled. It blocks until the range is
-// complete, the context is canceled, or every pipeline has died with
-// segments still missing. The pipelines' congestion and RTT state persists
-// across calls, warm-starting subsequent fetches on the same set.
-func Fetch(ctx context.Context, off, length int64, pipes []*Pipeline, opts Options) (*Result, error) {
+// Fetch retrieves the byte range [off, off+len(dst)) striped across the
+// given pipelines into dst. It blocks until the range is complete, the
+// context is canceled, or every pipeline has died with segments still
+// missing, and then until every attempt it started has returned. The
+// pipelines' congestion and RTT state persists across calls, warm-starting
+// subsequent fetches on the same set.
+func Fetch(ctx context.Context, off int64, dst []byte, pipes []*Pipeline, opts Options) (*Result, error) {
 	opts = opts.withDefaults()
 	if opts.Fetch == nil || opts.Clock == nil {
 		return nil, errors.New("stripe: Options.Fetch and Options.Clock are required")
-	}
-	if length < 0 {
-		return nil, fmt.Errorf("stripe: negative length %d", length)
 	}
 	live := pipes[:0:0]
 	for _, p := range pipes {
@@ -395,7 +407,9 @@ func Fetch(ctx context.Context, off, length int64, pipes []*Pipeline, opts Optio
 		outstanding: make(map[int]*attempt),
 		zombies:     make(map[int][]*attempt),
 		base:        off,
+		dst:         dst,
 	}
+	length := int64(len(dst))
 	for o := int64(0); o < length; o += int64(opts.SegmentSize) {
 		n := length - o
 		if n > int64(opts.SegmentSize) {
@@ -403,7 +417,7 @@ func Fetch(ctx context.Context, off, length int64, pipes []*Pipeline, opts Optio
 		}
 		f.segs = append(f.segs, Segment{Index: len(f.segs), Offset: off + o, Length: int(n)})
 	}
-	f.done = make([]bool, len(f.segs))
+	f.slots = make([]slotState, len(f.segs))
 	f.pending = make([]int, len(f.segs))
 	for i := range f.segs {
 		f.pending[i] = i
@@ -414,7 +428,6 @@ func Fetch(ctx context.Context, off, length int64, pipes []*Pipeline, opts Optio
 	// once the fetch is over.
 	f.events = make(chan completion, len(live)*opts.MaxCwnd+1)
 	f.closed = make(chan struct{})
-	f.result.Data = make([]byte, length)
 	f.result.PerPath = make(map[string]int64, len(live))
 
 	err := f.run()
@@ -463,7 +476,7 @@ func (f *fetcher) dispatch() {
 		}
 		idx := f.pending[0]
 		f.pending = f.pending[1:]
-		if f.done[idx] {
+		if f.slots[idx].done {
 			continue // completed by a late duplicate while queued
 		}
 		f.start(best, f.segs[idx])
@@ -475,19 +488,29 @@ func (f *fetcher) dispatch() {
 func (f *fetcher) start(p *Pipeline, seg Segment) {
 	actx, cancel := context.WithCancel(f.ctx)
 	a := &attempt{seg: seg, pipe: p, start: f.opts.Clock.Now(), cancel: cancel}
+	if st := &f.slots[seg.Index]; st.owned {
+		a.buf = make([]byte, seg.Length)
+	} else {
+		st.owned, a.owner = true, true
+		a.buf = f.dst[seg.Offset-f.base:][:seg.Length]
+	}
 	f.outstanding[seg.Index] = a
 	p.inflight++
 	f.inflight++
 
 	clock := f.opts.Clock
 	resCh := make(chan completion, 1)
+	f.attempts.Add(1)
 	go func() {
-		data, err := f.opts.Fetch(actx, p, seg)
-		resCh <- completion{a: a, data: data, err: err, rtt: clock.Since(a.start)}
+		n, err := f.opts.Fetch(actx, p, seg, a.buf)
+		resCh <- completion{a: a, n: n, err: err, rtt: clock.Since(a.start)}
 	}()
 	timeout := make(chan struct{})
 	a.timer = clock.AfterFunc(p.rto(f.opts.MinRTO), func() { close(timeout) })
 	go func() {
+		// Both branches wait for the fetch's result, so this goroutine ends
+		// only after the FetchFunc call has returned.
+		defer f.attempts.Done()
 		select {
 		case ev := <-resCh:
 			a.timer.Stop()
@@ -542,7 +565,7 @@ func (f *fetcher) handle(ev completion) {
 			f.abandon(a.pipe)
 		}
 	default:
-		if len(ev.data) != a.seg.Length {
+		if ev.n != a.seg.Length {
 			// A short or overlong segment is a protocol error on this
 			// pipeline, not data.
 			if current {
@@ -555,15 +578,17 @@ func (f *fetcher) handle(ev completion) {
 			}
 			return
 		}
-		if f.done[a.seg.Index] {
+		if f.slots[a.seg.Index].done {
 			return // duplicate delivery; first completion won
 		}
-		copy(f.result.Data[a.seg.Offset-f.base:], ev.data)
-		f.done[a.seg.Index] = true
+		if !a.owner {
+			f.deferred = append(f.deferred, a)
+		}
+		f.slots[a.seg.Index].done = true
 		f.remaining--
 		f.reapZombies(a.seg.Index)
-		a.pipe.addBytes(int64(len(ev.data)))
-		f.result.PerPath[a.pipe.path.Fingerprint()] += int64(len(ev.data))
+		a.pipe.addBytes(int64(ev.n))
+		f.result.PerPath[a.pipe.path.Fingerprint()] += int64(ev.n)
 		if current {
 			a.pipe.onAck(ev.rtt, f.opts.MaxCwnd)
 			if f.opts.Observe != nil {
@@ -632,8 +657,9 @@ func (f *fetcher) cancelAttempt(a *attempt) {
 }
 
 // shutdown cancels whatever is still outstanding (duplicates at completion,
-// everything on error/cancellation) and releases any attempt goroutine
-// still trying to deliver its event.
+// everything on error/cancellation), releases any attempt goroutine still
+// trying to deliver its event, waits for every attempt to return, and only
+// then copies in the winners that read into private buffers.
 func (f *fetcher) shutdown() {
 	for _, a := range f.outstanding {
 		a.cancel()
@@ -647,4 +673,8 @@ func (f *fetcher) shutdown() {
 	f.outstanding = nil
 	f.zombies = nil
 	close(f.closed)
+	f.attempts.Wait()
+	for _, a := range f.deferred {
+		copy(f.dst[a.seg.Offset-f.base:], a.buf)
+	}
 }

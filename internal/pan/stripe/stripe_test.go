@@ -3,7 +3,9 @@ package stripe_test
 import (
 	"context"
 	"errors"
+	"runtime"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -27,14 +29,14 @@ func testPath(i int) *segment.Path {
 	}
 }
 
-// pattern generates the deterministic transfer content: byte k of the
-// resource is (k mod 251), so any reassembly error shows up as a mismatch.
-func pattern(off int64, n int) []byte {
-	b := make([]byte, n)
-	for i := range b {
-		b[i] = byte((off + int64(i)) % 251)
+// fill writes the deterministic transfer content from off into dst and
+// returns its length: byte k of the resource is (k mod 251), so any
+// reassembly error shows up as a mismatch.
+func fill(dst []byte, off int64) int {
+	for i := range dst {
+		dst[i] = byte((off + int64(i)) % 251)
 	}
-	return b
+	return len(dst)
 }
 
 func checkPattern(t *testing.T, off int64, data []byte) {
@@ -48,20 +50,20 @@ func checkPattern(t *testing.T, off int64, data []byte) {
 
 // delayFetch serves the pattern after a fixed virtual delay, honoring ctx.
 func delayFetch(clock netsim.Clock, delay time.Duration) stripe.FetchFunc {
-	return func(ctx context.Context, p *stripe.Pipeline, seg stripe.Segment) ([]byte, error) {
+	return func(ctx context.Context, p *stripe.Pipeline, seg stripe.Segment, dst []byte) (int, error) {
 		select {
 		case <-clock.After(delay):
 		case <-ctx.Done():
-			return nil, ctx.Err()
+			return 0, ctx.Err()
 		}
-		return pattern(seg.Offset, seg.Length), nil
+		return fill(dst, seg.Offset), nil
 	}
 }
 
 // hangFetch never returns until ctx is canceled.
-func hangFetch(ctx context.Context, p *stripe.Pipeline, seg stripe.Segment) ([]byte, error) {
+func hangFetch(ctx context.Context, p *stripe.Pipeline, seg stripe.Segment, dst []byte) (int, error) {
 	<-ctx.Done()
-	return nil, ctx.Err()
+	return 0, ctx.Err()
 }
 
 func TestFetchReassembles(t *testing.T) {
@@ -70,20 +72,18 @@ func TestFetchReassembles(t *testing.T) {
 	slow := stripe.NewPipeline(nil, testPath(2), 40*time.Millisecond, time.Millisecond)
 	delays := map[*stripe.Pipeline]time.Duration{fast: 10 * time.Millisecond, slow: 40 * time.Millisecond}
 	const off, length = int64(5000), int64(100_000)
-	res, err := stripe.Fetch(context.Background(), off, length, []*stripe.Pipeline{fast, slow}, stripe.Options{
+	dst := make([]byte, length)
+	res, err := stripe.Fetch(context.Background(), off, dst, []*stripe.Pipeline{fast, slow}, stripe.Options{
 		SegmentSize: 4 << 10,
 		Clock:       clock,
-		Fetch: func(ctx context.Context, p *stripe.Pipeline, seg stripe.Segment) ([]byte, error) {
-			return delayFetch(clock, delays[p])(ctx, p, seg)
+		Fetch: func(ctx context.Context, p *stripe.Pipeline, seg stripe.Segment, dst []byte) (int, error) {
+			return delayFetch(clock, delays[p])(ctx, p, seg, dst)
 		},
 	})
 	if err != nil {
 		t.Fatalf("Fetch: %v", err)
 	}
-	if int64(len(res.Data)) != length {
-		t.Fatalf("got %d bytes, want %d", len(res.Data), length)
-	}
-	checkPattern(t, off, res.Data)
+	checkPattern(t, off, dst)
 	if res.Retries != 0 || res.Reassigned != 0 {
 		t.Fatalf("clean transfer had Retries=%d Reassigned=%d", res.Retries, res.Reassigned)
 	}
@@ -114,17 +114,18 @@ func TestSchedulerPrefersLowPessimisticRTT(t *testing.T) {
 
 	var mu sync.Mutex
 	first := make(map[int]*stripe.Pipeline) // segment index -> first assignee
-	fetch := func(ctx context.Context, p *stripe.Pipeline, seg stripe.Segment) ([]byte, error) {
+	fetch := func(ctx context.Context, p *stripe.Pipeline, seg stripe.Segment, dst []byte) (int, error) {
 		mu.Lock()
 		if _, ok := first[seg.Index]; !ok {
 			first[seg.Index] = p
 		}
 		mu.Unlock()
-		return delayFetch(clock, 10*time.Millisecond)(ctx, p, seg)
+		return delayFetch(clock, 10*time.Millisecond)(ctx, p, seg, dst)
 	}
 	// Six segments, initial window three per pipeline: the scheduler must fill
 	// the low-pessimistic pipeline's window before touching the other.
-	res, err := stripe.Fetch(context.Background(), 0, 6000, []*stripe.Pipeline{slow, fast}, stripe.Options{
+	dst := make([]byte, 6000)
+	_, err := stripe.Fetch(context.Background(), 0, dst, []*stripe.Pipeline{slow, fast}, stripe.Options{
 		SegmentSize: 1000,
 		Clock:       clock,
 		Fetch:       fetch,
@@ -132,7 +133,7 @@ func TestSchedulerPrefersLowPessimisticRTT(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Fetch: %v", err)
 	}
-	checkPattern(t, 0, res.Data)
+	checkPattern(t, 0, dst)
 	mu.Lock()
 	defer mu.Unlock()
 	for idx, want := range map[int]*stripe.Pipeline{0: fast, 1: fast, 2: fast, 3: slow, 4: slow, 5: slow} {
@@ -148,14 +149,15 @@ func TestDeadPipelineReassignsOutstanding(t *testing.T) {
 	// The dying pipeline is seeded faster so the scheduler loads it first.
 	dying := stripe.NewPipeline(nil, testPath(1), 10*time.Millisecond, time.Millisecond)
 	healthy := stripe.NewPipeline(nil, testPath(2), 20*time.Millisecond, time.Millisecond)
-	fetch := func(ctx context.Context, p *stripe.Pipeline, seg stripe.Segment) ([]byte, error) {
+	fetch := func(ctx context.Context, p *stripe.Pipeline, seg stripe.Segment, dst []byte) (int, error) {
 		if p == dying {
-			return hangFetch(ctx, p, seg)
+			return hangFetch(ctx, p, seg, dst)
 		}
-		return delayFetch(clock, 20*time.Millisecond)(ctx, p, seg)
+		return delayFetch(clock, 20*time.Millisecond)(ctx, p, seg, dst)
 	}
 	const length = int64(6000)
-	res, err := stripe.Fetch(context.Background(), 0, length, []*stripe.Pipeline{dying, healthy}, stripe.Options{
+	dst := make([]byte, length)
+	res, err := stripe.Fetch(context.Background(), 0, dst, []*stripe.Pipeline{dying, healthy}, stripe.Options{
 		SegmentSize:   1000,
 		Clock:         clock,
 		Fetch:         fetch,
@@ -165,7 +167,7 @@ func TestDeadPipelineReassignsOutstanding(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Fetch: %v", err)
 	}
-	checkPattern(t, 0, res.Data)
+	checkPattern(t, 0, dst)
 	if !dying.Status().Dead {
 		t.Fatal("hung pipeline not marked dead")
 	}
@@ -189,7 +191,7 @@ func TestDeadPipelineReassignsOutstanding(t *testing.T) {
 func TestAllPipelinesDeadFails(t *testing.T) {
 	clock := testbed.AutoClock(t)
 	only := stripe.NewPipeline(nil, testPath(1), 10*time.Millisecond, time.Millisecond)
-	_, err := stripe.Fetch(context.Background(), 0, 3000, []*stripe.Pipeline{only}, stripe.Options{
+	_, err := stripe.Fetch(context.Background(), 0, make([]byte, 3000), []*stripe.Pipeline{only}, stripe.Options{
 		SegmentSize:   1000,
 		Clock:         clock,
 		Fetch:         hangFetch,
@@ -207,7 +209,7 @@ func TestAllPipelinesDeadFails(t *testing.T) {
 func TestFetchRejectsDeadInput(t *testing.T) {
 	clock := testbed.AutoClock(t)
 	only := stripe.NewPipeline(nil, testPath(1), 10*time.Millisecond, time.Millisecond)
-	if _, err := stripe.Fetch(context.Background(), 0, 1000, []*stripe.Pipeline{only}, stripe.Options{
+	if _, err := stripe.Fetch(context.Background(), 0, make([]byte, 1000), []*stripe.Pipeline{only}, stripe.Options{
 		SegmentSize:   500,
 		Clock:         clock,
 		Fetch:         hangFetch,
@@ -217,7 +219,7 @@ func TestFetchRejectsDeadInput(t *testing.T) {
 		t.Fatalf("first fetch err = %v, want ErrNoPipelines", err)
 	}
 	// The pipeline is now dead; a subsequent Fetch must refuse it up front.
-	if _, err := stripe.Fetch(context.Background(), 0, 1000, []*stripe.Pipeline{only}, stripe.Options{
+	if _, err := stripe.Fetch(context.Background(), 0, make([]byte, 1000), []*stripe.Pipeline{only}, stripe.Options{
 		Clock: clock,
 		Fetch: hangFetch,
 	}); !errors.Is(err, stripe.ErrNoPipelines) {
@@ -231,23 +233,23 @@ func TestShortSegmentIsLoss(t *testing.T) {
 	p2 := stripe.NewPipeline(nil, testPath(2), 20*time.Millisecond, time.Millisecond)
 	var mu sync.Mutex
 	shorted := false
-	fetch := func(ctx context.Context, p *stripe.Pipeline, seg stripe.Segment) ([]byte, error) {
+	fetch := func(ctx context.Context, p *stripe.Pipeline, seg stripe.Segment, dst []byte) (int, error) {
 		select {
 		case <-clock.After(10 * time.Millisecond):
 		case <-ctx.Done():
-			return nil, ctx.Err()
+			return 0, ctx.Err()
 		}
 		mu.Lock()
 		truncate := p == p1 && !shorted
 		shorted = shorted || truncate
 		mu.Unlock()
-		data := pattern(seg.Offset, seg.Length)
 		if truncate {
-			return data[:seg.Length-1], nil
+			return fill(dst[:seg.Length-1], seg.Offset), nil
 		}
-		return data, nil
+		return fill(dst, seg.Offset), nil
 	}
-	res, err := stripe.Fetch(context.Background(), 0, 4000, []*stripe.Pipeline{p1, p2}, stripe.Options{
+	dst := make([]byte, 4000)
+	res, err := stripe.Fetch(context.Background(), 0, dst, []*stripe.Pipeline{p1, p2}, stripe.Options{
 		SegmentSize: 1000,
 		Clock:       clock,
 		Fetch:       fetch,
@@ -255,7 +257,7 @@ func TestShortSegmentIsLoss(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Fetch: %v", err)
 	}
-	checkPattern(t, 0, res.Data)
+	checkPattern(t, 0, dst)
 	if res.Retries == 0 {
 		t.Fatal("short segment should count as a retry")
 	}
@@ -270,7 +272,8 @@ func TestObserveReceivesSegmentRTTs(t *testing.T) {
 	p2 := stripe.NewPipeline(nil, testPath(2), 10*time.Millisecond, time.Millisecond)
 	samples := make(map[string]int)
 	var badRTT bool
-	res, err := stripe.Fetch(context.Background(), 0, 8000, []*stripe.Pipeline{p1, p2}, stripe.Options{
+	dst := make([]byte, 8000)
+	_, err := stripe.Fetch(context.Background(), 0, dst, []*stripe.Pipeline{p1, p2}, stripe.Options{
 		SegmentSize: 1000,
 		Clock:       clock,
 		Fetch:       delayFetch(clock, 10*time.Millisecond),
@@ -284,7 +287,7 @@ func TestObserveReceivesSegmentRTTs(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Fetch: %v", err)
 	}
-	checkPattern(t, 0, res.Data)
+	checkPattern(t, 0, dst)
 	total := samples[p1.Path().Fingerprint()] + samples[p2.Path().Fingerprint()]
 	if total != 8 {
 		t.Fatalf("observed %d segment RTTs, want 8 (%v)", total, samples)
@@ -297,15 +300,15 @@ func TestObserveReceivesSegmentRTTs(t *testing.T) {
 func TestZeroLengthFetch(t *testing.T) {
 	clock := testbed.AutoClock(t)
 	p1 := stripe.NewPipeline(nil, testPath(1), 0, 0)
-	res, err := stripe.Fetch(context.Background(), 0, 0, []*stripe.Pipeline{p1}, stripe.Options{
+	res, err := stripe.Fetch(context.Background(), 0, nil, []*stripe.Pipeline{p1}, stripe.Options{
 		Clock: clock,
 		Fetch: hangFetch,
 	})
 	if err != nil {
 		t.Fatalf("Fetch: %v", err)
 	}
-	if len(res.Data) != 0 || res.Retries != 0 {
-		t.Fatalf("zero-length fetch returned %d bytes, %d retries", len(res.Data), res.Retries)
+	if len(res.PerPath) != 0 || res.Retries != 0 {
+		t.Fatalf("zero-length fetch moved %v bytes, %d retries", res.PerPath, res.Retries)
 	}
 }
 
@@ -316,7 +319,7 @@ func TestContextCancel(t *testing.T) {
 	done := make(chan struct{})
 	var err error
 	go func() {
-		_, err = stripe.Fetch(ctx, 0, 10_000, []*stripe.Pipeline{p1}, stripe.Options{
+		_, err = stripe.Fetch(ctx, 0, make([]byte, 10_000), []*stripe.Pipeline{p1}, stripe.Options{
 			SegmentSize: 1000,
 			Clock:       clock,
 			Fetch:       hangFetch,
@@ -334,4 +337,175 @@ func TestContextCancel(t *testing.T) {
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
+}
+
+// running wraps fetch with a count of its calls still in progress.
+func running(fetch stripe.FetchFunc) (stripe.FetchFunc, *atomic.Int32) {
+	var n atomic.Int32
+	return func(ctx context.Context, p *stripe.Pipeline, seg stripe.Segment, dst []byte) (int, error) {
+		n.Add(1)
+		defer n.Add(-1)
+		return fetch(ctx, p, seg, dst)
+	}, &n
+}
+
+// slowExitFetch hangs until ctx is canceled, then takes a while to unwind,
+// as a transport closing its stream would.
+func slowExitFetch(ctx context.Context, p *stripe.Pipeline, seg stripe.Segment, dst []byte) (int, error) {
+	<-ctx.Done()
+	for range 100 {
+		runtime.Gosched()
+	}
+	return 0, ctx.Err()
+}
+
+// TestSlotOwnerStallsReplacementWins: segment 0's first attempt owns its
+// slot, stalls past its RTO and keeps writing garbage into the slot, more
+// of it once canceled, while its replacement wins into a private buffer.
+// The body must still be exact: the replacement's bytes are copied in only
+// after the owner has returned, and Fetch waits for that.
+func TestSlotOwnerStallsReplacementWins(t *testing.T) {
+	clock := testbed.AutoClock(t)
+	p1 := stripe.NewPipeline(nil, testPath(1), 10*time.Millisecond, time.Millisecond)
+	p2 := stripe.NewPipeline(nil, testPath(2), 10*time.Millisecond, time.Millisecond)
+	var mu sync.Mutex
+	var owner []byte // the owner's dst, for the test to check it is the slot
+	ownerDone := make(chan struct{})
+	fetch := func(ctx context.Context, p *stripe.Pipeline, seg stripe.Segment, dst []byte) (int, error) {
+		mu.Lock()
+		isOwner := seg.Index == 0 && owner == nil
+		if isOwner {
+			owner = dst
+		}
+		mu.Unlock()
+		if !isOwner {
+			return delayFetch(clock, 10*time.Millisecond)(ctx, p, seg, dst)
+		}
+		defer close(ownerDone)
+		for i := 0; ; i = (i + 1) % len(dst) {
+			select {
+			case <-clock.After(10 * time.Millisecond):
+				dst[i] = ^byte((seg.Offset + int64(i)) % 251)
+			case <-ctx.Done():
+				for j := range dst {
+					dst[j] = ^byte((seg.Offset + int64(j)) % 251)
+				}
+				return 0, ctx.Err()
+			}
+		}
+	}
+	fetch, inFetch := running(fetch)
+	dst := make([]byte, 1000)
+	res, err := stripe.Fetch(context.Background(), 0, dst, []*stripe.Pipeline{p1, p2}, stripe.Options{
+		SegmentSize: 100,
+		Clock:       clock,
+		Fetch:       fetch,
+		MinRTO:      50 * time.Millisecond,
+	})
+	if err != nil {
+		t.Fatalf("Fetch: %v", err)
+	}
+	if n := inFetch.Load(); n != 0 {
+		t.Fatalf("Fetch returned with %d attempts still running", n)
+	}
+	<-ownerDone
+	if &owner[0] != &dst[0] {
+		t.Fatal("segment 0's first attempt did not read into its slot")
+	}
+	checkPattern(t, 0, dst)
+	if res.Retries != 1 {
+		t.Fatalf("Retries = %d, want the owner's one timeout", res.Retries)
+	}
+}
+
+// TestFetchWaitsForAttempts: whether it succeeds, is canceled or loses
+// every pipeline, Fetch returns only after every FetchFunc call it made has
+// returned.
+func TestFetchWaitsForAttempts(t *testing.T) {
+	for _, tc := range []struct {
+		name    string
+		fetch   func(clock netsim.Clock, cancel context.CancelFunc) stripe.FetchFunc
+		wantErr error
+	}{
+		{"success", func(clock netsim.Clock, _ context.CancelFunc) stripe.FetchFunc {
+			// Segment 0's first attempt hangs into a zombie that the
+			// replacement's win cancels.
+			var first atomic.Bool
+			return func(ctx context.Context, p *stripe.Pipeline, seg stripe.Segment, dst []byte) (int, error) {
+				if seg.Index == 0 && first.CompareAndSwap(false, true) {
+					return slowExitFetch(ctx, p, seg, dst)
+				}
+				return delayFetch(clock, 10*time.Millisecond)(ctx, p, seg, dst)
+			}
+		}, nil},
+		{"canceled", func(_ netsim.Clock, cancel context.CancelFunc) stripe.FetchFunc {
+			return func(ctx context.Context, p *stripe.Pipeline, seg stripe.Segment, dst []byte) (int, error) {
+				if seg.Index == 2 {
+					cancel()
+				}
+				return slowExitFetch(ctx, p, seg, dst)
+			}
+		}, context.Canceled},
+		{"all dead", func(netsim.Clock, context.CancelFunc) stripe.FetchFunc {
+			return slowExitFetch
+		}, stripe.ErrNoPipelines},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			clock := testbed.AutoClock(t)
+			p1 := stripe.NewPipeline(nil, testPath(1), 10*time.Millisecond, time.Millisecond)
+			p2 := stripe.NewPipeline(nil, testPath(2), 10*time.Millisecond, time.Millisecond)
+			ctx, cancel := context.WithCancel(context.Background())
+			defer cancel()
+			fetch, inFetch := running(tc.fetch(clock, cancel))
+			dst := make([]byte, 1000)
+			_, err := stripe.Fetch(ctx, 0, dst, []*stripe.Pipeline{p1, p2}, stripe.Options{
+				SegmentSize:   100,
+				Clock:         clock,
+				Fetch:         fetch,
+				MinRTO:        50 * time.Millisecond,
+				DeadThreshold: 1,
+			})
+			if !errors.Is(err, tc.wantErr) {
+				t.Fatalf("err = %v, want %v", err, tc.wantErr)
+			}
+			if n := inFetch.Load(); n != 0 {
+				t.Fatalf("Fetch returned with %d attempts still running", n)
+			}
+			if err == nil {
+				checkPattern(t, 0, dst)
+			}
+		})
+	}
+}
+
+// TestFetchAllocatesNoSegmentBuffers: segments land in the caller's buffer,
+// so a 4 MiB fetch allocates only the scheduler's bookkeeping, not a copy
+// of the body (a buffer per segment plus a reassembled copy is 8 MiB). The
+// bound is an average over several fetches, because the runtime allocates a
+// goroutine descriptor only when it has no idle one to reuse.
+func TestFetchAllocatesNoSegmentBuffers(t *testing.T) {
+	const length, fetches = 4 << 20, 8
+	resource := make([]byte, length)
+	fill(resource, 0)
+	p1 := stripe.NewPipeline(nil, testPath(1), 10*time.Millisecond, time.Millisecond)
+	p2 := stripe.NewPipeline(nil, testPath(2), 10*time.Millisecond, time.Millisecond)
+	dst := make([]byte, length)
+	opts := stripe.Options{
+		Clock: testbed.NewClock(),
+		Fetch: func(_ context.Context, _ *stripe.Pipeline, seg stripe.Segment, dst []byte) (int, error) {
+			return copy(dst, resource[seg.Offset:]), nil
+		},
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for range fetches {
+		if _, err := stripe.Fetch(context.Background(), 0, dst, []*stripe.Pipeline{p1, p2}, opts); err != nil {
+			t.Fatalf("Fetch: %v", err)
+		}
+	}
+	runtime.ReadMemStats(&after)
+	if per := (after.TotalAlloc - before.TotalAlloc) / fetches; per >= 64<<10 {
+		t.Fatalf("a 4 MiB fetch allocated %d bytes, want < 64 KiB", per)
+	}
+	checkPattern(t, 0, dst)
 }

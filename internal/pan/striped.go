@@ -125,13 +125,14 @@ func (s *Striped) closeConns() {
 	}
 }
 
-// Fetch retrieves [off, off+length) striped across the set's pipelines using
-// fetch to pull each segment over its assigned pipeline's connection. Every
-// accepted segment RTT is streamed into the dialer's monitor (when attached)
-// via Observe, so striped transfers double as passive telemetry and suppress
-// the destination's scheduled probes. Fetches on one Striped are serialized;
-// pipeline congestion state warm-starts each subsequent fetch.
-func (s *Striped) Fetch(ctx context.Context, off, length int64, fetch stripe.FetchFunc) (*stripe.Result, error) {
+// Fetch retrieves [off, off+len(dst)) into dst striped across the set's
+// pipelines, using fetch to pull each segment over its assigned pipeline's
+// connection. Every accepted segment RTT is streamed into the dialer's
+// monitor (when attached) via Observe, so striped transfers double as
+// passive telemetry and suppress the destination's scheduled probes.
+// Fetches on one Striped are serialized; pipeline congestion state
+// warm-starts each subsequent fetch.
+func (s *Striped) Fetch(ctx context.Context, off int64, dst []byte, fetch stripe.FetchFunc) (*stripe.Result, error) {
 	// Segment RTTs feed the monitor whether or not Passive is set: striping
 	// owns its telemetry, while Passive governs only the pooled single
 	// connections' ambient ack samples.
@@ -141,7 +142,7 @@ func (s *Striped) Fetch(ctx context.Context, off, length int64, fetch stripe.Fet
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return stripe.Fetch(ctx, off, length, s.pipes, stripe.Options{
+	return stripe.Fetch(ctx, off, dst, s.pipes, stripe.Options{
 		SegmentSize: s.opts.SegmentSize,
 		Clock:       s.dialer.host.clock,
 		Fetch:       fetch,

@@ -582,6 +582,10 @@ func (p *Proxy) forwardLegacy(w http.ResponseWriter, r *http.Request, start time
 // SCION→legacy fallback possible for non-bodyless requests.
 const maxReplayBody = 1 << 20
 
+// maxStripedBody caps the response size a striping probe may claim: the
+// proxy buffers a striped body whole, so a larger one is relayed un-striped.
+const maxStripedBody = 64 << 20
+
 // idempotent reports whether a method permits automatic retry (RFC 9110
 // §9.2.2).
 func idempotent(method string) bool {
@@ -604,14 +608,16 @@ func bufferReplayBody(r *http.Request) (body []byte, canReplay bool, err error) 
 	if r.ContentLength <= 0 || r.ContentLength > maxReplayBody || len(r.TransferEncoding) > 0 {
 		return nil, false, nil
 	}
-	buf, err := readUpTo(r.Body, r.ContentLength)
+	buf := make([]byte, r.ContentLength+1) // an overlong body fills the spare byte
+	n, err := readInto(r.Body, buf)
 	r.Body.Close()
 	if err != nil {
 		return nil, false, err
 	}
-	if int64(len(buf)) != r.ContentLength {
+	if int64(n) != r.ContentLength {
 		return nil, false, fmt.Errorf("proxy: request body is not the declared %d bytes", r.ContentLength)
 	}
+	buf = buf[:n]
 	r.Body = io.NopCloser(bytes.NewReader(buf))
 	return buf, true, nil
 }
@@ -708,14 +714,19 @@ func copyResponse(w http.ResponseWriter, resp *http.Response) int64 {
 	return n
 }
 
-// readUpTo reads at most n+1 bytes of r into one buffer of that size: the
-// extra byte makes an overlong body show as a length mismatch. An EOF before
-// that is a short body, not an error; callers compare the length with n.
-func readUpTo(r io.Reader, n int64) ([]byte, error) {
-	buf := make([]byte, n+1)
-	k, err := io.ReadFull(r, buf)
+// readInto fills dst from r and returns how many bytes r held, counting at
+// most one past dst: once dst is full it reads one more byte, into a probe
+// rather than dst, so an overlong body shows as len(dst)+1. An EOF before
+// that is a short body, not an error; callers compare n with len(dst).
+func readInto(r io.Reader, dst []byte) (int, error) {
+	n, err := io.ReadFull(r, dst)
+	if err == nil {
+		var probe [1]byte
+		k, perr := io.ReadFull(r, probe[:])
+		n, err = n+k, perr
+	}
 	if err == io.EOF || err == io.ErrUnexpectedEOF {
 		err = nil
 	}
-	return buf[:k], err
+	return n, err
 }

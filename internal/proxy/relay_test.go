@@ -3,6 +3,7 @@ package proxy
 import (
 	"bytes"
 	"context"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -10,6 +11,7 @@ import (
 	"runtime"
 	"sync"
 	"testing"
+	"testing/iotest"
 
 	"tango/internal/addr"
 	"tango/internal/netsim"
@@ -130,9 +132,8 @@ func segmentRequest(t *testing.T, path string) *http.Request {
 }
 
 // TestStripeFetchReadsAtMostOneExtraByte: a segment read stops one byte
-// past the segment, so an overlong 206 comes back as Length+1 bytes and a
-// short one as what it carried; either way the scheduler sees a length
-// mismatch.
+// past the segment, so an overlong 206 counts Length+1 bytes and a short
+// one what it carried; either way the scheduler sees a length mismatch.
 func TestStripeFetchReadsAtMostOneExtraByte(t *testing.T) {
 	conn, path, _ := segmentServer(t, func(p string) int {
 		return map[string]int{"/over": 100, "/short": -1}[p]
@@ -143,12 +144,13 @@ func TestStripeFetchReadsAtMostOneExtraByte(t *testing.T) {
 		path string
 		want int
 	}{{"/exact", 4096}, {"/over", 4097}, {"/short", 4095}} {
-		data, err := stripeFetch(segmentRequest(t, tc.path))(context.Background(), pl, seg)
+		dst := make([]byte, seg.Length)
+		n, err := stripeFetch(segmentRequest(t, tc.path))(context.Background(), pl, seg, dst)
 		if err != nil {
 			t.Fatalf("%s: %v", tc.path, err)
 		}
-		if !bytes.Equal(data, pattern(seg.Offset, tc.want)) {
-			t.Fatalf("%s: got %d bytes, want the %d-byte pattern", tc.path, len(data), tc.want)
+		if kept := min(n, seg.Length); n != tc.want || !bytes.Equal(dst[:kept], pattern(seg.Offset, kept)) {
+			t.Fatalf("%s: got %d bytes, want the %d-byte pattern", tc.path, n, tc.want)
 		}
 	}
 }
@@ -167,7 +169,8 @@ func TestStripeFetchMismatchIsLoss(t *testing.T) {
 	p1 := stripe.NewPipeline(conn, path, 0, 0)
 	p2 := stripe.NewPipeline(conn, path, 0, 0)
 	const length = 6 * 4096
-	res, err := stripe.Fetch(context.Background(), 0, length, []*stripe.Pipeline{p1, p2}, stripe.Options{
+	dst := make([]byte, length)
+	res, err := stripe.Fetch(context.Background(), 0, dst, []*stripe.Pipeline{p1, p2}, stripe.Options{
 		SegmentSize:   4096,
 		Clock:         clock,
 		Fetch:         stripeFetch(segmentRequest(t, "/flaky")),
@@ -176,10 +179,64 @@ func TestStripeFetchMismatchIsLoss(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Fetch: %v", err)
 	}
-	if !bytes.Equal(res.Data, pattern(0, length)) {
+	if !bytes.Equal(dst, pattern(0, length)) {
 		t.Fatal("reassembled data differs from the resource")
 	}
 	if losses := p1.Status().Losses + p2.Status().Losses; losses != 2 || res.Retries != 2 {
 		t.Fatalf("losses = %d, retries = %d; want 2 and 2", losses, res.Retries)
+	}
+}
+
+// TestReadInto: the read fills dst and counts at most one byte past it, so
+// an overlong body reads as len(dst)+1 without touching memory past dst; a
+// short body is a count, not an error; a failing reader's error comes back
+// with what it delivered first.
+func TestReadInto(t *testing.T) {
+	errBoom := errors.New("boom")
+	body := pattern(0, 64)
+	for _, tc := range []struct {
+		name    string
+		r       io.Reader
+		wantN   int
+		wantErr error
+	}{
+		{"exact", bytes.NewReader(body), 64, nil},
+		{"short", bytes.NewReader(body[:63]), 63, nil},
+		{"overlong", bytes.NewReader(append(body, 0xff)), 65, nil},
+		{"error part-way", io.MultiReader(bytes.NewReader(body[:20]), iotest.ErrReader(errBoom)), 20, errBoom},
+	} {
+		buf := make([]byte, 65)
+		buf[64] = 0xee // a neighbour's byte, just past dst
+		n, err := readInto(tc.r, buf[:64])
+		if n != tc.wantN || !errors.Is(err, tc.wantErr) {
+			t.Errorf("%s: got (%d, %v), want (%d, %v)", tc.name, n, err, tc.wantN, tc.wantErr)
+		}
+		if kept := min(n, 64); !bytes.Equal(buf[:kept], body[:kept]) || buf[64] != 0xee {
+			t.Errorf("%s: dst holds the wrong bytes, or the read wrote past it", tc.name)
+		}
+	}
+}
+
+// TestBufferReplayBodyChecksLength: a request body is buffered for replay
+// only when it is exactly the declared length; a longer or shorter one is an
+// error.
+func TestBufferReplayBodyChecksLength(t *testing.T) {
+	const declared = 10
+	for _, tc := range []struct {
+		size    int
+		wantErr bool
+	}{{declared, false}, {declared + 1, true}, {declared - 1, true}} {
+		req, err := http.NewRequest(http.MethodPost, "http://replay.test/", bytes.NewReader(pattern(0, tc.size)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		req.ContentLength = declared
+		body, canReplay, err := bufferReplayBody(req)
+		if (err != nil) != tc.wantErr {
+			t.Fatalf("%d-byte body: err = %v, want error %v", tc.size, err, tc.wantErr)
+		}
+		if !tc.wantErr && (!canReplay || !bytes.Equal(body, pattern(0, declared))) {
+			t.Fatalf("%d-byte body: buffered %d bytes, replayable %v", tc.size, len(body), canReplay)
+		}
 	}
 }

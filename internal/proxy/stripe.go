@@ -44,20 +44,20 @@ func parseContentRange(v string) (first, last, total int64, err error) {
 // connection (shttp.RoundTripConn bypasses the per-authority pool — the
 // stripe scheduler, not the pool, picks the connection).
 func stripeFetch(tmpl *http.Request) stripe.FetchFunc {
-	return func(ctx context.Context, pl *stripe.Pipeline, seg stripe.Segment) ([]byte, error) {
+	return func(ctx context.Context, pl *stripe.Pipeline, seg stripe.Segment, dst []byte) (int, error) {
 		req := tmpl.Clone(ctx)
 		req.Header.Set("Range", fmt.Sprintf("bytes=%d-%d", seg.Offset, seg.Offset+int64(seg.Length)-1))
 		resp, err := shttp.RoundTripConn(ctx, pl.Conn(), req)
 		if err != nil {
-			return nil, err
+			return 0, err
 		}
 		defer resp.Body.Close()
 		if resp.StatusCode != http.StatusPartialContent {
-			return nil, fmt.Errorf("proxy: stripe segment got status %d", resp.StatusCode)
+			return 0, fmt.Errorf("proxy: stripe segment got status %d", resp.StatusCode)
 		}
 		// A short or overlong body is a protocol error the scheduler detects
 		// via the length mismatch.
-		return readUpTo(resp.Body, int64(seg.Length))
+		return readInto(resp.Body, dst)
 	}
 }
 
@@ -76,9 +76,10 @@ func (p *Proxy) annotate(w http.ResponseWriter, sel pan.Selection) {
 // size without an extra round trip — the probe's bytes are the body prefix
 // either way. Large remainders are striped over a DialStriped connection
 // set; an origin that answers 200 (no range support) or a resource smaller
-// than the threshold is relayed directly. handled=false means the caller
-// should run the normal (un-striped) round trip — nothing has been written
-// to the client, and the probe was a GET, so re-sending is safe.
+// than the threshold is relayed directly, and a claimed size above
+// maxStripedBody is not striped. handled=false means the caller should run
+// the normal (un-striped) round trip — nothing has been written to the
+// client, and the probe was a GET, so re-sending is safe.
 func (p *Proxy) serveStriped(w http.ResponseWriter, outReq *http.Request, remote addr.UDPAddr, host string, start time.Time, opts pan.StripeOptions) (handled bool) {
 	clock := p.cfg.Host.Clock()
 	ctx := outReq.Context()
@@ -119,41 +120,46 @@ func (p *Proxy) serveStriped(w http.ResponseWriter, outReq *http.Request, remote
 	}
 
 	first, last, total, crErr := parseContentRange(resp.Header.Get("Content-Range"))
-	if crErr != nil || first != 0 || last >= opts.MinStripeBytes {
+	if crErr != nil || first != 0 || last >= opts.MinStripeBytes || total > maxStripedBody {
 		resp.Body.Close()
-		return false // unusable 206 (or more than asked for); re-request un-striped
+		return false // unusable 206, more than asked for, or too large; re-request un-striped
 	}
-	prefix, err := readUpTo(resp.Body, last+1)
+	// Every byte lands in its place in body: the probe's prefix, then the
+	// striped segments or the fallback's tail.
+	body := make([]byte, total)
+	prefix := last + 1
+	n, err := readInto(resp.Body, body[:prefix])
 	resp.Body.Close()
-	if err != nil || int64(len(prefix)) != last-first+1 {
+	if err != nil || int64(n) != prefix {
 		return false
 	}
 
-	rest := total - int64(len(prefix))
-	var res *stripe.Result
-	usedStripe := false
-	if rest > 0 {
+	pathBytes := map[string]int64{}
+	if sel.Path != nil {
+		pathBytes[sel.Path.Fingerprint()] += prefix
+	}
+	usedStripe, reassigned := false, 0
+	if prefix < total {
+		var res *stripe.Result
 		dial := <-dialCh
 		err = dial.err
 		if err == nil {
-			res, err = dial.striped.Fetch(ctx, int64(len(prefix)), rest, stripeFetch(outReq))
+			res, err = dial.striped.Fetch(ctx, prefix, body[prefix:], stripeFetch(outReq))
 		}
-		usedStripe = err == nil
-		if err != nil {
-			// Striping failed (no disjoint set, mid-transfer collapse of every
-			// pipeline, ...): recover with ONE range request for the remainder
-			// over the ordinary pooled transport before giving up.
-			res = nil
-			tail, terr := p.fetchRangeTail(outReq, int64(len(prefix)), total)
-			if terr != nil {
-				http.Error(w, fmt.Sprintf("proxy: striped fetch: %v", err), http.StatusBadGateway)
-				p.stats.Record(RequestRecord{Host: host, Via: ViaError, Status: http.StatusBadGateway})
-				return true
+		if err == nil {
+			usedStripe, reassigned = true, res.Reassigned
+			for fp, n := range res.PerPath {
+				pathBytes[fp] += n
 			}
-			res = &stripe.Result{Data: tail}
-			if sel.Path != nil {
-				res.PerPath = map[string]int64{sel.Path.Fingerprint(): int64(len(tail))}
-			}
+		} else if terr := p.fetchRangeTail(outReq, prefix, body[prefix:]); terr != nil {
+			// Striping failed (no disjoint set, mid-transfer collapse of
+			// every pipeline, ...), and so did the recovery: ONE range
+			// request for the remainder over the ordinary pooled transport.
+			http.Error(w, fmt.Sprintf("proxy: striped fetch: %v", err), http.StatusBadGateway)
+			p.stats.Record(RequestRecord{Host: host, Via: ViaError, Status: http.StatusBadGateway})
+			return true
+		} else if sel.Path != nil {
+			pathBytes[sel.Path.Fingerprint()] += total - prefix
 		}
 	}
 
@@ -170,19 +176,7 @@ func (p *Proxy) serveStriped(w http.ResponseWriter, outReq *http.Request, remote
 	p.annotate(w, sel)
 	w.Header().Set("Content-Length", fmt.Sprintf("%d", total))
 	w.WriteHeader(http.StatusOK)
-	w.Write(prefix)
-	pathBytes := map[string]int64{}
-	if sel.Path != nil {
-		pathBytes[sel.Path.Fingerprint()] += int64(len(prefix))
-	}
-	reassigned := 0
-	if res != nil {
-		w.Write(res.Data)
-		for fp, n := range res.PerPath {
-			pathBytes[fp] += n
-		}
-		reassigned = res.Reassigned
-	}
+	w.Write(body)
 	p.stats.Record(RequestRecord{
 		Host: host, Via: ViaSCION, Compliant: sel.Compliant, Path: fingerprintOf(sel),
 		Duration: clock.Since(start), Bytes: total, Status: http.StatusOK,
@@ -194,25 +188,22 @@ func (p *Proxy) serveStriped(w http.ResponseWriter, outReq *http.Request, remote
 	return true
 }
 
-// fetchRangeTail retrieves [off, total) with a single Range GET over the
-// pooled transport — the striping failure path's last resort.
-func (p *Proxy) fetchRangeTail(outReq *http.Request, off, total int64) ([]byte, error) {
+// fetchRangeTail reads [off, off+len(dst)) into dst with a single Range GET
+// over the pooled transport — the striping failure path's last resort.
+func (p *Proxy) fetchRangeTail(outReq *http.Request, off int64, dst []byte) error {
 	req := outReq.Clone(outReq.Context())
-	req.Header.Set("Range", fmt.Sprintf("bytes=%d-%d", off, total-1))
+	req.Header.Set("Range", fmt.Sprintf("bytes=%d-%d", off, off+int64(len(dst))-1))
 	resp, err := p.scion.RoundTrip(req)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	defer resp.Body.Close()
 	if resp.StatusCode != http.StatusPartialContent {
-		return nil, fmt.Errorf("proxy: range tail got status %d", resp.StatusCode)
+		return fmt.Errorf("proxy: range tail got status %d", resp.StatusCode)
 	}
-	data, err := readUpTo(resp.Body, total-off)
-	if err != nil {
-		return nil, err
+	n, err := readInto(resp.Body, dst)
+	if err == nil && n != len(dst) {
+		err = fmt.Errorf("proxy: range tail returned %d bytes, want %d", n, len(dst))
 	}
-	if int64(len(data)) != total-off {
-		return nil, fmt.Errorf("proxy: range tail returned %d bytes, want %d", len(data), total-off)
-	}
-	return data, nil
+	return err
 }
