@@ -119,3 +119,25 @@ func PutBuf(b []byte) {
 	}
 	c.mu.Unlock()
 }
+
+// BlockSize is the size of a pooled block: io.Copy's buffer size, and the
+// largest squic send-buffer block.
+const BlockSize = 32 << 10
+
+// Block is a pooled block's array.
+type Block = [BlockSize]byte
+
+// blocks is the one pool of BlockSize buffers: HTTP body relay buffers and
+// full-size squic send blocks. It holds array pointers, so Get and Put move
+// a pointer. A sync.Pool and not a GetBuf class: the pool empties across
+// GCs, so blocks do not outlive the traffic that needed them, and 32 KiB
+// would round up to GetBuf's 72 KiB class.
+var blocks = sync.Pool{New: func() any { return new(Block) }}
+
+// GetBlock takes a block from the pool. Its bytes are whatever its last
+// user left there.
+func GetBlock() *Block { return blocks.Get().(*Block) }
+
+// PutBlock returns a block to the pool. The caller must not use it
+// afterwards, through any slice of it either.
+func PutBlock(b *Block) { blocks.Put(b) }

@@ -715,15 +715,25 @@ func copyResponse(w http.ResponseWriter, resp *http.Response) int64 {
 }
 
 // readInto fills dst from r and returns how many bytes r held, counting at
-// most one past dst: once dst is full it reads one more byte, into a probe
-// rather than dst, so an overlong body shows as len(dst)+1. An EOF before
-// that is a short body, not an error; callers compare n with len(dst).
+// most one past dst: once dst is full it reads one more byte, so an overlong
+// body shows as len(dst)+1. An EOF before that is a short body, not an
+// error; callers compare n with len(dst). The extra byte is read into dst's
+// last byte, which is put back afterwards: a probe of its own would escape
+// to the heap through the io.Reader, once per read.
 func readInto(r io.Reader, dst []byte) (int, error) {
 	n, err := io.ReadFull(r, dst)
 	if err == nil {
-		var probe [1]byte
-		k, perr := io.ReadFull(r, probe[:])
-		n, err = n+k, perr
+		var k int
+		if last := len(dst) - 1; last >= 0 {
+			kept := dst[last]
+			k, err = io.ReadFull(r, dst[last:])
+			dst[last] = kept
+		} else {
+			var k64 int64
+			k64, err = io.CopyN(io.Discard, r, 1)
+			k = int(k64)
+		}
+		n += k
 	}
 	if err == io.EOF || err == io.ErrUnexpectedEOF {
 		err = nil

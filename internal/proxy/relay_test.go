@@ -215,6 +215,31 @@ func TestReadInto(t *testing.T) {
 			t.Errorf("%s: dst holds the wrong bytes, or the read wrote past it", tc.name)
 		}
 	}
+	for _, size := range []int{0, 1} { // an empty dst still counts one past it
+		if n, err := readInto(bytes.NewReader(body[:size]), nil); n != size || err != nil {
+			t.Errorf("a %d-byte body into an empty dst: got (%d, %v), want (%d, nil)", size, n, err, size)
+		}
+	}
+}
+
+// TestReadIntoAllocs: reading a body into a caller's buffer allocates
+// nothing, the overlong probe included, whether the body is exact, short or
+// overlong.
+func TestReadIntoAllocs(t *testing.T) {
+	body := pattern(0, 65)
+	dst := make([]byte, 64)
+	r := bytes.NewReader(nil)
+	for _, size := range []int{63, 64, 65} {
+		allocs := testing.AllocsPerRun(100, func() {
+			r.Reset(body[:size])
+			if n, err := readInto(r, dst); n != size || err != nil {
+				t.Fatalf("read %d bytes, err %v, want %d", n, err, size)
+			}
+		})
+		if allocs != 0 {
+			t.Errorf("a %d-byte body into 64 bytes: %v allocs, want 0", size, allocs)
+		}
+	}
 }
 
 // TestBufferReplayBodyChecksLength: a request body is buffered for replay

@@ -11,7 +11,6 @@ import (
 	"testing"
 	"time"
 	"unsafe"
-	"weak"
 
 	"tango/internal/addr"
 	"tango/internal/netsim"
@@ -282,10 +281,13 @@ func TestTransferSurvivesReordering(t *testing.T) {
 	}
 }
 
-// TestFreeFramesDroppedWithHistory: once the last packet of a transfer is
-// acked and the history empties, no send block stays pinned — not by the
-// history, nor by a queue slot a retransmission popped, nor by the packet
-// scratch. Every other round is lost whole, so frames pass through queued.
+// TestFreeFramesDroppedWithHistory: every pooled send block a stream takes
+// goes back to the pool. A client sends a request and a server answers it,
+// the request losing every other round whole and the answer every fourth,
+// so frames pass through queued and PTO; once both histories empty, neither connection holds a
+// pooled block and both streams have retired, the server's only after the
+// acks for its last window came back. A connection closed with data still
+// unacked holds none either.
 func TestFreeFramesDroppedWithHistory(t *testing.T) {
 	clock := &stepClock{now: time.Date(2022, 10, 10, 0, 0, 0, 0, time.UTC)}
 	client, server, toServer, toClient := connPair(t, clock)
@@ -293,67 +295,220 @@ func TestFreeFramesDroppedWithHistory(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Hold packetization while writing, so every block is still pending and
-	// can be watched before any frame aliases it.
-	client.established = false
 	if _, err := s.Write(make([]byte, 600_000)); err != nil {
 		t.Fatal(err)
 	}
 	s.CloseWrite()
 	client.mu.Lock()
-	var blocks []weak.Pointer[byte]
-	for _, b := range s.pending {
-		blocks = append(blocks, weak.Make(unsafe.SliceData(b)))
-	}
-	client.established = true
-	client.packetizeLocked()
+	taken := client.blocksOut
 	client.mu.Unlock()
-	if len(blocks) < 2 {
-		t.Fatalf("%d send blocks, want several", len(blocks))
+	if taken < 2 {
+		t.Fatalf("%d pooled send blocks taken, want several", taken)
 	}
+	var rs *Stream
+	var got, answer []byte
+	eof, answered, answerEOF := false, false, false
 	for round := 0; ; round++ {
 		if round == 1000 {
-			t.Fatal("transfer stalled")
+			t.Fatalf("transfer stalled: got %d eof %v answer %d eof %v; client sent %d queued %d, server sent %d queued %d, pkts %d %d",
+				len(got), eof, len(answer), answerEOF, len(client.sent), len(client.queued), len(server.sent), len(server.queued), len(toServer.pkts), len(toClient.pkts))
 		}
 		pkts := toServer.take()
-		if round%2 == 0 {
+		if round%2 == 0 || eof { // the answer's acks get through
 			for _, p := range pkts {
 				deliver(server, p)
 			}
 		}
-		for _, p := range toClient.take() {
-			deliver(client, p)
+		if rs == nil && len(server.acceptQ) > 0 {
+			if rs, err = server.AcceptStream(); err != nil {
+				t.Fatal(err)
+			}
 		}
+		if rs != nil && !eof {
+			got, eof = readAvailable(rs, got)
+		}
+		if eof && !answered {
+			if _, err := rs.Write(make([]byte, 200_000)); err != nil {
+				t.Fatal(err)
+			}
+			rs.CloseWrite()
+			answered = true
+		}
+		pkts = toClient.take()
+		if round%4 != 1 {
+			for _, p := range pkts {
+				deliver(client, p)
+			}
+		}
+		if !answerEOF {
+			answer, answerEOF = readAvailable(s, answer)
+		}
+		quiet := len(toServer.pkts) == 0 && len(toClient.pkts) == 0
 		client.mu.Lock()
-		idle := len(client.sent) == 0 && len(client.queued) == 0 && len(toServer.pkts) == 0
+		server.mu.Lock()
+		idle := quiet && answerEOF && len(client.sent)+len(client.queued)+len(server.sent)+len(server.queued) == 0
+		server.mu.Unlock()
 		client.mu.Unlock()
 		if idle {
 			break
 		}
-		if round%2 == 1 || len(toServer.pkts) == 0 {
+		if round%2 == 1 || quiet {
 			expirePTO(client)
 		}
-	}
-	runtime.GC()
-	for i, b := range blocks {
-		if b.Value() != nil {
-			t.Errorf("send block %d of %d is still reachable with the history empty", i, len(blocks))
+		if quiet {
+			expirePTO(server)
 		}
 	}
-	runtime.KeepAlive(s) // the connection and stream are live; only their blocks may go
+	if len(got) != 600_000 || len(answer) != 200_000 {
+		t.Fatalf("request read %d bytes, answer %d", len(got), len(answer))
+	}
+	for side, c := range map[string]*Conn{"client": client, "server": server} {
+		c.mu.Lock()
+		if c.blocksOut != 0 || len(c.streams) != 0 {
+			t.Errorf("%s: %d pooled blocks not returned, %d streams not retired", side, c.blocksOut, len(c.streams))
+		}
+		c.mu.Unlock()
+	}
+
+	client, _, _, _ = connPair(t, clock)
+	if s, err = client.OpenStream(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.Write(make([]byte, 600_000)); err != nil {
+		t.Fatal(err)
+	}
+	client.Close()
+	if client.blocksOut != 0 {
+		t.Errorf("closed with data unacked: %d pooled blocks not returned", client.blocksOut)
+	}
 }
 
-// checkPending asserts the send buffer's length invariant.
+// TestReleasedBlocksArePoisoned fills every send block with garbage as it
+// is released, on both connections, while a request and its answer cross
+// a network that loses, duplicates and reorders datagrams both ways. Both
+// must still read back exactly the bytes written: no frame, first sent or
+// retransmitted, may alias a block once it is released.
+func TestReleasedBlocksArePoisoned(t *testing.T) {
+	for seed := int64(1); seed <= 4; seed++ {
+		t.Run(fmt.Sprint("seed", seed), func(t *testing.T) {
+			rng := rand.New(rand.NewSource(seed))
+			clock := &stepClock{now: time.Date(2022, 10, 10, 0, 0, 0, 0, time.UTC)}
+			client, server, toServer, toClient := connPair(t, clock)
+			poisoned := 0
+			for _, c := range []*Conn{client, server} {
+				c.onBlockRelease = func(b []byte) {
+					poisoned++
+					for i := range b {
+						b[i] = 0xEE
+					}
+				}
+			}
+			request := make([]byte, 300_000+rng.Intn(1000))
+			response := make([]byte, 200_000+rng.Intn(1000))
+			rng.Read(request)
+			rng.Read(response)
+			s, err := client.OpenStream()
+			if err != nil {
+				t.Fatal(err)
+			}
+			// Odd-sized writes, so frames straddle blocks.
+			for p := request; len(p) > 0; {
+				n := min(len(p), 1+rng.Intn(20_000))
+				if _, err := s.Write(p[:n]); err != nil {
+					t.Fatal(err)
+				}
+				p = p[n:]
+			}
+			s.CloseWrite()
+
+			// carry delivers a random prefix of the held and newly sent
+			// datagrams in a random order, each lost or duplicated now and
+			// then, and holds the rest back for a later round.
+			carry := func(to *Conn, held, sent [][]byte) [][]byte {
+				held = append(held, sent...)
+				rng.Shuffle(len(held), func(i, j int) { held[i], held[j] = held[j], held[i] })
+				k := 0
+				if len(held) > 0 {
+					k = 1 + rng.Intn(len(held))
+				}
+				for _, p := range held[:k] {
+					switch x := rng.Float64(); {
+					case x < 0.1:
+						continue
+					case x < 0.2:
+						deliver(to, bytes.Clone(p))
+					}
+					deliver(to, p)
+				}
+				return append([][]byte(nil), held[k:]...)
+			}
+			var (
+				got, answer    []byte
+				rs             *Stream
+				eof, answerEOF bool
+				heldS, heldC   [][]byte
+			)
+			for round := 0; !eof || !answerEOF; round++ {
+				if round == 5000 {
+					t.Fatalf("transfer stalled: request %d of %d bytes, answer %d of %d",
+						len(got), len(request), len(answer), len(response))
+				}
+				heldS = carry(server, heldS, toServer.take())
+				if rs == nil && len(server.acceptQ) > 0 {
+					if rs, err = server.AcceptStream(); err != nil {
+						t.Fatal(err)
+					}
+				}
+				if rs != nil && !eof {
+					if got, eof = readAvailable(rs, got); eof {
+						if _, err := rs.Write(response); err != nil {
+							t.Fatal(err)
+						}
+						rs.CloseWrite()
+					}
+				}
+				heldC = carry(client, heldC, toClient.take())
+				if !answerEOF {
+					answer, answerEOF = readAvailable(s, answer)
+				}
+				clock.now = clock.now.Add(10 * time.Millisecond)
+				if len(toServer.pkts) == 0 && len(heldS) == 0 {
+					expirePTO(client)
+				}
+				if len(toClient.pkts) == 0 && len(heldC) == 0 {
+					expirePTO(server)
+				}
+			}
+			if !bytes.Equal(got, request) || !bytes.Equal(answer, response) {
+				t.Fatalf("read back %d and %d bytes differing from the %d and %d written",
+					len(got), len(answer), len(request), len(response))
+			}
+			if poisoned == 0 {
+				t.Fatal("no send block was released during the transfer")
+			}
+		})
+	}
+}
+
+// checkPending asserts the send buffer's invariants: blocks in offset order,
+// not overlapping, each with unacked bytes, and pendLen the bytes from
+// sendOffset to the end of the last one.
 func checkPending(t *testing.T, s *Stream) {
 	t.Helper()
 	s.c.mu.Lock()
 	defer s.c.mu.Unlock()
-	sum := 0
-	for _, b := range s.pending {
-		sum += len(b)
+	end := s.sendOffset
+	for i, b := range s.blocks {
+		if b.off < end && i > 0 {
+			t.Fatalf("block %d at offset %d overlaps its predecessor, which ends at %d", i, b.off, end)
+		}
+		if b.unacked <= 0 || b.unacked > len(b.buf) {
+			t.Fatalf("block %d holds %d bytes, %d of them unacked", i, len(b.buf), b.unacked)
+		}
+		end = b.off + uint64(len(b.buf))
 	}
-	if sum != s.pendLen {
-		t.Fatalf("pendLen = %d, blocks hold %d", s.pendLen, sum)
+	if int(end-s.sendOffset) != s.pendLen {
+		t.Fatalf("pendLen = %d, blocks hold %d bytes past sendOffset", s.pendLen, end-s.sendOffset)
 	}
 }
 
@@ -420,28 +575,39 @@ func TestSendBufferBlocks(t *testing.T) {
 	if !bytes.Equal(got, payload) {
 		t.Fatalf("read %d bytes differing from the %d written", len(got), len(payload))
 	}
-	if s.pendLen != 0 || len(s.pending) != 0 {
-		t.Fatalf("send buffer not drained: pendLen %d, %d blocks", s.pendLen, len(s.pending))
+	if s.pendLen != 0 {
+		t.Fatalf("send buffer not drained: pendLen %d", s.pendLen)
 	}
 }
 
 // TestTakePendingAliasesOrCopies: a frame's bytes alias the block they lie
-// in, and a run straddling blocks is one contiguous copy.
+// in, and a run straddling blocks is one contiguous copy. A write into an
+// empty buffer gets a block of its own size; while bytes are pending, each
+// new block doubles the newest up to the pooled size, and only blocks of
+// that size come from the pool. Acks release blocks in any order, and a
+// byte acked twice panics.
 func TestTakePendingAliasesOrCopies(t *testing.T) {
 	client, _, _, _ := connPair(t, &stepClock{})
 	s := newStream(client, 0)
 	client.mu.Lock()
 	defer client.mu.Unlock()
+	caps := func() []int {
+		var out []int
+		for _, b := range s.blocks {
+			out = append(out, cap(b.buf))
+		}
+		return out
+	}
 	var written []byte
 	for i, n := range []int{10, 10, 30, 100} {
 		p := bytes.Repeat([]byte{byte('a' + i)}, n)
 		s.appendPendingLocked(p)
 		written = append(written, p...)
 	}
-	if len(s.pending) < 3 {
-		t.Fatalf("%d blocks, want several", len(s.pending))
+	if got, want := caps(), []int{10, 20, 40, 80}; !slices.Equal(got, want) {
+		t.Fatalf("block capacities %v, want %v", got, want)
 	}
-	first := s.pending[0]
+	first := s.blocks[0].buf
 	head := s.takePendingLocked(4)
 	if &head[0] != &first[0] || cap(head) != 4 {
 		t.Fatal("a run inside one block must alias it, capacity clipped")
@@ -454,6 +620,39 @@ func TestTakePendingAliasesOrCopies(t *testing.T) {
 	if !bytes.Equal(append(append(head, straddle...), rest...), written) || s.pendLen != 0 {
 		t.Fatal("taken runs do not reassemble the written bytes")
 	}
+
+	// Nothing is pending: a small write gets a block of its own size, and a
+	// large one backs up behind it in pooled blocks.
+	s.appendPendingLocked(make([]byte, 100))
+	s.appendPendingLocked(make([]byte, 100<<10))
+	const B = netsim.BlockSize
+	if got, want := caps(), []int{10, 20, 40, 80, 100, B, B, B, B}; !slices.Equal(got, want) {
+		t.Fatalf("block capacities %v, want %v", got, want)
+	}
+	if client.blocksOut != 4 {
+		t.Fatalf("%d pooled blocks out, want 4", client.blocksOut)
+	}
+	total := int(s.sendOffset) + s.pendLen
+	s.takePendingLocked(s.pendLen)
+	mid := 150 + 100 + B + 10 // inside the second pooled block
+	s.ackedLocked(uint64(mid), total-mid)
+	if got, want := caps(), []int{10, 20, 40, 80, 100, B, B}; !slices.Equal(got, want) {
+		t.Fatalf("after acking the tail, block capacities %v, want %v", got, want)
+	}
+	s.ackedLocked(0, mid)
+	if len(s.blocks) != 0 || client.blocksOut != 0 {
+		t.Fatalf("all acked: %d blocks left, %d pooled out", len(s.blocks), client.blocksOut)
+	}
+
+	s.appendPendingLocked(make([]byte, 100))
+	s.takePendingLocked(100)
+	s.ackedLocked(uint64(total), 60)
+	defer func() {
+		if recover() == nil {
+			t.Error("acking bytes twice did not panic")
+		}
+	}()
+	s.ackedLocked(uint64(total), 60)
 }
 
 // TestFrameSizeMatchesEncoding: every frame kind's computed size equals the
@@ -595,7 +794,7 @@ func windowRound(tb testing.TB, client, server *Conn, toServer, toClient *captur
 	if _, err := s.Write(make([]byte, n*oneRTTChunk)); err != nil {
 		tb.Fatal(err)
 	}
-	blocks = len(s.pending)
+	blocks = len(s.blocks)
 	sink := make([]byte, 64<<10)
 	var ms runtime.MemStats
 	runtime.ReadMemStats(&ms)

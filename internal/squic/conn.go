@@ -163,19 +163,22 @@ type Conn struct {
 	helloBuf []byte
 
 	// Send/reliability state. Frames are values (see frame): lost and
-	// PTO'd packets copy theirs back onto queued, and an ack simply drops
-	// the packet's record, ending its alias of the stream's send block.
+	// PTO'd packets move theirs back onto queued, and an ack credits the
+	// packet's stream bytes to the send blocks that hold them
+	// (Stream.ackedLocked) and drops the record.
 	nextPN uint64
 	queued []frame
 	// sent is the in-flight history in ascending packet-number order:
 	// sendPacketLocked appends and packet numbers only grow, so an ack is a
 	// merge walk over the prefix it can reach (see handleAckLocked). An ack
 	// packs the prefix's survivors against the untouched suffix and advances
-	// the slice head past the freed slots; the next reallocating append
-	// copies only live entries. An emptied history drops its array, so idle
-	// and closed connections hold none (teardown drops it too, releasing the
-	// stream data the frames alias).
-	sent         []sentPacket
+	// the slice head past the freed slots. An emptied history drops its
+	// array, so idle and closed connections hold none.
+	sent []sentPacket
+	// sentArr is the whole array under sent, whose head moves up as the
+	// front is acked: before an append would reallocate, the history moves
+	// down into the freed front (appendSentLocked).
+	sentArr      []sentPacket
 	inFlight     int
 	cwnd         int
 	largestAcked int64
@@ -226,6 +229,13 @@ type Conn struct {
 	// Receive state.
 	recvd      rangeSet
 	ackPending bool
+
+	// blocksOut counts the pooled send blocks the connection's streams took
+	// and have not released. onBlockRelease, when set, sees each send block
+	// as it is released, the whole array: tests poison it there, so a frame
+	// still aliasing it would resend garbage.
+	blocksOut      int
+	onBlockRelease func(b []byte)
 }
 
 func newConn(pconn PacketConn, cfg *Config, isClient bool) *Conn {
@@ -414,13 +424,15 @@ func (c *Conn) teardownIf(guard func() bool, code uint64, reason string, cause e
 	if c.hsTimeout != nil {
 		c.hsTimeout.Stop()
 	}
-	for _, s := range c.streams {
-		s.failLocked(cause)
-	}
 	// Closed conns can stay reachable (pools, steering state, callers);
 	// the retransmission state must not keep their stream data alive, nor
-	// the packet scratch its buffers.
-	c.sent, c.queued, c.inFlight = nil, nil, 0
+	// the packet scratch its buffers. Nothing will resend or ack the
+	// streams' bytes, so every send block goes back.
+	for _, s := range c.streams {
+		s.failLocked(cause)
+		s.releaseBlocksLocked()
+	}
+	c.sent, c.sentArr, c.queued, c.inFlight = nil, nil, nil, 0
 	c.txFrames, c.ackOut, c.sendBuf, c.rx = nil, nil, nil, frameScratch{}
 	c.readable.Broadcast()
 	c.writable.Broadcast()
@@ -856,6 +868,10 @@ func (c *Conn) handleAckLocked(ranges []ackRange) {
 			continue
 		}
 		c.inFlight -= sp.size
+		c.ackFrameLocked(sp.frame)
+		for _, f := range sp.more {
+			c.ackFrameLocked(f)
+		}
 		if int64(sp.pn) > c.largestAcked {
 			c.largestAcked = int64(sp.pn)
 			c.sampleRTTLocked(now - sp.sentAt)
@@ -888,7 +904,7 @@ func (c *Conn) handleAckLocked(ranges []ackRange) {
 	}
 	if live == 0 && end == len(h) {
 		// Idle: drop the array, sized for the last burst, rather than keep it.
-		c.sent = nil
+		c.sent, c.sentArr = nil, nil
 	} else {
 		// Right-align the survivors against the untouched suffix and advance
 		// the head past the vacated slots, cleared so they pin no frames.
@@ -899,6 +915,20 @@ func (c *Conn) handleAckLocked(ranges []ackRange) {
 	}
 	c.armPTOLocked()
 	c.packetizeLocked()
+}
+
+// ackFrameLocked credits an acked stream frame's bytes to its stream's send
+// blocks, and retires the stream if that was all it waited for. A stream
+// with bytes in flight is still in c.streams: it retires only once its
+// blocks are released.
+func (c *Conn) ackFrameLocked(f frame) {
+	if f.kind != ftStream || len(f.data) == 0 {
+		return
+	}
+	if s, ok := c.streams[f.id]; ok {
+		s.ackedLocked(f.val, len(f.data))
+		c.retireStreamLocked(s)
+	}
 }
 
 // MinRTTSample floors every ingested RTT sample. A LAN-fast (or
@@ -1072,7 +1102,7 @@ func (c *Conn) onPTO() {
 		c.inFlight -= c.sent[i].size
 		c.queued = c.sent[i].requeue(c.queued)
 	}
-	c.sent = nil
+	c.sent, c.sentArr = nil, nil
 	c.packetizeLocked()
 }
 
@@ -1220,11 +1250,30 @@ func (c *Conn) sendPacketLocked(frames []frame, ackEliciting bool) {
 				sp.more = append(sp.more, f)
 			}
 		}
-		c.sent = append(c.sent, sp)
+		c.appendSentLocked(sp)
 		c.inFlight += len(buf)
 		if c.ptoTimer == nil {
 			c.armPTOLocked()
 		}
+	}
+}
+
+// appendSentLocked appends sp to the in-flight history. Before the append
+// would reallocate, the history moves down into the front of its array that
+// acks have freed, if that front is at least half as long as the history, so
+// a move copies at most two entries for each append it makes room for.
+func (c *Conn) appendSentLocked(sp sentPacket) {
+	n := len(c.sent)
+	if n == cap(c.sent) && 2*(cap(c.sentArr)-n) >= n && n > 0 {
+		arr := c.sentArr[:cap(c.sentArr)]
+		copy(arr, c.sent)
+		clear(arr[n:]) // the moved entries' old slots must not pin frames
+		c.sent = arr[:n]
+	}
+	grow := len(c.sent) == cap(c.sent)
+	c.sent = append(c.sent, sp)
+	if grow {
+		c.sentArr = c.sent
 	}
 }
 

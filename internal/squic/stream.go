@@ -2,6 +2,7 @@ package squic
 
 import (
 	"bytes"
+	"cmp"
 	"errors"
 	"fmt"
 	"io"
@@ -21,10 +22,14 @@ type Stream struct {
 
 	// All mutable state is guarded by c.mu.
 
-	// Send side. pending holds the bytes accepted by Write and not yet
-	// packetized, as a list of blocks (see appendPendingLocked); pendLen is
-	// the sum of their lengths.
-	pending    [][]byte
+	// Send side. blocks holds every byte accepted by Write and not yet
+	// acked, in offset order (see appendPendingLocked); the last pendLen of
+	// them, from sendOffset on, are not yet packetized.
+	// blockSlots is blocks' first array: the blocks of a stream that
+	// writes twice, a header and then a body, are both held until acked
+	// and fit without allocating.
+	blocks     []sendBlock
+	blockSlots [2]sendBlock
 	pendLen    int
 	sendOffset uint64 // next offset to packetize
 	sendFin    bool   // fin requested
@@ -64,13 +69,15 @@ func (timeoutErr) Temporary() bool { return true }
 var errDeadline net.Error = timeoutErr{}
 
 func newStream(c *Conn, id uint64) *Stream {
-	return &Stream{
+	s := &Stream{
 		c:         c,
 		id:        id,
 		maxSend:   c.cfg.StreamWindow,
 		recvLimit: c.cfg.StreamWindow,
 		finalSize: -1,
 	}
+	s.blocks = s.blockSlots[:0]
+	return s
 }
 
 // ID returns the stream identifier.
@@ -151,65 +158,134 @@ func (s *Stream) Write(p []byte) (int, error) {
 	return total, nil
 }
 
-// maxSendBlock caps the size of a send-buffer block.
-const maxSendBlock = 64 << 10
+// sendBlock is one block of a stream's send buffer: buf holds the stream's
+// bytes from offset off on, and unacked counts those of them not yet acked.
+type sendBlock struct {
+	buf     []byte
+	off     uint64
+	unacked int
+}
 
 // appendPendingLocked copies p into the send buffer: into the newest block
-// while it has room, then into new blocks. The bytes are never copied
-// again: a block is only ever appended to past its length, so the frames
-// that alias its earlier bytes (nextFrameLocked) see them unchanged until
-// they are acked, and a block is left to the garbage collector once it is
-// drained and its last frame acked. A new block holds at least the rest of
-// the write and, while older blocks are still pending, twice the newest
-// one, up to maxSendBlock: a write into an empty buffer (the common case
-// when the congestion window has room) costs exactly its own bytes, and a
-// transfer that backs up grows few, large blocks.
+// while it has room and still holds pending bytes, then into new blocks.
+// The bytes are never copied again: a block is only ever appended to past
+// its length, so the frames that alias its earlier bytes (nextFrameLocked)
+// see them unchanged until they are acked (ackedLocked). A new block holds
+// at least the rest of the write and, while older bytes are still pending,
+// twice the newest block, up to netsim.BlockSize: a write into an empty
+// buffer (the common case when the congestion window has room) costs
+// exactly its own bytes, and a transfer that backs up fills few blocks of
+// the pooled size.
 func (s *Stream) appendPendingLocked(p []byte) {
-	s.pendLen += len(p)
 	for len(p) > 0 {
-		k := len(s.pending)
-		if k == 0 || len(s.pending[k-1]) == cap(s.pending[k-1]) {
+		k := len(s.blocks)
+		if s.pendLen == 0 || len(s.blocks[k-1].buf) == cap(s.blocks[k-1].buf) {
 			size := len(p)
-			if k > 0 {
-				size = max(size, 2*cap(s.pending[k-1]))
+			if s.pendLen > 0 {
+				size = max(size, 2*cap(s.blocks[k-1].buf))
 			}
-			s.pending = append(s.pending, make([]byte, 0, min(size, maxSendBlock)))
+			off := s.sendOffset + uint64(s.pendLen)
+			s.blocks = append(s.blocks, sendBlock{buf: s.newBlockLocked(min(size, netsim.BlockSize)), off: off})
 			k++
 		}
-		b := s.pending[k-1]
-		n := min(cap(b)-len(b), len(p))
-		s.pending[k-1] = append(b, p[:n]...)
+		b := &s.blocks[k-1]
+		n := min(cap(b.buf)-len(b.buf), len(p))
+		b.buf = append(b.buf, p[:n]...)
+		b.unacked += n
+		s.pendLen += n
 		p = p[n:]
 	}
 }
 
-// takePendingLocked removes the first n pending bytes and returns them. A
-// run inside one block is returned as an alias of it, capacity clipped so
-// nothing can append into the block through it; a run that straddles blocks
-// is copied into one slice.
+// newBlockLocked returns an empty send block of capacity size: a pooled
+// array when size is the pool's, a plain allocation otherwise, so a small
+// write never holds a full-size block.
+func (s *Stream) newBlockLocked(size int) []byte {
+	if size != netsim.BlockSize {
+		return make([]byte, 0, size)
+	}
+	s.c.blocksOut++
+	return netsim.GetBlock()[:0]
+}
+
+// releaseBlockLocked gives up a send block no frame aliases any more: a
+// pooled array goes back to the pool, a plain one to the garbage collector.
+func (s *Stream) releaseBlockLocked(b []byte) {
+	if s.c.onBlockRelease != nil {
+		s.c.onBlockRelease(b[:cap(b)])
+	}
+	if cap(b) == netsim.BlockSize {
+		s.c.blocksOut--
+		netsim.PutBlock((*netsim.Block)(b[:netsim.BlockSize]))
+	}
+}
+
+// releaseBlocksLocked releases every send block, acked or not, when the
+// connection tears down: nothing will resend or ack their bytes.
+func (s *Stream) releaseBlocksLocked() {
+	for _, b := range s.blocks {
+		s.releaseBlockLocked(b.buf)
+	}
+	s.blocks, s.pendLen = nil, 0
+}
+
+// blockAtLocked returns the index of the block that holds offset off.
+func (s *Stream) blockAtLocked(off uint64) int {
+	i, found := slices.BinarySearchFunc(s.blocks, off, func(b sendBlock, off uint64) int {
+		return cmp.Compare(b.off, off)
+	})
+	if !found {
+		i--
+	}
+	return i
+}
+
+// takePendingLocked returns the first n pending bytes, those at sendOffset,
+// and advances sendOffset past them. A run inside one block is returned as
+// an alias of it, capacity clipped so nothing can append into the block
+// through it; a run that straddles blocks is copied into one slice.
 func (s *Stream) takePendingLocked(n int) []byte {
+	i := s.blockAtLocked(s.sendOffset)
+	b := s.blocks[i].buf[s.sendOffset-s.blocks[i].off:]
 	s.pendLen -= n
-	if b := s.pending[0]; len(b) >= n {
-		s.pending[0] = b[n:]
-		s.dropDrainedBlockLocked()
+	s.sendOffset += uint64(n)
+	if len(b) >= n {
 		return b[:n:n]
 	}
-	out := make([]byte, 0, n)
+	out := append(make([]byte, 0, n), b...)
 	for len(out) < n {
-		b := s.pending[0]
-		k := min(len(b), n-len(out))
-		out = append(out, b[:k]...)
-		s.pending[0] = b[k:]
-		s.dropDrainedBlockLocked()
+		i++
+		b = s.blocks[i].buf
+		out = append(out, b[:min(len(b), n-len(out))]...)
 	}
 	return out
 }
 
-// dropDrainedBlockLocked drops the first block once it is drained, spare
-// capacity or not: an idle stream holds no send buffer.
-func (s *Stream) dropDrainedBlockLocked() {
-	if len(s.pending[0]) == 0 {
-		s.pending = slices.Delete(s.pending, 0, 1)
+// ackedLocked credits the n acked bytes at offset off to the blocks that
+// hold them (a frame copied across two blocks credits both) and releases
+// each block whose bytes are all acked. Such a block takes no more writes:
+// appendPendingLocked appends only to a block with pending, so unacked,
+// bytes. Loss and PTO move a frame rather than copy it, so each byte has
+// one live frame and is credited once; a count below zero breaks that rule.
+func (s *Stream) ackedLocked(off uint64, n int) {
+	for i := s.blockAtLocked(off); n > 0; {
+		if i < 0 || i >= len(s.blocks) || off >= s.blocks[i].off+uint64(len(s.blocks[i].buf)) {
+			panic(fmt.Sprintf("squic: stream %d: acked bytes at %d are in no send block", s.id, off))
+		}
+		b := &s.blocks[i]
+		k := min(n, int(b.off+uint64(len(b.buf))-off))
+		b.unacked -= k
+		if b.unacked < 0 {
+			panic(fmt.Sprintf("squic: stream %d: block at %d acked past its bytes", s.id, b.off))
+		}
+		off += uint64(k)
+		n -= k
+		if b.unacked > 0 {
+			i++
+			continue
+		}
+		s.releaseBlockLocked(b.buf)
+		s.blocks = slices.Delete(s.blocks, i, i+1)
 	}
 }
 
@@ -387,10 +463,9 @@ func (s *Stream) nextFrameLocked(maxData int) (f frame, ok bool) {
 	if n > 0 {
 		// The frame aliases the send buffer's block instead of copying (see
 		// appendPendingLocked): its bytes stay immutable until the packet
-		// that carries them, or a retransmission's copy of the frame, is
-		// acked.
+		// that carries them, or the packet a loss or PTO moved the frame
+		// to, is acked.
 		f.data = s.takePendingLocked(n)
-		s.sendOffset += uint64(n)
 		s.c.writable.Broadcast()
 	}
 	if fin {
@@ -400,11 +475,13 @@ func (s *Stream) nextFrameLocked(maxData int) (f frame, ok bool) {
 }
 
 // doneLocked reports whether both directions have fully completed: our FIN
-// is sent with nothing left to packetize, and the peer's FIN arrived with
-// every byte pulled into the reassembly buffer. A done stream needs no
-// demux entry — pending Reads drain recvBuf directly.
+// is sent and every byte we wrote is acked, so no block is left to release,
+// and the peer's FIN arrived with every byte pulled into the reassembly
+// buffer. A done stream needs no demux entry — pending Reads drain recvBuf
+// directly — and until it is done, an ack still needs the entry to find the
+// blocks it releases.
 func (s *Stream) doneLocked() bool {
-	return s.finSent && s.pendLen == 0 &&
+	return s.finSent && len(s.blocks) == 0 &&
 		s.finalSize >= 0 && s.recvNext >= uint64(s.finalSize)
 }
 
