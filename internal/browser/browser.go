@@ -214,14 +214,20 @@ func New(cfg Config) *Browser {
 
 	if cfg.Extension != nil {
 		proxyURL := &url.URL{Scheme: "http", Host: cfg.ProxyAddr}
+		// Every proxied request goes to the one proxy address, so the idle
+		// cap equals the connection cap: with net/http's default of 2 idle
+		// connections per host, each page after the first would close all
+		// but 2 of the connections the last page opened and dial them again,
+		// each redial paying a new connection's buffers on both ends.
 		proxiedTransport := &http.Transport{
 			Proxy: http.ProxyURL(proxyURL),
 			DialContext: func(ctx context.Context, network, authority string) (net.Conn, error) {
 				// authority is the proxy's address here.
 				return cfg.Legacy.Dial(ctx, cfg.LegacyHost, authority)
 			},
-			MaxConnsPerHost:    cfg.MaxConnsPerHost,
-			DisableCompression: true,
+			MaxConnsPerHost:     cfg.MaxConnsPerHost,
+			MaxIdleConnsPerHost: cfg.MaxConnsPerHost,
+			DisableCompression:  true,
 		}
 		b.proxied = &http.Client{Transport: proxiedTransport}
 	}

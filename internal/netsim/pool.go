@@ -21,7 +21,10 @@ import (
 
 // bufClasses are the pooled buffer capacities, ascending. 1536 is the
 // workhorse (Ethernet-ish MTUs, every squic packet); 72k covers the largest
-// AS-local datagram (64 KiB payload + SCION header).
+// AS-local datagram (64 KiB payload + SCION header). squic's send blocks up
+// to 16 KiB are leases of these classes too (256 to 16384: net/http's 4 KiB
+// flushes take the 4096 class), held until their bytes are acked; larger
+// send blocks come from the block pool below.
 var bufClasses = [...]int{256, 1536, 4096, 16384, 73728}
 
 // poolCap bounds each class's free list; beyond it, PutBuf drops to the GC.

@@ -383,6 +383,111 @@ func TestFreeFramesDroppedWithHistory(t *testing.T) {
 	}
 }
 
+// TestSmallBlocksAreLeases: send blocks below netsim.BlockSize are packet
+// pool leases, and every one goes back to the pool once. A client sends a
+// request in small writes and the server answers in small writes, a third
+// of the datagrams lost each way, so blocks are released by acks of
+// retransmitted frames; a second request is still unacked when both sides
+// close, so teardown releases its block. Over the test the pool sees as many
+// puts as gets, and neither connection holds a block.
+func TestSmallBlocksAreLeases(t *testing.T) {
+	// smallBlockMax is a class, and the next class up is past BlockSize.
+	if b := netsim.GetBuf(smallBlockMax); cap(b) != smallBlockMax {
+		t.Fatalf("GetBuf(%d) has capacity %d: smallBlockMax is no pool class", smallBlockMax, cap(b))
+	} else {
+		netsim.PutBuf(b)
+	}
+	if b := netsim.GetBuf(smallBlockMax + 1); cap(b) < netsim.BlockSize {
+		t.Fatalf("GetBuf(%d) has capacity %d: a class lies between smallBlockMax and BlockSize", smallBlockMax+1, cap(b))
+	} else {
+		netsim.PutBuf(b)
+	}
+
+	before := netsim.ReadPoolStats()
+	clock := &stepClock{now: time.Date(2022, 10, 10, 0, 0, 0, 0, time.UTC)}
+	client, server, toServer, toClient := connPair(t, clock)
+	writeSmall := func(s *Stream, total int) {
+		for i := 0; i < total; {
+			n := min(total-i, 100+i%4000)
+			if _, err := s.Write(make([]byte, n)); err != nil {
+				t.Fatal(err)
+			}
+			i += n
+		}
+		s.CloseWrite()
+	}
+	s, err := client.OpenStream()
+	if err != nil {
+		t.Fatal(err)
+	}
+	writeSmall(s, 40_000)
+	var rs *Stream
+	var got, answer []byte
+	eof, answered, answerEOF := false, false, false
+	carry := func(from *capturePconn, to *Conn, round int) {
+		for i, p := range from.take() {
+			if (i+round)%3 != 0 {
+				deliver(to, p)
+			}
+		}
+	}
+	for round := 0; !answerEOF; round++ {
+		if round == 1000 {
+			t.Fatalf("exchange stalled: request %d bytes eof %v, answer %d bytes", len(got), eof, len(answer))
+		}
+		carry(toServer, server, round)
+		if rs == nil && len(server.acceptQ) > 0 {
+			if rs, err = server.AcceptStream(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if rs != nil && !eof {
+			got, eof = readAvailable(rs, got)
+		}
+		if eof && !answered {
+			writeSmall(rs, 20_000)
+			answered = true
+		}
+		carry(toClient, client, round)
+		answer, answerEOF = readAvailable(s, answer)
+		clock.now = clock.now.Add(10 * time.Millisecond)
+		if len(toServer.pkts) == 0 {
+			expirePTO(client)
+		}
+		if len(toClient.pkts) == 0 {
+			expirePTO(server)
+		}
+	}
+	if len(got) != 40_000 || len(answer) != 20_000 {
+		t.Fatalf("request read %d bytes, answer %d", len(got), len(answer))
+	}
+	if s, err = client.OpenStream(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.Write(make([]byte, 1000)); err != nil {
+		t.Fatal(err)
+	}
+	client.mu.Lock()
+	held := client.blocksOut
+	client.mu.Unlock()
+	if held == 0 {
+		t.Fatal("the unacked request holds no send block")
+	}
+	client.Close()
+	server.Close()
+	for side, c := range map[string]*Conn{"client": client, "server": server} {
+		c.mu.Lock()
+		if c.blocksOut != 0 {
+			t.Errorf("%s: %d send blocks not returned", side, c.blocksOut)
+		}
+		c.mu.Unlock()
+	}
+	after := netsim.ReadPoolStats()
+	if gets, puts := after.Gets-before.Gets, after.Puts-before.Puts; gets == 0 || gets != puts {
+		t.Errorf("packet pool: %d gets and %d puts over the exchange, want as many puts as gets", gets, puts)
+	}
+}
+
 // TestReleasedBlocksArePoisoned fills every send block with garbage as it
 // is released, on both connections, while a request and its answer cross
 // a network that loses, duplicates and reorders datagrams both ways. Both
@@ -581,11 +686,12 @@ func TestSendBufferBlocks(t *testing.T) {
 }
 
 // TestTakePendingAliasesOrCopies: a frame's bytes alias the block they lie
-// in, and a run straddling blocks is one contiguous copy. A write into an
-// empty buffer gets a block of its own size; while bytes are pending, each
-// new block doubles the newest up to the pooled size, and only blocks of
-// that size come from the pool. Acks release blocks in any order, and a
-// byte acked twice panics.
+// in, and a run straddling blocks is one contiguous copy. Every block is
+// pooled and counted in blocksOut: a write into an empty buffer gets the
+// smallest packet-pool class that holds it; while bytes are pending, each
+// new block doubles the newest one's capacity, rounded up to a class, and a
+// block past the classes below netsim.BlockSize is a full pooled block.
+// Acks release blocks in any order, and a byte acked twice panics.
 func TestTakePendingAliasesOrCopies(t *testing.T) {
 	client, _, _, _ := connPair(t, &stepClock{})
 	s := newStream(client, 0)
@@ -596,15 +702,18 @@ func TestTakePendingAliasesOrCopies(t *testing.T) {
 		for _, b := range s.blocks {
 			out = append(out, cap(b.buf))
 		}
+		if client.blocksOut != len(s.blocks) {
+			t.Fatalf("%d pooled blocks out, the stream holds %d", client.blocksOut, len(s.blocks))
+		}
 		return out
 	}
 	var written []byte
-	for i, n := range []int{10, 10, 30, 100} {
+	for i, n := range []int{200, 100, 1500, 3000, 5000} {
 		p := bytes.Repeat([]byte{byte('a' + i)}, n)
 		s.appendPendingLocked(p)
 		written = append(written, p...)
 	}
-	if got, want := caps(), []int{10, 20, 40, 80}; !slices.Equal(got, want) {
+	if got, want := caps(), []int{256, 1536, 4096, 16384}; !slices.Equal(got, want) {
 		t.Fatalf("block capacities %v, want %v", got, want)
 	}
 	first := s.blocks[0].buf
@@ -621,22 +730,19 @@ func TestTakePendingAliasesOrCopies(t *testing.T) {
 		t.Fatal("taken runs do not reassemble the written bytes")
 	}
 
-	// Nothing is pending: a small write gets a block of its own size, and a
-	// large one backs up behind it in pooled blocks.
+	// Nothing is pending: a small write gets the smallest class that holds
+	// it, and a large one backs up behind it in full pooled blocks.
 	s.appendPendingLocked(make([]byte, 100))
 	s.appendPendingLocked(make([]byte, 100<<10))
 	const B = netsim.BlockSize
-	if got, want := caps(), []int{10, 20, 40, 80, 100, B, B, B, B}; !slices.Equal(got, want) {
+	if got, want := caps(), []int{256, 1536, 4096, 16384, 256, B, B, B, B}; !slices.Equal(got, want) {
 		t.Fatalf("block capacities %v, want %v", got, want)
-	}
-	if client.blocksOut != 4 {
-		t.Fatalf("%d pooled blocks out, want 4", client.blocksOut)
 	}
 	total := int(s.sendOffset) + s.pendLen
 	s.takePendingLocked(s.pendLen)
-	mid := 150 + 100 + B + 10 // inside the second pooled block
+	mid := len(written) + 256 + B + 10 // inside the second full block
 	s.ackedLocked(uint64(mid), total-mid)
-	if got, want := caps(), []int{10, 20, 40, 80, 100, B, B}; !slices.Equal(got, want) {
+	if got, want := caps(), []int{256, 1536, 4096, 16384, 256, B, B}; !slices.Equal(got, want) {
 		t.Fatalf("after acking the tail, block capacities %v, want %v", got, want)
 	}
 	s.ackedLocked(0, mid)
@@ -713,20 +819,20 @@ func TestFrameSizeMatchesEncoding(t *testing.T) {
 // oneRTTChunk is one packet's frame budget less stream overhead.
 const oneRTTChunk = 1200 - 32
 
-// oneRTTRound returns BenchmarkOneRTTPacket's op, warmed: one full-size
-// packet's worth of stream data written on a client connection, the packet
-// carried to a server connection and the server's ack back, over in-memory
-// pconns: seal, open, reassembly into the stream, and the ack round. The
-// server reads the bytes each round, so its receive buffer is reused.
-func oneRTTRound(tb testing.TB) func() {
+// writeRound returns a warmed op: size bytes of stream data written on a
+// client connection, their packets carried to a server connection and the
+// server's acks back, over in-memory pconns: seal, open, reassembly into the
+// stream, and the ack round. The server reads the bytes each round, so its
+// receive buffer is reused.
+func writeRound(tb testing.TB, size int) func() {
 	clock := &stepClock{now: time.Date(2022, 10, 10, 0, 0, 0, 0, time.UTC)}
 	client, server, toServer, toClient := connPair(tb, clock)
 	s, err := client.OpenStream()
 	if err != nil {
 		tb.Fatal(err)
 	}
-	data := make([]byte, oneRTTChunk)
-	sink := make([]byte, oneRTTChunk)
+	data := make([]byte, size)
+	sink := make([]byte, size)
 	var rs *Stream
 	round := func() {
 		if _, err := s.Write(data); err != nil {
@@ -740,7 +846,7 @@ func oneRTTRound(tb testing.TB) func() {
 		if rs == nil {
 			rs = server.acceptQ[0]
 		}
-		for got := 0; got < oneRTTChunk; {
+		for got := 0; got < size; {
 			n, err := rs.Read(sink)
 			if err != nil {
 				tb.Fatal(err)
@@ -759,12 +865,13 @@ func oneRTTRound(tb testing.TB) func() {
 	return round
 }
 
-// BenchmarkOneRTTPacket times oneRTTRound's op. TestOneRTTPacketAllocs
-// holds its allocation budget: the send-buffer block the write is copied
-// into, and the sender's history array, which every round trip empties. The
-// stream frame is a value held inline in the retransmission record.
+// BenchmarkOneRTTPacket times writeRound's op for one full-size packet's
+// worth of stream data. TestOneRTTPacketAllocs holds its allocation budget:
+// the sender's history array, which every round trip empties. The send
+// block the write is copied into is a packet pool lease, and the stream
+// frame is a value held inline in the retransmission record.
 func BenchmarkOneRTTPacket(b *testing.B) {
-	round := oneRTTRound(b)
+	round := writeRound(b, oneRTTChunk)
 	b.SetBytes(oneRTTChunk)
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -773,13 +880,25 @@ func BenchmarkOneRTTPacket(b *testing.B) {
 	}
 }
 
-// TestOneRTTPacketAllocs: BenchmarkOneRTTPacket's op stays within the 2
-// allocs: a per-packet payload, nonce, AAD, frame or frame-list allocation
-// creeping back fails it.
+// TestOneRTTPacketAllocs: BenchmarkOneRTTPacket's op stays within its one
+// alloc: a per-packet payload, nonce, AAD, frame, frame-list or send-block
+// allocation creeping back fails it.
 func TestOneRTTPacketAllocs(t *testing.T) {
-	round := oneRTTRound(t)
-	if n := testing.AllocsPerRun(100, round); n > 2 {
-		t.Errorf("one 1-RTT packet round: %v allocs/op, want <= 2", n)
+	round := writeRound(t, oneRTTChunk)
+	if n := testing.AllocsPerRun(100, round); n > 1 {
+		t.Errorf("one 1-RTT packet round: %v allocs/op, want <= 1", n)
+	}
+}
+
+// TestSmallWriteAllocs: a warm 4 KiB write, its packets and their acks
+// allocate only the sender's history array, which every round trip empties
+// and which grows to the round's four packets in three steps. The write's
+// send block is a packet pool lease, back in the pool once acked; a block
+// allocated per write fails this.
+func TestSmallWriteAllocs(t *testing.T) {
+	round := writeRound(t, 4096)
+	if n := testing.AllocsPerRun(100, round); n > 3 {
+		t.Errorf("one 4 KiB write round: %v allocs/op, want <= 3", n)
 	}
 }
 

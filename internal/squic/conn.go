@@ -230,10 +230,10 @@ type Conn struct {
 	recvd      rangeSet
 	ackPending bool
 
-	// blocksOut counts the pooled send blocks the connection's streams took
-	// and have not released. onBlockRelease, when set, sees each send block
-	// as it is released, the whole array: tests poison it there, so a frame
-	// still aliasing it would resend garbage.
+	// blocksOut counts the send blocks, every one pooled, the connection's
+	// streams took and have not released. onBlockRelease, when set, sees
+	// each send block as it is released, the whole array: tests poison it
+	// there, so a frame still aliasing it would resend garbage.
 	blocksOut      int
 	onBlockRelease func(b []byte)
 }

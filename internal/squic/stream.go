@@ -172,10 +172,10 @@ type sendBlock struct {
 // its length, so the frames that alias its earlier bytes (nextFrameLocked)
 // see them unchanged until they are acked (ackedLocked). A new block holds
 // at least the rest of the write and, while older bytes are still pending,
-// twice the newest block, up to netsim.BlockSize: a write into an empty
-// buffer (the common case when the congestion window has room) costs
-// exactly its own bytes, and a transfer that backs up fills few blocks of
-// the pooled size.
+// twice the newest block's capacity, up to netsim.BlockSize: a write into
+// an empty buffer (the common case when the congestion window has room)
+// takes the smallest pooled block that fits it, and a transfer that backs
+// up soon fills full-size ones.
 func (s *Stream) appendPendingLocked(p []byte) {
 	for len(p) > 0 {
 		k := len(s.blocks)
@@ -197,27 +197,35 @@ func (s *Stream) appendPendingLocked(p []byte) {
 	}
 }
 
-// newBlockLocked returns an empty send block of capacity size: a pooled
-// array when size is the pool's, a plain allocation otherwise, so a small
-// write never holds a full-size block.
+// smallBlockMax is netsim.GetBuf's largest class below netsim.BlockSize:
+// a send block up to this size is a GetBuf lease, a larger one a pooled
+// block of netsim.BlockSize.
+const smallBlockMax = 16 << 10
+
+// newBlockLocked returns an empty pooled send block of capacity at least
+// size (at most netsim.BlockSize): a lease of the smallest GetBuf class
+// that holds it, or a block from netsim's block pool when no class below
+// BlockSize does.
 func (s *Stream) newBlockLocked(size int) []byte {
-	if size != netsim.BlockSize {
-		return make([]byte, 0, size)
-	}
 	s.c.blocksOut++
+	if size <= smallBlockMax {
+		return netsim.GetBuf(size)[:0]
+	}
 	return netsim.GetBlock()[:0]
 }
 
-// releaseBlockLocked gives up a send block no frame aliases any more: a
-// pooled array goes back to the pool, a plain one to the garbage collector.
+// releaseBlockLocked gives up a send block no frame aliases any more: it
+// goes back to the pool it came from.
 func (s *Stream) releaseBlockLocked(b []byte) {
 	if s.c.onBlockRelease != nil {
 		s.c.onBlockRelease(b[:cap(b)])
 	}
+	s.c.blocksOut--
 	if cap(b) == netsim.BlockSize {
-		s.c.blocksOut--
 		netsim.PutBlock((*netsim.Block)(b[:netsim.BlockSize]))
+		return
 	}
+	netsim.PutBuf(b)
 }
 
 // releaseBlocksLocked releases every send block, acked or not, when the
