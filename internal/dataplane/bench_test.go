@@ -36,7 +36,7 @@ func benchPacket(tb testing.TB, w *testbed.World, size int) (*dataplane.Packet, 
 func transit(tb testing.TB, cold bool) (op func(), delivered func() int) {
 	w := newWorld(tb)
 	n := 0
-	w.DW.Router(topology.AS211).SetDeliveryHandler(func(p *dataplane.Packet) { n++; p.Release() })
+	w.DW.Router(topology.AS211).SetDeliveryHandler(func(p *dataplane.Packet) bool { n++; p.Release(); return false })
 	pkt, path := benchPacket(tb, w, 900)
 	tmpl, err := dataplane.TemplateFor(path)
 	if err != nil {

@@ -107,10 +107,11 @@ func sendAndAwait(t *testing.T, w *testbed.World, pkt *dataplane.Packet) (*datap
 	t.Helper()
 	var mu sync.Mutex
 	var got *dataplane.Packet
-	w.DW.Router(pkt.Dst.IA).SetDeliveryHandler(func(p *dataplane.Packet) {
+	w.DW.Router(pkt.Dst.IA).SetDeliveryHandler(func(p *dataplane.Packet) bool {
 		mu.Lock()
 		got = p
 		mu.Unlock()
+		return false
 	})
 	start := w.Clock.Now()
 	if err := w.DW.Router(pkt.Src.IA).InjectLocal(pkt); err != nil {
@@ -269,7 +270,7 @@ func TestForwardingRejectsExpiredHops(t *testing.T) {
 func TestLocalDeliveryEmptyPath(t *testing.T) {
 	w := newWorld(t)
 	var got *dataplane.Packet
-	w.DW.Router(topology.AS111).SetDeliveryHandler(func(p *dataplane.Packet) { got = p })
+	w.DW.Router(topology.AS111).SetDeliveryHandler(func(p *dataplane.Packet) bool { got = p; return false })
 	pkt := &dataplane.Packet{
 		Src:     udp(topology.AS111, "10.0.0.1", 1),
 		Dst:     udp(topology.AS111, "10.0.0.2", 2),

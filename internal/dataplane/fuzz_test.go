@@ -83,7 +83,9 @@ func FuzzUnmarshal(f *testing.F) {
 // hop, and the final flag must match the hop position. This is the property
 // the MAC verdict cache and the in-place CurrHop patch rely on. Every input
 // is also fed (twice: MAC-cache miss, then hit) to a router's wire receiver,
-// which must report mayWake exactly when its delivery handler ran.
+// which must report mayWake as its delivery handler's verdict when the
+// handler ran, and false when it did not. The handler's verdict follows the
+// input's length, so both verdicts are fuzzed.
 func FuzzTransitHop(f *testing.F) {
 	pkt := fuzzSeedPacket()
 	for curr := uint8(0); curr < 3; curr++ {
@@ -98,7 +100,7 @@ func FuzzTransitHop(f *testing.F) {
 	f.Add(mustMarshal(f, wakeTransitPacket()))
 	f.Add(mustMarshal(f, wakeFinalPacket()))
 	f.Fuzz(func(t *testing.T, data []byte) {
-		w := newWakeRig(wakeNow, true)
+		w := newWakeRig(wakeNow, true, len(data)%2 == 0)
 		w.deliver(t, data)
 		w.deliver(t, data)
 

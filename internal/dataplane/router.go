@@ -16,7 +16,12 @@ import (
 // DeliveryHandler receives packets destined for hosts inside an AS. Handlers
 // that are done with a packet when they return should call pkt.Release to
 // recycle it; handlers that retain the packet (or its Payload/Hops) must not.
-type DeliveryHandler func(pkt *Packet)
+//
+// It reports woke, which the router passes up as its link receiver's mayWake
+// (see netsim.Link.Attach): true whenever handling the packet may have made a
+// goroutine runnable, false only when it certainly did not (a host stack
+// that consumed an ack nobody waited for, or dropped the packet).
+type DeliveryHandler func(pkt *Packet) (woke bool)
 
 // RouterStats counts packet outcomes at one border router.
 type RouterStats struct {
@@ -143,12 +148,12 @@ func (r *Router) Stats() RouterStats {
 // per forwarded packet. Final-hop delivery and anything currHopSpan cannot
 // cheaply locate fall back to the pooled Unmarshal path.
 //
-// It reports mayWake (see netsim.Link.Attach): true exactly when the packet
-// reached the delivery handler, whose host stack may wake goroutines. Transit
-// forwarding and every drop touch only counters, the MAC cache and link
-// scheduling, so they return false and let a virtual clock's auto-advancer
-// skip its quiescence window. Anything added to those paths that can wake a
-// goroutine must return true instead.
+// It reports mayWake (see netsim.Link.Attach): what the delivery handler
+// returned when the packet reached it, since only the host stack knows
+// whether it woke a goroutine. Transit forwarding and every drop touch only
+// counters, the MAC cache and link scheduling, so they return false and let
+// a virtual clock's auto-advancer skip its quiescence window. Anything added
+// to those paths that can wake a goroutine must return true instead.
 //
 //lint:lease sink
 func (r *Router) handleFromWire(in addr.IfID, buf []byte) (mayWake bool) {
@@ -347,8 +352,8 @@ func (r *Router) process(pkt *Packet, in addr.IfID) { r.processRaw(pkt, in, nil)
 // came off the wire and currHopSpan located them) for cached validation. It
 // releases pkt on every path that does not hand it to the delivery handler —
 // a no-op for caller-constructed packets, the pool return for wire packets —
-// and reports whether the delivery handler ran.
-func (r *Router) processRaw(pkt *Packet, in addr.IfID, raw []byte) (delivered bool) {
+// and reports whether the delivery handler ran and woke a goroutine.
+func (r *Router) processRaw(pkt *Packet, in addr.IfID, raw []byte) (woke bool) {
 	if int(pkt.CurrHop) >= len(pkt.Hops) {
 		r.stats.parseError.Add(1)
 		pkt.Release()
@@ -395,9 +400,9 @@ func (r *Router) processRaw(pkt *Packet, in addr.IfID, raw []byte) (delivered bo
 	return false
 }
 
-// deliverLocal hands pkt to the delivery handler and reports whether one was
-// registered to run.
-func (r *Router) deliverLocal(pkt *Packet) (delivered bool) {
+// deliverLocal hands pkt to the delivery handler and returns the handler's
+// verdict; without a handler it drops pkt and reports no wake.
+func (r *Router) deliverLocal(pkt *Packet) (woke bool) {
 	r.mu.RLock()
 	h := r.deliver
 	r.mu.RUnlock()
@@ -407,6 +412,5 @@ func (r *Router) deliverLocal(pkt *Packet) (delivered bool) {
 		return false
 	}
 	r.stats.delivered.Add(1)
-	h(pkt)
-	return true
+	return h(pkt)
 }

@@ -61,32 +61,35 @@ type wakeRig struct {
 	r         *Router
 	clock     *netsim.SimClock
 	ran       bool // the delivery handler ran during the last deliver
+	woke      bool // what the delivery handler returns
 	forwarded int  // packets that reached the far end of wakeOut's link
 }
 
-func newWakeRig(now time.Time, withHandler bool) *wakeRig {
-	w := &wakeRig{clock: netsim.NewSimClock(now)}
+// newWakeRig builds the rig at now; withHandler registers a delivery handler
+// that returns woke.
+func newWakeRig(now time.Time, withHandler, woke bool) *wakeRig {
+	w := &wakeRig{clock: netsim.NewSimClock(now), woke: woke}
 	w.r = NewRouter(wakeIA, wakeKey, w.clock)
 	out := netsim.NewLink(w.clock, netsim.LinkProps{Latency: time.Millisecond}, 1)
 	out.Attach(1, func(p []byte) bool { w.forwarded++; netsim.PutBuf(p); return true })
 	w.r.AttachInterface(wakeOut, out, 0)
 	if withHandler {
-		w.r.SetDeliveryHandler(func(p *Packet) { w.ran = true; p.Release() })
+		w.r.SetDeliveryHandler(func(p *Packet) bool { w.ran = true; p.Release(); return w.woke })
 	}
 	return w
 }
 
 // deliver hands the router a leased copy of wire as if it arrived on wakeIn
-// and checks the wake contract: mayWake is true exactly when the delivery
-// handler ran.
+// and checks the wake contract: mayWake is what the delivery handler
+// returned if it ran, and false if it did not.
 func (w *wakeRig) deliver(t testing.TB, wire []byte) (mayWake bool) {
 	t.Helper()
 	buf := netsim.GetBuf(len(wire))
 	copy(buf, wire)
 	w.ran = false
 	mayWake = w.r.handleFromWire(wakeIn, buf)
-	if mayWake != w.ran {
-		t.Fatalf("handleFromWire returned mayWake=%v but the delivery handler ran=%v", mayWake, w.ran)
+	if want := w.ran && w.woke; mayWake != want {
+		t.Fatalf("handleFromWire returned mayWake=%v, want %v (delivery handler ran=%v and returned %v)", mayWake, want, w.ran, w.woke)
 	}
 	return mayWake
 }
@@ -103,7 +106,8 @@ func mustMarshal(t testing.TB, p *Packet) []byte {
 // TestHandleFromWireWakeContract drives the router's wire receiver through
 // every transit and drop path and the final-hop delivery. Each packet is
 // sent twice, so both the MAC-cache miss and (for valid hops) hit paths are
-// covered.
+// covered. The delivery handler returns true unless a case says it woke
+// nobody: mayWake must be its verdict at the final hop and false elsewhere.
 func TestHandleFromWireWakeContract(t *testing.T) {
 	transit := mustMarshal(t, wakeTransitPacket())
 	final := mustMarshal(t, wakeFinalPacket())
@@ -121,6 +125,7 @@ func TestHandleFromWireWakeContract(t *testing.T) {
 		wire        []byte
 		now         time.Time
 		noHandler   bool
+		handlerIdle bool // the delivery handler returns false
 		wantWake    bool
 		wantForward int
 		stat        func(RouterStats) uint64
@@ -143,6 +148,8 @@ func TestHandleFromWireWakeContract(t *testing.T) {
 			stat: func(s RouterStats) uint64 { return s.NoLocalHosts }},
 		{name: "final-hop delivery", wire: final, wantWake: true,
 			stat: func(s RouterStats) uint64 { return s.Delivered }},
+		{name: "final-hop delivery waking nobody", wire: final, handlerIdle: true,
+			stat: func(s RouterStats) uint64 { return s.Delivered }},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -150,7 +157,7 @@ func TestHandleFromWireWakeContract(t *testing.T) {
 			if now.IsZero() {
 				now = wakeNow
 			}
-			w := newWakeRig(now, !tc.noHandler)
+			w := newWakeRig(now, !tc.noHandler, !tc.handlerIdle)
 			for i := 0; i < 2; i++ {
 				if got := w.deliver(t, tc.wire); got != tc.wantWake {
 					t.Fatalf("send %d: mayWake=%v, want %v", i, got, tc.wantWake)

@@ -85,10 +85,11 @@ func TestInjectTemplatedDelivers(t *testing.T) {
 	}
 	var mu sync.Mutex
 	var got []*dataplane.Packet
-	w.DW.Router(topology.AS211).SetDeliveryHandler(func(p *dataplane.Packet) {
+	w.DW.Router(topology.AS211).SetDeliveryHandler(func(p *dataplane.Packet) bool {
 		mu.Lock()
 		got = append(got, p)
 		mu.Unlock()
+		return false
 	})
 	for i := 0; i < 3; i++ { // reuse the same packet across sends
 		if err := w.DW.Router(topology.AS111).InjectTemplated(pkt, tmpl); err != nil {
@@ -182,13 +183,14 @@ func TestReleasedPacketsAreReused(t *testing.T) {
 	}
 	seen := make(map[*dataplane.Packet]int)
 	deliveries := 0
-	w.DW.Router(topology.AS211).SetDeliveryHandler(func(p *dataplane.Packet) {
+	w.DW.Router(topology.AS211).SetDeliveryHandler(func(p *dataplane.Packet) bool {
 		deliveries++
 		seen[p]++
 		if string(p.Payload) != "pooled delivery" {
 			t.Errorf("delivery %d: payload %q", deliveries, p.Payload)
 		}
 		p.Release()
+		return false
 	})
 	const n = 8
 	for i := 0; i < n; i++ {

@@ -389,9 +389,10 @@ func (c *SimClock) advanceTo(target int64) {
 // instant that may have woken one: any AfterFunc timer (Sleep, After,
 // protocol timeouts), or a delivery whose receiver reported mayWake (see
 // Link.Attach). An instant whose deliveries all returned false — a
-// router forwarding a packet onto its next link — left the set of runnable
-// goroutines as the previous window found it, empty, so the advancer moves
-// straight on to the next timer.
+// router forwarding a packet onto its next link, a host stack taking an ACK
+// that gave no blocked writer room — left the set of runnable goroutines as
+// the previous window found it, empty, so the advancer moves straight on to
+// the next timer.
 //
 // A window of yields shows that nothing is runnable only on one P, where
 // each yield round-robins the whole run queue. With more Ps a woken

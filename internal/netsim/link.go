@@ -88,8 +88,11 @@ func (l *Link) SetProps(props LinkProps) {
 // made a goroutine runnable — sent on a channel, released a lock or
 // condition a goroutine waits on, or ran code that could — and may return
 // false only when it did nothing of the kind (a router forwarding the packet
-// onward, or dropping it). A SimClock's auto-advancer skips its quiescence
-// window after an instant in which every delivery returned false.
+// onward or dropping it, or a host stack below it consuming an ACK that no
+// blocked reader or writer waited for). A router passes its host stack's
+// verdict up (see dataplane.DeliveryHandler). A SimClock's auto-advancer
+// skips its quiescence window after an instant in which every delivery
+// returned false.
 func (l *Link) Attach(end int, recv func(pkt []byte) (mayWake bool)) {
 	l.mu.Lock()
 	defer l.mu.Unlock()

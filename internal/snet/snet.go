@@ -77,15 +77,17 @@ func (d *Dispatcher) Host(ip netip.Addr) *Stack {
 	return s
 }
 
-func (d *Dispatcher) deliver(pkt *dataplane.Packet) {
+// deliver is the router's delivery handler: it hands pkt to its host's
+// stack and returns the stack's verdict on whether a goroutine woke.
+func (d *Dispatcher) deliver(pkt *dataplane.Packet) (woke bool) {
 	d.mu.RLock()
 	host := d.hosts[pkt.Dst.Host]
 	d.mu.RUnlock()
 	if host == nil {
 		pkt.Release()
-		return
+		return false
 	}
-	host.deliver(pkt)
+	return host.deliver(pkt)
 }
 
 // Stack is one host's SCION socket table.
@@ -143,13 +145,16 @@ func (s *Stack) Listen(port uint16) (*Conn, error) {
 	return c, nil
 }
 
-func (s *Stack) deliver(pkt *dataplane.Packet) {
+// deliver hands pkt to the socket bound to its destination port. It reports
+// woke: in handler mode the handler's verdict, in queued mode true, since a
+// reader may wait on the inbox; a packet for an unbound port wakes nobody.
+func (s *Stack) deliver(pkt *dataplane.Packet) (woke bool) {
 	s.mu.Lock()
 	c := s.conns[pkt.Dst.Port]
 	s.mu.Unlock()
 	if c == nil {
 		pkt.Release()
-		return
+		return false
 	}
 	c.mu.Lock()
 	h := c.handler
@@ -162,9 +167,9 @@ func (s *Stack) deliver(pkt *dataplane.Packet) {
 		// router's leased wire buffer, released right after the handler
 		// returns — hence the SetHandler contract that handlers copy
 		// anything they keep (squic even decrypts it in place).
-		h(dg)
+		woke = h(dg)
 		pkt.Release()
-		return
+		return woke
 	}
 	// Queued mode: the datagram outlives this delivery context, so it moves
 	// to the heap and its payload must not alias the wire buffer.
@@ -175,6 +180,7 @@ func (s *Stack) deliver(pkt *dataplane.Packet) {
 	default:
 		// Inbox full: drop, like a real UDP socket buffer.
 	}
+	return true
 }
 
 // Conn is a SCION datagram socket.
@@ -184,7 +190,7 @@ type Conn struct {
 	inbox chan *Datagram
 
 	mu       sync.Mutex
-	handler  func(Datagram)
+	handler  func(Datagram) bool
 	done     chan struct{}
 	closed   bool
 	deadline chan struct{} // closed when the read deadline passes
@@ -239,7 +245,16 @@ func (c *Conn) replyPathLocked(pkt *dataplane.Packet) *segment.Path {
 // (squic decrypts it there); handlers that keep payload bytes must copy
 // them. The ReplyPath may be shared with other datagrams of the socket and
 // must not be modified.
-func (c *Conn) SetHandler(h func(Datagram)) {
+//
+// h reports woke: true whenever handling the datagram may have made a
+// goroutine runnable (a condition broadcast with a waiter, a channel send, a
+// teardown), false only when it certainly did not. The verdict travels up
+// through the router to the link (see dataplane.DeliveryHandler); after an
+// instant in which every delivery returned false, a virtual clock's
+// auto-advancer moves on without waiting for goroutines to settle, so a
+// handler that wakes a goroutine and returns false lets virtual time run
+// ahead of it.
+func (c *Conn) SetHandler(h func(Datagram) bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.handler = h

@@ -293,7 +293,7 @@ func TestWriteToDoesNotRetainPayload(t *testing.T) {
 			defer bc.Close()
 			got := make(chan []byte, 1)
 			if handler {
-				bc.SetHandler(func(dg snet.Datagram) { got <- bytes.Clone(dg.Payload) })
+				bc.SetHandler(func(dg snet.Datagram) bool { got <- bytes.Clone(dg.Payload); return true })
 			}
 			ac, err := a.Listen(0)
 			if err != nil {
@@ -420,10 +420,11 @@ func TestTemplatedDatagramAllocs(t *testing.T) {
 	}
 	defer sc.Close()
 	got := 0
-	sc.SetHandler(func(dg snet.Datagram) {
+	sc.SetHandler(func(dg snet.Datagram) bool {
 		if len(dg.Payload) == 900 && dg.Src.IA == w.srcIA {
 			got++
 		}
+		return false
 	})
 	cc, err := w.src.Listen(0)
 	if err != nil {

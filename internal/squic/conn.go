@@ -122,10 +122,14 @@ type Conn struct {
 	closeHooks []func()
 
 	mu       sync.Mutex
-	readable *sync.Cond // stream readers
-	writable *sync.Cond // stream writers
-	hsCond   *sync.Cond // Dial waiting for handshake
-	acCond   *sync.Cond // AcceptStream
+	readable waitCond // stream readers
+	writable waitCond // stream writers
+	hsCond   waitCond // Dial waiting for handshake
+	acCond   waitCond // AcceptStream
+	// wakes counts the broadcasts that found a waiter (broadcastLocked). A
+	// delivery compares it before and after to report whether it made a
+	// goroutine runnable (see handleDatagram).
+	wakes uint64
 
 	remote addr.UDPAddr
 	path   *segment.Path
@@ -142,7 +146,9 @@ type Conn struct {
 	closed      bool
 	closeErr    error
 
-	streams      map[uint64]*Stream
+	// streams holds the live streams in id order: packetization walks them
+	// in that order, and a frame finds its stream by binary search.
+	streams      []*Stream
 	nextStreamID uint64
 	acceptQ      []*Stream
 	// retiredPeer tracks finished peer-initiated streams (stored as id>>1
@@ -172,8 +178,8 @@ type Conn struct {
 	// sendPacketLocked appends and packet numbers only grow, so an ack is a
 	// merge walk over the prefix it can reach (see handleAckLocked). An ack
 	// packs the prefix's survivors against the untouched suffix and advances
-	// the slice head past the freed slots. An emptied history drops its
-	// array, so idle and closed connections hold none.
+	// the slice head past the freed slots. An emptied history keeps its
+	// array, cleared, for the next burst; a PTO and teardown drop it.
 	sent []sentPacket
 	// sentArr is the whole array under sent, whose head moves up as the
 	// front is acked: before an append would reallocate, the history moves
@@ -211,10 +217,6 @@ type Conn struct {
 	// firePTO is c.onPTO, bound once: a method value passed to AfterFunc
 	// would allocate on every arm.
 	firePTO func()
-	// streamScratch is a lock-guarded scratch buffer reused across
-	// packetization rounds, keeping the steady-state receive path
-	// allocation-free on long-lived pooled connections.
-	streamScratch []*Stream
 	// Per-packet scratch, all guarded by mu: txFrames collects one packet's
 	// frames, ackOut is its ack frame's encoded ranges (never retained: acks
 	// are not retransmittable), sendBuf holds the packet while it is encoded
@@ -245,7 +247,6 @@ func newConn(pconn PacketConn, cfg *Config, isClient bool) *Conn {
 		epoch:        cfg.Clock.Now(),
 		pconn:        pconn,
 		isClient:     isClient,
-		streams:      make(map[uint64]*Stream),
 		cwnd:         cfg.InitialCwnd,
 		largestAcked: -1,
 	}
@@ -255,11 +256,58 @@ func newConn(pconn PacketConn, cfg *Config, isClient bool) *Conn {
 		c.nextStreamID = 1
 	}
 	c.firePTO = c.onPTO
-	c.readable = sync.NewCond(&c.mu)
-	c.writable = sync.NewCond(&c.mu)
-	c.hsCond = sync.NewCond(&c.mu)
-	c.acCond = sync.NewCond(&c.mu)
+	c.readable.cond.L = &c.mu
+	c.writable.cond.L = &c.mu
+	c.hsCond.cond.L = &c.mu
+	c.acCond.cond.L = &c.mu
 	return c
+}
+
+// waitCond is a condition on the connection lock that counts the goroutines
+// parked on it, so that a broadcast knows whether it made one runnable.
+type waitCond struct {
+	cond    sync.Cond
+	waiters int // parked since the last broadcast
+}
+
+// waitLocked parks the caller on w until the next broadcast of w. The caller
+// holds c.mu.
+func (c *Conn) waitLocked(w *waitCond) {
+	w.waiters++
+	w.cond.Wait()
+}
+
+// broadcastLocked wakes every goroutine parked on w and counts the wake in
+// c.wakes if there was one. A woken goroutine that parks again counts as a
+// new waiter. The caller holds c.mu.
+func (c *Conn) broadcastLocked(w *waitCond) {
+	if w.waiters == 0 {
+		return
+	}
+	w.waiters = 0
+	w.cond.Broadcast()
+	c.wakes++
+}
+
+// streamIndexLocked returns the index of the live stream with the given id,
+// or where one would be inserted.
+func (c *Conn) streamIndexLocked(id uint64) (int, bool) {
+	return slices.BinarySearchFunc(c.streams, id, func(s *Stream, id uint64) int { return cmp.Compare(s.id, id) })
+}
+
+// streamLocked returns the live stream with the given id, or nil.
+func (c *Conn) streamLocked(id uint64) *Stream {
+	if i, ok := c.streamIndexLocked(id); ok {
+		return c.streams[i]
+	}
+	return nil
+}
+
+// addStreamLocked makes s live, keeping c.streams in id order. Ids mostly
+// arrive in order, so the insert is mostly an append.
+func (c *Conn) addStreamLocked(s *Stream) {
+	i, _ := c.streamIndexLocked(s.id)
+	c.streams = slices.Insert(c.streams, i, s)
 }
 
 // LocalAddr returns the local endpoint.
@@ -360,7 +408,7 @@ func (c *Conn) OpenStream() (*Stream, error) {
 	id := c.nextStreamID
 	c.nextStreamID += 2
 	s := newStream(c, id)
-	c.streams[id] = s
+	c.addStreamLocked(s)
 	return s, nil
 }
 
@@ -370,7 +418,7 @@ func (c *Conn) AcceptStream() (*Stream, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	for len(c.acceptQ) == 0 && !c.closed {
-		c.acCond.Wait()
+		c.waitLocked(&c.acCond)
 	}
 	if len(c.acceptQ) > 0 {
 		s := c.acceptQ[0]
@@ -434,10 +482,10 @@ func (c *Conn) teardownIf(guard func() bool, code uint64, reason string, cause e
 	}
 	c.sent, c.sentArr, c.queued, c.inFlight = nil, nil, nil, 0
 	c.txFrames, c.ackOut, c.sendBuf, c.rx = nil, nil, nil, frameScratch{}
-	c.readable.Broadcast()
-	c.writable.Broadcast()
-	c.hsCond.Broadcast()
-	c.acCond.Broadcast()
+	c.broadcastLocked(&c.readable)
+	c.broadcastLocked(&c.writable)
+	c.broadcastLocked(&c.hsCond)
+	c.broadcastLocked(&c.acCond)
 	onClose := c.onClose
 	hooks := c.closeHooks
 	c.closeHooks = nil
@@ -457,7 +505,7 @@ func (c *Conn) teardownIf(guard func() bool, code uint64, reason string, cause e
 // available, squic processes packets inside the delivery context, which
 // keeps virtual-time experiments exact.
 type handlerConn interface {
-	SetHandler(func(snet.Datagram))
+	SetHandler(func(snet.Datagram) bool)
 }
 
 // startReceiving wires packet delivery: synchronous handler mode when the
@@ -486,17 +534,27 @@ func (c *Conn) readLoop() {
 // listener routes to conn.handleOneRTT/handleInitial directly). The datagram
 // arrives by value (see snet.Conn.SetHandler); what it is handed to keeps
 // fields, never the pointer, so it stays on the delivery's stack.
-func (c *Conn) handleDatagram(dg snet.Datagram) {
+//
+// It reports woke, snet's handler verdict: true when the datagram may have
+// made a goroutine runnable. That is a handshake packet (Dial waits for
+// it), a teardown, or a broadcast of a condition with a waiter: a reader
+// given data, a writer given room by an ack or a window update, an
+// AcceptStream given a stream. An ack that only retires packets nobody
+// waits for, or a duplicate, reports false. The RTT observers it runs wake
+// nobody (see OnRTTSampleBatch).
+func (c *Conn) handleDatagram(dg snet.Datagram) (woke bool) {
 	hdr, body, err := parseHeader(dg.Payload)
 	if err != nil || hdr.connID != c.connID {
-		return
+		return false
 	}
 	switch hdr.ptype {
 	case ptHello:
 		c.handleHello(body)
+		return true
 	case ptOneRTT:
-		c.handleOneRTT(hdr, &dg)
+		return c.handleOneRTT(hdr, &dg)
 	}
+	return false
 }
 
 // --- client handshake ---
@@ -554,7 +612,7 @@ func (c *Conn) dial(ctx context.Context, remote addr.UDPAddr, path *segment.Path
 			2, "handshake timeout", ErrHandshakeTimeout, false)
 	})
 	for !c.established && !c.closed {
-		c.hsCond.Wait()
+		c.waitLocked(&c.hsCond)
 	}
 	closed := c.closed
 	err = c.closeErrLocked()
@@ -632,7 +690,7 @@ func (c *Conn) handleHello(body []byte) {
 		c.hsTimeout.Stop()
 		c.hsTimeout = nil
 	}
-	c.hsCond.Broadcast()
+	c.broadcastLocked(&c.hsCond)
 	// Confirm to the server with an immediate (possibly ACK-only) packet.
 	c.queued = append(c.queued, frame{kind: ftPing})
 	c.packetizeLocked()
@@ -710,18 +768,22 @@ func (c *Conn) armConfirmTimeout() {
 
 // handleOneRTT decrypts and processes an application packet (dg.Payload,
 // header included, with hdr parsed from it), then flushes any RTT samples
-// the embedded acks produced to the observer.
-func (c *Conn) handleOneRTT(hdr header, dg *snet.Datagram) {
-	c.processOneRTT(hdr, dg)
+// the embedded acks produced to the observer. It reports whether the packet
+// made a goroutine runnable (see handleDatagram).
+func (c *Conn) handleOneRTT(hdr header, dg *snet.Datagram) (woke bool) {
+	woke = c.processOneRTT(hdr, dg)
 	c.flushRTTSamples()
+	return woke
 }
 
-func (c *Conn) processOneRTT(hdr header, dg *snet.Datagram) {
+// processOneRTT is handleOneRTT without the observer flush.
+func (c *Conn) processOneRTT(hdr header, dg *snet.Datagram) (woke bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if c.keys == nil || c.closed {
-		return
+		return false
 	}
+	wakes := c.wakes
 	opener := c.keys.serverSeal
 	if !c.isClient {
 		opener = c.keys.clientSeal
@@ -734,17 +796,17 @@ func (c *Conn) processOneRTT(hdr header, dg *snet.Datagram) {
 	body := pkt[headerLen:]
 	plain, err := opener.Open(body[:0], c.nonce.set(hdr.pktNum), body, pkt[:headerLen])
 	if err != nil {
-		return
+		return false
 	}
 	frames, err := parseFrames(plain, &c.rx)
 	if err != nil {
 		c.mu.Unlock()
 		c.teardown(4, "malformed frames", err, true)
 		c.mu.Lock()
-		return
+		return true
 	}
 	if c.recvd.contains(hdr.pktNum) {
-		return // duplicate
+		return false // duplicate
 	}
 	c.recvd.add(hdr.pktNum)
 	if !c.isClient {
@@ -769,7 +831,7 @@ func (c *Conn) processOneRTT(hdr header, dg *snet.Datagram) {
 	}
 	for _, f := range frames {
 		if c.closed {
-			return
+			return true // torn down by an earlier frame
 		}
 		if f.retransmittable() {
 			c.ackPending = true
@@ -780,26 +842,27 @@ func (c *Conn) processOneRTT(hdr header, dg *snet.Datagram) {
 		case ftAck:
 			c.handleAckLocked(c.rx.acks[f.id:f.val])
 		case ftMaxStreamData:
-			if s, ok := c.streams[f.id]; ok && f.val > s.maxSend {
+			if s := c.streamLocked(f.id); s != nil && f.val > s.maxSend {
 				s.maxSend = f.val
-				c.writable.Broadcast()
+				c.broadcastLocked(&c.writable)
 			}
 		case ftClose:
 			cause := fmt.Errorf("%w: peer closed (code %d: %s)", ErrConnClosed, f.val, f.data)
 			c.mu.Unlock()
 			c.teardown(f.val, "", cause, false)
 			c.mu.Lock()
-			return
+			return true
 		case ftPing, ftHandshakeDone:
 			// ACK-eliciting only.
 		}
 	}
 	c.packetizeLocked()
+	return c.closed || c.wakes != wakes
 }
 
 func (c *Conn) handleStreamFrameLocked(f frame) {
-	s, ok := c.streams[f.id]
-	if !ok {
+	s := c.streamLocked(f.id)
+	if s == nil {
 		peerInitiated := (f.id%2 == 0) != c.isClient
 		if !peerInitiated {
 			return // stale frame for a stream we opened and retired
@@ -808,9 +871,9 @@ func (c *Conn) handleStreamFrameLocked(f frame) {
 			return // late retransmission for a retired peer stream
 		}
 		s = newStream(c, f.id)
-		c.streams[f.id] = s
+		c.addStreamLocked(s)
 		c.acceptQ = append(c.acceptQ, s)
-		c.acCond.Broadcast()
+		c.broadcastLocked(&c.acCond)
 	}
 	if err := s.handleFrameLocked(f); err != nil {
 		c.mu.Unlock()
@@ -821,20 +884,24 @@ func (c *Conn) handleStreamFrameLocked(f frame) {
 	c.retireStreamLocked(s)
 }
 
-// retireStreamLocked drops a fully-finished stream from the demux map, so a
-// long-lived (pooled) connection does not accumulate per-stream state and
-// packetization stays proportional to the ACTIVE stream count. Reads of
-// already-buffered data keep working: they never touch the map.
-func (c *Conn) retireStreamLocked(s *Stream) {
+// retireStreamLocked drops a fully-finished stream from the live streams,
+// so a long-lived (pooled) connection does not accumulate per-stream state
+// and packetization stays proportional to the ACTIVE stream count. Reads of
+// already-buffered data keep working: they never look the stream up. It
+// reports whether s was retired.
+func (c *Conn) retireStreamLocked(s *Stream) (retired bool) {
 	if !s.doneLocked() {
-		return
+		return false
 	}
-	delete(c.streams, s.id)
-	peerInitiated := (s.id%2 == 0) != c.isClient
-	if !peerInitiated {
-		return // stale frames for local ids are already ignored
+	if i, ok := c.streamIndexLocked(s.id); ok {
+		c.streams = slices.Delete(c.streams, i, i+1)
 	}
-	c.retiredPeer.add(s.id >> 1)
+	// Stale frames for local ids are already ignored; a retired peer id is
+	// fenced off from acceptQ.
+	if peerInitiated := (s.id%2 == 0) != c.isClient; peerInitiated {
+		c.retiredPeer.add(s.id >> 1)
+	}
+	return true
 }
 
 // --- reliability ---
@@ -903,8 +970,10 @@ func (c *Conn) handleAckLocked(ranges []ackRange) {
 		}
 	}
 	if live == 0 && end == len(h) {
-		// Idle: drop the array, sized for the last burst, rather than keep it.
-		c.sent, c.sentArr = nil, nil
+		// Idle: keep the array for the next burst, cleared so it pins no
+		// frames (the slots before the head were cleared as it advanced).
+		clear(h)
+		c.sent = c.sentArr[:0]
 	} else {
 		// Right-align the survivors against the untouched suffix and advance
 		// the head past the vacated slots, cleared so they pin no frames.
@@ -925,7 +994,7 @@ func (c *Conn) ackFrameLocked(f frame) {
 	if f.kind != ftStream || len(f.data) == 0 {
 		return
 	}
-	if s, ok := c.streams[f.id]; ok {
+	if s := c.streamLocked(f.id); s != nil {
 		s.ackedLocked(f.val, len(f.data))
 		c.retireStreamLocked(s)
 	}
@@ -980,8 +1049,10 @@ func (c *Conn) RTTStats() (srtt, rttvar time.Duration, samples int) {
 // OnRTTSample installs obs as the connection's RTT observer: it is invoked
 // once per accepted ack RTT sample (floored at MinRTTSample), outside the
 // connection lock, in packet-processing order. One observer at a time; nil
-// uninstalls. The observer must not block — it runs on the packet delivery
-// path.
+// uninstalls. The observer must not block, and must not make a goroutine
+// runnable (no channel send a goroutine may wait on, no condition signal):
+// it runs on the packet delivery path, and a delivery reports no wake for it
+// (see handleDatagram). Taking locks is fine.
 func (c *Conn) OnRTTSample(obs func(rtt time.Duration)) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -993,7 +1064,8 @@ func (c *Conn) OnRTTSample(obs func(rtt time.Duration)) {
 // (coalesced to the newest few under extreme bursts), outside the
 // connection lock. Takes precedence over OnRTTSample when both are set.
 // The slice is reused between flushes — the observer must not retain it.
-// One observer at a time; nil uninstalls.
+// One observer at a time; nil uninstalls. Like OnRTTSample's, the observer
+// must neither block nor wake a goroutine.
 func (c *Conn) OnRTTSampleBatch(obs func(rtts []time.Duration)) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -1130,16 +1202,6 @@ func (c *Conn) maxFramePayloadLocked() int {
 // minFramePayload floors the per-packet frame budget.
 const minFramePayload = 256
 
-func (c *Conn) sortedStreamsLocked() []*Stream {
-	out := c.streamScratch[:0]
-	for _, s := range c.streams {
-		out = append(out, s)
-	}
-	slices.SortFunc(out, func(a, b *Stream) int { return cmp.Compare(a.id, b.id) })
-	c.streamScratch = out
-	return out
-}
-
 // packetizeLocked drains acks, control frames, and stream data into as many
 // packets as congestion control allows.
 func (c *Conn) packetizeLocked() {
@@ -1190,7 +1252,8 @@ func (c *Conn) packetizeLocked() {
 		}
 		if c.inFlight < c.cwnd {
 			const streamOverhead = 32 // type, flags, 3 varints worst case
-			for _, s := range c.sortedStreamsLocked() {
+			for i := 0; i < len(c.streams); {
+				s := c.streams[i]
 				for s.sendableLocked() && size+streamOverhead < maxPayload && c.inFlight+size < c.cwnd {
 					f, ok := s.nextFrameLocked(maxPayload - size - streamOverhead)
 					if !ok {
@@ -1201,8 +1264,11 @@ func (c *Conn) packetizeLocked() {
 					ackEliciting = true
 				}
 				// The FIN may have just been packetized, completing the
-				// stream's send side.
-				c.retireStreamLocked(s)
+				// stream's send side; a retired stream leaves index i to
+				// the next one.
+				if !c.retireStreamLocked(s) {
+					i++
+				}
 			}
 		}
 		if len(frames) == 0 {

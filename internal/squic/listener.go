@@ -135,11 +135,13 @@ func (l *Listener) readLoop() {
 
 // handleDatagram demultiplexes one datagram by connection ID. Like
 // Conn.handleDatagram it takes the datagram by value and lends its address
-// only to calls that keep fields, never the pointer.
-func (l *Listener) handleDatagram(dg snet.Datagram) {
+// only to calls that keep fields, never the pointer, and it reports the same
+// verdict: a handshake packet counts as a wake (a new connection goes to
+// Accept, or is torn down), a 1-RTT packet as its connection decides.
+func (l *Listener) handleDatagram(dg snet.Datagram) (woke bool) {
 	hdr, body, err := parseHeader(dg.Payload)
 	if err != nil {
-		return
+		return false
 	}
 	switch hdr.ptype {
 	case ptInitial:
@@ -148,11 +150,11 @@ func (l *Listener) handleDatagram(dg snet.Datagram) {
 		closed := l.closed
 		l.mu.Unlock()
 		if closed {
-			return
+			return false
 		}
 		conn, isNew := serverHandleInitial(l.pconn, l.cfg, hdr, body, &dg, existing)
 		if !isNew || conn == nil {
-			return
+			return true
 		}
 		id := hdr.connID
 		conn.onClose = func() { l.remove(id) }
@@ -171,14 +173,16 @@ func (l *Listener) handleDatagram(dg snet.Datagram) {
 		default:
 			conn.teardown(6, "accept queue full", ErrConnClosed, true)
 		}
+		return true
 	case ptOneRTT:
 		l.mu.Lock()
 		conn := l.conns[hdr.connID]
 		l.mu.Unlock()
 		if conn != nil {
-			conn.handleOneRTT(hdr, &dg)
+			return conn.handleOneRTT(hdr, &dg)
 		}
 	}
+	return false
 }
 
 func (l *Listener) remove(connID uint64) {

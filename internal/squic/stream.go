@@ -110,7 +110,7 @@ func (s *Stream) Read(p []byte) (int, error) {
 		if s.rDeadline.expired {
 			return 0, errDeadline
 		}
-		s.c.readable.Wait()
+		s.c.waitLocked(&s.c.readable)
 	}
 }
 
@@ -146,7 +146,7 @@ func (s *Stream) Write(p []byte) (int, error) {
 		}
 		room := s.c.cfg.WriteBuffer - s.pendLen
 		if room <= 0 {
-			s.c.writable.Wait()
+			s.c.waitLocked(&s.c.writable)
 			continue
 		}
 		n := min(room, len(p))
@@ -320,7 +320,7 @@ func (s *Stream) Close() error {
 		s.readErr = errStreamClosed
 	}
 	s.c.scheduleSendLocked()
-	s.c.readable.Broadcast()
+	s.c.broadcastLocked(&s.c.readable)
 	s.c.mu.Unlock()
 	return nil
 }
@@ -341,7 +341,7 @@ func (s *Stream) SetDeadline(t time.Time) error {
 func (s *Stream) SetReadDeadline(t time.Time) error {
 	s.c.mu.Lock()
 	defer s.c.mu.Unlock()
-	s.setDeadlineLocked(&s.rDeadline, t, s.c.readable)
+	s.setDeadlineLocked(&s.rDeadline, t, &s.c.readable)
 	return nil
 }
 
@@ -349,11 +349,11 @@ func (s *Stream) SetReadDeadline(t time.Time) error {
 func (s *Stream) SetWriteDeadline(t time.Time) error {
 	s.c.mu.Lock()
 	defer s.c.mu.Unlock()
-	s.setDeadlineLocked(&s.wDeadline, t, s.c.writable)
+	s.setDeadlineLocked(&s.wDeadline, t, &s.c.writable)
 	return nil
 }
 
-func (s *Stream) setDeadlineLocked(d *deadline, t time.Time, cond interface{ Broadcast() }) {
+func (s *Stream) setDeadlineLocked(d *deadline, t time.Time, cond *waitCond) {
 	if d.timer != nil {
 		d.timer.Stop()
 		d.timer = nil
@@ -365,14 +365,14 @@ func (s *Stream) setDeadlineLocked(d *deadline, t time.Time, cond interface{ Bro
 	dur := t.Sub(s.c.clock.Now())
 	if dur <= 0 {
 		d.expired = true
-		cond.Broadcast()
+		s.c.broadcastLocked(cond)
 		return
 	}
 	c := s.c
 	d.timer = c.clock.AfterFunc(dur, func() {
 		c.mu.Lock()
 		d.expired = true
-		cond.Broadcast()
+		c.broadcastLocked(cond)
 		c.mu.Unlock()
 	})
 }
@@ -420,7 +420,7 @@ func (s *Stream) handleFrameLocked(f frame) error {
 		delete(s.chunks, s.recvNext)
 		s.deliverLocked(data)
 	}
-	s.c.readable.Broadcast()
+	s.c.broadcastLocked(&s.c.readable)
 	return nil
 }
 
@@ -474,7 +474,7 @@ func (s *Stream) nextFrameLocked(maxData int) (f frame, ok bool) {
 		// that carries them, or the packet a loss or PTO moved the frame
 		// to, is acked.
 		f.data = s.takePendingLocked(n)
-		s.c.writable.Broadcast()
+		s.c.broadcastLocked(&s.c.writable)
 	}
 	if fin {
 		s.finSent = true

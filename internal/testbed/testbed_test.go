@@ -50,7 +50,7 @@ func delivered(t *testing.T, w *testbed.World, n int) []uint32 {
 	}
 	defer sc.Close()
 	var got []uint32
-	sc.SetHandler(func(dg snet.Datagram) { got = append(got, binary.BigEndian.Uint32(dg.Payload)) })
+	sc.SetHandler(func(dg snet.Datagram) bool { got = append(got, binary.BigEndian.Uint32(dg.Payload)); return false })
 	cc, err := w.Stack(topology.AS111, "10.0.0.1").Listen(0)
 	if err != nil {
 		t.Fatal(err)
