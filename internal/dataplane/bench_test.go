@@ -3,6 +3,7 @@ package dataplane_test
 import (
 	"runtime/debug"
 	"testing"
+	"time"
 
 	"tango/internal/dataplane"
 	"tango/internal/netsim"
@@ -30,26 +31,26 @@ func benchPacket(tb testing.TB, w *testbed.World, size int) (*dataplane.Packet, 
 // transit returns one forwarding pass, 111 → 211, as an op: inject a
 // templated 900-byte payload (header and payload fit the 1400 B MTU) and
 // drive the virtual clock until AS 211 delivers it. delivered counts the
-// deliveries since transit returned. One pass runs before it returns, so the
-// packet pool and the MAC verifiers are built. With cold, every op first
-// clears the MAC verdict cache of each router on the path.
-func transit(tb testing.TB, cold bool) (op func(), delivered func() int) {
-	w := newWorld(tb)
-	n := 0
-	w.DW.Router(topology.AS211).SetDeliveryHandler(func(p *dataplane.Packet) bool { n++; p.Release(); return false })
-	pkt, path := benchPacket(tb, w, 900)
-	tmpl, err := dataplane.TemplateFor(path)
-	if err != nil {
-		tb.Fatal(err)
-	}
-	var flush []*dataplane.Router
-	if cold {
-		for _, h := range path.Hops {
-			flush = append(flush, w.DW.Router(h.IA))
-		}
-	}
-	src := w.DW.Router(topology.AS111)
-	op = func() {
+// deliveries since transit returned, and world returns the world the next
+// op runs on. One pass runs before it returns, so the packet pool and the
+// MAC verifiers are built. With cold, every op first clears the MAC verdict
+// cache of each router on the path.
+//
+// Each op moves the clock by the path's one-way delay, so a long run would
+// outlive the testbed's segments (24 h) and every later packet would drop.
+// An op that finds the clock within an hour of the path's expiry first
+// rebuilds the world, off a benchmark's timer.
+func transit(tb testing.TB, cold bool) (op func(), delivered func() int, world func() *testbed.World) {
+	var (
+		w     *testbed.World
+		src   *dataplane.Router
+		pkt   *dataplane.Packet
+		tmpl  *dataplane.PathTemplate
+		flush []*dataplane.Router
+		renew time.Time
+		n     int
+	)
+	pass := func() {
 		for _, r := range flush {
 			r.InvalidateMACCache()
 		}
@@ -59,9 +60,42 @@ func transit(tb testing.TB, cold bool) (op func(), delivered func() int) {
 		for w.Clock.AdvanceToNext() {
 		}
 	}
-	op()
+	build := func() {
+		w = newWorld(tb)
+		w.DW.Router(topology.AS211).SetDeliveryHandler(func(p *dataplane.Packet) bool { n++; p.Release(); return false })
+		var path *segment.Path
+		pkt, path = benchPacket(tb, w, 900)
+		var err error
+		if tmpl, err = dataplane.TemplateFor(path); err != nil {
+			tb.Fatal(err)
+		}
+		flush = flush[:0]
+		if cold {
+			for _, h := range path.Hops {
+				flush = append(flush, w.DW.Router(h.IA))
+			}
+		}
+		src = w.DW.Router(topology.AS111)
+		renew = path.Meta.Expiry.Add(-time.Hour)
+		kept := n
+		pass()
+		n = kept
+	}
+	build()
+	op = func() {
+		if !w.Clock.Now().Before(renew) {
+			if b, ok := tb.(*testing.B); ok {
+				b.StopTimer()
+				build()
+				b.StartTimer()
+			} else {
+				build()
+			}
+		}
+		pass()
+	}
 	n = 0
-	return op, func() int { return n }
+	return op, func() int { return n }, func() *testbed.World { return w }
 }
 
 // BenchmarkRouterTransit measures one multi-hop forwarding pass with the
@@ -75,7 +109,7 @@ func BenchmarkRouterTransit(b *testing.B) {
 			name = "cold"
 		}
 		b.Run(name, func(b *testing.B) {
-			op, delivered := transit(b, cold)
+			op, delivered, _ := transit(b, cold)
 			b.ReportAllocs()
 			b.ResetTimer()
 			for range b.N {
@@ -93,7 +127,7 @@ func BenchmarkRouterTransit(b *testing.B) {
 // the MAC verifiers all come from pools. Under the race detector, whose
 // sync.Pool drops a random quarter of Puts, a pass averages 1.5.
 func TestRouterTransitAllocs(t *testing.T) {
-	op, delivered := transit(t, false)
+	op, delivered, _ := transit(t, false)
 	budget := 0.0
 	if raceBuild() {
 		budget = 2
@@ -103,6 +137,26 @@ func TestRouterTransitAllocs(t *testing.T) {
 	}
 	if got := delivered(); got != 101 {
 		t.Fatalf("delivered %d of 101", got)
+	}
+}
+
+// TestRouterTransitOutlivesSegments: the warm transit op still delivers
+// once the virtual clock has passed the day the testbed's segments live:
+// the op rebuilds the world instead of dropping every packet.
+func TestRouterTransitOutlivesSegments(t *testing.T) {
+	op, delivered, world := transit(t, false)
+	first := world()
+	first.Clock.Advance(25 * time.Hour)
+	op()
+	if got := delivered(); got != 1 {
+		t.Fatalf("delivered %d of 1 after 25 h", got)
+	}
+	if world() == first {
+		t.Error("the op kept a world whose segments expired")
+	}
+	op()
+	if got := delivered(); got != 2 {
+		t.Fatalf("delivered %d of 2", got)
 	}
 }
 

@@ -2,6 +2,7 @@ package dataplane
 
 import (
 	"bytes"
+	"hash/maphash"
 	"sync"
 	"time"
 
@@ -43,22 +44,15 @@ type macEntry struct {
 	expiry time.Time // earliest auth-field ExpTime; verdict invalid after
 }
 
-// macKey is FNV-1a over the ingress interface and the hop's wire bytes.
+// macSeed seeds every key hash of the process. A key only picks a shard and
+// a slot: a hit still compares the hop bytes and the ingress, so no verdict
+// depends on the seed, and a flood of crafted hops cannot aim at one shard.
+var macSeed = maphash.MakeSeed()
+
+// macKey is one seeded hash of the hop's wire bytes, mixed with the ingress
+// interface by a multiply with the 64-bit golden ratio.
 func macKey(raw []byte, in addr.IfID) uint64 {
-	const (
-		offset64 = 14695981039346656037
-		prime64  = 1099511628211
-	)
-	h := uint64(offset64)
-	h ^= uint64(in) & 0xff
-	h *= prime64
-	h ^= uint64(in) >> 8
-	h *= prime64
-	for _, b := range raw {
-		h ^= uint64(b)
-		h *= prime64
-	}
-	return h
+	return maphash.Bytes(macSeed, raw) ^ uint64(in)*0x9e3779b97f4a7c15
 }
 
 // lookup reports whether a still-valid PASS verdict exists for exactly these

@@ -394,6 +394,15 @@ func (c *SimClock) advanceTo(target int64) {
 // the previous window found it, empty, so the advancer moves straight on to
 // the next timer.
 //
+// Skipping the window must not starve the rest of the process: a clock
+// that always has a non-waking instant pending (a link that keeps bouncing
+// a packet nobody waits for) would otherwise hold the one P for good, and
+// every other goroutine, another world's advancer included, would run only
+// when the runtime preempts it. So after fairSkips consecutive instants
+// that woke nobody the advancer yields once. That only lets other
+// goroutines run; none of this clock's is runnable, so no virtual result
+// changes.
+//
 // A window of yields shows that nothing is runnable only on one P, where
 // each yield round-robins the whole run queue. With more Ps a woken
 // goroutine may still be running on another P when the window closes, and
@@ -415,12 +424,18 @@ func (c *SimClock) AutoAdvance(grace time.Duration) (stop func()) {
 	// constant is a first-order throughput term for every virtual-time
 	// benchmark.
 	const quietYields = 16
+	// fairSkips is the number of consecutive non-waking advances after
+	// which the advancer yields once anyway (see above). Bulk has at most
+	// about 14 000 non-waking deliveries per op against about 34 000
+	// window yields, so these add under 1% of its yields.
+	const fairSkips = 64
 	pinOneP()
 	done := make(chan struct{})
 	go func() {
 		last := c.activity.Load()
 		quiet := 0
 		idle := 0
+		skips := 0
 		for {
 			select {
 			case <-done:
@@ -445,11 +460,17 @@ func (c *SimClock) AutoAdvance(grace time.Duration) (stop func()) {
 				last = c.activity.Load()
 				idle = 0
 				if c.wakes.Load() != wakes {
-					quiet = 0
+					quiet, skips = 0, 0
+					continue
 				}
 				// Otherwise quiet stays at quietYields: nothing became
 				// runnable, so unless someone else acts the next
-				// iteration advances again without yielding.
+				// iteration advances again without a window, and only
+				// the fairness yield lets the rest of the process run.
+				if skips++; skips == fairSkips {
+					skips = 0
+					runtime.Gosched()
+				}
 				continue
 			}
 			// Nothing pending: sleep politely, backing off while idle.

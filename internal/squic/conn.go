@@ -121,11 +121,11 @@ type Conn struct {
 	// untrack a remote when its serving connection dies.
 	closeHooks []func()
 
-	mu       sync.Mutex
-	readable waitCond // stream readers
-	writable waitCond // stream writers
-	hsCond   waitCond // Dial waiting for handshake
-	acCond   waitCond // AcceptStream
+	mu     sync.Mutex
+	hsCond waitCond // Dial waiting for handshake
+	acCond waitCond // AcceptStream
+	// Stream readers and writers park on their stream's own conditions
+	// (Stream.readable, Stream.writable).
 	// wakes counts the broadcasts that found a waiter (broadcastLocked). A
 	// delivery compares it before and after to report whether it made a
 	// goroutine runnable (see handleDatagram).
@@ -256,15 +256,17 @@ func newConn(pconn PacketConn, cfg *Config, isClient bool) *Conn {
 		c.nextStreamID = 1
 	}
 	c.firePTO = c.onPTO
-	c.readable.cond.L = &c.mu
-	c.writable.cond.L = &c.mu
 	c.hsCond.cond.L = &c.mu
 	c.acCond.cond.L = &c.mu
 	return c
 }
 
 // waitCond is a condition on the connection lock that counts the goroutines
-// parked on it, so that a broadcast knows whether it made one runnable.
+// parked on it, so that a broadcast knows whether it made one runnable. Each
+// condition has one kind of waiter: a Stream owns one for its reader and one
+// for its writer, and the connection one for Dial's handshake and one for
+// AcceptStream. A broadcast reaches only the goroutines parked on that
+// condition, so a packet wakes the stream it is for and nobody else.
 type waitCond struct {
 	cond    sync.Cond
 	waiters int // parked since the last broadcast
@@ -475,15 +477,15 @@ func (c *Conn) teardownIf(guard func() bool, code uint64, reason string, cause e
 	// Closed conns can stay reachable (pools, steering state, callers);
 	// the retransmission state must not keep their stream data alive, nor
 	// the packet scratch its buffers. Nothing will resend or ack the
-	// streams' bytes, so every send block goes back.
+	// streams' bytes, so every send block goes back. A retired stream is
+	// done, so neither its Read nor its Write parks: every parked reader
+	// and writer is on a stream failLocked wakes here.
 	for _, s := range c.streams {
 		s.failLocked(cause)
 		s.releaseBlocksLocked()
 	}
 	c.sent, c.sentArr, c.queued, c.inFlight = nil, nil, nil, 0
 	c.txFrames, c.ackOut, c.sendBuf, c.rx = nil, nil, nil, frameScratch{}
-	c.broadcastLocked(&c.readable)
-	c.broadcastLocked(&c.writable)
 	c.broadcastLocked(&c.hsCond)
 	c.broadcastLocked(&c.acCond)
 	onClose := c.onClose
@@ -537,10 +539,13 @@ func (c *Conn) readLoop() {
 //
 // It reports woke, snet's handler verdict: true when the datagram may have
 // made a goroutine runnable. That is a handshake packet (Dial waits for
-// it), a teardown, or a broadcast of a condition with a waiter: a reader
-// given data, a writer given room by an ack or a window update, an
+// it), a teardown, or a broadcast of a condition with a waiter: a parked
+// reader whose stream's readable bytes or final size changed, a parked
+// writer whose pending bytes the packetizer took (after an ack opened the
+// congestion window or a window update raised the stream's limit), an
 // AcceptStream given a stream. An ack that only retires packets nobody
-// waits for, or a duplicate, reports false. The RTT observers it runs wake
+// waits for, a duplicate, an out-of-order chunk that fills no gap, or data
+// for a stream nobody reads reports false. The RTT observers it runs wake
 // nobody (see OnRTTSampleBatch).
 func (c *Conn) handleDatagram(dg snet.Datagram) (woke bool) {
 	hdr, body, err := parseHeader(dg.Payload)
@@ -842,9 +847,10 @@ func (c *Conn) processOneRTT(hdr header, dg *snet.Datagram) (woke bool) {
 		case ftAck:
 			c.handleAckLocked(c.rx.acks[f.id:f.val])
 		case ftMaxStreamData:
+			// A raised limit gives Write no buffer room by itself: the
+			// packetizeLocked below wakes the writer if it takes bytes.
 			if s := c.streamLocked(f.id); s != nil && f.val > s.maxSend {
 				s.maxSend = f.val
-				c.broadcastLocked(&c.writable)
 			}
 		case ftClose:
 			cause := fmt.Errorf("%w: peer closed (code %d: %s)", ErrConnClosed, f.val, f.data)

@@ -49,6 +49,13 @@ type Stream struct {
 	recvLimit uint64            // advertised MAX_STREAM_DATA
 	readErr   error
 	rDeadline deadline
+
+	// readable wakes this stream's Read, writable its Write. Both are
+	// locked by c.mu, and only a change to this stream broadcasts them, so
+	// a packet for one stream leaves the readers and writers parked on the
+	// connection's other streams asleep.
+	readable waitCond
+	writable waitCond
 }
 
 // deadline tracks one direction's I/O deadline on the connection's clock.
@@ -77,6 +84,8 @@ func newStream(c *Conn, id uint64) *Stream {
 		finalSize: -1,
 	}
 	s.blocks = s.blockSlots[:0]
+	s.readable.cond.L = &c.mu
+	s.writable.cond.L = &c.mu
 	return s
 }
 
@@ -110,7 +119,7 @@ func (s *Stream) Read(p []byte) (int, error) {
 		if s.rDeadline.expired {
 			return 0, errDeadline
 		}
-		s.c.waitLocked(&s.c.readable)
+		s.c.waitLocked(&s.readable)
 	}
 }
 
@@ -146,7 +155,7 @@ func (s *Stream) Write(p []byte) (int, error) {
 		}
 		room := s.c.cfg.WriteBuffer - s.pendLen
 		if room <= 0 {
-			s.c.waitLocked(&s.c.writable)
+			s.c.waitLocked(&s.writable)
 			continue
 		}
 		n := min(room, len(p))
@@ -320,7 +329,7 @@ func (s *Stream) Close() error {
 		s.readErr = errStreamClosed
 	}
 	s.c.scheduleSendLocked()
-	s.c.broadcastLocked(&s.c.readable)
+	s.c.broadcastLocked(&s.readable)
 	s.c.mu.Unlock()
 	return nil
 }
@@ -341,7 +350,7 @@ func (s *Stream) SetDeadline(t time.Time) error {
 func (s *Stream) SetReadDeadline(t time.Time) error {
 	s.c.mu.Lock()
 	defer s.c.mu.Unlock()
-	s.setDeadlineLocked(&s.rDeadline, t, &s.c.readable)
+	s.setDeadlineLocked(&s.rDeadline, t, &s.readable)
 	return nil
 }
 
@@ -349,7 +358,7 @@ func (s *Stream) SetReadDeadline(t time.Time) error {
 func (s *Stream) SetWriteDeadline(t time.Time) error {
 	s.c.mu.Lock()
 	defer s.c.mu.Unlock()
-	s.setDeadlineLocked(&s.wDeadline, t, &s.c.writable)
+	s.setDeadlineLocked(&s.wDeadline, t, &s.writable)
 	return nil
 }
 
@@ -377,8 +386,13 @@ func (s *Stream) setDeadlineLocked(d *deadline, t time.Time, cond *waitCond) {
 	})
 }
 
-// handleFrameLocked ingests one received stream frame.
+// handleFrameLocked ingests one received stream frame. It wakes the
+// stream's reader only when the frame changed what Read can return: the
+// contiguous bytes grew (recvNext moved) or the final size became known. A
+// duplicate, a retransmit of delivered bytes, or an out-of-order chunk that
+// fills no gap wakes nobody, so its delivery reports no wake.
 func (s *Stream) handleFrameLocked(f frame) error {
+	next, knewFinal := s.recvNext, s.finalSize >= 0
 	end := f.val + uint64(len(f.data))
 	if end > s.recvLimit {
 		return fmt.Errorf("squic: stream %d flow-control violation (%d > %d)", s.id, end, s.recvLimit)
@@ -420,7 +434,9 @@ func (s *Stream) handleFrameLocked(f frame) error {
 		delete(s.chunks, s.recvNext)
 		s.deliverLocked(data)
 	}
-	s.c.broadcastLocked(&s.c.readable)
+	if s.recvNext != next || (!knewFinal && s.finalSize >= 0) {
+		s.c.broadcastLocked(&s.readable)
+	}
 	return nil
 }
 
@@ -474,7 +490,7 @@ func (s *Stream) nextFrameLocked(maxData int) (f frame, ok bool) {
 		// that carries them, or the packet a loss or PTO moved the frame
 		// to, is acked.
 		f.data = s.takePendingLocked(n)
-		s.c.broadcastLocked(&s.c.writable)
+		s.c.broadcastLocked(&s.writable) // the only place WriteBuffer room appears
 	}
 	if fin {
 		s.finSent = true
@@ -493,7 +509,8 @@ func (s *Stream) doneLocked() bool {
 		s.finalSize >= 0 && s.recvNext >= uint64(s.finalSize)
 }
 
-// failLocked errors both directions (connection teardown).
+// failLocked errors both directions (connection teardown) and wakes the
+// stream's reader and writer to return the error.
 func (s *Stream) failLocked(err error) {
 	if s.readErr == nil {
 		s.readErr = err
@@ -501,6 +518,8 @@ func (s *Stream) failLocked(err error) {
 	if s.writeErr == nil {
 		s.writeErr = err
 	}
+	s.c.broadcastLocked(&s.readable)
+	s.c.broadcastLocked(&s.writable)
 }
 
 func min(a, b int) int {

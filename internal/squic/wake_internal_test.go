@@ -5,6 +5,7 @@ import (
 	"io"
 	"net/netip"
 	"runtime"
+	"sync"
 	"testing"
 	"time"
 
@@ -82,7 +83,7 @@ func TestHandleDatagramWakeContract(t *testing.T) {
 			n, _ := rs.Read(buf[:])
 			got = append(got, buf[:n]...)
 		}()
-		if !parkedOrDone(t, server, &server.readable, done) {
+		if !parkedOrDone(t, server, &rs.readable, done) {
 			t.Fatal("the reader returned without data")
 		}
 		s.Write([]byte(" second"))
@@ -107,7 +108,7 @@ func TestHandleDatagramWakeContract(t *testing.T) {
 				t.Error(err)
 			}
 		}()
-		if !parkedOrDone(t, client, &client.writable, done) {
+		if !parkedOrDone(t, client, &s.writable, done) {
 			t.Fatal("a write larger than the buffer and the window did not block")
 		}
 		handOver(server, toServer)
@@ -116,7 +117,7 @@ func TestHandleDatagramWakeContract(t *testing.T) {
 		}
 		// Run the exchange out, touching the pconns only while the writer
 		// is parked or done.
-		for parkedOrDone(t, client, &client.writable, done) {
+		for parkedOrDone(t, client, &s.writable, done) {
 			handOver(server, toServer)
 			handOver(client, toClient)
 		}
@@ -129,6 +130,109 @@ func TestHandleDatagramWakeContract(t *testing.T) {
 		if !bytes.Equal(got, data) {
 			t.Errorf("server read %d bytes, want %d", len(got), len(data))
 		}
+	})
+
+	t.Run("data for another stream than the parked reader's", func(t *testing.T) {
+		client, server, toServer, _ := connPair(t, clock)
+		a, _ := client.OpenStream()
+		b, _ := client.OpenStream()
+		b.Write([]byte("b"))
+		handOver(server, toServer)
+		rb := server.acceptQ[0]
+		readAvailable(rb, nil)
+		done := parkReader(t, server, rb)
+		a.Write([]byte("for a"))
+		if handOver(server, toServer) {
+			t.Error("data for stream A with only stream B's reader parked reported a wake")
+		}
+		server.Close()
+		<-done
+	})
+
+	t.Run("duplicate of delivered data", func(t *testing.T) {
+		client, server, toServer, _ := connPair(t, clock)
+		s, _ := client.OpenStream()
+		s.Write([]byte("once"))
+		handOver(server, toServer)
+		rs := server.acceptQ[0]
+		if got, _ := readAvailable(rs, nil); string(got) != "once" {
+			t.Fatalf("reader got %q", got)
+		}
+		done := parkReader(t, server, rs)
+		expirePTO(client) // resends "once" in a new packet
+		if len(toServer.pkts) == 0 {
+			t.Fatal("the PTO resent nothing")
+		}
+		if handOver(server, toServer) {
+			t.Error("a retransmit of delivered data reported a wake")
+		}
+		server.Close()
+		<-done
+	})
+
+	t.Run("out-of-order chunk that fills no gap", func(t *testing.T) {
+		client, server, toServer, _ := connPair(t, clock)
+		s, _ := client.OpenStream()
+		s.Write([]byte("first"))
+		handOver(server, toServer)
+		rs := server.acceptQ[0]
+		got, _ := readAvailable(rs, nil)
+		var rest []byte
+		done := make(chan struct{})
+		go func() {
+			defer close(done)
+			var buf [64]byte
+			n, _ := rs.Read(buf[:])
+			rest = buf[:n]
+		}()
+		if !parkedOrDone(t, server, &rs.readable, done) {
+			t.Fatal("the reader returned without data")
+		}
+		s.Write([]byte(" second"))
+		s.Write([]byte(" third"))
+		pkts := toServer.take()
+		if len(pkts) != 2 {
+			t.Fatalf("two writes sent %d packets, want 2", len(pkts))
+		}
+		if server.handleDatagram(snet.Datagram{Payload: pkts[1]}) {
+			t.Error("an out-of-order chunk that fills no gap reported a wake")
+		}
+		if !server.handleDatagram(snet.Datagram{Payload: pkts[0]}) {
+			t.Error("the chunk that fills the gap reported no wake")
+		}
+		<-done
+		if got = append(got, rest...); string(got) != "first second third" {
+			t.Errorf("reader got %q", got)
+		}
+	})
+
+	t.Run("MAX_STREAM_DATA while the congestion window is closed", func(t *testing.T) {
+		cfg := &Config{Clock: clock, WriteBuffer: 4096, InitialCwnd: 4096}
+		client, server, _, toClient := connPairConfig(t, cfg)
+		s, _ := client.OpenStream()
+		done := make(chan struct{})
+		go func() {
+			defer close(done)
+			s.Write(bytes.Repeat([]byte("w"), 32<<10))
+		}()
+		if !parkedOrDone(t, client, &s.writable, done) {
+			t.Fatal("a write larger than the buffer and the window did not block")
+		}
+		server.mu.Lock()
+		server.queueFrameLocked(frame{kind: ftMaxStreamData, id: s.id, val: 2 * cfg.withDefaults().StreamWindow})
+		server.packetizeLocked()
+		server.mu.Unlock()
+		if handOver(client, toClient) {
+			t.Error("a window update that gave a writer no buffer room reported a wake")
+		}
+		client.mu.Lock()
+		raised, parked := s.maxSend == 2*client.cfg.StreamWindow, s.writable.waiters == 1
+		client.mu.Unlock()
+		if !raised || !parked {
+			t.Errorf("after the window update: limit raised %v, writer still parked %v", raised, parked)
+		}
+		client.Close()
+		<-done
 	})
 
 	t.Run("new peer stream while AcceptStream waits", func(t *testing.T) {
@@ -202,6 +306,66 @@ func TestHandleDatagramWakeContract(t *testing.T) {
 	})
 }
 
+// parkReader starts a Read of s that parks until teardown, waits until it
+// is parked, and returns a channel closed when it returns.
+func parkReader(t *testing.T, c *Conn, s *Stream) (done <-chan struct{}) {
+	t.Helper()
+	ch := make(chan struct{})
+	go func() {
+		defer close(ch)
+		var buf [64]byte
+		s.Read(buf[:])
+	}()
+	if !parkedOrDone(t, c, &s.readable, ch) {
+		t.Fatal("the reader returned without data")
+	}
+	return ch
+}
+
+// TestDeliveryWakesOnlyItsStream: with a reader parked on each of four
+// streams of one connection, data for one stream wakes its reader alone,
+// and teardown wakes the other three.
+func TestDeliveryWakesOnlyItsStream(t *testing.T) {
+	clock := &stepClock{now: time.Date(2022, 10, 10, 0, 0, 0, 0, time.UTC)}
+	client, server, toServer, _ := connPair(t, clock)
+	var sent [4]*Stream
+	for i := range sent {
+		sent[i], _ = client.OpenStream()
+		sent[i].Write([]byte("open"))
+	}
+	handOver(server, toServer)
+	if len(server.acceptQ) != len(sent) {
+		t.Fatalf("server has %d streams, want %d", len(server.acceptQ), len(sent))
+	}
+	var done [4]<-chan struct{}
+	for i, rs := range server.acceptQ {
+		readAvailable(rs, nil)
+		done[i] = parkReader(t, server, rs)
+	}
+	sent[0].Write([]byte("for stream 0"))
+	server.mu.Lock()
+	wakes := server.wakes
+	server.mu.Unlock()
+	if !handOver(server, toServer) {
+		t.Error("data for a parked reader reported no wake")
+	}
+	server.mu.Lock()
+	for i, rs := range server.acceptQ[1:] {
+		if rs.readable.waiters != 1 {
+			t.Errorf("stream %d: %d readers parked after data for stream 0, want 1", i+1, rs.readable.waiters)
+		}
+	}
+	if n := server.wakes - wakes; n != 1 {
+		t.Errorf("data for stream 0 woke %d conditions, want 1", n)
+	}
+	server.mu.Unlock()
+	<-done[0]
+	server.Close()
+	for _, d := range done[1:] {
+		<-d
+	}
+}
+
 // wakeAll is a socket whose handler verdicts all read "woke": the
 // auto-advancer then waits out its quiescence window after every delivery,
 // as it did before deliveries reported real wakes.
@@ -209,6 +373,28 @@ type wakeAll struct{ *snet.Conn }
 
 func (w wakeAll) SetHandler(h func(snet.Datagram) bool) {
 	w.Conn.SetHandler(func(dg snet.Datagram) bool { h(dg); return true })
+}
+
+// bounceForever bounces a packet every 70µs on a link of clock, between
+// receivers that report no wake, until stop is called or the test ends.
+func bounceForever(t *testing.T, clock *netsim.SimClock) (stop func()) {
+	stopBounce := make(chan struct{})
+	stop = sync.OnceFunc(func() { close(stopBounce) })
+	t.Cleanup(stop)
+	bounce := netsim.NewLink(clock, netsim.LinkProps{Latency: 70 * time.Microsecond}, 99)
+	for end := range 2 {
+		bounce.Attach(1-end, func(p []byte) bool {
+			select {
+			case <-stopBounce:
+				netsim.PutBuf(p)
+			default:
+				bounce.SendOwned(1-end, p)
+			}
+			return false
+		})
+	}
+	bounce.Send(0, []byte{0})
+	return stop
 }
 
 // transferTimes is when, in virtual time from the first write, the client's
@@ -224,21 +410,7 @@ type transferTimes struct{ written, read time.Duration }
 // everyWake, every delivery reports a wake.
 func autoTransfer(t *testing.T, everyWake bool) transferTimes {
 	w := testbed.New(t, testbed.AutoClock(t), nil, 1)
-	stopBounce := make(chan struct{})
-	t.Cleanup(func() { close(stopBounce) })
-	bounce := netsim.NewLink(w.Clock, netsim.LinkProps{Latency: 70 * time.Microsecond}, 99)
-	for end := range 2 {
-		bounce.Attach(1-end, func(p []byte) bool {
-			select {
-			case <-stopBounce:
-				netsim.PutBuf(p)
-			default:
-				bounce.SendOwned(1-end, p)
-			}
-			return false
-		})
-	}
-	bounce.Send(0, []byte{0})
+	bounceForever(t, w.Clock)
 
 	socket := func(ia addr.IA, ip string, port uint16) PacketConn {
 		c, err := w.Stack(ia, ip).Listen(port)
@@ -328,5 +500,28 @@ func TestAutoAdvancedTransferMatchesEveryWake(t *testing.T) {
 	if got != want {
 		t.Fatalf("reporting real wakes: write returned at +%v, last byte read at +%v; every delivery waking: +%v, +%v",
 			got.written, got.read, want.written, want.read)
+	}
+}
+
+// TestNonWakingAdvancerLeavesOtherWorldsTheProcessor: while one auto-advanced
+// world bounces a packet nobody waits for, forever, a squic transfer on
+// another auto-advanced world in the same process finishes within 10 s of
+// host time. The busy world's advancer never opens a quiescence window, so
+// only its fairness yield gives the process's one P to the other world;
+// without it the other world runs only when the runtime preempts the busy
+// advancer, every 10 ms, and the transfer takes minutes. The busy world
+// stops bouncing after the limit, so a starved run fails in about 10 s.
+func TestNonWakingAdvancerLeavesOtherWorldsTheProcessor(t *testing.T) {
+	const limit = 10 * time.Second
+	stop := bounceForever(t, testbed.AutoClock(t))
+	//lint:allow-wallclock wall-time bound on the busy world's bouncing
+	bound := time.AfterFunc(limit, stop)
+	defer bound.Stop()
+	//lint:allow-wallclock the claim is about host time
+	start := time.Now()
+	autoTransfer(t, false)
+	//lint:allow-wallclock the claim is about host time
+	if took := time.Since(start); took > limit {
+		t.Fatalf("the transfer beside a busy non-waking world took %v of host time, want <= %v", took, limit)
 	}
 }
