@@ -292,10 +292,10 @@ func (d *Dialer) DialStriped(ctx context.Context, remote addr.UDPAddr, serverNam
 		if stats != nil && stats[i].Known && stats[i].Telemetry.Samples > 0 {
 			seedRTT, seedDev = stats[i].Telemetry.RTT, stats[i].Telemetry.Dev
 		}
-		// Pin each connection to its disjoint path: without this the conn
-		// would follow the server's reply-path choices (mirror-following) and
-		// the stripe's deliberately-spread load could collapse onto one path.
-		w.conn.PinPath(w.cand.Path)
+		// Hold each connection to its disjoint path: a connection otherwise
+		// follows the server's reply-path choices (mirror-following), and
+		// the stripe's deliberately spread load would collapse onto one path.
+		w.conn.SetReplyPath(w.cand.Path)
 		st.pipes[i] = stripe.NewPipeline(w.conn, w.cand.Path, seedRTT, seedDev)
 	}
 	st.sel = Selection{Path: wins[0].cand.Path, Compliant: wins[0].cand.Compliant}

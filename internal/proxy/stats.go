@@ -19,7 +19,6 @@ const (
 	// back to legacy IP after a round-trip error — the measurable form of
 	// the paper's silent SCION→IP fallback.
 	ViaFallback Via = "fallback"
-	ViaBlocked  Via = "blocked"
 	ViaError    Via = "error"
 )
 

@@ -12,16 +12,16 @@ func TestStatsAggregation(t *testing.T) {
 	s.Record(RequestRecord{Host: "a.test", Via: ViaSCION, Path: "fp1", Compliant: true, Duration: 20 * time.Millisecond, Bytes: 200, Status: 200})
 	s.Record(RequestRecord{Host: "a.test", Via: ViaIP, Duration: 5 * time.Millisecond, Bytes: 50, Status: 200})
 	s.Record(RequestRecord{Host: "b.test", Via: ViaSCION, Path: "fp2", Compliant: false, Bytes: 10, Status: 200})
-	s.Record(RequestRecord{Host: "b.test", Via: ViaBlocked})
+	s.Record(RequestRecord{Host: "b.test", Via: ViaError})
 
 	snap := s.Snapshot()
 	if snap.Total != 5 {
 		t.Fatalf("total = %d", snap.Total)
 	}
-	if snap.ByVia[ViaSCION] != 3 || snap.ByVia[ViaIP] != 1 || snap.ByVia[ViaBlocked] != 1 {
+	if snap.ByVia[ViaSCION] != 3 || snap.ByVia[ViaIP] != 1 || snap.ByVia[ViaError] != 1 {
 		t.Fatalf("byVia %v", snap.ByVia)
 	}
-	if snap.ByHost["a.test"][ViaSCION] != 2 || snap.ByHost["b.test"][ViaBlocked] != 1 {
+	if snap.ByHost["a.test"][ViaSCION] != 2 || snap.ByHost["b.test"][ViaError] != 1 {
 		t.Fatalf("byHost %v", snap.ByHost)
 	}
 	if len(snap.Paths) != 2 {

@@ -13,7 +13,6 @@ import (
 	"net/netip"
 	"slices"
 	"sync"
-	"time"
 
 	"tango/internal/addr"
 	"tango/internal/dataplane"
@@ -21,15 +20,13 @@ import (
 	"tango/internal/segment"
 )
 
-// Datagram is one received SCION/UDP datagram. Handler mode (SetHandler)
-// passes it by value, built on the delivery's stack, so a delivered datagram
-// costs no heap object; queued mode (ReadFrom) hands out a heap copy of its
-// own.
+// Datagram is one received SCION/UDP datagram. A socket's handler (see
+// SetHandler) gets it by value, built on the delivery's stack, so a
+// delivered datagram costs no heap object.
 type Datagram struct {
-	// Payload is the UDP payload. In handler mode it aliases the pooled wire
-	// buffer and is valid only during the handler call; the handler may
-	// rewrite it in place (squic decrypts 1-RTT packets there). In queued
-	// mode it is the datagram's own copy.
+	// Payload is the UDP payload. It aliases the pooled wire buffer and is
+	// valid only during the handler call; the handler may rewrite it in
+	// place (squic decrypts 1-RTT packets there).
 	Payload []byte
 	// Src is the remote endpoint.
 	Src addr.UDPAddr
@@ -135,19 +132,21 @@ func (s *Stack) Listen(port uint16) (*Conn, error) {
 	} else if _, ok := s.conns[port]; ok {
 		return nil, fmt.Errorf("%w: %s:%d", ErrPortInUse, s.local, port)
 	}
-	c := &Conn{
-		stack: s,
-		local: addr.UDPAddr{Addr: s.local, Port: port},
-		inbox: make(chan *Datagram, 512),
-		done:  make(chan struct{}),
-	}
+	c := &Conn{stack: s, local: addr.UDPAddr{Addr: s.local, Port: port}}
 	s.conns[port] = c
 	return c, nil
 }
 
-// deliver hands pkt to the socket bound to its destination port. It reports
-// woke: in handler mode the handler's verdict, in queued mode true, since a
-// reader may wait on the inbox; a packet for an unbound port wakes nobody.
+// deliver hands pkt to the handler of the socket bound to its destination
+// port and reports the handler's verdict on whether a goroutine woke. A
+// packet for an unbound port, or for a socket with no handler, is dropped
+// and wakes nobody.
+//
+// The handler runs synchronously in the delivery (timer) context, keeping
+// the causal cascade of a virtual instant complete before time advances.
+// The payload may alias the router's leased wire buffer, released right
+// after the handler returns — hence the SetHandler contract that handlers
+// copy anything they keep (squic even decrypts it in place).
 func (s *Stack) deliver(pkt *dataplane.Packet) (woke bool) {
 	s.mu.Lock()
 	c := s.conns[pkt.Dst.Port]
@@ -158,43 +157,26 @@ func (s *Stack) deliver(pkt *dataplane.Packet) (woke bool) {
 	}
 	c.mu.Lock()
 	h := c.handler
+	if h == nil {
+		c.mu.Unlock()
+		pkt.Release()
+		return false
+	}
 	dg := Datagram{Payload: pkt.Payload, Src: pkt.Src, ReplyPath: c.replyPathLocked(pkt)}
 	c.mu.Unlock()
-	if h != nil {
-		// Handler mode: synchronous dispatch in the delivery (timer)
-		// context, keeping the causal cascade of a virtual instant
-		// complete before time advances. The payload may alias the
-		// router's leased wire buffer, released right after the handler
-		// returns — hence the SetHandler contract that handlers copy
-		// anything they keep (squic even decrypts it in place).
-		woke = h(dg)
-		pkt.Release()
-		return woke
-	}
-	// Queued mode: the datagram outlives this delivery context, so it moves
-	// to the heap and its payload must not alias the wire buffer.
-	q := &Datagram{Payload: append([]byte(nil), pkt.Payload...), Src: dg.Src, ReplyPath: dg.ReplyPath}
+	woke = h(dg)
 	pkt.Release()
-	select {
-	case c.inbox <- q:
-	default:
-		// Inbox full: drop, like a real UDP socket buffer.
-	}
-	return true
+	return woke
 }
 
 // Conn is a SCION datagram socket.
 type Conn struct {
 	stack *Stack
 	local addr.UDPAddr
-	inbox chan *Datagram
 
-	mu       sync.Mutex
-	handler  func(Datagram) bool
-	done     chan struct{}
-	closed   bool
-	deadline chan struct{} // closed when the read deadline passes
-	dlTimer  netsim.Timer
+	mu      sync.Mutex
+	handler func(Datagram) bool
+	closed  bool
 	// replyPaths memoises the reply paths of recently seen inbound paths,
 	// replaced round robin from replyNext: a socket hears from few paths at
 	// a time, so most datagrams reuse a path instead of reversing a fresh
@@ -232,11 +214,11 @@ func (c *Conn) replyPathLocked(pkt *dataplane.Packet) *segment.Path {
 	return rp
 }
 
-// SetHandler switches the socket to synchronous dispatch: incoming datagrams
-// are handed to h in the delivery context instead of being queued for
-// ReadFrom. Transports that process packets without blocking (squic) use
-// this mode; it makes virtual-time experiments deterministic. Passing nil
-// reverts to queued mode.
+// SetHandler installs h as the socket's receiver: every incoming datagram is
+// handed to h synchronously, in the delivery context, which keeps
+// virtual-time experiments deterministic; h must not block. Passing nil
+// detaches the handler, and until another is set the socket drops what it
+// receives.
 //
 // The datagram is passed by value, so delivering it allocates nothing; h may
 // take its address but must not keep the pointer past the call. Its Payload
@@ -316,71 +298,7 @@ func MaxPayload(path *segment.Path) int {
 	return n
 }
 
-// ReadFrom blocks until a datagram arrives, the read deadline passes, or the
-// socket closes. A closed socket or a passed deadline fails the read even
-// with datagrams queued, as net.Conn does.
-func (c *Conn) ReadFrom() (*Datagram, error) {
-	c.mu.Lock()
-	deadline := c.deadline // nil without a deadline: never ready
-	done := c.done
-	c.mu.Unlock()
-	// Go's select picks at random among ready cases, so the failures are
-	// checked on their own before a queued datagram can be taken.
-	select {
-	case <-done:
-		return nil, ErrClosed
-	default:
-	}
-	select {
-	case <-deadline:
-		return nil, ErrDeadlineExceeded
-	default:
-	}
-	select {
-	case dg := <-c.inbox:
-		return dg, nil
-	case <-deadline:
-		return nil, ErrDeadlineExceeded
-	case <-done:
-		return nil, ErrClosed
-	}
-}
-
-// ErrDeadlineExceeded is returned by ReadFrom after the deadline passes. It
-// implements net.Error's Timeout contract.
-var ErrDeadlineExceeded error = &timeoutError{}
-
-type timeoutError struct{}
-
-func (*timeoutError) Error() string   { return "snet: i/o deadline exceeded" }
-func (*timeoutError) Timeout() bool   { return true }
-func (*timeoutError) Temporary() bool { return true }
-
-// SetReadDeadline sets the deadline for blocked and future ReadFrom calls.
-// A zero time clears it.
-func (c *Conn) SetReadDeadline(t time.Time) error {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.dlTimer != nil {
-		c.dlTimer.Stop()
-		c.dlTimer = nil
-	}
-	if t.IsZero() {
-		c.deadline = nil
-		return nil
-	}
-	ch := make(chan struct{})
-	c.deadline = ch
-	d := t.Sub(c.stack.clock.Now())
-	if d <= 0 {
-		close(ch)
-		return nil
-	}
-	c.dlTimer = c.stack.clock.AfterFunc(d, func() { close(ch) })
-	return nil
-}
-
-// Close releases the port and unblocks readers.
+// Close marks the socket closed, so WriteTo fails, and releases its port.
 func (c *Conn) Close() error {
 	c.mu.Lock()
 	if c.closed {
@@ -388,11 +306,6 @@ func (c *Conn) Close() error {
 		return nil
 	}
 	c.closed = true
-	close(c.done)
-	if c.dlTimer != nil {
-		c.dlTimer.Stop()
-		c.dlTimer = nil
-	}
 	c.mu.Unlock()
 	c.stack.mu.Lock()
 	delete(c.stack.conns, c.local.Port)

@@ -20,6 +20,25 @@ import (
 // newWorld is the testbed world on an auto-advanced clock.
 func newWorld(t *testing.T) *testbed.World { return testbed.New(t, testbed.AutoClock(t), nil, 1) }
 
+// receive installs a handler on c that puts every datagram it receives on
+// the returned channel, with a copy of its payload: the payload a handler
+// gets aliases a pooled wire buffer, valid only during the call. The
+// handler must not block the delivery, so a datagram that finds the channel
+// full fails the test.
+func receive(t *testing.T, c *snet.Conn) <-chan snet.Datagram {
+	ch := make(chan snet.Datagram, 16)
+	c.SetHandler(func(dg snet.Datagram) bool {
+		dg.Payload = bytes.Clone(dg.Payload)
+		select {
+		case ch <- dg:
+		default:
+			t.Errorf("%v: receive buffer full, datagram dropped", c.LocalAddr())
+		}
+		return true
+	})
+	return ch
+}
+
 func TestDatagramRoundTrip(t *testing.T) {
 	w := newWorld(t)
 	client := w.Stack(topology.AS111, "10.0.0.1")
@@ -30,21 +49,17 @@ func TestDatagramRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer sconn.Close()
-	go func() {
-		for {
-			dg, err := sconn.ReadFrom()
-			if err != nil {
-				return
-			}
-			sconn.WriteTo(append([]byte("echo:"), dg.Payload...), dg.Src, dg.ReplyPath)
-		}
-	}()
+	sconn.SetHandler(func(dg snet.Datagram) bool {
+		sconn.WriteTo(append([]byte("echo:"), dg.Payload...), dg.Src, dg.ReplyPath)
+		return false
+	})
 
 	cconn, err := client.Listen(0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer cconn.Close()
+	replies := receive(t, cconn)
 	paths := w.Combiner.Paths(topology.AS111, topology.AS211, testbed.Start)
 	if len(paths) == 0 {
 		t.Fatal("no paths")
@@ -55,10 +70,7 @@ func TestDatagramRoundTrip(t *testing.T) {
 	if err := cconn.WriteTo([]byte("ping"), dst, paths[0]); err != nil {
 		t.Fatal(err)
 	}
-	dg, err := cconn.ReadFrom()
-	if err != nil {
-		t.Fatal(err)
-	}
+	dg := <-replies
 	if string(dg.Payload) != "echo:ping" {
 		t.Fatalf("payload %q", dg.Payload)
 	}
@@ -81,6 +93,7 @@ func TestASLocalDatagram(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer bc.Close()
+	queries := receive(t, bc)
 	ac, err := a.Listen(0)
 	if err != nil {
 		t.Fatal(err)
@@ -90,10 +103,7 @@ func TestASLocalDatagram(t *testing.T) {
 	if err := ac.WriteTo([]byte("local query"), dst, nil); err != nil {
 		t.Fatal(err)
 	}
-	dg, err := bc.ReadFrom()
-	if err != nil {
-		t.Fatal(err)
-	}
+	dg := <-queries
 	if string(dg.Payload) != "local query" {
 		t.Fatalf("payload %q", dg.Payload)
 	}
@@ -128,6 +138,7 @@ func TestSecondDispatcherPanics(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer sconn.Close()
+	got := receive(t, sconn)
 	cconn, err := w.Stack(topology.AS111, "10.0.0.1").Listen(0)
 	if err != nil {
 		t.Fatal(err)
@@ -141,32 +152,13 @@ func TestSecondDispatcherPanics(t *testing.T) {
 	if err := cconn.WriteTo([]byte("still here"), dst, paths[0]); err != nil {
 		t.Fatal(err)
 	}
-	sconn.SetReadDeadline(w.Clock.Now().Add(time.Second))
-	dg, err := sconn.ReadFrom()
-	if err != nil {
-		t.Fatalf("first dispatcher's socket: %v", err)
-	}
-	if string(dg.Payload) != "still here" {
-		t.Fatalf("payload %q", dg.Payload)
-	}
-}
-
-func TestReadDeadline(t *testing.T) {
-	w := newWorld(t)
-	s := w.Stack(topology.AS111, "10.0.0.1")
-	c, err := s.Listen(0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-	c.SetReadDeadline(w.Clock.Now().Add(5 * time.Millisecond))
-	start := w.Clock.Now()
-	_, err = c.ReadFrom()
-	if err != snet.ErrDeadlineExceeded {
-		t.Fatalf("err = %v", err)
-	}
-	if got := w.Clock.Since(start); got != 5*time.Millisecond {
-		t.Fatalf("deadline fired after %v", got)
+	select {
+	case dg := <-got:
+		if string(dg.Payload) != "still here" {
+			t.Fatalf("payload %q", dg.Payload)
+		}
+	case <-w.Clock.After(time.Second):
+		t.Fatal("first dispatcher's socket received nothing within 1s")
 	}
 }
 
@@ -181,6 +173,9 @@ func TestPortAllocation(t *testing.T) {
 		t.Fatal("double bind succeeded")
 	}
 	a.Close()
+	if err := a.WriteTo([]byte("x"), a.LocalAddr(), nil); err != snet.ErrClosed {
+		t.Fatalf("write after close: %v", err)
+	}
 	if _, err := s.Listen(1000); err != nil {
 		t.Fatalf("rebind after close: %v", err)
 	}
@@ -212,32 +207,6 @@ func TestWriteToWrongSourcePath(t *testing.T) {
 	}
 }
 
-func TestCloseUnblocksRead(t *testing.T) {
-	w := newWorld(t)
-	s := w.Stack(topology.AS111, "10.0.0.1")
-	c, err := s.Listen(0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	errc := make(chan error, 1)
-	go func() { _, err := c.ReadFrom(); errc <- err }()
-	//lint:allow-wallclock real-time yield so goroutines run between virtual-clock steps
-	time.Sleep(10 * time.Millisecond) // real time: let the reader block
-	c.Close()
-	select {
-	case err := <-errc:
-		if err != snet.ErrClosed {
-			t.Fatalf("err = %v", err)
-		}
-	//lint:allow-wallclock wall-time watchdog against test hangs
-	case <-time.After(time.Second):
-		t.Fatal("ReadFrom never unblocked")
-	}
-	if err := c.WriteTo([]byte("x"), c.LocalAddr(), nil); err != snet.ErrClosed {
-		t.Fatalf("write after close: %v", err)
-	}
-}
-
 func TestMaxPayload(t *testing.T) {
 	w := newWorld(t)
 	paths := w.Combiner.Paths(topology.AS111, topology.AS211, testbed.Start)
@@ -254,6 +223,7 @@ func TestMaxPayload(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer sc.Close()
+	got := receive(t, sc)
 	cc, err := client.Listen(0)
 	if err != nil {
 		t.Fatal(err)
@@ -263,63 +233,48 @@ func TestMaxPayload(t *testing.T) {
 	if err := cc.WriteTo(make([]byte, max), dst, p); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := sc.ReadFrom(); err != nil {
-		t.Fatal(err)
+	if dg := <-got; len(dg.Payload) != max {
+		t.Fatalf("received %d bytes, want %d", len(dg.Payload), max)
 	}
 	if err := cc.WriteTo(make([]byte, max+1), dst, p); err != nil {
 		t.Fatal(err) // accepted locally...
 	}
-	sc.SetReadDeadline(w.Clock.Now().Add(500 * time.Millisecond))
-	if _, err := sc.ReadFrom(); err == nil {
+	w.Clock.Sleep(500 * time.Millisecond)
+	select {
+	case <-got:
 		t.Fatal("...but must be dropped by the first link") // nothing arrives
+	default:
 	}
 	_ = segment.MACLen
 }
 
 // TestWriteToDoesNotRetainPayload: WriteTo is done with the caller's buffer
 // when it returns, also for an AS-local send, whose delivery happens later.
-// The sender scribbles over its buffer right after WriteTo; the receiver,
-// in queued and in handler mode, must still see the original bytes.
+// The sender scribbles over its buffer right after WriteTo; the receiver
+// must still see the original bytes.
 func TestWriteToDoesNotRetainPayload(t *testing.T) {
-	for _, handler := range []bool{false, true} {
-		t.Run(fmt.Sprintf("handler=%v", handler), func(t *testing.T) {
-			w := newWorld(t)
-			a := w.Stack(topology.AS111, "10.0.0.1")
-			b := w.Stack(topology.AS111, "10.0.0.9")
-			bc, err := b.Listen(53)
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer bc.Close()
-			got := make(chan []byte, 1)
-			if handler {
-				bc.SetHandler(func(dg snet.Datagram) bool { got <- bytes.Clone(dg.Payload); return true })
-			}
-			ac, err := a.Listen(0)
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer ac.Close()
-			dst := addr.UDPAddr{Addr: addr.Addr{IA: topology.AS111, Host: netip.MustParseAddr("10.0.0.9")}, Port: 53}
-			buf := []byte("original bytes")
-			if err := ac.WriteTo(buf, dst, nil); err != nil {
-				t.Fatal(err)
-			}
-			copy(buf, "scribbled over")
-			var payload []byte
-			if handler {
-				payload = <-got
-			} else {
-				dg, err := bc.ReadFrom()
-				if err != nil {
-					t.Fatal(err)
-				}
-				payload = dg.Payload
-			}
-			if string(payload) != "original bytes" {
-				t.Fatalf("receiver saw %q", payload)
-			}
-		})
+	w := newWorld(t)
+	a := w.Stack(topology.AS111, "10.0.0.1")
+	b := w.Stack(topology.AS111, "10.0.0.9")
+	bc, err := b.Listen(53)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer bc.Close()
+	got := receive(t, bc)
+	ac, err := a.Listen(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ac.Close()
+	dst := addr.UDPAddr{Addr: addr.Addr{IA: topology.AS111, Host: netip.MustParseAddr("10.0.0.9")}, Port: 53}
+	buf := []byte("original bytes")
+	if err := ac.WriteTo(buf, dst, nil); err != nil {
+		t.Fatal(err)
+	}
+	copy(buf, "scribbled over")
+	if dg := <-got; string(dg.Payload) != "original bytes" {
+		t.Fatalf("receiver saw %q", dg.Payload)
 	}
 }
 
@@ -335,6 +290,7 @@ func TestReplyPathMemoised(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer sc.Close()
+	got := receive(t, sc)
 	cc, err := client.Listen(0)
 	if err != nil {
 		t.Fatal(err)
@@ -350,11 +306,7 @@ func TestReplyPathMemoised(t *testing.T) {
 		if err := cc.WriteTo([]byte("x"), dst, p); err != nil {
 			t.Fatal(err)
 		}
-		dg, err := sc.ReadFrom()
-		if err != nil {
-			t.Fatal(err)
-		}
-		return dg.ReplyPath
+		return (<-got).ReplyPath
 	}
 	r0 := recv(paths[0])
 	if want := paths[0].Reversed(); r0.Src != want.Src || r0.Dst != want.Dst || !slices.Equal(r0.Hops, want.Hops) {
@@ -409,7 +361,7 @@ func (w *pairWorld) run() {
 }
 
 // TestTemplatedDatagramAllocs: once warm, a datagram sent with WriteTo over
-// a two-hop templated path and delivered to a socket in handler mode
+// a two-hop templated path and delivered to a socket's handler
 // allocates nothing — the packet stays on WriteTo's stack, the wire buffer
 // comes from the pool, and the datagram reaches the handler by value.
 func TestTemplatedDatagramAllocs(t *testing.T) {
@@ -447,78 +399,5 @@ func TestTemplatedDatagramAllocs(t *testing.T) {
 	}
 	if got != 8+101 {
 		t.Fatalf("handler saw %d datagrams, want %d", got, 8+101)
-	}
-}
-
-// TestReadFromAcrossDeadline: in queued mode a read deadline fails ReadFrom
-// once it passes, clearing it lets ReadFrom return queued datagrams again,
-// a ReadFrom without a deadline allocates nothing of its own, and a passed
-// deadline or a closed socket fails the read even with datagrams queued.
-func TestReadFromAcrossDeadline(t *testing.T) {
-	w := newPairWorld(t)
-	sc, err := w.dst.Listen(8000)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer sc.Close()
-	cc, err := w.src.Listen(0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer cc.Close()
-	dst := addr.UDPAddr{Addr: addr.Addr{IA: w.dstIA, Host: w.dstHost}, Port: 8000}
-
-	sc.SetReadDeadline(w.clock.Now().Add(time.Millisecond))
-	w.run() // the deadline fires with nothing queued
-	if _, err := sc.ReadFrom(); err != snet.ErrDeadlineExceeded {
-		t.Fatalf("read past the deadline: err = %v", err)
-	}
-	sc.SetReadDeadline(time.Time{})
-	const n = 102
-	for i := range n {
-		if err := cc.WriteTo([]byte{byte(i)}, dst, w.path); err != nil {
-			t.Fatal(err)
-		}
-	}
-	w.run()
-	next := 0
-	read := func() {
-		dg, err := sc.ReadFrom()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(dg.Payload) != 1 || int(dg.Payload[0]) != next {
-			t.Fatalf("read %v, want datagram %d", dg.Payload, next)
-		}
-		next++
-	}
-	read()
-	if allocs := testing.AllocsPerRun(100, read); allocs != 0 {
-		t.Errorf("ReadFrom without a deadline: %v allocs, want 0", allocs)
-	}
-	if next != n {
-		t.Fatalf("read %d datagrams, want %d", next, n)
-	}
-
-	// With datagrams queued, a passed deadline still fails every read, and
-	// so does a closed socket.
-	for i := range 4 {
-		if err := cc.WriteTo([]byte{byte(i)}, dst, w.path); err != nil {
-			t.Fatal(err)
-		}
-	}
-	w.run()
-	sc.SetReadDeadline(w.clock.Now().Add(-time.Millisecond))
-	for i := range 50 {
-		if _, err := sc.ReadFrom(); err != snet.ErrDeadlineExceeded {
-			t.Fatalf("read %d past the deadline with datagrams queued: err = %v", i, err)
-		}
-	}
-	sc.SetReadDeadline(time.Time{})
-	sc.Close()
-	for i := range 50 {
-		if _, err := sc.ReadFrom(); err != snet.ErrClosed {
-			t.Fatalf("read %d on a closed socket with datagrams queued: err = %v", i, err)
-		}
 	}
 }

@@ -51,10 +51,9 @@ func (p *capturePconn) WriteTo(payload []byte, dst addr.UDPAddr, path *segment.P
 	p.pkts = append(p.pkts, append(b, payload...))
 	return nil
 }
-func (p *capturePconn) ReadFrom() (*snet.Datagram, error) { select {} }
-func (p *capturePconn) LocalAddr() addr.UDPAddr           { return addr.UDPAddr{} }
-func (p *capturePconn) SetReadDeadline(time.Time) error   { return nil }
-func (p *capturePconn) Close() error                      { return nil }
+func (p *capturePconn) SetHandler(func(snet.Datagram) bool) {}
+func (p *capturePconn) LocalAddr() addr.UDPAddr             { return addr.UDPAddr{} }
+func (p *capturePconn) Close() error                        { return nil }
 
 // take returns the captured datagrams and forgets them. The returned slice
 // is reused by the next take: consume it before writing to p again.

@@ -22,11 +22,13 @@ import (
 // PacketConn is the datagram substrate a Conn runs on. snet.Conn implements
 // it; tests may supply in-memory fakes. WriteTo must not keep payload after
 // it returns: a Conn seals every packet into one reused send buffer.
+// SetHandler installs the receiver of every incoming datagram, called
+// synchronously in the delivery context under snet.Conn.SetHandler's
+// contract; it is the only way a Conn or Listener receives.
 type PacketConn interface {
 	WriteTo(payload []byte, dst addr.UDPAddr, path *segment.Path) error
-	ReadFrom() (*snet.Datagram, error)
+	SetHandler(h func(snet.Datagram) bool)
 	LocalAddr() addr.UDPAddr
-	SetReadDeadline(t time.Time) error
 	Close() error
 }
 
@@ -41,18 +43,21 @@ type Config struct {
 	Identity *Identity
 	// HandshakeTimeout aborts Dial if the handshake does not complete.
 	HandshakeTimeout time.Duration
-	// StreamWindow is the per-stream flow-control window in bytes.
-	StreamWindow uint64
 	// WriteBuffer bounds per-stream bytes buffered ahead of packetization.
 	WriteBuffer int
 	// InitialCwnd is the initial congestion window in bytes.
 	InitialCwnd int
-	// MaxPacketSize caps datagram payloads when the path MTU is unknown.
-	MaxPacketSize int
 }
 
 // DefaultHandshakeTimeout applies when Config.HandshakeTimeout is zero.
 const DefaultHandshakeTimeout = 10 * time.Second
+
+const (
+	// streamWindow is the per-stream flow-control window in bytes.
+	streamWindow uint64 = 1 << 20
+	// maxPacketSize caps datagram payloads when the path MTU is unknown.
+	maxPacketSize = 1200
+)
 
 func (cfg *Config) withDefaults() *Config {
 	out := *cfg
@@ -62,17 +67,11 @@ func (cfg *Config) withDefaults() *Config {
 	if out.HandshakeTimeout == 0 {
 		out.HandshakeTimeout = DefaultHandshakeTimeout
 	}
-	if out.StreamWindow == 0 {
-		out.StreamWindow = 1 << 20
-	}
 	if out.WriteBuffer == 0 {
 		out.WriteBuffer = 1 << 20
 	}
 	if out.InitialCwnd == 0 {
 		out.InitialCwnd = 256 << 10
-	}
-	if out.MaxPacketSize == 0 {
-		out.MaxPacketSize = 1200
 	}
 	return &out
 }
@@ -343,11 +342,11 @@ func (c *Conn) MirrorPath() *segment.Path {
 }
 
 // SetReplyPath steers the connection's outgoing packets over path instead of
-// mirroring the peer's last-used path — the server half of reverse-path
-// steering. A nil path reverts to mirroring (the safety valve): the send
-// path snaps back to the freshest mirrored reply path and follows the client
-// again. The path must lead to the connection's remote; the caller (the
-// telemetry plane) owns that invariant.
+// mirroring the peer's last-used path: a server steers its replies with it,
+// and a striped client holds each connection to its own path. A nil path
+// reverts to mirroring (the safety valve): the send path snaps back to the
+// freshest mirrored reply path and follows the peer again. The path must
+// lead to the connection's remote; the caller owns that invariant.
 func (c *Conn) SetReplyPath(path *segment.Path) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -364,15 +363,6 @@ func (c *Conn) SetReplyPath(path *segment.Path) {
 	c.steered = true
 	c.path = path
 }
-
-// PinPath fixes the connection's outgoing packets to path, disabling the
-// default mirror-following (a connection normally re-homes its sends onto
-// the reverse of whatever path the peer's packets last rode, so a steering
-// peer drags it along). A striped transfer pins each connection to its
-// link-disjoint path — the disjointness IS the point, so following the
-// server's reply-path choices would silently collapse the spread. Pinning
-// shares the steering mechanism: PinPath(nil) reverts to mirror-following.
-func (c *Conn) PinPath(path *segment.Path) { c.SetReplyPath(path) }
 
 // OnClose registers f to run once the connection has torn down, after the
 // terminal error is set, outside the connection lock. Hooks run in
@@ -503,34 +493,8 @@ func (c *Conn) teardownIf(guard func() bool, code uint64, reason string, cause e
 	}
 }
 
-// handlerConn is the synchronous-dispatch capability of snet sockets; when
-// available, squic processes packets inside the delivery context, which
-// keeps virtual-time experiments exact.
-type handlerConn interface {
-	SetHandler(func(snet.Datagram) bool)
-}
-
-// startReceiving wires packet delivery: synchronous handler mode when the
-// PacketConn supports it, a reader goroutine otherwise.
-func (c *Conn) startReceiving() {
-	if hc, ok := c.pconn.(handlerConn); ok {
-		hc.SetHandler(c.handleDatagram)
-		return
-	}
-	go c.readLoop()
-}
-
-// readLoop pulls datagrams from a dedicated PacketConn (fallback mode).
-func (c *Conn) readLoop() {
-	for {
-		dg, err := c.pconn.ReadFrom()
-		if err != nil {
-			c.teardown(1, "transport closed", fmt.Errorf("%w: %v", ErrConnClosed, err), false)
-			return
-		}
-		c.handleDatagram(*dg)
-	}
-}
+// startReceiving installs the connection as its PacketConn's handler.
+func (c *Conn) startReceiving() { c.pconn.SetHandler(c.handleDatagram) }
 
 // handleDatagram processes one received datagram (client path; the server
 // listener routes to conn.handleOneRTT/handleInitial directly). The datagram
@@ -971,7 +935,7 @@ func (c *Conn) handleAckLocked(ranges []ackRange) {
 		c.inFlight -= sp.size
 		c.queued = sp.requeue(c.queued)
 		if sp.pn >= c.recoveryEnd {
-			c.cwnd = maxInt(c.cwnd/2, 2*c.cfg.MaxPacketSize)
+			c.cwnd = maxInt(c.cwnd/2, 2*maxPacketSize)
 			c.recoveryEnd = c.nextPN
 		}
 	}
@@ -1196,7 +1160,7 @@ func (c *Conn) scheduleSendLocked() { c.packetizeLocked() }
 // maxFramePayloadLocked is the frame budget per packet for the current path.
 func (c *Conn) maxFramePayloadLocked() int {
 	budget := snet.MaxPayload(c.path) - headerLen - aeadOverhead
-	if m := c.cfg.MaxPacketSize; budget > m {
+	if m := maxPacketSize; budget > m {
 		budget = m
 	}
 	if budget < minFramePayload {
@@ -1295,7 +1259,7 @@ func (c *Conn) sendPacketLocked(frames []frame, ackEliciting bool) {
 	pn := c.nextPN
 	c.nextPN++
 	if c.sendBuf == nil {
-		c.sendBuf = make([]byte, 0, headerLen+maxInt(c.cfg.MaxPacketSize, minFramePayload)+aeadOverhead)
+		c.sendBuf = make([]byte, 0, headerLen+maxInt(maxPacketSize, minFramePayload)+aeadOverhead)
 	}
 	buf := header{ptype: ptOneRTT, connID: c.connID, pktNum: pn}.append(c.sendBuf[:0])
 	for _, f := range frames {

@@ -62,11 +62,7 @@ func Listen(pconn PacketConn, cfg *Config) (*Listener, error) {
 		done:     make(chan struct{}),
 		conns:    make(map[uint64]*Conn),
 	}
-	if hc, ok := pconn.(handlerConn); ok {
-		hc.SetHandler(l.handleDatagram)
-	} else {
-		go l.readLoop()
-	}
+	pconn.SetHandler(l.handleDatagram)
 	return l, nil
 }
 
@@ -121,16 +117,6 @@ func (l *Listener) Close() error {
 		c.teardown(0, "listener closed", ErrConnClosed, true)
 	}
 	return nil
-}
-
-func (l *Listener) readLoop() {
-	for {
-		dg, err := l.pconn.ReadFrom()
-		if err != nil {
-			return
-		}
-		l.handleDatagram(*dg)
-	}
 }
 
 // handleDatagram demultiplexes one datagram by connection ID. Like

@@ -91,7 +91,7 @@ func (r *refRecovery) ack(ranges []ackRange) (acked, lost []uint64) {
 		c.inFlight -= sp.size
 		c.queued = append(append(c.queued, sp.frame), sp.more...)
 		if pn >= c.recoveryEnd {
-			c.cwnd = maxInt(c.cwnd/2, 2*c.cfg.MaxPacketSize)
+			c.cwnd = maxInt(c.cwnd/2, 2*maxPacketSize)
 			c.recoveryEnd = c.nextPN
 		}
 	}
@@ -478,14 +478,6 @@ func TestMirrorPathReuse(t *testing.T) {
 	expect("steered, changed peer path", steer, a2)
 	c.SetReplyPath(nil)
 	expect("steering reverted", a2, a2)
-
-	pin := route(4)
-	c.PinPath(pin)
-	b2 := route(2)
-	deliver(b2)
-	expect("pinned, changed peer path", pin, b2)
-	c.PinPath(nil)
-	expect("pin reverted", b2, b2)
 }
 
 // ackBatch is the number of packets one BenchmarkAckProcessing ack newly

@@ -23,10 +23,9 @@ func (d *discardPconn) WriteTo(payload []byte, dst addr.UDPAddr, path *segment.P
 	d.sends = append(d.sends, d.clock.Now())
 	return nil
 }
-func (d *discardPconn) ReadFrom() (*snet.Datagram, error) { select {} }
-func (d *discardPconn) LocalAddr() addr.UDPAddr           { return addr.UDPAddr{} }
-func (d *discardPconn) SetReadDeadline(time.Time) error   { return nil }
-func (d *discardPconn) Close() error                      { return nil }
+func (d *discardPconn) SetHandler(func(snet.Datagram) bool) {}
+func (d *discardPconn) LocalAddr() addr.UDPAddr             { return addr.UDPAddr{} }
+func (d *discardPconn) Close() error                        { return nil }
 
 // deadConn builds an established client connection over a dead transport:
 // everything sent vanishes, so every ack-eliciting packet rides the PTO

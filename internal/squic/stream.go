@@ -79,8 +79,8 @@ func newStream(c *Conn, id uint64) *Stream {
 	s := &Stream{
 		c:         c,
 		id:        id,
-		maxSend:   c.cfg.StreamWindow,
-		recvLimit: c.cfg.StreamWindow,
+		maxSend:   streamWindow,
+		recvLimit: streamWindow,
 		finalSize: -1,
 	}
 	s.blocks = s.blockSlots[:0]
@@ -129,9 +129,8 @@ func (s *Stream) maybeExtendWindowLocked() {
 	if s.finalSize >= 0 {
 		return // peer finished sending; no more window needed
 	}
-	win := s.c.cfg.StreamWindow
-	if s.consumed+win > s.recvLimit+win/2 {
-		s.recvLimit = s.consumed + win
+	if s.consumed+streamWindow > s.recvLimit+streamWindow/2 {
+		s.recvLimit = s.consumed + streamWindow
 		s.c.queueFrameLocked(frame{kind: ftMaxStreamData, id: s.id, val: s.recvLimit})
 		s.c.scheduleSendLocked()
 	}

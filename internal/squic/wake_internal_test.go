@@ -219,14 +219,14 @@ func TestHandleDatagramWakeContract(t *testing.T) {
 			t.Fatal("a write larger than the buffer and the window did not block")
 		}
 		server.mu.Lock()
-		server.queueFrameLocked(frame{kind: ftMaxStreamData, id: s.id, val: 2 * cfg.withDefaults().StreamWindow})
+		server.queueFrameLocked(frame{kind: ftMaxStreamData, id: s.id, val: 2 * streamWindow})
 		server.packetizeLocked()
 		server.mu.Unlock()
 		if handOver(client, toClient) {
 			t.Error("a window update that gave a writer no buffer room reported a wake")
 		}
 		client.mu.Lock()
-		raised, parked := s.maxSend == 2*client.cfg.StreamWindow, s.writable.waiters == 1
+		raised, parked := s.maxSend == 2*streamWindow, s.writable.waiters == 1
 		client.mu.Unlock()
 		if !raised || !parked {
 			t.Errorf("after the window update: limit raised %v, writer still parked %v", raised, parked)
